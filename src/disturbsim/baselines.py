@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from .core import DataLine, LineAddress, SimConfig
+from .core import ConsistencyError, DataLine, LineAddress, SimConfig
 from .media import CellArray, WriteMode, WriteOutcome
 
 
@@ -83,6 +83,8 @@ class SiwcCache:
         self.rank = rank
         self.bank = bank
         self.entries = [WriteCacheEntry() for _ in range(cfg.siwc_entry_count)]
+        self._slot: dict[int, int] = {}  # row_col -> slot of every valid entry
+        self._used = 0  # slots fill in order and never empty
 
     def _pack(self, addr: LineAddress) -> int:
         return addr.row_col(self.geometry)
@@ -92,11 +94,37 @@ class SiwcCache:
         return LineAddress(self.rank, self.bank, row_col // cols, row_col % cols)
 
     def _find(self, addr: LineAddress) -> int | None:
+        return self._slot.get(addr.row_col(self.geometry))
+
+    def _install(self, slot: int, addr: LineAddress, data: DataLine) -> None:
+        """Put an entry into `slot`, replacing any entry there. The one path
+        that fills the cache."""
         rc = self._pack(addr)
-        for i, e in enumerate(self.entries):
-            if e.valid and e.row_col == rc:
-                return i
-        return None
+        held = self._slot.setdefault(rc, slot)
+        if held != slot:
+            raise ConsistencyError(f"address {rc} is valid in slot {held}; "
+                                   f"cannot also install it in slot {slot}")
+        e = self.entries[slot]
+        if e.valid and e.row_col != rc:
+            del self._slot[e.row_col]
+        e.valid = True
+        e.row_col = rc
+        e.data = data
+
+    def check(self) -> None:
+        """Compare the index and the fill counter with a full scan of the
+        entries; raise ConsistencyError on any difference."""
+        valid = [e.valid for e in self.entries]
+        if valid != [i < self._used for i in range(len(self.entries))]:
+            raise ConsistencyError(f"slots {valid} do not fill in order "
+                                   f"up to {self._used}")
+        seen: dict[int, int] = {}
+        for slot, e in enumerate(self.entries[:self._used]):
+            if seen.setdefault(e.row_col, slot) != slot:
+                raise ConsistencyError(f"address {e.row_col} valid in slots "
+                                       f"{seen[e.row_col]} and {slot}")
+        if seen != self._slot:
+            raise ConsistencyError("cache index disagrees with the entries")
 
     def process_write(self, addr: LineAddress, data: DataLine,
                       rng: Random) -> StrategyOutcome:
@@ -110,17 +138,16 @@ class SiwcCache:
             return out
         if not rng.random() < self.cfg.siwc_q_insert:
             return out
-        free = next((i for i, e in enumerate(self.entries) if not e.valid), None)
-        if free is None:
+        if self._used < len(self.entries):
+            free = self._used
+            self._used += 1
+        else:
             if not rng.random() < self.cfg.siwc_q_evict:
                 return out
             free = rng.randrange(len(self.entries))
             victim = self.entries[free]
             out.writeback = (self._unpack(victim.row_col), victim.data)
-        e = self.entries[free]
-        e.valid = True
-        e.row_col = self._pack(addr)
-        e.data = data
+        self._install(free, addr, data)
         out.absorbed = True
         return out
 
@@ -129,7 +156,7 @@ class SiwcCache:
         return self.entries[slot].data if slot is not None else None
 
     def occupancy(self) -> int:
-        return sum(1 for e in self.entries if e.valid)
+        return self._used
 
 
 def siwc_entry_count(n_mt: int, n_b: int, parity: str = "entry") -> int:

@@ -7,12 +7,26 @@ prepared writes drain ahead of pre-write reads until occupancy falls to the
 low watermark. Host writes are held unprepared until their pre-write read
 returns the old line contents. The run is fully deterministic for a given
 (config, trace, seed).
+
+A bank keeps its queued commands per kind, so a decision looks only at queue
+heads: a FIFO of rewrites, a FIFO of host reads, a seq-ordered heap of
+prepared host writes and writebacks, and a seq-ordered heap of the pre-write
+reads that may run. A per-line index maps each line to its queued writes in
+seq order. A pre-write read must observe every older write to its line, so
+it may run once its own write is the line's oldest queued write; until then
+it waits, keyed by that write, and the index releases it when the writes
+ahead of it leave. A fresh rewrite merges into the line's oldest queued
+write. `read_q` and `write_q` hold every queued read and write, for counts.
+Each trace record's address is decoded once, at its first admission
+attempt; backpressure retries reuse it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from random import Random
 
 from .baselines import SiwcCache, vnc_wrap_write
@@ -32,7 +46,7 @@ class CommandKind(enum.Enum):
     WRITEBACK = "writeback"
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class Command:
     kind: CommandKind
     addr: LineAddress
@@ -45,15 +59,94 @@ class Command:
     paired: "Command | None" = None  # write awaiting this pre-write read
 
 
-WRITE_KINDS = (CommandKind.HOST_WRITE, CommandKind.WRITEBACK)
+READ_KINDS = (CommandKind.HOST_READ, CommandKind.PRE_WRITE_READ)
 
 
-@dataclass
 class _Bank:
-    read_q: list = field(default_factory=list)
-    write_q: list = field(default_factory=list)
-    busy_until: int = 0
-    draining: bool = False
+    """One bank's queued commands, indexed per kind and per line. Commands
+    enter through `enqueue`, in seq order, and leave through `remove` once
+    `Engine.next_command` has picked them."""
+
+    __slots__ = ("read_q", "write_q", "rewrites", "host_reads", "ready_pres",
+                 "blocked_pres", "ready_writes", "lines", "busy_until",
+                 "draining")
+
+    def __init__(self):
+        self.read_q: dict[Command, None] = {}   # every queued read
+        self.write_q: dict[Command, None] = {}  # every queued write
+        self.rewrites: deque[Command] = deque()
+        self.host_reads: deque[Command] = deque()
+        self.ready_pres: list[tuple[int, Command]] = []    # heap by seq
+        self.blocked_pres: dict[Command, Command] = {}     # write -> its pre-read
+        self.ready_writes: list[tuple[int, Command]] = []  # heap by seq
+        self.lines: dict[LineAddress, list[Command]] = {}  # queued writes
+        self.busy_until = 0
+        self.draining = False
+
+    def _pwr_ready(self, pre: Command) -> bool:
+        """A pre-write read must observe every older write to its line, or
+        the paired write would count flips against stale contents."""
+        line = self.lines.get(pre.addr)
+        return line is not None and line[0] is pre.paired
+
+    def enqueue(self, cmd: Command) -> None:
+        kind = cmd.kind
+        if kind is CommandKind.HOST_READ:
+            self.read_q[cmd] = None
+            self.host_reads.append(cmd)
+        elif kind is CommandKind.PRE_WRITE_READ:
+            self.read_q[cmd] = None
+            if self._pwr_ready(cmd):
+                heappush(self.ready_pres, (cmd.seq, cmd))
+            else:
+                self.blocked_pres[cmd.paired] = cmd
+        else:
+            self.write_q[cmd] = None
+            line = self.lines.setdefault(cmd.addr, [])
+            if line and line[-1].seq > cmd.seq:
+                raise ConsistencyError(
+                    f"write seq {cmd.seq} enqueued after seq {line[-1].seq}")
+            line.append(cmd)
+            if kind is CommandKind.REWRITE:
+                self.rewrites.append(cmd)
+            elif cmd.prepared:
+                heappush(self.ready_writes, (cmd.seq, cmd))
+
+    def remove(self, cmd: Command) -> None:
+        """Take a picked command off the queues. Removing a pre-write read
+        prepares its write; removing a line's oldest write may release the
+        pre-write read of the next one."""
+        kind = cmd.kind
+        if kind is CommandKind.HOST_READ:
+            head = self.host_reads.popleft()
+        elif kind is CommandKind.PRE_WRITE_READ:
+            head = heappop(self.ready_pres)[1]
+        elif kind is CommandKind.REWRITE:
+            head = self.rewrites.popleft()
+        else:
+            head = heappop(self.ready_writes)[1]
+        if head is not cmd:
+            raise ConsistencyError(
+                f"{kind.value} seq {cmd.seq} is not at the head of its queue")
+        if kind in READ_KINDS:
+            del self.read_q[cmd]
+            if kind is CommandKind.PRE_WRITE_READ:
+                write = cmd.paired
+                write.prepared = True
+                heappush(self.ready_writes, (write.seq, write))
+            return
+        del self.write_q[cmd]
+        line = self.lines[cmd.addr]
+        if line[0] is not cmd:
+            line.remove(cmd)
+            return
+        del line[0]
+        if not line:
+            del self.lines[cmd.addr]
+            return
+        pre = self.blocked_pres.pop(line[0], None)
+        if pre is not None:
+            heappush(self.ready_pres, (pre.seq, pre))
 
 
 class TraceAbort(RuntimeError):
@@ -73,6 +166,8 @@ class Engine:
         self.stats = RunStats()
         g = cfg.geometry
         self.banks = [_Bank() for _ in range(g.num_banks)]
+        self._depth = cfg.queue_depth
+        self._low_watermark = cfg.drain_watermark
         self.imdbs = None
         self.siwcs = None
         if cfg.strategy == "imdb":
@@ -87,6 +182,8 @@ class Engine:
         self._admitted = 0
         self._serviced = 0
         self._end_time = 0
+        # the record last submitted: (record_no, address, bank number)
+        self._head = (-1, None, 0)
 
     # -- helpers -------------------------------------------------------------
 
@@ -100,56 +197,55 @@ class Engine:
     def _imdb(self, addr: LineAddress) -> Imdb:
         return self.imdbs[self._bank_index(addr)]
 
-    def _siwc(self, addr: LineAddress) -> SiwcCache:
-        return self.siwcs[self._bank_index(addr)]
-
     # -- admission -----------------------------------------------------------
 
     def submit(self, record: TraceRecord, record_no: int, now: int) -> bool:
-        """Admit one trace record. Returns False on backpressure."""
-        try:
-            addr = decompose_address(record.byte_addr, self.cfg.geometry)
-        except RangeError as exc:
-            raise TraceAbort(record_no, str(exc)) from exc
-        bank = self.banks[self._bank_index(addr)]
+        """Admit one trace record. Returns False on backpressure; the retry
+        of the same record reuses its decoded address."""
+        if self._head[0] != record_no:
+            try:
+                addr = decompose_address(record.byte_addr, self.cfg.geometry)
+            except RangeError as exc:
+                raise TraceAbort(record_no, str(exc)) from exc
+            self._head = (record_no, addr, self._bank_index(addr))
+        _, addr, b = self._head
+        bank = self.banks[b]
 
         if record.op == "R":
             # Backpressure is checked first so a retried record never
             # re-runs strategy side effects.
-            if len(bank.read_q) >= self.cfg.queue_depth:
+            if len(bank.read_q) >= self._depth:
                 return False
             served = None
             if self.imdbs is not None:
                 self.stats.sram_searches += 1
-                served = self._imdb(addr).process_read(addr)
+                served = self.imdbs[b].process_read(addr)
                 if served is not None:
                     self.stats.bb_hits += 1
                     self.stats.bb_accesses += 1
             elif self.siwcs is not None:
-                served = self._siwc(addr).process_read(addr)
+                served = self.siwcs[b].process_read(addr)
             self.stats.host_reads += 1
             if served is not None:
                 return True
-            cmd = Command(CommandKind.HOST_READ, addr, enqueue_time=now,
-                          seq=self._next_seq(), prepared=True)
-            bank.read_q.append(cmd)
+            bank.enqueue(Command(CommandKind.HOST_READ, addr, enqueue_time=now,
+                                 seq=self._next_seq(), prepared=True))
             self._admitted += 1
             return True
 
-        if (len(bank.write_q) >= self.cfg.queue_depth
-                or len(bank.read_q) >= self.cfg.queue_depth):
+        if len(bank.write_q) >= self._depth or len(bank.read_q) >= self._depth:
             return False
 
         # write admission: the strategy may consume it outright
         if self.imdbs is not None:
             self.stats.sram_searches += 1
-            if self._imdb(addr).try_absorb(addr, record.data):
+            if self.imdbs[b].try_absorb(addr, record.data):
                 self.stats.host_writes += 1
                 self.stats.bb_hits += 1
                 self.stats.bb_accesses += 1
                 return True
         elif self.siwcs is not None:
-            out = self._siwc(addr).process_write(addr, record.data, self.rng)
+            out = self.siwcs[b].process_write(addr, record.data, self.rng)
             if out.writeback is not None:
                 wb_addr, wb_data = out.writeback
                 self.stats.evictions += 1
@@ -161,8 +257,8 @@ class Engine:
                         enqueue_time=now, seq=self._next_seq())
         pre = Command(CommandKind.PRE_WRITE_READ, addr, enqueue_time=now,
                       seq=self._next_seq(), prepared=True, paired=write)
-        bank.write_q.append(write)
-        bank.read_q.append(pre)
+        bank.enqueue(write)
+        bank.enqueue(pre)
         self._admitted += 2
         self.stats.host_writes += 1
         return True
@@ -173,64 +269,49 @@ class Engine:
         writebacks are maintenance traffic and skip the counting tables, so
         evictions can never re-trigger themselves."""
         bank = self.banks[self._bank_index(addr)]
-        wb = Command(CommandKind.WRITEBACK, addr, data=data, enqueue_time=now,
-                     seq=self._next_seq(), prepared=True)
-        bank.write_q.append(wb)
+        bank.enqueue(Command(CommandKind.WRITEBACK, addr, data=data,
+                             enqueue_time=now, seq=self._next_seq(),
+                             prepared=True))
         self._admitted += 1
         self.stats.writebacks += 1
 
     # -- rewrite merging -------------------------------------------------------
 
     def merge_rewrite(self, addr: LineAddress, now: int) -> bool:
-        """Coalesce a freshly generated rewrite with queued writes to the
-        same line; otherwise enqueue it (data comes from the intended shadow
-        at service time)."""
+        """Coalesce a freshly generated rewrite with the oldest queued write
+        to the same line; otherwise enqueue it (data comes from the intended
+        shadow at service time)."""
         bank = self.banks[self._bank_index(addr)]
-        for cmd in bank.write_q:
-            if cmd.addr == addr:
-                if cmd.kind in WRITE_KINDS:
-                    cmd.mode = WriteMode.FULL  # latest data retained
-                self.stats.merges += 1
-                return True
-        cmd = Command(CommandKind.REWRITE, addr, mode=WriteMode.FULL,
-                      enqueue_time=now, seq=self._next_seq(), prepared=True)
-        bank.write_q.append(cmd)
+        line = bank.lines.get(addr)
+        if line:
+            if line[0].kind is not CommandKind.REWRITE:
+                line[0].mode = WriteMode.FULL  # latest data retained
+            self.stats.merges += 1
+            return True
+        bank.enqueue(Command(CommandKind.REWRITE, addr, mode=WriteMode.FULL,
+                             enqueue_time=now, seq=self._next_seq(),
+                             prepared=True))
         self._admitted += 1
         return False
 
     # -- scheduling ------------------------------------------------------------
 
     def next_command(self, bank: _Bank, now: int) -> Command | None:
-        if len(bank.write_q) >= self.cfg.queue_depth:
+        writes = len(bank.write_q)
+        if writes >= self._depth:
             bank.draining = True
-        if bank.draining and len(bank.write_q) <= self.cfg.drain_watermark:
+        if bank.draining and writes <= self._low_watermark:
             bank.draining = False
 
-        rewrite = next((c for c in bank.write_q
-                        if c.kind is CommandKind.REWRITE), None)
-        if rewrite is not None:
-            return rewrite
-        host_read = next((c for c in bank.read_q
-                          if c.kind is CommandKind.HOST_READ), None)
-        if host_read is not None:
-            return host_read
-        ready_write = next((c for c in bank.write_q if c.prepared), None)
-        if bank.draining and ready_write is not None:
-            return ready_write
-        pre = next((c for c in bank.read_q
-                    if c.kind is CommandKind.PRE_WRITE_READ
-                    and self._pwr_ready(bank, c)), None)
-        if pre is not None:
-            return pre
-        return ready_write
-
-    @staticmethod
-    def _pwr_ready(bank: _Bank, pre: Command) -> bool:
-        """A pre-write read must observe every older write to its line, or
-        the paired write would count flips against stale contents."""
-        return not any(c.seq < pre.seq and c.addr == pre.addr
-                       and c is not pre.paired
-                       for c in bank.write_q)
+        if bank.rewrites:
+            return bank.rewrites[0]
+        if bank.host_reads:
+            return bank.host_reads[0]
+        if bank.ready_writes and (bank.draining or not bank.ready_pres):
+            return bank.ready_writes[0][1]
+        if bank.ready_pres:
+            return bank.ready_pres[0][1]
+        return None
 
     # -- service ---------------------------------------------------------------
 
@@ -241,10 +322,7 @@ class Engine:
         self.stats.wde_raw += len(out.wde_events)
 
     def _service(self, bank: _Bank, cmd: Command, now: int) -> None:
-        if cmd.kind in (CommandKind.HOST_READ, CommandKind.PRE_WRITE_READ):
-            bank.read_q.remove(cmd)
-        else:
-            bank.write_q.remove(cmd)
+        bank.remove(cmd)
         self._serviced += 1
 
         if cmd.kind is CommandKind.HOST_READ:
@@ -255,7 +333,6 @@ class Engine:
             latency = self.cfg.read_ns
         elif cmd.kind is CommandKind.PRE_WRITE_READ:
             self.stats.pre_write_reads += 1
-            cmd.paired.prepared = True
             cmd.paired.old_data = self.media.read_line(cmd.addr)
             latency = self.cfg.read_ns
         else:
@@ -347,8 +424,7 @@ class Engine:
                     candidates.append(records[i].time)
                 else:
                     # backpressured: the target bank must drain first
-                    addr = decompose_address(records[i].byte_addr, self.cfg.geometry)
-                    b = self.banks[self._bank_index(addr)]
+                    b = self.banks[self._head[2]]
                     if b.busy_until > now:
                         candidates.append(b.busy_until)
             for bank in self.banks:
@@ -364,6 +440,16 @@ class Engine:
         return self._finalize()
 
     def _finalize(self) -> RunStats:
+        if self._admitted != self._serviced:
+            raise ConsistencyError(f"admitted {self._admitted} commands but "
+                                   f"serviced {self._serviced}")
+        for i, bank in enumerate(self.banks):
+            if bank.lines:
+                raise ConsistencyError(
+                    f"bank {i} still indexes queued writes to "
+                    f"{len(bank.lines)} lines")
+        for table in self.imdbs or self.siwcs or ():
+            table.check()
         stats = self.stats
         stats.completion_time_ns = self._end_time
         stats.wde_exposed += len(self.media.scrub_divergence())

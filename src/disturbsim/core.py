@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 WORD_BITS = 64
 WORDS_PER_LINE = 8
@@ -66,8 +67,10 @@ class Geometry:
         return self.total_lines * LINE_BYTES
 
 
-@dataclass(frozen=True, order=True)
-class LineAddress:
+class LineAddress(NamedTuple):
+    """One 64-byte line. A named tuple, so hashing, equality and ordering
+    (rank, bank, row, col) run in C."""
+
     rank: int
     bank: int
     row: int

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from random import Random
 
 from .core import (ConsistencyError, DataLine, Geometry, LineAddress,
@@ -25,7 +26,7 @@ MT_ENTRY_BITS = 25 + 8 + 72 + 3    # row_col + rewrite_cntr + 8x9b zfc + max idx
 BB_ENTRY_BITS = 512 + 25 + 8 + 8   # data + row_col + rewrite_cntr + freq_cntr
 
 
-@dataclass
+@dataclass(slots=True)
 class MainTableEntry:
     valid: bool = False
     row_col: int = 0
@@ -35,7 +36,7 @@ class MainTableEntry:
     last_use: int = 0  # recency stamp, only consulted by the LRU variant
 
 
-@dataclass
+@dataclass(slots=True)
 class BarrierEntry:
     valid: bool = False
     row_col: int = 0
@@ -71,6 +72,11 @@ def sram_capacity(n_mt: int, n_b: int, banks: int) -> dict:
     }
 
 
+def _max_idx(zfc: list) -> int:
+    """Index of the maximal sub-counter; the lowest index wins ties."""
+    return zfc.index(max(zfc))
+
+
 def apple_latency_cycles(n_groups: int) -> int:
     """Depth of the dual-input comparator tree over the sampled entries."""
     return math.ceil(math.log2(n_groups)) if n_groups > 1 else 0
@@ -84,6 +90,13 @@ class Imdb:
         self.bank = bank
         self.mt = [MainTableEntry() for _ in range(cfg.n_mt)]
         self.bb = [BarrierEntry() for _ in range(cfg.n_b)]
+        # row_col -> ("mt" | "bb", slot) of every valid entry; the values
+        # are the shared tuples below, so they compare by identity
+        self._where: dict[int, tuple[str, int]] = {}
+        self._mt_slots = [("mt", i) for i in range(cfg.n_mt)]
+        self._bb_slots = [("bb", i) for i in range(cfg.n_b)]
+        self._free_mt = list(range(cfg.n_mt))  # heap of free main-table slots
+        self._bb_used = 0  # barrier slots fill in order and never empty
         self._clock = 0  # monotone access stamp for the LRU variant
         self.evictions = 0
 
@@ -99,20 +112,67 @@ class Imdb:
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, addr: LineAddress):
-        """Returns ("bb", slot), ("mt", slot), or None. The barrier buffer
-        takes precedence; duplicates within or across tables are invalid."""
-        rc = self._pack(addr)
-        bb_slots = [i for i, e in enumerate(self.bb) if e.valid and e.row_col == rc]
-        mt_slots = [i for i, e in enumerate(self.mt) if e.valid and e.row_col == rc]
-        if len(bb_slots) > 1 or len(mt_slots) > 1 or (bb_slots and mt_slots):
+        """Returns ("bb", slot), ("mt", slot), or None. An address is valid
+        in at most one slot of the two tables; `_claim` enforces that."""
+        return self._where.get(addr.row_col(self.geometry))
+
+    # -- the index -----------------------------------------------------------
+
+    def _claim(self, row_col: int, where: tuple[str, int]) -> None:
+        """Index a new entry at `where`, unless its address is already valid
+        in another slot."""
+        held = self._where.setdefault(row_col, where)
+        if held is not where:
             raise ConsistencyError(
-                f"address {rc} valid in multiple table slots "
-                f"(bb={bb_slots}, mt={mt_slots})")
-        if bb_slots:
-            return ("bb", bb_slots[0])
-        if mt_slots:
-            return ("mt", mt_slots[0])
-        return None
+                f"address {row_col} is valid in {held[0]} slot {held[1]}; "
+                f"cannot also install it in {where[0]} slot {where[1]}")
+
+    def install(self, slot: int, row_col: int, zfc: list,
+                rewrite_cntr: int = 0) -> None:
+        """Put an entry into main-table slot `slot`, replacing any entry
+        there. The one path that fills the main table."""
+        e = self.mt[slot]
+        self._claim(row_col, self._mt_slots[slot])
+        if e.valid:
+            if e.row_col != row_col:
+                del self._where[e.row_col]
+        elif self._free_mt[0] == slot:
+            heappop(self._free_mt)
+        else:
+            self._free_mt.remove(slot)
+            heapify(self._free_mt)
+        e.valid = True
+        e.row_col = row_col
+        e.zfc = zfc
+        e.max_zfc_idx = _max_idx(zfc)
+        e.rewrite_cntr = rewrite_cntr
+        e.last_use = self._clock
+
+    def _require_full(self) -> None:
+        if self._free_mt:
+            raise ProtocolError(
+                f"slot {self._free_mt[0]} is free; use it instead of evicting")
+
+    def check(self) -> None:
+        """Compare the index and the free slots with a full scan of both
+        tables; raise ConsistencyError on any difference."""
+        seen: dict[int, tuple[str, int]] = {}
+        for table, slots in ((self.mt, self._mt_slots),
+                             (self.bb, self._bb_slots)):
+            for e, where in zip(table, slots):
+                if e.valid and seen.setdefault(e.row_col, where) is not where:
+                    raise ConsistencyError(f"address {e.row_col} valid in "
+                                           f"{seen[e.row_col]} and in {where}")
+        if seen != self._where:
+            raise ConsistencyError("table index disagrees with the entries")
+        free = [i for i, e in enumerate(self.mt) if not e.valid]
+        if sorted(self._free_mt) != free:
+            raise ConsistencyError(f"free-slot heap {sorted(self._free_mt)} "
+                                   f"!= invalid main-table slots {free}")
+        used = [e.valid for e in self.bb]
+        if used != [i < self._bb_used for i in range(len(self.bb))]:
+            raise ConsistencyError(f"barrier slots {used} do not fill in order "
+                                   f"up to {self._bb_used}")
 
     # -- victim selection --------------------------------------------------
 
@@ -121,15 +181,11 @@ class Imdb:
         return (entry.zfc[entry.max_zfc_idx], entry.rewrite_cntr, slot)
 
     def select_victim_exact(self) -> int:
-        for i, e in enumerate(self.mt):
-            if not e.valid:
-                raise ProtocolError(f"slot {i} is free; use it instead of evicting")
+        self._require_full()
         return min(range(len(self.mt)), key=lambda i: self._victim_key(self.mt[i], i))
 
     def select_victim_apple(self, rng: Random) -> int:
-        for i, e in enumerate(self.mt):
-            if not e.valid:
-                raise ProtocolError(f"slot {i} is free; use it instead of evicting")
+        self._require_full()
         n_groups = self.cfg.n_groups
         group_size = len(self.mt) // n_groups
         best = None
@@ -141,9 +197,7 @@ class Imdb:
         return best[1]
 
     def select_victim_lru(self) -> int:
-        for i, e in enumerate(self.mt):
-            if not e.valid:
-                raise ProtocolError(f"slot {i} is free; use it instead of evicting")
+        self._require_full()
         return min(range(len(self.mt)),
                    key=lambda i: (self.mt[i].last_use, i))
 
@@ -175,7 +229,7 @@ class Imdb:
         flips = count_one_to_zero(old_data, new_data)
         for i, f in enumerate(flips):
             e.zfc[i] = min(e.zfc[i] + f, ZFC_MAX)
-        e.max_zfc_idx = max(range(8), key=lambda i: (e.zfc[i], -i))
+        e.max_zfc_idx = _max_idx(e.zfc)
 
         out = ImdbOutcome("mt-hit", occupancy_cycles=self.cfg.hit_cycles)
         # The trigger requires fresh flips: a rewrite that changes nothing must
@@ -191,7 +245,7 @@ class Imdb:
                 # from the prior knowledge of the data just written.
                 e.zfc = (prior_init(new_data) if self.cfg.prior_knowledge
                          else [0] * 8)
-                e.max_zfc_idx = max(range(8), key=lambda i: (e.zfc[i], -i))
+                e.max_zfc_idx = _max_idx(e.zfc)
         return out
 
     def _miss(self, addr: LineAddress, new_data: DataLine,
@@ -204,21 +258,17 @@ class Imdb:
             return ImdbOutcome("miss-bypassed",
                                occupancy_cycles=self.cfg.hit_cycles)
         cycles = self.cfg.hit_cycles
-        slot = next((i for i, e in enumerate(self.mt) if not e.valid), None)
-        if slot is None:
+        if self._free_mt:
+            slot = self._free_mt[0]
+        else:
             if self.cfg.mt_policy == "lru":
                 slot = self.select_victim_lru()
             else:
                 slot = self.select_victim_apple(rng)
             cycles += apple_latency_cycles(self.cfg.n_groups)
             self.evictions += 1
-        e = self.mt[slot]
-        e.valid = True
-        e.row_col = self._pack(addr)
-        e.zfc = prior_init(new_data) if self.cfg.prior_knowledge else [0] * 8
-        e.max_zfc_idx = max(range(8), key=lambda i: (e.zfc[i], -i))
-        e.rewrite_cntr = 0
-        e.last_use = self._clock
+        self.install(slot, self._pack(addr),
+                     prior_init(new_data) if self.cfg.prior_knowledge else [0] * 8)
         return ImdbOutcome("miss-inserted", occupancy_cycles=cycles)
 
     def try_absorb(self, addr: LineAddress, data: DataLine) -> bool:
@@ -254,23 +304,24 @@ class Imdb:
         writeback."""
         src = self.mt[mt_slot]
         row_col, rewrite_cntr = src.row_col, src.rewrite_cntr
-        src.valid = False
 
-        free = next((i for i, e in enumerate(self.bb) if not e.valid), None)
         writeback = None
-        if free is None:
+        if self._bb_used < len(self.bb):
+            free = self._bb_used
+            self._bb_used += 1
+            src.valid = False
+            del self._where[row_col]
+            heappush(self._free_mt, mt_slot)
+        else:
             lfu = min(range(len(self.bb)),
                       key=lambda i: (self.bb[i].freq_cntr, i))
             victim = self.bb[lfu]
             writeback = (self._unpack(victim.row_col), victim.data)
-            dst = self.mt[mt_slot]
-            dst.valid = True
-            dst.row_col = victim.row_col
-            dst.zfc = prior_init(victim.data)
-            dst.max_zfc_idx = max(range(8), key=lambda i: (dst.zfc[i], -i))
-            dst.rewrite_cntr = victim.rewrite_cntr
-            dst.last_use = self._clock
+            del self._where[victim.row_col]
+            self.install(mt_slot, victim.row_col, prior_init(victim.data),
+                         victim.rewrite_cntr)
             free = lfu
+        self._claim(row_col, self._bb_slots[free])
         e = self.bb[free]
         e.valid = True
         e.row_col = row_col

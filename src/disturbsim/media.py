@@ -125,12 +125,10 @@ class CellArray:
 
     def scrub_divergence(self) -> list[tuple[LineAddress, int]]:
         """Lines whose physical contents diverge from intended data."""
-        out = []
-        for addr in sorted(self._phys):
-            diff = self._phys[addr] ^ self._intended[addr]
-            if diff:
-                out.append((addr, diff.bit_count()))
-        return out
+        intended = self._intended
+        return sorted((addr, diff.bit_count())
+                      for addr, phys in self._phys.items()
+                      if (diff := phys ^ intended[addr]))
 
     def accum_of(self, addr: LineAddress) -> np.ndarray:
         self._materialize(addr)

@@ -1,0 +1,70 @@
+"""Naive linear-scan scheduler used as the reference for the engine's indexed
+bank queues.
+
+A bank here is two plain lists, `read_q` and `write_q`, in arrival order.
+Every decision scans them whole, exactly as the engine once did: priority-
+classed FCFS (Rewrite > HostRead > PreWriteRead > HostWrite | Writeback),
+prepared writes draining ahead of pre-write reads while the write queue is
+over its watermark, and a pre-write read held back while an older write to
+its line is queued.
+"""
+
+from disturbsim.controller import CommandKind
+
+READ_KINDS = (CommandKind.HOST_READ, CommandKind.PRE_WRITE_READ)
+WRITE_KINDS = (CommandKind.HOST_WRITE, CommandKind.WRITEBACK)
+
+
+class RefBank:
+    def __init__(self):
+        self.read_q = []
+        self.write_q = []
+        self.draining = False
+
+    def _queue(self, cmd):
+        return self.read_q if cmd.kind in READ_KINDS else self.write_q
+
+    def enqueue(self, cmd):
+        self._queue(cmd).append(cmd)
+
+    def remove(self, cmd):
+        self._queue(cmd).remove(cmd)  # commands compare by identity
+
+
+def pwr_ready(bank, pre):
+    """A pre-write read must observe every older write to its line."""
+    return not any(c.seq < pre.seq and c.addr == pre.addr
+                   and c is not pre.paired
+                   for c in bank.write_q)
+
+
+def next_command(bank, queue_depth, drain_watermark):
+    if len(bank.write_q) >= queue_depth:
+        bank.draining = True
+    if bank.draining and len(bank.write_q) <= drain_watermark:
+        bank.draining = False
+
+    rewrite = next((c for c in bank.write_q
+                    if c.kind is CommandKind.REWRITE), None)
+    if rewrite is not None:
+        return rewrite
+    host_read = next((c for c in bank.read_q
+                      if c.kind is CommandKind.HOST_READ), None)
+    if host_read is not None:
+        return host_read
+    ready_write = next((c for c in bank.write_q if c.prepared), None)
+    if bank.draining and ready_write is not None:
+        return ready_write
+    pre = next((c for c in bank.read_q
+                if c.kind is CommandKind.PRE_WRITE_READ
+                and pwr_ready(bank, c)), None)
+    if pre is not None:
+        return pre
+    return ready_write
+
+
+def merge_target(bank, addr):
+    """The queued write a fresh rewrite of `addr` merges into, or None when
+    the rewrite must be enqueued. A merge into a host write or writeback
+    upgrades it to a full write."""
+    return next((c for c in bank.write_q if c.addr == addr), None)

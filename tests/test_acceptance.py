@@ -139,12 +139,7 @@ def test_a4_prior_knowledge_halves_wde():
 
 def fill_table(imdb, values):
     for i, (zfc, rw) in enumerate(values):
-        e = imdb.mt[i]
-        e.valid = True
-        e.row_col = i
-        e.zfc = [zfc] + [0] * 7
-        e.max_zfc_idx = 0
-        e.rewrite_cntr = rw
+        imdb.install(i, i, [zfc] + [0] * 7, rw)
 
 
 def test_a5_apple():
@@ -243,9 +238,11 @@ def test_a8_sram_capacity():
 # -- A9: determinism and scheduling priority ------------------------------------------
 
 
-def random_bank_state(eng, rng):
+def random_bank_state(cfg, rng):
+    """A fresh engine whose bank 0 holds a random queue state, built in seq
+    order as the engine builds it. Returns (engine, bank)."""
+    eng = Engine(cfg, [])
     bank = eng.banks[0]
-    bank.read_q, bank.write_q = [], []
     bank.draining = rng.random() < 0.5
     seq = 0
     for _ in range(rng.randrange(6)):
@@ -255,18 +252,17 @@ def random_bank_state(eng, rng):
         prepared = kind is CommandKind.REWRITE or rng.random() < 0.5
         w = Command(kind, LineAddress(0, 0, rng.randrange(8), 0),
                     data=DataLine.all_zeros(), prepared=prepared, seq=seq)
-        bank.write_q.append(w)
+        bank.enqueue(w)
         if kind is CommandKind.HOST_WRITE and not prepared:
             seq += 1
-            bank.read_q.append(Command(CommandKind.PRE_WRITE_READ, w.addr,
-                                       prepared=True, seq=seq, paired=w))
+            bank.enqueue(Command(CommandKind.PRE_WRITE_READ, w.addr,
+                                 prepared=True, seq=seq, paired=w))
     for _ in range(rng.randrange(3)):
         seq += 1
-        bank.read_q.append(Command(CommandKind.HOST_READ,
-                                   LineAddress(0, 0, rng.randrange(8), 0),
-                                   prepared=True, seq=seq))
-    rng.shuffle(bank.read_q)
-    return bank
+        bank.enqueue(Command(CommandKind.HOST_READ,
+                             LineAddress(0, 0, rng.randrange(8), 0),
+                             prepared=True, seq=seq))
+    return eng, bank
 
 
 def test_a9_determinism_and_priority(tmp_path):
@@ -290,10 +286,10 @@ def test_a9_determinism_and_priority(tmp_path):
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-        eng = Engine(make_cfg(queue_depth=4, drain_low_watermark=1), [])
+        bank_cfg = make_cfg(queue_depth=4, drain_low_watermark=1)
         rng = Random(0)
         for _ in range(10_000):
-            bank = random_bank_state(eng, rng)
+            eng, bank = random_bank_state(bank_cfg, rng)
             picked = eng.next_command(bank, 0)
             has_rewrite = any(c.kind is CommandKind.REWRITE
                               for c in bank.write_q)

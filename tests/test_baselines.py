@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disturbsim.baselines import SiwcCache, siwc_entry_count, vnc_wrap_write
 from disturbsim.core import DataLine, LineAddress
@@ -101,6 +103,21 @@ def test_siwc_eviction_coin_can_refuse():
     assert cache.process_write(A, ONES, rng).absorbed
     out = cache.process_write(LineAddress(0, 0, 5, 0), ZEROS, rng)
     assert not out.absorbed and out.writeback is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.integers(0, 3), seed=st.integers(0, 99),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=40))
+def test_siwc_check_holds_after_every_operation(entries, seed, ops):
+    cfg = make_cfg(siwc_entries=entries)
+    cache = SiwcCache(cfg, 0, 0)
+    rng = Random(seed)
+    for is_write, row in ops:
+        if is_write:
+            cache.process_write(LineAddress(0, 0, row, 0), ONES, rng)
+        else:
+            cache.process_read(LineAddress(0, 0, row, 0))
+        cache.check()
 
 
 def test_siwc_entry_count_parities():

@@ -4,6 +4,9 @@ import os
 import pytest
 
 from disturbsim.cli import dispatch
+from disturbsim.controller import Engine
+from disturbsim.core import DataLine
+from disturbsim.traces import TraceRecord, write_trace_file
 
 CFG = """
 [geometry]
@@ -146,6 +149,33 @@ def test_bad_trace_exit_code(cfg_path, tmp_path, capsys):
     bad.write_text("0 Q 0x0\n")
     rc = dispatch(["run", "--config", cfg_path, "--trace", str(bad)])
     assert rc == 2
+
+
+def test_bad_address_behind_backpressure_exit_code(cfg_path, tmp_path, capsys):
+    # one-deep queues: the writes ahead of the bad record are retried first
+    records = [TraceRecord(0, "W", 64 * r, DataLine.all_ones())
+               for r in range(4)]
+    records.append(TraceRecord(0, "W", 1 << 40, DataLine.all_ones()))
+    path = str(tmp_path / "late-bad.trace")
+    write_trace_file(records, path)
+    rc = dispatch(["run", "--config", cfg_path, "--trace", path,
+                   "--set", "run.queue_depth=1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("E:2:record 4:")
+
+
+def test_conservation_failure_exit_code(cfg_path, trace_path, monkeypatch,
+                                        capsys):
+    run = Engine.run
+
+    def corrupted(self):
+        self._admitted += 1  # an admission that no service matches
+        return run(self)
+
+    monkeypatch.setattr(Engine, "run", corrupted)
+    rc = dispatch(["run", "--config", cfg_path, "--trace", trace_path])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("E:3:admitted")
 
 
 def test_gen_slow_flip_cli(cfg_path, tmp_path):

@@ -1,10 +1,13 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scheduler_ref
 from disturbsim.controller import (Command, CommandKind, Engine, TraceAbort,
                                    run_to_completion)
-from disturbsim.core import DataLine, LineAddress
+from disturbsim.core import ConsistencyError, DataLine, LineAddress
 from disturbsim.media import WriteMode
 from disturbsim.traces import TraceRecord, gen_hammer, gen_synthetic
 from helpers import TINY, addr_bytes, make_cfg
@@ -22,15 +25,20 @@ def empty_engine(**kw) -> Engine:
     return Engine(make_cfg(**kw), [])
 
 
+def enqueue(bank, *cmds):
+    for c in cmds:
+        bank.enqueue(c)
+
+
 # -- scheduling unit tests ---------------------------------------------------
 
 
 def test_priority_rewrite_first():
     eng = empty_engine()
     bank = eng.banks[0]
-    bank.read_q = [cmd(CommandKind.HOST_READ, 1, prepared=True, seq=1)]
-    bank.write_q = [cmd(CommandKind.HOST_WRITE, 2, prepared=True, seq=2),
-                    cmd(CommandKind.REWRITE, 3, prepared=True, seq=3)]
+    enqueue(bank, cmd(CommandKind.HOST_READ, 1, prepared=True, seq=1),
+            cmd(CommandKind.HOST_WRITE, 2, prepared=True, seq=2),
+            cmd(CommandKind.REWRITE, 3, prepared=True, seq=3))
     assert eng.next_command(bank, 0).kind is CommandKind.REWRITE
 
 
@@ -38,10 +46,10 @@ def test_priority_host_read_over_pre_write_read():
     eng = empty_engine()
     bank = eng.banks[0]
     write = cmd(CommandKind.HOST_WRITE, 2, seq=1)
-    bank.write_q = [write]
-    bank.read_q = [cmd(CommandKind.PRE_WRITE_READ, 2, prepared=True, seq=2,
-                       paired=write),
-                   cmd(CommandKind.HOST_READ, 1, prepared=True, seq=3)]
+    enqueue(bank, write,
+            cmd(CommandKind.PRE_WRITE_READ, 2, prepared=True, seq=2,
+                paired=write),
+            cmd(CommandKind.HOST_READ, 1, prepared=True, seq=3))
     assert eng.next_command(bank, 0).kind is CommandKind.HOST_READ
 
 
@@ -50,9 +58,9 @@ def test_priority_pre_write_read_over_writes():
     bank = eng.banks[0]
     write = cmd(CommandKind.HOST_WRITE, 2, seq=1)
     ready = cmd(CommandKind.HOST_WRITE, 3, prepared=True, seq=2)
-    bank.write_q = [ready, write]
-    bank.read_q = [cmd(CommandKind.PRE_WRITE_READ, 2, prepared=True, seq=3,
-                       paired=write)]
+    enqueue(bank, write, ready,
+            cmd(CommandKind.PRE_WRITE_READ, 2, prepared=True, seq=3,
+                paired=write))
     assert eng.next_command(bank, 0).kind is CommandKind.PRE_WRITE_READ
 
 
@@ -62,15 +70,20 @@ def test_drain_mode_puts_writes_ahead_of_pre_reads():
     writes = [cmd(CommandKind.HOST_WRITE, r, prepared=True, seq=r)
               for r in range(4)]
     pwr_target = cmd(CommandKind.HOST_WRITE, 5, seq=10)
-    bank.write_q = writes + [pwr_target]  # above queue_depth: drain kicks in
-    bank.read_q = [cmd(CommandKind.PRE_WRITE_READ, 5, prepared=True, seq=11,
-                       paired=pwr_target)]
+    # five writes, above queue_depth: drain kicks in
+    enqueue(bank, *writes, pwr_target,
+            cmd(CommandKind.PRE_WRITE_READ, 5, prepared=True, seq=11,
+                paired=pwr_target))
     picked = eng.next_command(bank, 0)
     assert picked.kind is CommandKind.HOST_WRITE
     # draining persists until the queue reaches the low watermark
-    bank.write_q = writes[:3] + [pwr_target]
-    assert eng.next_command(bank, 0).kind is CommandKind.HOST_WRITE
-    bank.write_q = writes[:1] + [pwr_target]
+    bank.remove(picked)
+    assert len(bank.write_q) == 4
+    picked = eng.next_command(bank, 0)
+    assert picked.kind is CommandKind.HOST_WRITE
+    bank.remove(picked)
+    bank.remove(eng.next_command(bank, 0))
+    assert len(bank.write_q) == 2
     assert eng.next_command(bank, 0).kind is CommandKind.PRE_WRITE_READ
 
 
@@ -79,19 +92,19 @@ def test_pre_write_read_waits_for_older_same_line_write():
     bank = eng.banks[0]
     older = cmd(CommandKind.HOST_WRITE, 2, prepared=True, seq=1)
     younger = cmd(CommandKind.HOST_WRITE, 2, seq=2)
-    bank.write_q = [older, younger]
-    bank.read_q = [cmd(CommandKind.PRE_WRITE_READ, 2, prepared=True, seq=3,
-                       paired=younger)]
+    enqueue(bank, older, younger,
+            cmd(CommandKind.PRE_WRITE_READ, 2, prepared=True, seq=3,
+                paired=younger))
     # serving the pre-read now would capture stale contents
     assert eng.next_command(bank, 0) is older
-    bank.write_q = [younger]
+    bank.remove(older)
     assert eng.next_command(bank, 0).kind is CommandKind.PRE_WRITE_READ
 
 
 def test_unprepared_writes_never_selected():
     eng = empty_engine()
     bank = eng.banks[0]
-    bank.write_q = [cmd(CommandKind.HOST_WRITE, 2, seq=1)]
+    enqueue(bank, cmd(CommandKind.HOST_WRITE, 2, seq=1))
     assert eng.next_command(bank, 0) is None
 
 
@@ -102,7 +115,7 @@ def test_merge_rewrite_upgrades_queued_write():
     eng = empty_engine()
     bank = eng.banks[0]
     queued = cmd(CommandKind.HOST_WRITE, 2, seq=1)
-    bank.write_q = [queued]
+    enqueue(bank, queued)
     assert eng.merge_rewrite(LineAddress(0, 0, 2, 0), 0)
     assert queued.mode is WriteMode.FULL
     assert eng.stats.merges == 1
@@ -114,7 +127,7 @@ def test_merge_rewrite_enqueues_when_no_match():
     bank = eng.banks[0]
     assert not eng.merge_rewrite(LineAddress(0, 0, 2, 0), 0)
     assert len(bank.write_q) == 1
-    rw = bank.write_q[0]
+    (rw,) = bank.write_q
     assert rw.kind is CommandKind.REWRITE and rw.prepared
 
 
@@ -124,6 +137,70 @@ def test_duplicate_rewrites_coalesce():
     eng.merge_rewrite(target, 0)
     assert eng.merge_rewrite(target, 0)
     assert len(eng.banks[0].write_q) == 1
+
+
+# -- the indexed bank against the linear-scan reference ----------------------
+
+BANK_OPS = st.lists(st.tuples(
+    st.sampled_from(["read", "write", "writeback", "rewrite", "pick", "pick"]),
+    st.integers(0, 3)), max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(depth=st.integers(2, 6), ops=BANK_OPS)
+def test_indexed_bank_matches_reference_scheduler(depth, ops):
+    """Random enqueue/pick/service/merge sequences, in the order the engine
+    creates commands (seq grows with enqueue order, a pre-write read right
+    after its write), pick and merge exactly as the linear scans do."""
+    low = depth // 2
+    eng = empty_engine(queue_depth=depth, drain_low_watermark=low)
+    bank = eng.banks[0]
+    ref = scheduler_ref.RefBank()
+
+    def add(c):
+        bank.enqueue(c)
+        ref.enqueue(c)
+
+    for op, row in ops:
+        addr = LineAddress(0, 0, row, 0)
+        if op == "read":
+            add(Command(CommandKind.HOST_READ, addr, prepared=True,
+                        seq=eng._next_seq()))
+        elif op == "write":
+            write = Command(CommandKind.HOST_WRITE, addr, data=ZEROS,
+                            seq=eng._next_seq())
+            add(write)
+            add(Command(CommandKind.PRE_WRITE_READ, addr, prepared=True,
+                        seq=eng._next_seq(), paired=write))
+        elif op == "writeback":
+            add(Command(CommandKind.WRITEBACK, addr, data=ZEROS,
+                        prepared=True, seq=eng._next_seq()))
+        elif op == "rewrite":
+            target = scheduler_ref.merge_target(ref, addr)
+            modes = {c: c.mode for c in ref.write_q}
+            merged = eng.merge_rewrite(addr, 0)
+            assert merged == (target is not None)
+            upgraded = [c for c in ref.write_q if c.mode is not modes[c]]
+            if merged and target.kind in scheduler_ref.WRITE_KINDS:
+                assert all(c is target for c in upgraded)
+                assert target.mode is WriteMode.FULL
+            else:
+                assert upgraded == []
+            if not merged:
+                ref.enqueue(next(reversed(bank.write_q)))
+        else:
+            picked = eng.next_command(bank, 0)
+            assert picked is scheduler_ref.next_command(ref, depth, low)
+            assert bank.draining == ref.draining
+            if picked is not None:
+                ref.remove(picked)
+                bank.remove(picked)
+        assert list(bank.read_q) == ref.read_q
+        assert list(bank.write_q) == ref.write_q
+        lines = {}
+        for c in ref.write_q:
+            lines.setdefault(c.addr, []).append(c)
+        assert bank.lines == lines
 
 
 # -- end-to-end runs ----------------------------------------------------------
@@ -196,6 +273,41 @@ def test_trace_abort_names_record():
     with pytest.raises(TraceAbort) as exc:
         run_to_completion(make_cfg(), trace)
     assert exc.value.record_no == 1
+
+
+def test_trace_abort_behind_backpressure_names_record():
+    # One-deep queues: the writes ahead of the bad record are retried while
+    # the bank drains, so it is decoded only after several refused submits.
+    trace = ([TraceRecord(0, "W", addr_bytes(r), ONES) for r in range(4)]
+             + [TraceRecord(0, "W", TINY.capacity_bytes + 64, ONES)])
+    eng = Engine(make_cfg(queue_depth=1), trace)
+    attempts = []
+    submit = eng.submit
+
+    def counted(record, record_no, now):
+        attempts.append(record_no)
+        return submit(record, record_no, now)
+
+    eng.submit = counted
+    with pytest.raises(TraceAbort) as exc:
+        eng.run()
+    assert exc.value.record_no == 4
+    assert attempts.count(1) > 1  # backpressured before the bad record
+    assert attempts[-1] == 4
+
+
+def test_finalize_checks_conservation():
+    trace = gen_hammer(addr_bytes(2), rounds=16)  # leaves row 7 alone
+    eng = Engine(make_cfg(strategy="imdb"), trace)
+    eng._admitted += 1  # an admission that no service matches
+    with pytest.raises(ConsistencyError, match="admitted"):
+        eng.run()
+
+    eng = Engine(make_cfg(strategy="imdb"), trace)
+    stale = Command(CommandKind.HOST_WRITE, LineAddress(0, 0, 7, 0))
+    eng.banks[0].lines[stale.addr] = [stale]  # a write the queues never held
+    with pytest.raises(ConsistencyError, match="indexes queued writes"):
+        eng.run()
 
 
 @pytest.mark.parametrize("strategy", ["none", "vnc", "siwc", "imdb"])

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disturbsim.core import (ConsistencyError, DataLine, LineAddress,
                              ProtocolError, count_zeros)
@@ -156,12 +158,7 @@ def test_full_bb_demotes_lfu_with_prior():
 def test_victim_key_ordering_exact():
     t = make_imdb(n_mt=4, n_groups=4)
     for i, (zfc, rw) in enumerate([(5, 0), (2, 1), (2, 0), (9, 0)]):
-        e = t.mt[i]
-        e.valid = True
-        e.row_col = i
-        e.zfc = [zfc] + [0] * 7
-        e.max_zfc_idx = 0
-        e.rewrite_cntr = rw
+        t.install(i, i, [zfc] + [0] * 7, rw)
     # min zfc wins; rewrite count breaks ties; slot index breaks the rest
     assert t.select_victim_exact() == 2
     t.mt[2].rewrite_cntr = 1
@@ -183,22 +180,14 @@ def test_apple_full_sampling_equals_exact():
     rng = Random(7)
     t = make_imdb(n_mt=8, n_groups=8)
     for i in range(8):
-        e = t.mt[i]
-        e.valid = True
-        e.row_col = i
-        e.zfc = [rng.randrange(4)] + [0] * 7
-        e.max_zfc_idx = 0
-        e.rewrite_cntr = rng.randrange(2)
+        t.install(i, i, [rng.randrange(4)] + [0] * 7, rng.randrange(2))
     assert t.select_victim_apple(Random(0)) == t.select_victim_exact()
 
 
 def test_apple_single_group_is_one_random_sample():
     t = make_imdb(n_mt=8, n_groups=1)
     for i in range(8):
-        e = t.mt[i]
-        e.valid = True
-        e.row_col = i
-        e.zfc = [i] + [0] * 7
+        t.install(i, i, [i] + [0] * 7)
     rng = Random(3)
     expect = Random(3).randrange(8)
     assert t.select_victim_apple(rng) == expect
@@ -236,11 +225,60 @@ def test_write_requires_old_data():
 
 def test_duplicate_entries_rejected():
     t = make_imdb(n_mt=4, n_groups=4, n_b=1)
-    for slot in (0, 1):
-        t.mt[slot].valid = True
-        t.mt[slot].row_col = 9
+    t.install(0, 9, [0] * 8)
     with pytest.raises(ConsistencyError):
-        t.lookup(addr(9))
+        t.install(1, 9, [0] * 8)
+    # across tables: an address in the barrier buffer
+    t = make_imdb(n_mt=4, n_groups=4, threshold=3, disturb_limit=8, n_b=1)
+    rng = Random(0)
+    t.process_write(addr(3), ONES, flips16(), rng)
+    t.process_write(addr(3), ONES, flips16(), rng)  # promoted into bb
+    assert t.lookup(addr(3)) == ("bb", 0)
+    with pytest.raises(ConsistencyError):
+        t.install(1, addr(3).row_col(TINY), [0] * 8)
+    t.check()
+
+
+def test_check_detects_index_drift():
+    t = make_imdb(n_mt=4, n_groups=4)
+    t.install(2, 5, [0] * 8)
+    t.check()
+    t.mt[2].row_col = 6  # entry changed behind the index's back
+    with pytest.raises(ConsistencyError):
+        t.check()
+    t = make_imdb(n_mt=4, n_groups=4)
+    t.install(2, 5, [0] * 8)
+    t.mt[2].valid = False  # slot freed without returning it to the heap
+    with pytest.raises(ConsistencyError):
+        t.check()
+
+
+TABLE_OPS = st.lists(st.tuples(
+    st.sampled_from(["write", "absorb", "read"]), st.integers(0, 7),
+    st.integers(0, 2 ** 64 - 1)), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_mt=st.sampled_from([2, 4]), n_b=st.integers(0, 2),
+       policy=st.sampled_from(["flip", "lru"]), seed=st.integers(0, 99),
+       ops=TABLE_OPS)
+def test_check_holds_after_every_operation(n_mt, n_b, policy, seed, ops):
+    """Random writes, admission absorbs and reads over eight lines keep the
+    index and the free slots equal to a full scan of the tables."""
+    t = make_imdb(n_mt=n_mt, n_groups=2, n_b=n_b, threshold=3,
+                  disturb_limit=8, mt_policy=policy)
+    rng = Random(seed)
+    old = {}
+    for op, row, word in ops:
+        data = DataLine((word,) * 8)
+        if op == "write":
+            t.process_write(addr(row), old.get(row, ZEROS), data, rng)
+            old[row] = data
+        elif op == "absorb":
+            t.try_absorb(addr(row), data)
+        else:
+            t.process_read(addr(row))
+        t.check()
 
 
 def test_counters_saturate():
