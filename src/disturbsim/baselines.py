@@ -1,7 +1,9 @@
-"""Alternative mitigation strategies behind a uniform adapter.
+"""The per-bank mitigation interface, and the baseline strategies.
 
-`none` performs raw media writes. Verify-and-correct (VnC) reads the two
-neighbor lines before and after every write and issues full corrective
+`Mitigation` holds the hooks the controller calls, and is itself the `none`
+strategy. A strategy subclasses it, overrides the hooks it needs and counts
+its own events in the run's `RunStats`. Verify-and-correct (VnC) reads the
+two neighbor lines before and after every write and issues full corrective
 rewrites where the physical contents diverge from the intended data. The
 SIWC-style strategy keeps a small fully associative write cache with
 coin-toss insertion and eviction; its exact probabilities are configurable
@@ -12,9 +14,52 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
+from typing import TYPE_CHECKING
 
-from .core import ConsistencyError, DataLine, LineAddress, SimConfig
+from .core import (ConsistencyError, DataLine, LineAddress, ProtocolError,
+                   SimConfig)
 from .media import CellArray, WriteMode, WriteOutcome
+
+if TYPE_CHECKING:
+    from .metrics import RunStats
+
+
+class Mitigation:
+    """One bank's mitigation strategy: plain media writes, as `none` does."""
+
+    has_tables = False  # whether n_mt and n_b size the strategy's tables
+
+    def __init__(self, cfg: SimConfig, rank: int, bank: int, stats: RunStats):
+        self.cfg = cfg
+        self.geometry = cfg.geometry
+        self.rank = rank
+        self.bank = bank
+        self.stats = stats
+
+    def _unpack(self, row_col: int) -> LineAddress:
+        cols = self.geometry.cols_per_row
+        return LineAddress(self.rank, self.bank, row_col // cols, row_col % cols)
+
+    def process_read(self, addr: LineAddress) -> DataLine | None:
+        """An admitted host read: the line if the strategy serves it, else
+        None and the read is queued for the media."""
+        return None
+
+    def admit_write(self, addr: LineAddress, data: DataLine,
+                    rng: Random) -> tuple[bool, tuple | None]:
+        """An admitted host write: (absorbed, writeback). An absorbed write
+        is never queued; a writeback (addr, data) is queued for the media."""
+        return False, None
+
+    def write(self, media: CellArray, cmd, rng: Random) -> tuple:
+        """Service a prepared host write: (latency_ns, rewrite targets,
+        writeback). The controller merges or queues each rewrite."""
+        out = media.apply_write(cmd.addr, cmd.data, cmd.mode)
+        self.stats.count_write(out)
+        return out.latency_ns, (), None
+
+    def check(self) -> None:
+        """Raise ConsistencyError if the strategy's own state is corrupt."""
 
 
 @dataclass
@@ -34,6 +79,21 @@ def vnc_wrap_write(media: CellArray, addr: LineAddress, data: DataLine,
     rewrite. Corrections can disturb their own neighbors, so those are pushed
     onto the worklist until no divergence remains.
     """
+    # Termination. After its first correction in this call, a line Y holds
+    # its intended data and every cell's pulse count is 0 (a full write
+    # programs every cell). It diverges again only once one cell takes
+    # L = disturb_limit new pulses, and each comes from a correction of
+    # Y - 1 or Y + 1, so with c(Y) corrections of Y in the call,
+    # L * (c(Y) - 1) <= c(Y - 1) + c(Y + 1). Summed over the R rows of the
+    # column, L * (C - R) <= 2 * C for the call's C corrections, that is
+    # C <= L * R / (L - 2) when L >= 3. Below 3 this gives no bound, and
+    # L = 1 never ends: each correction re-flips the line it came from.
+    limit = cfg.disturb_limit
+    if limit < 3:
+        raise ProtocolError(f"verify-and-correct needs disturb_limit >= 3, "
+                            f"not {limit}")
+    max_corrections = limit * cfg.geometry.rows_per_bank // (limit - 2)
+
     out = StrategyOutcome()
     pre = addr.neighbor_rows(cfg.geometry)
     for nb in pre:
@@ -44,7 +104,6 @@ def vnc_wrap_write(media: CellArray, addr: LineAddress, data: DataLine,
     total_ns = write_out.latency_ns
 
     pending = list(pre)
-    seen_rounds = 0
     while pending:
         nb = pending.pop(0)
         physical = media.read_line(nb)
@@ -53,15 +112,16 @@ def vnc_wrap_write(media: CellArray, addr: LineAddress, data: DataLine,
         if physical.to_int() != intended.to_int():
             corr = media.apply_write(nb, intended, WriteMode.FULL)
             out.extra_writes.append((nb, intended, WriteMode.FULL))
+            if len(out.extra_writes) > max_corrections:
+                raise ConsistencyError(
+                    f"VnC made {len(out.extra_writes)} corrections for one "
+                    f"write, above the bound of {max_corrections}")
             write_out.wde_events.extend(corr.wde_events)
             write_out.reset_pulses += corr.reset_pulses
             write_out.set_pulses += corr.set_pulses
             total_ns += corr.latency_ns
             # A corrective full write aggresses its own neighbors; verify them too.
             pending.extend(nb.neighbor_rows(cfg.geometry))
-        seen_rounds += 1
-        if seen_rounds > 10_000_000:
-            raise RuntimeError("VnC correction did not converge")
     # Each verification read occupies the bank for a standard read slot.
     write_out.latency_ns = total_ns + len(out.extra_reads) * cfg.read_ns
     return write_out, out
@@ -74,24 +134,16 @@ class WriteCacheEntry:
     data: DataLine | None = None
 
 
-class SiwcCache:
+class SiwcCache(Mitigation):
     """Per-bank coin-toss write cache."""
 
-    def __init__(self, cfg: SimConfig, rank: int, bank: int):
-        self.cfg = cfg
-        self.geometry = cfg.geometry
-        self.rank = rank
-        self.bank = bank
+    has_tables = True
+
+    def __init__(self, cfg: SimConfig, rank: int, bank: int, stats: RunStats):
+        super().__init__(cfg, rank, bank, stats)
         self.entries = [WriteCacheEntry() for _ in range(cfg.siwc_entry_count)]
         self._slot: dict[int, int] = {}  # row_col -> slot of every valid entry
         self._used = 0  # slots fill in order and never empty
-
-    def _pack(self, addr: LineAddress) -> int:
-        return addr.row_col(self.geometry)
-
-    def _unpack(self, row_col: int) -> LineAddress:
-        cols = self.geometry.cols_per_row
-        return LineAddress(self.rank, self.bank, row_col // cols, row_col % cols)
 
     def _find(self, addr: LineAddress) -> int | None:
         return self._slot.get(addr.row_col(self.geometry))
@@ -99,7 +151,7 @@ class SiwcCache:
     def _install(self, slot: int, addr: LineAddress, data: DataLine) -> None:
         """Put an entry into `slot`, replacing any entry there. The one path
         that fills the cache."""
-        rc = self._pack(addr)
+        rc = addr.row_col(self.geometry)
         held = self._slot.setdefault(rc, slot)
         if held != slot:
             raise ConsistencyError(f"address {rc} is valid in slot {held}; "
@@ -126,6 +178,11 @@ class SiwcCache:
         if seen != self._slot:
             raise ConsistencyError("cache index disagrees with the entries")
 
+    def admit_write(self, addr: LineAddress, data: DataLine,
+                    rng: Random) -> tuple[bool, tuple | None]:
+        out = self.process_write(addr, data, rng)
+        return out.absorbed, out.writeback
+
     def process_write(self, addr: LineAddress, data: DataLine,
                       rng: Random) -> StrategyOutcome:
         out = StrategyOutcome()
@@ -147,6 +204,7 @@ class SiwcCache:
             free = rng.randrange(len(self.entries))
             victim = self.entries[free]
             out.writeback = (self._unpack(victim.row_col), victim.data)
+            self.stats.evictions += 1
         self._install(free, addr, data)
         out.absorbed = True
         return out
@@ -157,14 +215,3 @@ class SiwcCache:
 
     def occupancy(self) -> int:
         return self._used
-
-
-def siwc_entry_count(n_mt: int, n_b: int, parity: str = "entry") -> int:
-    """Size parity definitions for comparisons: "entry" matches the number of
-    managed addresses, "size" matches the SRAM bit budget."""
-    from .imdb import BB_ENTRY_BITS, MT_ENTRY_BITS
-    if parity == "entry":
-        return n_mt + n_b
-    if parity == "size":
-        return (n_mt * MT_ENTRY_BITS + n_b * BB_ENTRY_BITS) // BB_ENTRY_BITS
-    raise ValueError(f"unknown parity {parity!r}")

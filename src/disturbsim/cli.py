@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from random import Random
 
 from .config import ConfigError, load_config
-from .controller import TraceAbort, run_to_completion
+from .controller import MITIGATIONS, TraceAbort, run_to_completion
 from .core import ConsistencyError, SimConfig
 from .metrics import emit_report, tradeoff_report
 from .traces import (TraceParseError, gen_hammer, gen_slow_flip,
@@ -165,10 +165,12 @@ def _cmd_sweep(args) -> int:
     for name, values in axes:
         grid = [{**point, name: v} for point in grid for v in values]
 
+    # strategies without tables run once: the grid does not change them
+    tabled = {s for s, m in MITIGATIONS.items() if m.has_tables}
     trace = read_trace_file(args.trace)
     configs = []
     for strategy in strategies:
-        points = [{}] if strategy == "none" else grid
+        points = grid if strategy in tabled else [{}]
         for point in points:
             try:
                 configs.append(dataclasses.replace(cfg, strategy=strategy,
@@ -180,7 +182,12 @@ def _cmd_sweep(args) -> int:
             results = list(pool.map(_run_one, [(c, trace) for c in configs]))
     else:
         results = [run_to_completion(c, trace) for c in configs]
-    sweep = [(_desc(c), s) for c, s in zip(configs, results)]
+    sweep = []
+    for c, stats in zip(configs, results):
+        desc = _desc(c)
+        if c.strategy not in tabled:
+            desc.update(n_mt=0, n_b=0)  # no tables, no SRAM area
+        sweep.append((desc, stats))
     table = tradeoff_report(sweep)
     _write_output(emit_report(table, args.format), args.output)
     return 0

@@ -19,6 +19,11 @@ ahead of it leave. A fresh rewrite merges into the line's oldest queued
 write. `read_q` and `write_q` hold every queued read and write, for counts.
 Each trace record's address is decoded once, at its first admission
 attempt; backpressure retries reuse it.
+
+The strategy is one `Mitigation` per bank (see `baselines`), built from the
+`MITIGATIONS` table. The engine calls only its hooks: it owns the queues,
+merges the rewrites and queues the writebacks the hooks return, and sends
+rewrites and writebacks straight to the media.
 """
 
 from __future__ import annotations
@@ -29,11 +34,11 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from random import Random
 
-from .baselines import SiwcCache, vnc_wrap_write
+from .baselines import Mitigation, SiwcCache, vnc_wrap_write
 from .core import (ConsistencyError, DataLine, LineAddress, RangeError,
                    SimConfig, decompose_address)
 from .imdb import Imdb
-from .media import CellArray, WriteMode, WriteOutcome, write_latency
+from .media import CellArray, WriteMode
 from .metrics import RunStats, energy_total
 from .traces import TraceRecord
 
@@ -149,6 +154,25 @@ class _Bank:
             heappush(self.ready_pres, (pre.seq, pre))
 
 
+class Vnc(Mitigation):
+    """Verify-and-correct: every host write runs through `vnc_wrap_write`."""
+
+    def write(self, media: CellArray, cmd: Command, rng: Random) -> tuple:
+        out, strat = vnc_wrap_write(media, cmd.addr, cmd.data, self.cfg)
+        self.stats.media_reads += len(strat.extra_reads)
+        self.stats.count_write(out)
+        self.stats.media_writes += len(strat.extra_writes)
+        return out.latency_ns, (), None
+
+
+MITIGATIONS: dict[str, type[Mitigation]] = {
+    "none": Mitigation,
+    "vnc": Vnc,
+    "siwc": SiwcCache,
+    "imdb": Imdb,
+}
+
+
 class TraceAbort(RuntimeError):
     """A trace record could not be applied (bad address); names the record."""
 
@@ -168,16 +192,10 @@ class Engine:
         self.banks = [_Bank() for _ in range(g.num_banks)]
         self._depth = cfg.queue_depth
         self._low_watermark = cfg.drain_watermark
-        self.imdbs = None
-        self.siwcs = None
-        if cfg.strategy == "imdb":
-            self.imdbs = [Imdb(cfg, r, b)
-                          for r in range(g.ranks)
-                          for b in range(g.banks_per_rank)]
-        elif cfg.strategy == "siwc":
-            self.siwcs = [SiwcCache(cfg, r, b)
-                          for r in range(g.ranks)
-                          for b in range(g.banks_per_rank)]
+        strategy = MITIGATIONS[cfg.strategy]
+        self.mitigations = [strategy(cfg, r, b, self.stats)
+                            for r in range(g.ranks)
+                            for b in range(g.banks_per_rank)]
         self._seq = 0
         self._admitted = 0
         self._serviced = 0
@@ -193,9 +211,6 @@ class Engine:
 
     def _bank_index(self, addr: LineAddress) -> int:
         return addr.bank_index(self.cfg.geometry)
-
-    def _imdb(self, addr: LineAddress) -> Imdb:
-        return self.imdbs[self._bank_index(addr)]
 
     # -- admission -----------------------------------------------------------
 
@@ -216,17 +231,8 @@ class Engine:
             # re-runs strategy side effects.
             if len(bank.read_q) >= self._depth:
                 return False
-            served = None
-            if self.imdbs is not None:
-                self.stats.sram_searches += 1
-                served = self.imdbs[b].process_read(addr)
-                if served is not None:
-                    self.stats.bb_hits += 1
-                    self.stats.bb_accesses += 1
-            elif self.siwcs is not None:
-                served = self.siwcs[b].process_read(addr)
             self.stats.host_reads += 1
-            if served is not None:
+            if self.mitigations[b].process_read(addr) is not None:
                 return True
             bank.enqueue(Command(CommandKind.HOST_READ, addr, enqueue_time=now,
                                  seq=self._next_seq(), prepared=True))
@@ -236,23 +242,13 @@ class Engine:
         if len(bank.write_q) >= self._depth or len(bank.read_q) >= self._depth:
             return False
 
-        # write admission: the strategy may consume it outright
-        if self.imdbs is not None:
-            self.stats.sram_searches += 1
-            if self.imdbs[b].try_absorb(addr, record.data):
-                self.stats.host_writes += 1
-                self.stats.bb_hits += 1
-                self.stats.bb_accesses += 1
-                return True
-        elif self.siwcs is not None:
-            out = self.siwcs[b].process_write(addr, record.data, self.rng)
-            if out.writeback is not None:
-                wb_addr, wb_data = out.writeback
-                self.stats.evictions += 1
-                self._enqueue_writeback(wb_addr, wb_data, now)
-            if out.absorbed:
-                self.stats.host_writes += 1
-                return True
+        self.stats.host_writes += 1
+        absorbed, writeback = self.mitigations[b].admit_write(
+            addr, record.data, self.rng)
+        if writeback is not None:
+            self._enqueue_writeback(*writeback, now)
+        if absorbed:
+            return True
         write = Command(CommandKind.HOST_WRITE, addr, data=record.data,
                         enqueue_time=now, seq=self._next_seq())
         pre = Command(CommandKind.PRE_WRITE_READ, addr, enqueue_time=now,
@@ -260,7 +256,6 @@ class Engine:
         bank.enqueue(write)
         bank.enqueue(pre)
         self._admitted += 2
-        self.stats.host_writes += 1
         return True
 
     def _enqueue_writeback(self, addr: LineAddress, data: DataLine,
@@ -315,12 +310,6 @@ class Engine:
 
     # -- service ---------------------------------------------------------------
 
-    def _account_media_write(self, out: WriteOutcome) -> None:
-        self.stats.media_writes += 1
-        self.stats.set_pulses += out.set_pulses
-        self.stats.reset_pulses += out.reset_pulses
-        self.stats.wde_raw += len(out.wde_events)
-
     def _service(self, bank: _Bank, cmd: Command, now: int) -> None:
         bank.remove(cmd)
         self._serviced += 1
@@ -344,57 +333,25 @@ class Engine:
             self._end_time = finish
 
     def _service_write(self, cmd: Command, now: int) -> int:
-        cfg = self.cfg
+        if cmd.kind is CommandKind.HOST_WRITE:
+            latency, rewrites, writeback = self.mitigations[
+                self._bank_index(cmd.addr)].write(self.media, cmd, self.rng)
+            for target in rewrites:
+                self.merge_rewrite(target, now)
+            if writeback is not None:
+                self._enqueue_writeback(*writeback, now)
+            return latency
+        latency = 0
         if cmd.kind is CommandKind.REWRITE:
             # The device fetches the line's intended contents and rewrites
             # all bits. Rewrites are restorative maintenance traffic: they
             # bypass the tables, so they can never trigger further rewrites
             # and the rewrite volume stays bounded by host activity.
             cmd.data = self.media.intended_line(cmd.addr)
-            out = self.media.apply_write(cmd.addr, cmd.data, cmd.mode)
-            self._account_media_write(out)
-            return cfg.read_ns + out.latency_ns
-
-        if cfg.strategy == "vnc" and cmd.kind is CommandKind.HOST_WRITE:
-            out, strat = vnc_wrap_write(self.media, cmd.addr, cmd.data, cfg)
-            self.stats.media_reads += len(strat.extra_reads)
-            self._account_media_write(out)
-            self.stats.media_writes += len(strat.extra_writes)
-            return out.latency_ns
-
-        occupancy_ns = 0
-        absorbed = False
-        if self.imdbs is not None and cmd.kind is CommandKind.HOST_WRITE:
-            imdb = self._imdb(cmd.addr)
-            self.stats.sram_searches += 1
-            self.stats.sram_accesses += 1
-            res = imdb.process_write(cmd.addr, cmd.old_data, cmd.data, self.rng)
-            occupancy_ns = cfg.cycles_to_ns(res.occupancy_cycles)
-            absorbed = res.absorbed
-            if res.classification == "mt-hit":
-                self.stats.mt_hits += 1
-            elif res.classification == "bb-hit":
-                self.stats.bb_hits += 1
-                self.stats.bb_accesses += 1
-            elif res.classification == "miss-inserted":
-                self.stats.insertions += 1
-            else:
-                self.stats.bypasses += 1
-            if res.rewrites:
-                self.stats.rewrites += len(res.rewrites)
-                for target in res.rewrites:
-                    self.merge_rewrite(target, now)
-            if res.writeback is not None:
-                wb_addr, wb_data = res.writeback
-                self.stats.evictions += 1
-                self._enqueue_writeback(wb_addr, wb_data, now)
-
-        if absorbed:
-            return max(occupancy_ns, 1)
-
+            latency = self.cfg.read_ns
         out = self.media.apply_write(cmd.addr, cmd.data, cmd.mode)
-        self._account_media_write(out)
-        return occupancy_ns + out.latency_ns
+        self.stats.count_write(out)
+        return latency + out.latency_ns
 
     # -- main loop ---------------------------------------------------------------
 
@@ -448,13 +405,11 @@ class Engine:
                 raise ConsistencyError(
                     f"bank {i} still indexes queued writes to "
                     f"{len(bank.lines)} lines")
-        for table in self.imdbs or self.siwcs or ():
-            table.check()
+        for mitigation in self.mitigations:
+            mitigation.check()
         stats = self.stats
         stats.completion_time_ns = self._end_time
         stats.wde_exposed += len(self.media.scrub_divergence())
-        if self.imdbs is not None:
-            stats.evictions += sum(t.evictions for t in self.imdbs)
         stats.energy = energy_total(stats, self.cfg.energy)
         return stats
 

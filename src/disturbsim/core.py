@@ -250,6 +250,9 @@ class SimConfig:
             raise ValueError(f"unknown mt_policy {self.mt_policy!r}")
         if self.disturb_limit < 1:
             raise ValueError("disturb_limit must be >= 1")
+        if self.strategy == "vnc" and self.disturb_limit < 3:
+            raise ValueError("strategy vnc needs disturb_limit >= 3: below it "
+                             "verify-and-correct may never converge")
         if not 0 <= 2 * self.threshold < self.disturb_limit:
             raise ValueError("need 0 <= 2*threshold < disturb_limit "
                              "(rewrite must fire before two aggressors reach the limit)")

@@ -6,7 +6,7 @@ One instance serves one bank. The main table counts per-word 1-to-0 flips of
 managed addresses and fires a pair of full rewrites on the adjacent wordlines
 when the maximal sub-counter reaches the threshold; the barrier buffer holds
 the data of addresses that keep triggering rewrites and absorbs their writes
-entirely.
+entirely. Table events are counted in the run's statistics as they happen.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from random import Random
 
-from .core import (ConsistencyError, DataLine, Geometry, LineAddress,
-                   ProtocolError, SimConfig, count_one_to_zero, count_zeros)
+from .baselines import Mitigation
+from .core import (ConsistencyError, DataLine, LineAddress, ProtocolError,
+                   SimConfig, count_one_to_zero, count_zeros)
+from .media import CellArray
 
 ZFC_MAX = 511       # 9-bit saturating sub-counters
 CNTR_MAX = 255      # 8-bit rewrite / frequency counters
@@ -47,7 +49,6 @@ class BarrierEntry:
 
 @dataclass
 class ImdbOutcome:
-    classification: str  # "mt-hit" | "bb-hit" | "miss-inserted" | "miss-bypassed"
     rewrites: list = field(default_factory=list)  # LineAddress targets, Full mode
     absorbed: bool = False
     writeback: tuple | None = None  # (LineAddress, DataLine)
@@ -82,12 +83,11 @@ def apple_latency_cycles(n_groups: int) -> int:
     return math.ceil(math.log2(n_groups)) if n_groups > 1 else 0
 
 
-class Imdb:
-    def __init__(self, cfg: SimConfig, rank: int, bank: int):
-        self.cfg = cfg
-        self.geometry = cfg.geometry
-        self.rank = rank
-        self.bank = bank
+class Imdb(Mitigation):
+    has_tables = True
+
+    def __init__(self, cfg: SimConfig, rank: int, bank: int, stats):
+        super().__init__(cfg, rank, bank, stats)
         self.mt = [MainTableEntry() for _ in range(cfg.n_mt)]
         self.bb = [BarrierEntry() for _ in range(cfg.n_b)]
         # row_col -> ("mt" | "bb", slot) of every valid entry; the values
@@ -98,16 +98,6 @@ class Imdb:
         self._free_mt = list(range(cfg.n_mt))  # heap of free main-table slots
         self._bb_used = 0  # barrier slots fill in order and never empty
         self._clock = 0  # monotone access stamp for the LRU variant
-        self.evictions = 0
-
-    # -- address helpers ---------------------------------------------------
-
-    def _pack(self, addr: LineAddress) -> int:
-        return addr.row_col(self.geometry)
-
-    def _unpack(self, row_col: int) -> LineAddress:
-        cols = self.geometry.cols_per_row
-        return LineAddress(self.rank, self.bank, row_col // cols, row_col % cols)
 
     # -- lookup ------------------------------------------------------------
 
@@ -201,20 +191,43 @@ class Imdb:
         return min(range(len(self.mt)),
                    key=lambda i: (self.mt[i].last_use, i))
 
+    # -- the mitigation hooks ------------------------------------------------
+
+    def admit_write(self, addr: LineAddress, data: DataLine,
+                    rng: Random) -> tuple[bool, None]:
+        return self.try_absorb(addr, data), None
+
+    def write(self, media: CellArray, cmd, rng: Random) -> tuple:
+        """The tables see the write; it reaches the media unless absorbed."""
+        res = self.process_write(cmd.addr, cmd.old_data, cmd.data, rng)
+        occupancy_ns = self.cfg.cycles_to_ns(res.occupancy_cycles)
+        if res.absorbed:
+            latency = max(occupancy_ns, 1)
+        else:
+            latency = occupancy_ns + super().write(media, cmd, rng)[0]
+        return latency, res.rewrites, res.writeback
+
     # -- write / read paths --------------------------------------------------
+
+    def _bb_hit(self, slot: int) -> BarrierEntry:
+        e = self.bb[slot]
+        e.freq_cntr = min(e.freq_cntr + 1, CNTR_MAX)
+        self.stats.bb_hits += 1
+        self.stats.bb_accesses += 1
+        return e
 
     def process_write(self, addr: LineAddress, old_data: DataLine | None,
                       new_data: DataLine, rng: Random) -> ImdbOutcome:
         if old_data is None:
             raise ProtocolError("write reached the tables without prepared old data")
+        self.stats.sram_searches += 1
+        self.stats.sram_accesses += 1
         hit = self.lookup(addr)
         self._clock += 1
 
         if hit is not None and hit[0] == "bb":
-            e = self.bb[hit[1]]
-            e.data = new_data
-            e.freq_cntr = min(e.freq_cntr + 1, CNTR_MAX)
-            return ImdbOutcome("bb-hit", absorbed=True,
+            self._bb_hit(hit[1]).data = new_data
+            return ImdbOutcome(absorbed=True,
                                occupancy_cycles=self.cfg.hit_cycles)
 
         if hit is not None and hit[0] == "mt":
@@ -224,6 +237,7 @@ class Imdb:
 
     def _mt_hit(self, slot: int, addr: LineAddress, old_data: DataLine,
                 new_data: DataLine) -> ImdbOutcome:
+        self.stats.mt_hits += 1
         e = self.mt[slot]
         e.last_use = self._clock
         flips = count_one_to_zero(old_data, new_data)
@@ -231,12 +245,13 @@ class Imdb:
             e.zfc[i] = min(e.zfc[i] + f, ZFC_MAX)
         e.max_zfc_idx = _max_idx(e.zfc)
 
-        out = ImdbOutcome("mt-hit", occupancy_cycles=self.cfg.hit_cycles)
+        out = ImdbOutcome(occupancy_cycles=self.cfg.hit_cycles)
         # The trigger requires fresh flips: a rewrite that changes nothing must
         # not re-fire an entry whose counters sit at or above the threshold.
         if any(flips) and e.zfc[e.max_zfc_idx] >= self.cfg.threshold:
             e.rewrite_cntr = min(e.rewrite_cntr + 1, CNTR_MAX)
             out.rewrites = addr.neighbor_rows(self.geometry)
+            self.stats.rewrites += len(out.rewrites)
             if self.cfg.n_b > 0:
                 out.writeback = self.promote_and_demote(slot, new_data)
                 out.absorbed = True
@@ -250,13 +265,11 @@ class Imdb:
 
     def _miss(self, addr: LineAddress, new_data: DataLine,
               rng: Random) -> ImdbOutcome:
-        if not self.mt:
-            return ImdbOutcome("miss-bypassed",
-                               occupancy_cycles=self.cfg.hit_cycles)
         p = self.cfg.insert_prob
-        if not (p >= 1 or rng.random() < p):
-            return ImdbOutcome("miss-bypassed",
-                               occupancy_cycles=self.cfg.hit_cycles)
+        if not self.mt or not (p >= 1 or rng.random() < p):
+            self.stats.bypasses += 1
+            return ImdbOutcome(occupancy_cycles=self.cfg.hit_cycles)
+        self.stats.insertions += 1
         cycles = self.cfg.hit_cycles
         if self._free_mt:
             slot = self._free_mt[0]
@@ -266,32 +279,30 @@ class Imdb:
             else:
                 slot = self.select_victim_apple(rng)
             cycles += apple_latency_cycles(self.cfg.n_groups)
-            self.evictions += 1
-        self.install(slot, self._pack(addr),
+            self.stats.evictions += 1
+        self.install(slot, addr.row_col(self.geometry),
                      prior_init(new_data) if self.cfg.prior_knowledge else [0] * 8)
-        return ImdbOutcome("miss-inserted", occupancy_cycles=cycles)
+        return ImdbOutcome(occupancy_cycles=cycles)
 
     def try_absorb(self, addr: LineAddress, data: DataLine) -> bool:
         """Admission-time check: a write whose address sits in the barrier
         buffer is consumed there and never reaches the queues."""
+        self.stats.sram_searches += 1
         if not self.bb:
             return False
         hit = self.lookup(addr)
         if hit is not None and hit[0] == "bb":
-            e = self.bb[hit[1]]
-            e.data = data
-            e.freq_cntr = min(e.freq_cntr + 1, CNTR_MAX)
+            self._bb_hit(hit[1]).data = data
             return True
         return False
 
     def process_read(self, addr: LineAddress) -> DataLine | None:
         """Reads are served by the barrier buffer when possible; the main
         table stores no data and is untouched by reads."""
+        self.stats.sram_searches += 1
         hit = self.lookup(addr)
         if hit is not None and hit[0] == "bb":
-            e = self.bb[hit[1]]
-            e.freq_cntr = min(e.freq_cntr + 1, CNTR_MAX)
-            return e.data
+            return self._bb_hit(hit[1]).data
         return None
 
     # -- promotion ---------------------------------------------------------
@@ -317,6 +328,7 @@ class Imdb:
                       key=lambda i: (self.bb[i].freq_cntr, i))
             victim = self.bb[lfu]
             writeback = (self._unpack(victim.row_col), victim.data)
+            self.stats.evictions += 1
             del self._where[victim.row_col]
             self.install(mt_slot, victim.row_col, prior_init(victim.data),
                          victim.rewrite_cntr)

@@ -48,6 +48,13 @@ class RunStats:
     completion_time_ns: int = 0
     energy: dict = field(default_factory=dict)
 
+    def count_write(self, out) -> None:
+        """Count one media write (a `WriteOutcome`): its pulses and flips."""
+        self.media_writes += 1
+        self.set_pulses += out.set_pulses
+        self.reset_pulses += out.reset_pulses
+        self.wde_raw += len(out.wde_events)
+
     def as_row(self) -> dict:
         row = {}
         for f in fields(self):

@@ -16,6 +16,7 @@ from disturbsim.controller import Command, CommandKind, Engine, run_to_completio
 from disturbsim.core import (DataLine, Geometry, LineAddress, SimConfig,
                              compose_address, decompose_address)
 from disturbsim.imdb import Imdb, sram_capacity
+from disturbsim.metrics import RunStats
 from disturbsim.traces import TraceRecord, gen_hammer, gen_slow_flip, gen_synthetic
 from helpers import TINY, make_cfg
 from oracle import replay_trace_wde
@@ -146,7 +147,7 @@ def test_a5_apple():
     with criterion("A5"):
         # (a) full sampling is exactly the global policy: exhaustive over
         # 8-entry tables with binary counter states...
-        t8 = Imdb(make_cfg(n_mt=8, n_groups=8, n_b=0), 0, 0)
+        t8 = Imdb(make_cfg(n_mt=8, n_groups=8, n_b=0), 0, 0, RunStats())
         for code in range(4 ** 8):
             values = []
             for i in range(8):
@@ -155,7 +156,7 @@ def test_a5_apple():
             fill_table(t8, values)
             assert t8.select_victim_apple(Random(code)) == t8.select_victim_exact()
         # ...and over 10^4 randomized 256-entry tables
-        t256 = Imdb(make_cfg(n_mt=256, n_groups=256, n_b=0), 0, 0)
+        t256 = Imdb(make_cfg(n_mt=256, n_groups=256, n_b=0), 0, 0, RunStats())
         rng = Random(99)
         for trial in range(10_000):
             fill_table(t256, zip(rng.choices(range(512), k=256),

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disturbsim.baselines import SiwcCache, siwc_entry_count, vnc_wrap_write
-from disturbsim.core import DataLine, LineAddress
+from disturbsim.baselines import SiwcCache, vnc_wrap_write
+from disturbsim.core import (ConsistencyError, DataLine, LineAddress,
+                             ProtocolError)
 from disturbsim.media import CellArray, WriteMode
-from helpers import make_cfg
+from disturbsim.metrics import RunStats
+from helpers import TINY, make_cfg
 
 ONES = DataLine.all_ones()
 ZEROS = DataLine.all_zeros()
@@ -61,9 +63,43 @@ def test_vnc_cascading_corrections_converge():
     assert media.scrub_divergence() == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(limit=st.integers(3, 8),
+       writes=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2 ** 64 - 1)),
+                       min_size=1, max_size=30))
+def test_vnc_corrections_stay_within_bound(limit, writes):
+    """Random writes to TINY never need more than L * R / (L - 2)
+    corrections in one call, and leave no divergence behind."""
+    cfg = make_cfg(strategy="vnc", disturb_limit=limit)
+    media = CellArray(cfg)
+    bound = limit * TINY.rows_per_bank // (limit - 2)
+    for row, word in writes:
+        _, strat = vnc_wrap_write(media, LineAddress(0, 0, row, 0),
+                                  DataLine((word,) * 8), cfg)
+        assert len(strat.extra_writes) <= bound
+        assert media.scrub_divergence() == []
+
+
+class NeverSettles(CellArray):
+    """Media whose lines all read back as ones, whatever was written."""
+
+    def read_line(self, addr):
+        return ONES
+
+
+def test_vnc_raises_past_the_correction_bound():
+    cfg = make_cfg(strategy="vnc", disturb_limit=3, threshold=1)
+    with pytest.raises(ConsistencyError, match="made 25 .* bound of 24"):
+        vnc_wrap_write(NeverSettles(cfg), A, ZEROS, cfg)
+    # below L = 3 no bound exists, so the call is refused outright
+    cfg = make_cfg(strategy="none", disturb_limit=2, threshold=0)
+    with pytest.raises(ProtocolError):
+        vnc_wrap_write(CellArray(cfg), A, ZEROS, cfg)
+
+
 def test_siwc_hit_absorbs():
     cfg = make_cfg(siwc_entries=4, siwc_q_insert=Fraction(1))
-    cache = SiwcCache(cfg, 0, 0)
+    cache = SiwcCache(cfg, 0, 0, RunStats())
     rng = Random(0)
     assert cache.process_write(A, ONES, rng).absorbed
     out = cache.process_write(A, ZEROS, rng)
@@ -74,7 +110,7 @@ def test_siwc_hit_absorbs():
 
 def test_siwc_insert_coin():
     cfg = make_cfg(siwc_entries=4, siwc_q_insert=Fraction(0))
-    cache = SiwcCache(cfg, 0, 0)
+    cache = SiwcCache(cfg, 0, 0, RunStats())
     out = cache.process_write(A, ONES, Random(0))
     assert not out.absorbed
     assert cache.occupancy() == 0
@@ -83,7 +119,7 @@ def test_siwc_insert_coin():
 def test_siwc_eviction_writes_back():
     cfg = make_cfg(siwc_entries=2, siwc_q_insert=Fraction(1),
                    siwc_q_evict=Fraction(1))
-    cache = SiwcCache(cfg, 0, 0)
+    cache = SiwcCache(cfg, 0, 0, RunStats())
     rng = Random(0)
     lines = [LineAddress(0, 0, r, 0) for r in range(3)]
     for a in lines:
@@ -92,13 +128,14 @@ def test_siwc_eviction_writes_back():
     assert out.writeback is not None
     wb_addr, wb_data = out.writeback
     assert wb_addr in lines[:2] and wb_data == ONES
+    assert cache.stats.evictions == 1
     assert cache.occupancy() == 2
 
 
 def test_siwc_eviction_coin_can_refuse():
     cfg = make_cfg(siwc_entries=1, siwc_q_insert=Fraction(1),
                    siwc_q_evict=Fraction(0))
-    cache = SiwcCache(cfg, 0, 0)
+    cache = SiwcCache(cfg, 0, 0, RunStats())
     rng = Random(0)
     assert cache.process_write(A, ONES, rng).absorbed
     out = cache.process_write(LineAddress(0, 0, 5, 0), ZEROS, rng)
@@ -110,7 +147,7 @@ def test_siwc_eviction_coin_can_refuse():
        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=40))
 def test_siwc_check_holds_after_every_operation(entries, seed, ops):
     cfg = make_cfg(siwc_entries=entries)
-    cache = SiwcCache(cfg, 0, 0)
+    cache = SiwcCache(cfg, 0, 0, RunStats())
     rng = Random(seed)
     for is_write, row in ops:
         if is_write:
@@ -118,10 +155,3 @@ def test_siwc_check_holds_after_every_operation(entries, seed, ops):
         else:
             cache.process_read(LineAddress(0, 0, row, 0))
         cache.check()
-
-
-def test_siwc_entry_count_parities():
-    assert siwc_entry_count(256, 8) == 264
-    assert siwc_entry_count(256, 8, "size") == (256 * 108 + 8 * 553) // 553
-    with pytest.raises(ValueError):
-        siwc_entry_count(1, 1, "weight")

@@ -124,6 +124,17 @@ def test_sweep_requires_none_baseline(cfg_path, trace_path, capsys):
     assert capsys.readouterr().err.startswith("E:2:missing baseline")
 
 
+def test_sweep_runs_tableless_strategies_once(cfg_path, trace_path):
+    rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
+                     "--strategies", "none,vnc,siwc,imdb",
+                     "--param", "n_b=0,2", "--format", "json"])
+    assert [r["strategy"] for r in rows] == ["none", "vnc", "siwc", "siwc",
+                                             "imdb", "imdb"]
+    for r in rows[:2]:  # no tables: no SRAM
+        assert (r["n_mt"], r["n_b"], r["area_bits"]) == (0, 0, 0)
+    assert [r["area_bits"] for r in rows[4:]] == [16 * 108, 16 * 108 + 2 * 553]
+
+
 def test_usage_error_exit_code(capsys):
     assert dispatch(["run"]) == 1  # --trace is required
     assert capsys.readouterr().err.startswith("E:1:")
@@ -142,6 +153,15 @@ def test_missing_trace_exit_code(cfg_path, capsys):
     rc = dispatch(["run", "--config", cfg_path, "--trace", "/nonexistent"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("E:2:")
+
+
+def test_vnc_without_termination_bound_exit_code(cfg_path, trace_path, capsys):
+    # at disturb_limit 1 each correction re-flips the line it came from
+    rc = dispatch(["run", "--config", cfg_path, "--trace", trace_path,
+                   "--set", "run.strategy=vnc", "--set", "media.disturb_limit=1",
+                   "--set", "imdb.threshold=0"])
+    assert rc == 2
+    assert "disturb_limit >= 3" in capsys.readouterr().err
 
 
 def test_bad_trace_exit_code(cfg_path, tmp_path, capsys):

@@ -101,6 +101,10 @@ def test_config_validation():
         make_cfg(queue_depth=4, drain_low_watermark=4)
     with pytest.raises(ValueError):
         make_cfg(initial_fill="stripes")
+    with pytest.raises(ValueError, match="disturb_limit >= 3"):
+        make_cfg(strategy="vnc", disturb_limit=2, threshold=0)
+    make_cfg(strategy="vnc", disturb_limit=3, threshold=1)
+    make_cfg(strategy="none", disturb_limit=2, threshold=0)
 
 
 def test_config_derived_defaults():

@@ -9,6 +9,7 @@ from disturbsim.core import (ConsistencyError, DataLine, LineAddress,
                              ProtocolError, count_zeros)
 from disturbsim.imdb import (BB_ENTRY_BITS, MT_ENTRY_BITS, ZFC_MAX, Imdb,
                              apple_latency_cycles, prior_init, sram_capacity)
+from disturbsim.metrics import RunStats
 from helpers import TINY, make_cfg, random_line
 
 ONES = DataLine.all_ones()
@@ -20,7 +21,7 @@ def addr(row, col=0):
 
 
 def make_imdb(**kw) -> Imdb:
-    return Imdb(make_cfg(**kw), 0, 0)
+    return Imdb(make_cfg(**kw), 0, 0, RunStats())
 
 
 def flips16():
@@ -60,8 +61,8 @@ def test_apple_latency_is_comparator_tree_depth():
 
 def test_miss_inserts_with_prior_knowledge():
     t = make_imdb(n_mt=4, n_groups=4)
-    out = t.process_write(addr(1), ONES, flips16(), Random(0))
-    assert out.classification == "miss-inserted"
+    t.process_write(addr(1), ONES, flips16(), Random(0))
+    assert t.stats.insertions == 1
     slot = t.lookup(addr(1))
     assert slot == ("mt", 0)
     assert t.mt[0].zfc == count_zeros(flips16())
@@ -76,8 +77,8 @@ def test_miss_without_prior_knowledge_starts_cold():
 
 def test_miss_bypass_probability():
     t = make_imdb(n_mt=4, n_groups=4, insert_prob=Fraction(0))
-    out = t.process_write(addr(1), ONES, ZEROS, Random(0))
-    assert out.classification == "miss-bypassed"
+    t.process_write(addr(1), ONES, ZEROS, Random(0))
+    assert t.stats.bypasses == 1
     assert t.lookup(addr(1)) is None
 
 
@@ -86,7 +87,7 @@ def test_mt_hit_accumulates_and_triggers():
     rng = Random(0)
     t.process_write(addr(3), ONES, ONES, rng)  # insert, prior = 0
     out = t.process_write(addr(3), ONES, flips16(), rng)
-    assert out.classification == "mt-hit"
+    assert t.stats.mt_hits == 1
     assert not out.rewrites  # 16 < 20
     assert t.mt[0].zfc[1] == 16
     out = t.process_write(addr(3), ONES, flips16(), rng)
@@ -101,7 +102,7 @@ def test_trigger_requires_fresh_flips():
     rng = Random(0)
     t.process_write(addr(3), ONES, ZEROS, rng)  # insert, prior 64 >= threshold
     out = t.process_write(addr(3), ZEROS, ZEROS, rng)  # no flips
-    assert out.classification == "mt-hit" and not out.rewrites
+    assert t.stats.mt_hits == 1 and not out.rewrites
     out = t.process_write(addr(3), ONES, ZEROS, rng)
     assert out.rewrites
 
@@ -123,7 +124,7 @@ def test_bb_hit_absorbs_and_updates_data():
     t.process_write(addr(3), ONES, flips16(), rng)
     t.process_write(addr(3), ONES, flips16(), rng)  # trigger + promote
     out = t.process_write(addr(3), flips16(), ONES, rng)
-    assert out.classification == "bb-hit" and out.absorbed
+    assert t.stats.bb_hits == 1 and out.absorbed
     assert t.bb[0].data == ONES
     assert t.bb[0].freq_cntr == 1
 
@@ -198,11 +199,11 @@ def test_eviction_replaces_lowest_counter_entry():
     rng = Random(0)
     t.process_write(addr(1), ONES, ZEROS, rng)     # prior 64 per word
     t.process_write(addr(3), ONES, flips16(), rng)  # prior max 16
-    out = t.process_write(addr(5), ONES, ONES, rng)
-    assert out.classification == "miss-inserted"
+    t.process_write(addr(5), ONES, ONES, rng)
+    assert t.stats.insertions == 3
     assert t.lookup(addr(3)) is None  # the weaker entry was evicted
     assert t.lookup(addr(1)) is not None
-    assert t.evictions == 1
+    assert t.stats.evictions == 1
 
 
 def test_lru_variant_evicts_stalest():
