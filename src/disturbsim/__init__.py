@@ -1,7 +1,7 @@
 """Trace-driven simulator of write-disturbance errors in phase-change
 memory, with table-based mitigation strategies and baselines."""
 
-from .core import (DataLine, EnergyParams, Geometry, LineAddress, SimConfig,
+from .core import (EnergyParams, Geometry, LineAddress, SimConfig,
                    compose_address, count_one_to_zero, count_zeros,
                    decompose_address)
 from .controller import Engine, run_to_completion
@@ -14,7 +14,7 @@ from .traces import (TraceRecord, gen_hammer, gen_slow_flip, gen_synthetic,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellArray", "DataLine", "EnergyParams", "Engine", "Geometry", "Imdb",
+    "CellArray", "EnergyParams", "Engine", "Geometry", "Imdb",
     "LineAddress", "RunStats", "SimConfig", "TraceRecord", "WriteMode",
     "compose_address", "count_one_to_zero", "count_zeros",
     "decompose_address", "emit_report", "energy_total", "gen_hammer",

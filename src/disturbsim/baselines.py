@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING
 
-from .core import (ConsistencyError, DataLine, LineAddress, ProtocolError,
+from .core import (ConsistencyError, LineAddress, ProtocolError,
                    SimConfig)
 from .media import CellArray, WriteMode, WriteOutcome
 
 if TYPE_CHECKING:
     from .metrics import RunStats
+
+SIWC_ENTRY_BITS = 512 + 25  # data + row_col
 
 
 class Mitigation:
@@ -36,16 +38,21 @@ class Mitigation:
         self.bank = bank
         self.stats = stats
 
+    @classmethod
+    def sram_bits(cls, cfg: SimConfig) -> int:
+        """SRAM bits of one bank's tables."""
+        return 0
+
     def _unpack(self, row_col: int) -> LineAddress:
         cols = self.geometry.cols_per_row
         return LineAddress(self.rank, self.bank, row_col // cols, row_col % cols)
 
-    def process_read(self, addr: LineAddress) -> DataLine | None:
+    def process_read(self, addr: LineAddress) -> int | None:
         """An admitted host read: the line if the strategy serves it, else
         None and the read is queued for the media."""
         return None
 
-    def admit_write(self, addr: LineAddress, data: DataLine,
+    def admit_write(self, addr: LineAddress, data: int,
                     rng: Random) -> tuple[bool, tuple | None]:
         """An admitted host write: (absorbed, writeback). An absorbed write
         is never queued; a writeback (addr, data) is queued for the media."""
@@ -65,12 +72,12 @@ class Mitigation:
 @dataclass
 class StrategyOutcome:
     extra_reads: list = field(default_factory=list)      # LineAddress
-    extra_writes: list = field(default_factory=list)     # (addr, DataLine, WriteMode)
+    extra_writes: list = field(default_factory=list)     # (addr, line, WriteMode)
     absorbed: bool = False
-    writeback: tuple | None = None                       # (LineAddress, DataLine)
+    writeback: tuple | None = None                       # (LineAddress, line)
 
 
-def vnc_wrap_write(media: CellArray, addr: LineAddress, data: DataLine,
+def vnc_wrap_write(media: CellArray, addr: LineAddress, data: int,
                    cfg: SimConfig) -> tuple[WriteOutcome, StrategyOutcome]:
     """Apply a write under verify-and-correct.
 
@@ -109,7 +116,7 @@ def vnc_wrap_write(media: CellArray, addr: LineAddress, data: DataLine,
         physical = media.read_line(nb)
         out.extra_reads.append(nb)
         intended = media.intended_line(nb)
-        if physical.to_int() != intended.to_int():
+        if physical != intended:
             corr = media.apply_write(nb, intended, WriteMode.FULL)
             out.extra_writes.append((nb, intended, WriteMode.FULL))
             if len(out.extra_writes) > max_corrections:
@@ -131,7 +138,7 @@ def vnc_wrap_write(media: CellArray, addr: LineAddress, data: DataLine,
 class WriteCacheEntry:
     valid: bool = False
     row_col: int = 0
-    data: DataLine | None = None
+    data: int | None = None
 
 
 class SiwcCache(Mitigation):
@@ -145,10 +152,14 @@ class SiwcCache(Mitigation):
         self._slot: dict[int, int] = {}  # row_col -> slot of every valid entry
         self._used = 0  # slots fill in order and never empty
 
+    @classmethod
+    def sram_bits(cls, cfg: SimConfig) -> int:
+        return cfg.siwc_entry_count * SIWC_ENTRY_BITS
+
     def _find(self, addr: LineAddress) -> int | None:
         return self._slot.get(addr.row_col(self.geometry))
 
-    def _install(self, slot: int, addr: LineAddress, data: DataLine) -> None:
+    def _install(self, slot: int, addr: LineAddress, data: int) -> None:
         """Put an entry into `slot`, replacing any entry there. The one path
         that fills the cache."""
         rc = addr.row_col(self.geometry)
@@ -178,12 +189,12 @@ class SiwcCache(Mitigation):
         if seen != self._slot:
             raise ConsistencyError("cache index disagrees with the entries")
 
-    def admit_write(self, addr: LineAddress, data: DataLine,
+    def admit_write(self, addr: LineAddress, data: int,
                     rng: Random) -> tuple[bool, tuple | None]:
         out = self.process_write(addr, data, rng)
         return out.absorbed, out.writeback
 
-    def process_write(self, addr: LineAddress, data: DataLine,
+    def process_write(self, addr: LineAddress, data: int,
                       rng: Random) -> StrategyOutcome:
         out = StrategyOutcome()
         slot = self._find(addr)
@@ -209,7 +220,7 @@ class SiwcCache(Mitigation):
         out.absorbed = True
         return out
 
-    def process_read(self, addr: LineAddress) -> DataLine | None:
+    def process_read(self, addr: LineAddress) -> int | None:
         slot = self._find(addr)
         return self.entries[slot].data if slot is not None else None
 

@@ -186,7 +186,9 @@ def _cmd_sweep(args) -> int:
     for c, stats in zip(configs, results):
         desc = _desc(c)
         if c.strategy not in tabled:
-            desc.update(n_mt=0, n_b=0)  # no tables, no SRAM area
+            desc.update(n_mt=0, n_b=0)
+        desc["area_bits"] = (MITIGATIONS[c.strategy].sram_bits(c)
+                             * c.geometry.num_banks)
         sweep.append((desc, stats))
     table = tradeoff_report(sweep)
     _write_output(emit_report(table, args.format), args.output)

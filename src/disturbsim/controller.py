@@ -35,7 +35,7 @@ from heapq import heappop, heappush
 from random import Random
 
 from .baselines import Mitigation, SiwcCache, vnc_wrap_write
-from .core import (ConsistencyError, DataLine, LineAddress, RangeError,
+from .core import (ConsistencyError, LineAddress, RangeError,
                    SimConfig, decompose_address)
 from .imdb import Imdb
 from .media import CellArray, WriteMode
@@ -55,10 +55,10 @@ class CommandKind(enum.Enum):
 class Command:
     kind: CommandKind
     addr: LineAddress
-    data: DataLine | None = None
+    data: int | None = None
     mode: WriteMode = WriteMode.DIFFERENTIAL
     prepared: bool = False
-    old_data: DataLine | None = None
+    old_data: int | None = None
     enqueue_time: int = 0
     seq: int = 0
     paired: "Command | None" = None  # write awaiting this pre-write read
@@ -258,7 +258,7 @@ class Engine:
         self._admitted += 2
         return True
 
-    def _enqueue_writeback(self, addr: LineAddress, data: DataLine,
+    def _enqueue_writeback(self, addr: LineAddress, data: int,
                            now: int) -> None:
         """Internal command; bypasses admission backpressure. Like rewrites,
         writebacks are maintenance traffic and skip the counting tables, so
@@ -317,7 +317,7 @@ class Engine:
         if cmd.kind is CommandKind.HOST_READ:
             data = self.media.read_line(cmd.addr)
             self.stats.media_reads += 1
-            if data.to_int() != self.media.intended_line(cmd.addr).to_int():
+            if data != self.media.intended_line(cmd.addr):
                 self.stats.wde_exposed += 1
             latency = self.cfg.read_ns
         elif cmd.kind is CommandKind.PRE_WRITE_READ:

@@ -1,5 +1,9 @@
 """Shared domain types, address arithmetic, and bit-counting kernels.
 
+A line's contents are one 512-bit int everywhere: bit k is cell k, and word
+i covers bits [64*i, 64*i + 63]. The int 0 is the all-zeros line, so code
+tests a line for absence with `is None`, never for truth.
+
 Address layout (fixed): byte-in-line in the low 6 bits, then column, then
 bank, then rank, then row in the highest position. Keeping the row on top
 means a repeatedly hammered row stays inside one bank, which matches the
@@ -105,66 +109,19 @@ class LineAddress(NamedTuple):
         return out
 
 
-@dataclass(frozen=True)
-class DataLine:
-    """512-bit cache-line payload viewed as eight 64-bit words.
-
-    Word i covers bit positions [64*i, 64*i + 63]; bit 0 of a word is the
-    least significant bit.
-    """
-
-    words: tuple
-
-    def __post_init__(self):
-        if len(self.words) != WORDS_PER_LINE:
-            raise ValueError("a line holds exactly 8 words")
-        for w in self.words:
-            if not 0 <= w <= WORD_MASK:
-                raise ValueError("word out of 64-bit range")
-
-    @classmethod
-    def from_int(cls, value: int) -> "DataLine":
-        if not 0 <= value <= LINE_MASK:
-            raise ValueError("value out of 512-bit range")
-        return cls(tuple((value >> (WORD_BITS * i)) & WORD_MASK
-                         for i in range(WORDS_PER_LINE)))
-
-    @classmethod
-    def all_ones(cls) -> "DataLine":
-        return cls((WORD_MASK,) * WORDS_PER_LINE)
-
-    @classmethod
-    def all_zeros(cls) -> "DataLine":
-        return cls((0,) * WORDS_PER_LINE)
-
-    def to_int(self) -> int:
-        v = 0
-        for i, w in enumerate(self.words):
-            v |= w << (WORD_BITS * i)
-        return v
-
-    def bit(self, k: int) -> int:
-        if not 0 <= k < LINE_BITS:
-            raise ValueError("bit index out of range")
-        return (self.words[k // WORD_BITS] >> (k % WORD_BITS)) & 1
-
-    def to_hex(self) -> str:
-        return f"{self.to_int():0{LINE_BITS // 4}x}"
-
-    @classmethod
-    def from_hex(cls, s: str) -> "DataLine":
-        return cls.from_int(int(s, 16))
+_WORD_SHIFTS = range(0, LINE_BITS, WORD_BITS)
 
 
-def count_one_to_zero(old: DataLine, new: DataLine) -> list[int]:
-    """Per-word count of bits flipping from 1 to 0 between old and new."""
-    return [((o & ~n) & WORD_MASK).bit_count()
-            for o, n in zip(old.words, new.words)]
+def count_one_to_zero(old: int, new: int) -> list[int]:
+    """Per-word count of bits flipping from 1 to 0 between two lines."""
+    falls = old & ~new
+    return [(falls >> s & WORD_MASK).bit_count() for s in _WORD_SHIFTS]
 
 
-def count_zeros(d: DataLine) -> list[int]:
-    """Per-word count of zero bits."""
-    return [WORD_BITS - w.bit_count() for w in d.words]
+def count_zeros(line: int) -> list[int]:
+    """Per-word count of zero bits of a line."""
+    return [WORD_BITS - (line >> s & WORD_MASK).bit_count()
+            for s in _WORD_SHIFTS]
 
 
 def decompose_address(byte_addr: int, g: Geometry) -> LineAddress:
@@ -281,8 +238,8 @@ class SimConfig:
         return self.drain_low_watermark
 
     @property
-    def fill_line(self) -> DataLine:
-        return DataLine.all_ones() if self.initial_fill == "ones" else DataLine.all_zeros()
+    def fill_line(self) -> int:
+        return LINE_MASK if self.initial_fill == "ones" else 0
 
     @property
     def siwc_entry_count(self) -> int:

@@ -17,7 +17,7 @@ from heapq import heapify, heappop, heappush
 from random import Random
 
 from .baselines import Mitigation
-from .core import (ConsistencyError, DataLine, LineAddress, ProtocolError,
+from .core import (ConsistencyError, LineAddress, ProtocolError,
                    SimConfig, count_one_to_zero, count_zeros)
 from .media import CellArray
 
@@ -42,7 +42,7 @@ class MainTableEntry:
 class BarrierEntry:
     valid: bool = False
     row_col: int = 0
-    data: DataLine | None = None
+    data: int | None = None
     rewrite_cntr: int = 0
     freq_cntr: int = 0
 
@@ -51,11 +51,11 @@ class BarrierEntry:
 class ImdbOutcome:
     rewrites: list = field(default_factory=list)  # LineAddress targets, Full mode
     absorbed: bool = False
-    writeback: tuple | None = None  # (LineAddress, DataLine)
+    writeback: tuple | None = None  # (LineAddress, line)
     occupancy_cycles: int = 0
 
 
-def prior_init(data: DataLine) -> list[int]:
+def prior_init(data: int) -> list[int]:
     """Zero-bit count of each word, the warm-up bias for fresh entries."""
     return [min(z, ZFC_MAX) for z in count_zeros(data)]
 
@@ -98,6 +98,10 @@ class Imdb(Mitigation):
         self._free_mt = list(range(cfg.n_mt))  # heap of free main-table slots
         self._bb_used = 0  # barrier slots fill in order and never empty
         self._clock = 0  # monotone access stamp for the LRU variant
+
+    @classmethod
+    def sram_bits(cls, cfg: SimConfig) -> int:
+        return sram_capacity(cfg.n_mt, cfg.n_b, 1)["bits_per_bank"]
 
     # -- lookup ------------------------------------------------------------
 
@@ -193,7 +197,7 @@ class Imdb(Mitigation):
 
     # -- the mitigation hooks ------------------------------------------------
 
-    def admit_write(self, addr: LineAddress, data: DataLine,
+    def admit_write(self, addr: LineAddress, data: int,
                     rng: Random) -> tuple[bool, None]:
         return self.try_absorb(addr, data), None
 
@@ -216,8 +220,8 @@ class Imdb(Mitigation):
         self.stats.bb_accesses += 1
         return e
 
-    def process_write(self, addr: LineAddress, old_data: DataLine | None,
-                      new_data: DataLine, rng: Random) -> ImdbOutcome:
+    def process_write(self, addr: LineAddress, old_data: int | None,
+                      new_data: int, rng: Random) -> ImdbOutcome:
         if old_data is None:
             raise ProtocolError("write reached the tables without prepared old data")
         self.stats.sram_searches += 1
@@ -235,8 +239,8 @@ class Imdb(Mitigation):
 
         return self._miss(addr, new_data, rng)
 
-    def _mt_hit(self, slot: int, addr: LineAddress, old_data: DataLine,
-                new_data: DataLine) -> ImdbOutcome:
+    def _mt_hit(self, slot: int, addr: LineAddress, old_data: int,
+                new_data: int) -> ImdbOutcome:
         self.stats.mt_hits += 1
         e = self.mt[slot]
         e.last_use = self._clock
@@ -263,7 +267,7 @@ class Imdb(Mitigation):
                 e.max_zfc_idx = _max_idx(e.zfc)
         return out
 
-    def _miss(self, addr: LineAddress, new_data: DataLine,
+    def _miss(self, addr: LineAddress, new_data: int,
               rng: Random) -> ImdbOutcome:
         p = self.cfg.insert_prob
         if not self.mt or not (p >= 1 or rng.random() < p):
@@ -284,7 +288,7 @@ class Imdb(Mitigation):
                      prior_init(new_data) if self.cfg.prior_knowledge else [0] * 8)
         return ImdbOutcome(occupancy_cycles=cycles)
 
-    def try_absorb(self, addr: LineAddress, data: DataLine) -> bool:
+    def try_absorb(self, addr: LineAddress, data: int) -> bool:
         """Admission-time check: a write whose address sits in the barrier
         buffer is consumed there and never reaches the queues."""
         self.stats.sram_searches += 1
@@ -296,7 +300,7 @@ class Imdb(Mitigation):
             return True
         return False
 
-    def process_read(self, addr: LineAddress) -> DataLine | None:
+    def process_read(self, addr: LineAddress) -> int | None:
         """Reads are served by the barrier buffer when possible; the main
         table stores no data and is untouched by reads."""
         self.stats.sram_searches += 1
@@ -308,7 +312,7 @@ class Imdb(Mitigation):
     # -- promotion ---------------------------------------------------------
 
     def promote_and_demote(self, mt_slot: int,
-                           write_data: DataLine) -> tuple | None:
+                           write_data: int) -> tuple | None:
         """Move a rewrite-triggering main-table entry up into the barrier
         buffer, carrying the write data. A full buffer demotes its LFU entry
         back into the vacated slot and returns that entry's data for

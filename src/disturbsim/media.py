@@ -6,6 +6,19 @@ two adjacent wordlines; an idle cell storing 0 that accumulates
 `disturb_limit` pulses flips to 1 (a write-disturbance event). SET pulses
 carry roughly half the heat and are modeled as non-aggressing. Programming a
 cell resets its own accumulation.
+
+A line is one 512-bit int; bit k is cell k. Each line's pulse counts are
+bit-sliced (Biham, "A fast new DES implementation in software", FSE 1997):
+`L.bit_length()` bit-planes, each a 512-bit int, where bit k of plane j is
+bit j of cell k's count, for L = `disturb_limit`. One bitwise operation on
+the planes thus acts on all 512 cells at once:
+
+- a RESET pulse is a ripple-carry add of the pulse mask into the planes,
+  skipping cells whose count is already L (counts saturate at L);
+- since no count exceeds L, a count equals L exactly when its cell is set
+  in every plane where L has a 1 bit, so the hit test is an AND of those
+  planes;
+- programming or flipping a cell clears its bit in every plane.
 """
 
 from __future__ import annotations
@@ -13,10 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import (LINE_BITS, LINE_MASK, DataLine, LineAddress, RangeError,
-                   SimConfig)
+from .core import LINE_BITS, LINE_MASK, LineAddress, SimConfig
 
 
 class WriteMode(enum.Enum):
@@ -32,107 +42,136 @@ class WriteOutcome:
     latency_ns: int = 0
 
 
-def _bit_positions(mask: int) -> np.ndarray:
+def _set_bits(mask: int) -> list[int]:
     """Indices of set bits in a 512-bit mask, ascending."""
-    raw = np.frombuffer(mask.to_bytes(LINE_BITS // 8, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")
-    return np.nonzero(bits)[0]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class _Line:
+    """One materialized line: its cells, its intended data and the
+    bit-planes of its cells' pulse counts, lowest plane first."""
+
+    __slots__ = ("phys", "intended", "planes")
+
+    def __init__(self, fill: int, planes: int):
+        self.phys = fill
+        self.intended = fill
+        self.planes = [0] * planes
 
 
 class CellArray:
     """Per-run physical bit state plus per-cell disturbance accumulation.
 
-    Lines are materialized lazily with the configured initial-fill pattern;
-    an intended-data shadow records what each line should hold so that
-    exposure of disturbance errors is measurable.
+    Lines are materialized lazily with the configured initial-fill pattern,
+    when first written or disturbed; a line never materialized holds the
+    fill pattern and no pulses. An intended-data shadow records what each
+    line should hold so that exposure of disturbance errors is measurable.
     """
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.geometry = cfg.geometry
         self.limit = cfg.disturb_limit
-        self._fill = cfg.fill_line.to_int()
-        self._phys: dict[LineAddress, int] = {}
-        self._intended: dict[LineAddress, int] = {}
-        self._accum: dict[LineAddress, np.ndarray] = {}
+        self._fill = cfg.fill_line
+        self._planes = self.limit.bit_length()
+        # the planes where L has a 1 bit: their AND marks the counts at L
+        self._limit_planes = [j for j in range(self._planes)
+                              if self.limit >> j & 1]
+        self._lines: dict[LineAddress, _Line] = {}
 
-    def _materialize(self, addr: LineAddress) -> None:
-        if addr not in self._phys:
-            self._phys[addr] = self._fill
-            self._intended[addr] = self._fill
-            self._accum[addr] = np.zeros(LINE_BITS, dtype=np.int64)
+    def _line(self, addr: LineAddress) -> _Line:
+        line = self._lines.get(addr)
+        if line is None:
+            line = self._lines[addr] = _Line(self._fill, self._planes)
+        return line
 
-    def read_line(self, addr: LineAddress) -> DataLine:
+    def read_line(self, addr: LineAddress) -> int:
         addr.check(self.geometry)
-        self._materialize(addr)
-        return DataLine.from_int(self._phys[addr])
+        line = self._lines.get(addr)
+        return self._fill if line is None else line.phys
 
-    def intended_line(self, addr: LineAddress) -> DataLine:
+    def intended_line(self, addr: LineAddress) -> int:
         addr.check(self.geometry)
-        self._materialize(addr)
-        return DataLine.from_int(self._intended[addr])
+        line = self._lines.get(addr)
+        return self._fill if line is None else line.intended
 
-    def apply_write(self, addr: LineAddress, data: DataLine,
+    def apply_write(self, addr: LineAddress, data: int,
                     mode: WriteMode) -> WriteOutcome:
         addr.check(self.geometry)
-        self._materialize(addr)
-        old = self._phys[addr]
-        new = data.to_int()
+        if not 0 <= data <= LINE_MASK:
+            raise ValueError(f"line data {data:#x} is not a 512-bit value")
+        line = self._line(addr)
+        old = line.phys
         out = WriteOutcome()
 
         if mode is WriteMode.DIFFERENTIAL:
-            programmed = old ^ new
-            reset_mask = old & ~new & LINE_MASK  # written to 0
-            set_mask = ~old & new & LINE_MASK    # written to 1
+            programmed = old ^ data
+            reset_mask = old & ~data  # written to 0
+            set_mask = ~old & data    # written to 1
         else:
             programmed = LINE_MASK
-            reset_mask = ~new & LINE_MASK
-            set_mask = new
+            reset_mask = ~data & LINE_MASK
+            set_mask = data
 
         out.reset_pulses = reset_mask.bit_count()
         out.set_pulses = set_mask.bit_count()
 
-        self._phys[addr] = new
-        self._intended[addr] = new
+        line.phys = line.intended = data
         if programmed:
-            self._accum[addr][_bit_positions(programmed)] = 0
+            _clear(line.planes, programmed)
 
         if reset_mask:
-            pulses = _bit_positions(reset_mask)
+            limit_planes = self._limit_planes
             for nb in addr.neighbor_rows(self.geometry):
-                self._materialize(nb)
-                acc = self._accum[nb]
-                acc[pulses] += 1
-                np.minimum(acc, self.limit, out=acc)  # counters saturate at L
+                victim = self._line(nb)
+                planes = victim.planes
+                at_limit = LINE_MASK
+                for j in limit_planes:
+                    at_limit &= planes[j]
+                carry = reset_mask & ~at_limit  # counts saturate at L
+                for j, plane in enumerate(planes):
+                    if not carry:
+                        break
+                    planes[j] = plane ^ carry
+                    carry &= plane
                 # Only just-pulsed cells can newly reach the limit.
-                hits = pulses[acc[pulses] >= self.limit]
-                if hits.size:
-                    phys = self._phys[nb]
-                    raw = np.frombuffer(phys.to_bytes(LINE_BITS // 8, "little"),
-                                        dtype=np.uint8)
-                    bits = np.unpackbits(raw, bitorder="little")
-                    flips = hits[bits[hits] == 0]  # occupied cells never flip
-                    if flips.size:
-                        bits[flips] = 1
-                        acc[flips] = 0
-                        self._phys[nb] = int.from_bytes(
-                            np.packbits(bits, bitorder="little").tobytes(),
-                            "little")
-                        out.wde_events.extend((nb, int(k)) for k in flips)
+                hits = reset_mask
+                for j in limit_planes:
+                    hits &= planes[j]
+                flips = hits & ~victim.phys  # occupied cells never flip
+                if flips:
+                    victim.phys |= flips
+                    _clear(planes, flips)
+                    out.wde_events.extend((nb, k) for k in _set_bits(flips))
 
         out.latency_ns = write_latency(out, self.cfg)
         return out
 
     def scrub_divergence(self) -> list[tuple[LineAddress, int]]:
         """Lines whose physical contents diverge from intended data."""
-        intended = self._intended
         return sorted((addr, diff.bit_count())
-                      for addr, phys in self._phys.items()
-                      if (diff := phys ^ intended[addr]))
+                      for addr, line in self._lines.items()
+                      if (diff := line.phys ^ line.intended))
 
-    def accum_of(self, addr: LineAddress) -> np.ndarray:
-        self._materialize(addr)
-        return self._accum[addr]
+    def accum_of(self, addr: LineAddress) -> list[int]:
+        """Per-cell pulse counts of a line, cell 0 first."""
+        line = self._lines.get(addr)
+        planes = [] if line is None else line.planes
+        return [sum((plane >> k & 1) << j for j, plane in enumerate(planes))
+                for k in range(LINE_BITS)]
+
+
+def _clear(planes: list[int], cells: int) -> None:
+    """Zero the pulse counts of `cells`."""
+    keep = ~cells
+    for j, plane in enumerate(planes):
+        if plane:
+            planes[j] = plane & keep
 
 
 def write_latency(outcome: WriteOutcome, cfg: SimConfig) -> int:

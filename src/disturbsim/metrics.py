@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .core import EnergyParams
-from .imdb import sram_capacity
 
 SCHEMA_VERSION = "disturbsim-report/1"
 
@@ -86,10 +85,10 @@ def energy_total(stats: RunStats, params: EnergyParams) -> dict:
 def tradeoff_report(sweep: list[tuple[dict, RunStats]]) -> list[dict]:
     """Rows of (N_mt, N_b, N_g, W, A_bits, S) for a parameter sweep.
 
-    `sweep` pairs a descriptor dict (strategy, n_mt, n_b, n_groups, banks)
-    with its run statistics. Exactly the runs labeled strategy "none" serve
-    as the speedup baseline; rows breaching the design bounds are flagged,
-    not dropped.
+    `sweep` pairs a descriptor dict (strategy, n_mt, n_b, n_groups, and
+    area_bits, the SRAM bits of all banks' tables) with its run statistics.
+    Exactly the runs labeled strategy "none" serve as the speedup baseline;
+    rows breaching the design bounds are flagged, not dropped.
     """
     baseline = next((s for d, s in sweep if d.get("strategy") == "none"), None)
     if baseline is None:
@@ -99,8 +98,6 @@ def tradeoff_report(sweep: list[tuple[dict, RunStats]]) -> list[dict]:
         n_mt = desc.get("n_mt", 0)
         n_b = desc.get("n_b", 0)
         n_g = desc.get("n_groups", 1)
-        banks = desc.get("banks", 1)
-        cap = sram_capacity(n_mt, n_b, banks)
         if stats.completion_time_ns > 0:
             speedup = baseline.completion_time_ns / stats.completion_time_ns
         else:
@@ -117,7 +114,7 @@ def tradeoff_report(sweep: list[tuple[dict, RunStats]]) -> list[dict]:
             "n_groups": n_g,
             "wde_raw": stats.wde_raw,
             "wde_exposed": stats.wde_exposed,
-            "area_bits": cap["total_bits"],
+            "area_bits": desc["area_bits"],
             "speedup": speedup,
             "completion_time_ns": stats.completion_time_ns,
             "flags": ";".join(flags),

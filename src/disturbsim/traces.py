@@ -9,13 +9,19 @@ helpers. The text format is chosen over binary for diff-ability.
 from __future__ import annotations
 
 import gzip
+import re
 from dataclasses import dataclass
 from random import Random
 
-from .core import (LINE_BITS, LINE_BYTES, WORD_BITS, DataLine, Geometry,
+from .core import (LINE_BITS, LINE_BYTES, LINE_MASK, WORD_BITS, Geometry,
                    LineAddress, compose_address)
 
 _HEX_CHARS = LINE_BITS // 4  # 128
+
+# Explicit ASCII digits: `int()` would also take signs, underscores and
+# non-ASCII digits.
+_DECIMAL = re.compile(r"[0-9]+")
+_HEX = re.compile(r"(?:0[xX])?([0-9a-fA-F]+)")
 
 
 class TraceParseError(ValueError):
@@ -30,11 +36,11 @@ class TraceRecord:
     time: int  # ns
     op: str    # "R" | "W"
     byte_addr: int
-    data: DataLine | None = None  # present iff op == "W"
+    data: int | None = None  # the 512-bit line, present iff op == "W"
 
     def format(self) -> str:
         if self.op == "W":
-            return f"{self.time} W {self.byte_addr:#x} 0x{self.data.to_hex()}"
+            return f"{self.time} W {self.byte_addr:#x} 0x{self.data:0{_HEX_CHARS}x}"
         return f"{self.time} R {self.byte_addr:#x}"
 
 
@@ -68,35 +74,29 @@ def parse_trace(source) -> list[TraceRecord]:
 
         if len(parts) < 3:
             err(0, "expected `<time> <R|W> <addr> [<data>]`")
-        try:
-            t = int(parts[0])
-        except ValueError:
+        if not _DECIMAL.fullmatch(parts[0]):
             err(0, f"malformed time {parts[0]!r}")
-        if t < 0:
-            err(0, "time must be non-negative")
+        t = int(parts[0])
         if last_time is not None and t < last_time:
             err(0, f"decreasing time {t} after {last_time}")
         op = parts[1]
         if op not in ("R", "W"):
             err(1, f"unknown op {op!r}")
-        try:
-            addr = int(parts[2], 16)
-        except ValueError:
+        digits = _HEX.fullmatch(parts[2])
+        if not digits:
             err(2, f"malformed hex address {parts[2]!r}")
-        if addr < 0:
-            err(2, "address must be non-negative")
+        addr = int(digits[1], 16)
         data = None
         if op == "W":
             if len(parts) < 4:
                 err(2, "missing write data")
-            word = parts[3]
-            body = word[2:] if word.lower().startswith("0x") else word
-            if len(body) != _HEX_CHARS:
-                err(3, f"write data must be {_HEX_CHARS} hex chars, got {len(body)}")
-            try:
-                data = DataLine.from_hex(body)
-            except ValueError:
-                err(3, f"malformed hex data {word!r}")
+            digits = _HEX.fullmatch(parts[3])
+            if not digits:
+                err(3, f"malformed hex data {parts[3]!r}")
+            if len(digits[1]) != _HEX_CHARS:
+                err(3, f"write data must be {_HEX_CHARS} hex chars, "
+                       f"got {len(digits[1])}")
+            data = int(digits[1], 16)
             if len(parts) > 4:
                 err(4, "trailing fields after write data")
         elif len(parts) > 3:
@@ -137,18 +137,18 @@ def gen_hammer(target: int, rounds: int, gap_ns: int = 10) -> list[TraceRecord]:
     records = []
     t = 0
     for _ in range(rounds):
-        records.append(TraceRecord(t, "W", target, DataLine.all_ones()))
+        records.append(TraceRecord(t, "W", target, LINE_MASK))
         t += gap_ns
-        records.append(TraceRecord(t, "W", target, DataLine.all_zeros()))
+        records.append(TraceRecord(t, "W", target, 0))
         t += gap_ns
     return records
 
 
-def _noise_line(rng: Random, zero_bits: int = 2) -> DataLine:
-    words = [(1 << WORD_BITS) - 1] * 8
+def _noise_line(rng: Random, zero_bits: int = 2) -> int:
+    line = LINE_MASK
     for b in rng.sample(range(LINE_BITS), zero_bits):
-        words[b // WORD_BITS] &= ~(1 << (b % WORD_BITS))
-    return DataLine(tuple(words))
+        line &= ~(1 << b)
+    return line
 
 
 def gen_slow_flip(victims: int, interleave: int, rounds: int, rng: Random,
@@ -183,17 +183,16 @@ def gen_slow_flip(victims: int, interleave: int, rounds: int, rng: Random,
         raise ValueError("need at least two columns (noise lives in the upper half)")
     if not 1 <= 2 * subset_bits <= WORD_BITS:
         raise ValueError("need 1 <= 2*subset_bits <= 64")
-    ones = (1 << WORD_BITS) - 1
     aggressors = []
     for v in range(victims):
         addr = compose_address(LineAddress(0, 0, 2 * v + 1, 0), g)
         picks = rng.sample(range(WORD_BITS), 2 * subset_bits)
         variants = []
         for subset in (picks[:subset_bits], picks[subset_bits:]):
-            word1 = ones
+            line = LINE_MASK
             for b in subset:
-                word1 &= ~(1 << b)
-            variants.append(DataLine((ones, word1) + (ones,) * 6))
+                line &= ~(1 << (WORD_BITS + b))  # a bit of word 1
+            variants.append(line)
         aggressors.append((addr, variants[0], variants[1]))
 
     noise_cols = range(g.cols_per_row // 2, g.cols_per_row)
@@ -228,8 +227,8 @@ def gen_synthetic(kind: str, n: int, rng: Random,
     def random_line() -> int:
         return rng.randrange(g.total_lines) * LINE_BYTES
 
-    def random_data() -> DataLine:
-        return DataLine(tuple(rng.getrandbits(WORD_BITS) for _ in range(8)))
+    def random_data() -> int:
+        return rng.getrandbits(LINE_BITS)
 
     if kind == "uniform":
         for _ in range(n):
@@ -266,11 +265,8 @@ def gen_synthetic(kind: str, n: int, rng: Random,
             elif roll < 0.8:
                 # hot header update with small bit churn
                 h = rng.choice(headers)
-                cur = list(header_state[h].words)
                 for _ in range(4):
-                    b = rng.randrange(LINE_BITS)
-                    cur[b // WORD_BITS] ^= 1 << (b % WORD_BITS)
-                header_state[h] = DataLine(tuple(cur))
+                    header_state[h] ^= 1 << rng.randrange(LINE_BITS)
                 records.append(TraceRecord(t, "W", h, header_state[h]))
             else:
                 records.append(TraceRecord(t, "R", rng.choice(headers)))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from random import Random
 
-from disturbsim.core import LINE_BYTES, DataLine, Geometry, SimConfig
+from disturbsim.core import Geometry, SimConfig
 
 TINY = Geometry(ranks=1, banks_per_rank=1, rows_per_bank=8, cols_per_row=1)
 
@@ -20,15 +20,20 @@ def make_cfg(**kw) -> SimConfig:
     return SimConfig(**kw)
 
 
-def random_line(rng: Random) -> DataLine:
-    return DataLine(tuple(rng.getrandbits(64) for _ in range(8)))
+def line_of(words) -> int:
+    """The line holding eight 64-bit `words`, word 0 in bits 0-63."""
+    if len(words) != 8 or not all(0 <= w < 1 << 64 for w in words):
+        raise ValueError(f"not eight 64-bit words: {words!r}")
+    return sum(w << (64 * i) for i, w in enumerate(words))
 
 
-def line_with_zeros(rng: Random, zero_bits: int) -> DataLine:
-    words = [(1 << 64) - 1] * 8
-    for b in rng.sample(range(512), zero_bits):
-        words[b // 64] &= ~(1 << (b % 64))
-    return DataLine(tuple(words))
+def words_of(line: int) -> list[int]:
+    """The eight 64-bit words of a line, word 0 first."""
+    return [line >> (64 * i) & (1 << 64) - 1 for i in range(8)]
+
+
+def random_line(rng: Random) -> int:
+    return rng.getrandbits(512)
 
 
 def addr_bytes(row: int, col: int = 0, g: Geometry = TINY) -> int:

@@ -41,7 +41,7 @@ class NaiveLedger:
         limit = self.limit
         value, pulses = self._cells(addr)
         # bit k of the new data, as one character; bits[~k] is bit k
-        bits = format(data.to_int(), f"0{LINE_BITS}b")
+        bits = format(data, f"0{LINE_BITS}b")
         for k in range(LINE_BITS):
             new_bit = 1 if bits[~k] == "1" else 0
             old_bit = value[k]

@@ -13,8 +13,8 @@ from random import Random
 
 from disturbsim.cli import dispatch
 from disturbsim.controller import Command, CommandKind, Engine, run_to_completion
-from disturbsim.core import (DataLine, Geometry, LineAddress, SimConfig,
-                             compose_address, decompose_address)
+from disturbsim.core import (Geometry, LineAddress, SimConfig, compose_address,
+                             decompose_address)
 from disturbsim.imdb import Imdb, sram_capacity
 from disturbsim.metrics import RunStats
 from disturbsim.traces import TraceRecord, gen_hammer, gen_slow_flip, gen_synthetic
@@ -252,7 +252,7 @@ def random_bank_state(cfg, rng):
                            CommandKind.REWRITE])
         prepared = kind is CommandKind.REWRITE or rng.random() < 0.5
         w = Command(kind, LineAddress(0, 0, rng.randrange(8), 0),
-                    data=DataLine.all_zeros(), prepared=prepared, seq=seq)
+                    data=0, prepared=prepared, seq=seq)
         bank.enqueue(w)
         if kind is CommandKind.HOST_WRITE and not prepared:
             seq += 1

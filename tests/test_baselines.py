@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disturbsim.baselines import SiwcCache, vnc_wrap_write
-from disturbsim.core import (ConsistencyError, DataLine, LineAddress,
+from disturbsim.core import (LINE_MASK, ConsistencyError, LineAddress,
                              ProtocolError)
 from disturbsim.media import CellArray, WriteMode
 from disturbsim.metrics import RunStats
-from helpers import TINY, make_cfg
+from helpers import TINY, line_of, make_cfg
 
-ONES = DataLine.all_ones()
-ZEROS = DataLine.all_zeros()
+ONES = LINE_MASK
+ZEROS = 0
 A = LineAddress(0, 0, 3, 0)
 
 
@@ -75,7 +75,7 @@ def test_vnc_corrections_stay_within_bound(limit, writes):
     bound = limit * TINY.rows_per_bank // (limit - 2)
     for row, word in writes:
         _, strat = vnc_wrap_write(media, LineAddress(0, 0, row, 0),
-                                  DataLine((word,) * 8), cfg)
+                                  line_of((word,) * 8), cfg)
         assert len(strat.extra_writes) <= bound
         assert media.scrub_divergence() == []
 

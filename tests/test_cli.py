@@ -5,7 +5,7 @@ import pytest
 
 from disturbsim.cli import dispatch
 from disturbsim.controller import Engine
-from disturbsim.core import DataLine
+from disturbsim.core import LINE_MASK
 from disturbsim.traces import TraceRecord, write_trace_file
 
 CFG = """
@@ -135,6 +135,18 @@ def test_sweep_runs_tableless_strategies_once(cfg_path, trace_path):
     assert [r["area_bits"] for r in rows[4:]] == [16 * 108, 16 * 108 + 2 * 553]
 
 
+def test_sweep_sizes_siwc_area_from_its_cache(cfg_path, trace_path):
+    """SIWC rows count full-line cache entries (512 data + 25 row_col bits),
+    an explicit siwc.entries included, not IMDB's table widths."""
+    args = ["sweep", "--config", cfg_path, "--trace", trace_path,
+            "--strategies", "none,siwc", "--param", "n_b=0,2",
+            "--format", "json"]
+    rows = run_rows(args)
+    assert [r["area_bits"] for r in rows[1:]] == [16 * 537, 18 * 537]
+    rows = run_rows(args + ["--set", "siwc.entries=5"])
+    assert [r["area_bits"] for r in rows[1:]] == [5 * 537, 5 * 537]
+
+
 def test_usage_error_exit_code(capsys):
     assert dispatch(["run"]) == 1  # --trace is required
     assert capsys.readouterr().err.startswith("E:1:")
@@ -173,9 +185,8 @@ def test_bad_trace_exit_code(cfg_path, tmp_path, capsys):
 
 def test_bad_address_behind_backpressure_exit_code(cfg_path, tmp_path, capsys):
     # one-deep queues: the writes ahead of the bad record are retried first
-    records = [TraceRecord(0, "W", 64 * r, DataLine.all_ones())
-               for r in range(4)]
-    records.append(TraceRecord(0, "W", 1 << 40, DataLine.all_ones()))
+    records = [TraceRecord(0, "W", 64 * r, LINE_MASK) for r in range(4)]
+    records.append(TraceRecord(0, "W", 1 << 40, LINE_MASK))
     path = str(tmp_path / "late-bad.trace")
     write_trace_file(records, path)
     rc = dispatch(["run", "--config", cfg_path, "--trace", path,

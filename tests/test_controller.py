@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -7,13 +8,13 @@ from hypothesis import strategies as st
 import scheduler_ref
 from disturbsim.controller import (Command, CommandKind, Engine, TraceAbort,
                                    run_to_completion)
-from disturbsim.core import ConsistencyError, DataLine, LineAddress
+from disturbsim.core import LINE_MASK, ConsistencyError, LineAddress
 from disturbsim.media import WriteMode
 from disturbsim.traces import TraceRecord, gen_hammer, gen_synthetic
 from helpers import TINY, addr_bytes, make_cfg
 
-ONES = DataLine.all_ones()
-ZEROS = DataLine.all_zeros()
+ONES = LINE_MASK
+ZEROS = 0
 
 
 def cmd(kind, row, prepared=False, seq=0, paired=None):
@@ -258,6 +259,26 @@ def test_imdb_read_served_from_barrier_buffer():
     base = run_to_completion(hammer_cfg(strategy="imdb"), trace[:-1])
     assert stats.host_reads == 1
     assert stats.media_reads == base.media_reads  # buffer served the read
+
+
+@pytest.mark.parametrize("strategy", ["imdb", "siwc"])
+def test_all_zeros_line_in_a_table_serves_reads(strategy):
+    """The int 0 is the all-zeros line, not a miss: a barrier-buffer or
+    write-cache entry holding it serves the host read."""
+    eng = empty_engine(strategy=strategy, siwc_q_insert=Fraction(1))
+    table = eng.mitigations[0]
+    a = LineAddress(0, 0, 3, 0)
+    if strategy == "imdb":
+        table.install(0, a.row_col(TINY), [0] * 8)
+        assert table.promote_and_demote(0, ZEROS) is None
+        assert table.lookup(a) == ("bb", 0)
+    else:
+        assert table.process_write(a, ZEROS, Random(0)).absorbed
+    assert eng.submit(TraceRecord(0, "R", addr_bytes(3)), 0, 0)
+    assert not eng.banks[0].read_q  # served, never queued
+    stats = eng.run()
+    assert (stats.host_reads, stats.media_reads) == (1, 0)
+    assert stats.bb_hits == (1 if strategy == "imdb" else 0)
 
 
 def test_backpressure_preserves_counts():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from disturbsim.core import (LINE_BYTES, DataLine, Geometry, LineAddress,
+from disturbsim.core import (LINE_BYTES, Geometry, LineAddress,
                              RangeError, SimConfig, compose_address,
                              count_one_to_zero, count_zeros, decompose_address)
 from helpers import TINY, make_cfg
@@ -51,41 +51,22 @@ def test_neighbor_rows_skip_edges():
     assert mid == [LineAddress(0, 0, 2, 0), LineAddress(0, 0, 4, 0)]
 
 
-@given(st.integers(min_value=0, max_value=(1 << 512) - 1))
-def test_dataline_int_roundtrip(value):
-    d = DataLine.from_int(value)
-    assert d.to_int() == value
-    assert DataLine.from_hex(d.to_hex()).to_int() == value
-    assert sum(d.bit(k) << k for k in range(512)) == value
-
-
-def test_dataline_validation():
-    with pytest.raises(ValueError):
-        DataLine((0,) * 7)
-    with pytest.raises(ValueError):
-        DataLine((1 << 64,) + (0,) * 7)
-    with pytest.raises(ValueError):
-        DataLine.from_int(-1)
-
-
 @given(st.integers(min_value=0, max_value=(1 << 512) - 1),
        st.integers(min_value=0, max_value=(1 << 512) - 1))
-def test_count_one_to_zero_matches_bitwise(old_v, new_v):
-    old, new = DataLine.from_int(old_v), DataLine.from_int(new_v)
+def test_count_one_to_zero_matches_bitwise(old, new):
     counts = count_one_to_zero(old, new)
     expected = [0] * 8
     for k in range(512):
-        if old.bit(k) == 1 and new.bit(k) == 0:
+        if old >> k & 1 == 1 and new >> k & 1 == 0:
             expected[k // 64] += 1
     assert counts == expected
 
 
 @given(st.integers(min_value=0, max_value=(1 << 512) - 1))
-def test_count_zeros_matches_bitwise(value):
-    d = DataLine.from_int(value)
-    expected = [sum(1 for k in range(64 * i, 64 * i + 64) if d.bit(k) == 0)
+def test_count_zeros_matches_bitwise(line):
+    expected = [sum(1 for k in range(64 * i, 64 * i + 64) if line >> k & 1 == 0)
                 for i in range(8)]
-    assert count_zeros(d) == expected
+    assert count_zeros(line) == expected
 
 
 def test_config_validation():
@@ -113,8 +94,8 @@ def test_config_derived_defaults():
     assert make_cfg(queue_depth=10, drain_low_watermark=2).drain_watermark == 2
     assert cfg.siwc_entry_count == cfg.n_mt + cfg.n_b
     assert make_cfg(siwc_entries=5).siwc_entry_count == 5
-    assert cfg.fill_line.to_int() == 0
-    assert make_cfg(initial_fill="ones").fill_line.to_int() == (1 << 512) - 1
+    assert cfg.fill_line == 0
+    assert make_cfg(initial_fill="ones").fill_line == (1 << 512) - 1
 
 
 def test_cycles_to_ns_rounds_up():

@@ -8,6 +8,9 @@ regenerates it and says why.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from disturbsim.cli import dispatch
@@ -15,6 +18,7 @@ from disturbsim.controller import MITIGATIONS
 from disturbsim.core import STRATEGIES
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_compare_report_matches_golden(tmp_path):
@@ -39,3 +43,24 @@ def test_compare_report_matches_golden(tmp_path):
     # every host write reaches the media under VnC; the rest are corrections
     assert vnc["media_writes"] > vnc["host_writes"]
     assert vnc["wde_exposed"] == 0
+
+
+def test_compare_needs_no_numpy(tmp_path):
+    """The package has no runtime dependency: with numpy unimportable, the
+    CLI still reproduces the golden report byte for byte."""
+    report = tmp_path / "compare.json"
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+            "from disturbsim.cli import main\n"
+            "main()\n")
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH"))
+                           if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "compare",
+         "--config", str(GOLDEN / "compare.cfg"),
+         "--trace", str(GOLDEN / "compare.trace"),
+         "--format", "json", "-o", str(report)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert report.read_bytes() == (GOLDEN / "compare.json").read_bytes()

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disturbsim.core import (ConsistencyError, DataLine, LineAddress,
+from disturbsim.core import (LINE_MASK, ConsistencyError, LineAddress,
                              ProtocolError, count_zeros)
 from disturbsim.imdb import (BB_ENTRY_BITS, MT_ENTRY_BITS, ZFC_MAX, Imdb,
                              apple_latency_cycles, prior_init, sram_capacity)
 from disturbsim.metrics import RunStats
-from helpers import TINY, make_cfg, random_line
+from helpers import TINY, line_of, make_cfg, random_line
 
-ONES = DataLine.all_ones()
-ZEROS = DataLine.all_zeros()
+ONES = LINE_MASK
+ZEROS = 0
 
 
 def addr(row, col=0):
@@ -29,13 +29,13 @@ def flips16():
     word1 = (1 << 64) - 1
     for b in range(16):
         word1 &= ~(1 << b)
-    return DataLine(((1 << 64) - 1, word1) + ((1 << 64) - 1,) * 6)
+    return line_of(((1 << 64) - 1, word1) + ((1 << 64) - 1,) * 6)
 
 
 def test_prior_init_counts_and_saturates():
     assert prior_init(ONES) == [0] * 8
     assert prior_init(ZEROS) == [64] * 8  # 64 < 511, no saturation here
-    d = DataLine((0b1010,) + ((1 << 64) - 1,) * 7)
+    d = line_of((0b1010,) + ((1 << 64) - 1,) * 7)
     assert prior_init(d)[0] == 62
     assert all(z <= ZFC_MAX for z in prior_init(ZEROS))
 
@@ -271,7 +271,7 @@ def test_check_holds_after_every_operation(n_mt, n_b, policy, seed, ops):
     rng = Random(seed)
     old = {}
     for op, row, word in ops:
-        data = DataLine((word,) * 8)
+        data = line_of((word,) * 8)
         if op == "write":
             t.process_write(addr(row), old.get(row, ZEROS), data, rng)
             old[row] = data

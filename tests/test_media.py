@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disturbsim.core import DataLine, LineAddress
+from disturbsim.core import LINE_MASK, LineAddress
 from disturbsim.media import CellArray, WriteMode
 from helpers import TINY, make_cfg, random_line
 from oracle import NaiveLedger
@@ -15,24 +15,32 @@ DOWN = LineAddress(0, 0, 4, 0)
 
 def test_differential_write_pulses():
     media = CellArray(make_cfg(initial_fill="ones"))
-    out = media.apply_write(A, DataLine.all_zeros(), WriteMode.DIFFERENTIAL)
+    out = media.apply_write(A, 0, WriteMode.DIFFERENTIAL)
     assert (out.reset_pulses, out.set_pulses) == (512, 0)
-    out = media.apply_write(A, DataLine.all_zeros(), WriteMode.DIFFERENTIAL)
+    out = media.apply_write(A, 0, WriteMode.DIFFERENTIAL)
     assert (out.reset_pulses, out.set_pulses) == (0, 0)  # nothing differs
 
 
 def test_full_write_pulses_regardless_of_contents():
     media = CellArray(make_cfg(initial_fill="zeros"))
-    out = media.apply_write(A, DataLine.from_int(0xff), WriteMode.FULL)
+    out = media.apply_write(A, 0xff, WriteMode.FULL)
     assert out.reset_pulses == 512 - 8
     assert out.set_pulses == 8
+
+
+def test_apply_write_rejects_out_of_range_line():
+    media = CellArray(make_cfg())
+    for bad in (-1, 1 << 512):
+        with pytest.raises(ValueError, match="512-bit"):
+            media.apply_write(A, bad, WriteMode.FULL)
+    assert media.read_line(A) == 0  # nothing was written
 
 
 def test_set_pulses_do_not_disturb():
     media = CellArray(make_cfg(initial_fill="zeros", disturb_limit=2))
     for _ in range(5):
-        media.apply_write(A, DataLine.all_ones(), WriteMode.FULL)
-    assert not media.accum_of(UP).any()
+        media.apply_write(A, LINE_MASK, WriteMode.FULL)
+    assert not any(media.accum_of(UP))
 
 
 def test_flip_at_limit_then_accumulation_resets():
@@ -40,63 +48,63 @@ def test_flip_at_limit_then_accumulation_resets():
     media = CellArray(cfg)
     events = []
     for i in range(3):
-        media.apply_write(A, DataLine.all_ones(), WriteMode.DIFFERENTIAL)
-        out = media.apply_write(A, DataLine.all_zeros(), WriteMode.DIFFERENTIAL)
+        media.apply_write(A, LINE_MASK, WriteMode.DIFFERENTIAL)
+        out = media.apply_write(A, 0, WriteMode.DIFFERENTIAL)
         events.extend(out.wde_events)
         if i < 2:
             assert not out.wde_events
     # every idle zero cell on both neighbors flips exactly once
     assert len(events) == 2 * 512
     assert {nb for nb, _ in events} == {UP, DOWN}
-    assert not media.accum_of(UP).any()
+    assert not any(media.accum_of(UP))
     # flipped cells now store 1 and never flip again
-    assert media.read_line(UP).to_int() == (1 << 512) - 1
+    assert media.read_line(UP) == (1 << 512) - 1
 
 
 def test_programming_a_cell_clears_its_accumulation():
     media = CellArray(make_cfg(initial_fill="zeros", disturb_limit=4))
-    media.apply_write(A, DataLine.all_ones(), WriteMode.DIFFERENTIAL)
-    media.apply_write(A, DataLine.all_zeros(), WriteMode.DIFFERENTIAL)
+    media.apply_write(A, LINE_MASK, WriteMode.DIFFERENTIAL)
+    media.apply_write(A, 0, WriteMode.DIFFERENTIAL)
     assert media.accum_of(UP)[0] == 1
     # a full rewrite of the neighbor restores it and clears the ledger
-    media.apply_write(UP, DataLine.all_zeros(), WriteMode.FULL)
+    media.apply_write(UP, 0, WriteMode.FULL)
     assert media.accum_of(UP)[0] == 0
 
 
 def test_edge_row_has_one_neighbor():
     media = CellArray(make_cfg(initial_fill="zeros", disturb_limit=1))
     top = LineAddress(0, 0, 0, 0)
-    out = media.apply_write(top, DataLine.all_zeros(), WriteMode.FULL)
+    out = media.apply_write(top, 0, WriteMode.FULL)
     assert {nb for nb, _ in out.wde_events} == {LineAddress(0, 0, 1, 0)}
     assert len(out.wde_events) == 512
 
 
 def test_occupied_cells_do_not_flip():
     media = CellArray(make_cfg(initial_fill="ones", disturb_limit=1))
-    out = media.apply_write(A, DataLine.all_zeros(), WriteMode.DIFFERENTIAL)
+    out = media.apply_write(A, 0, WriteMode.DIFFERENTIAL)
     assert out.wde_events == []  # neighbors store 1
 
 
 def test_intended_shadow_and_scrub():
     media = CellArray(make_cfg(initial_fill="zeros", disturb_limit=1))
-    media.apply_write(A, DataLine.all_ones(), WriteMode.DIFFERENTIAL)
-    media.apply_write(A, DataLine.all_zeros(), WriteMode.DIFFERENTIAL)
+    media.apply_write(A, LINE_MASK, WriteMode.DIFFERENTIAL)
+    media.apply_write(A, 0, WriteMode.DIFFERENTIAL)
     div = media.scrub_divergence()
     assert [addr for addr, _ in div] == [UP, DOWN]
     assert all(bits == 512 for _, bits in div)
-    assert media.intended_line(UP).to_int() == 0
-    assert media.read_line(UP).to_int() == (1 << 512) - 1
+    assert media.intended_line(UP) == 0
+    assert media.read_line(UP) == (1 << 512) - 1
 
 
 def test_write_latency_classes():
     cfg = make_cfg(initial_fill="zeros", set_ns=150, reset_ns=100)
     media = CellArray(cfg)
-    assert media.apply_write(A, DataLine.all_ones(),
+    assert media.apply_write(A, LINE_MASK,
                              WriteMode.DIFFERENTIAL).latency_ns == 150
-    assert media.apply_write(A, DataLine.all_zeros(),
+    assert media.apply_write(A, 0,
                              WriteMode.DIFFERENTIAL).latency_ns == 100
     # a no-op differential write still occupies a RESET-class slot
-    assert media.apply_write(A, DataLine.all_zeros(),
+    assert media.apply_write(A, 0,
                              WriteMode.DIFFERENTIAL).latency_ns == 100
 
 
@@ -106,7 +114,8 @@ def test_media_matches_naive_ledger(seed, fill_ones):
     """Random write workouts against the per-cell oracle."""
     rng = Random(seed)
     fill = "ones" if fill_ones else "zeros"
-    limit = rng.choice([1, 2, 3, 5])
+    # limits whose counts carry across 1 to 5 bit-planes
+    limit = rng.choice([1, 2, 3, 4, 5, 7, 8, 16])
     cfg = make_cfg(initial_fill=fill, disturb_limit=limit,
                    threshold=0 if limit < 3 else 1)
     media = CellArray(cfg)
@@ -125,7 +134,9 @@ def test_media_matches_naive_ledger(seed, fill_ones):
         addr = LineAddress(0, 0, row, 0)
         got = media.read_line(addr)
         want = sum(ledger._bit(addr, k) << k for k in range(512))
-        assert got.to_int() == want
+        assert got == want
+    for addr, pulses in ledger.pulses.items():
+        assert media.accum_of(addr) == pulses
 
 
 def test_threshold_must_leave_rewrite_headroom():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from disturbsim.core import EnergyParams
+from disturbsim.imdb import sram_capacity
 from disturbsim.metrics import (SCHEMA_VERSION, RunStats, emit_report,
                                 energy_total, tradeoff_report)
 
@@ -17,7 +18,8 @@ def stats(**kw) -> RunStats:
 
 def desc(strategy, n_mt=16, n_b=2, n_groups=4, banks=1):
     return {"strategy": strategy, "n_mt": n_mt, "n_b": n_b,
-            "n_groups": n_groups, "banks": banks}
+            "n_groups": n_groups, "banks": banks,
+            "area_bits": sram_capacity(n_mt, n_b, banks)["total_bits"]}
 
 
 def test_energy_total_is_linear_in_events():

@@ -2,14 +2,15 @@ import io
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from disturbsim.core import LINE_BYTES, DataLine, Geometry, LineAddress, decompose_address
+from disturbsim.core import LINE_BYTES, LINE_MASK, Geometry, decompose_address
 from disturbsim.traces import (TraceParseError, TraceRecord, emit_trace,
                                gen_hammer, gen_slow_flip, gen_synthetic,
                                parse_trace, read_trace_file, write_trace_file)
-from helpers import TINY
+from helpers import TINY, words_of
 
-D = DataLine.all_ones()
+D = LINE_MASK
 
 
 def parse_text(text):
@@ -32,6 +33,15 @@ def test_roundtrip_through_text():
     assert parse_text(emit_trace(recs)) == recs
 
 
+@given(st.integers(min_value=0, max_value=(1 << 512) - 1))
+def test_line_roundtrip_through_text(line):
+    """Every 512-bit line, 0 included, is written as 128 hex digits and
+    parses back to itself."""
+    text = emit_trace([TraceRecord(0, "W", 0, line)])
+    assert len(text.split()[3]) == 2 + 128
+    assert parse_text(text) == [TraceRecord(0, "W", 0, line)]
+
+
 def test_roundtrip_through_gzip(tmp_path):
     recs = [TraceRecord(0, "W", 0, D), TraceRecord(3, "R", 64)]
     path = str(tmp_path / "t.trace.gz")
@@ -48,6 +58,13 @@ def test_roundtrip_through_gzip(tmp_path):
     ("0 W 0x0 0xff\n", 1, 9),         # short data
     ("0 R 0x0 extra\n", 1, 9),        # trailing field
     ("0 W 0x0 0x" + "f" * 128 + " junk\n", 1, 140),
+    # each field takes ASCII digits only, not all that int() accepts
+    ("1_0 R 0x0\n", 1, 1),              # time
+    ("+5 R 0x0\n", 1, 1),               # time
+    ("0 R +0x40\n", 1, 5),              # address
+    ("0 R 0x4_0\n", 1, 5),              # address
+    ("0 W 0x0 " + "f_" * 63 + "ff\n", 1, 9),  # 128 chars, 65 digits
+    ("0 W 0x0 0x" + "\u0663" * 128 + "\n", 1, 9),  # Arabic-Indic digits
 ])
 def test_parse_errors_carry_position(text, line_no, column):
     with pytest.raises(TraceParseError) as exc:
@@ -59,7 +76,7 @@ def test_gen_hammer_shape():
     recs = gen_hammer(0x40, rounds=3, gap_ns=7)
     assert len(recs) == 6
     assert all(r.op == "W" and r.byte_addr == 0x40 for r in recs)
-    assert [r.data.to_int() for r in recs[:2]] == [(1 << 512) - 1, 0]
+    assert [r.data for r in recs[:2]] == [(1 << 512) - 1, 0]
     assert [r.time for r in recs] == [0, 7, 14, 21, 28, 35]
 
 
@@ -77,11 +94,11 @@ def test_gen_slow_flip_structure():
         if addr.col == 0:
             agg_rows.add(addr.row)
             # aggressors always hold exactly 16 zeros, all in word 1
-            zeros = [64 - w.bit_count() for w in r.data.words]
+            zeros = [64 - w.bit_count() for w in words_of(r.data)]
             assert zeros[1] == 16 and sum(zeros) == 16
         else:
             assert addr.col >= 2  # noise stays in the upper column half
-            assert sum(64 - w.bit_count() for w in r.data.words) == 2
+            assert 512 - r.data.bit_count() == 2
             # repeat writes to a noise line carry identical data
             assert noise_payloads.setdefault(r.byte_addr, r.data) == r.data
     assert agg_rows == {1, 3, 5, 7}  # odd rows only; neighbors stay idle
@@ -94,7 +111,7 @@ def test_gen_slow_flip_alternates_subsets():
     assert a != b
     assert recs[2].data == a and recs[3].data == b
     # the two zeroed subsets are disjoint: together 32 zeros in word 1
-    assert 64 - (a.words[1] & b.words[1]).bit_count() == 32
+    assert 64 - (words_of(a)[1] & words_of(b)[1]).bit_count() == 32
 
 
 def test_gen_slow_flip_geometry_guard():
