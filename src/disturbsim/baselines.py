@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (ConsistencyError, LineAddress, ProtocolError,
-                   SimConfig)
+                   SimConfig, coin_threshold, draw_below)
 from .media import CellArray, WriteMode, WriteOutcome
 
 if TYPE_CHECKING:
@@ -73,8 +73,6 @@ class Mitigation:
 class StrategyOutcome:
     extra_reads: list = field(default_factory=list)      # LineAddress
     extra_writes: list = field(default_factory=list)     # (addr, line, WriteMode)
-    absorbed: bool = False
-    writeback: tuple | None = None                       # (LineAddress, line)
 
 
 def vnc_wrap_write(media: CellArray, addr: LineAddress, data: int,
@@ -141,6 +139,17 @@ class WriteCacheEntry:
     data: int | None = None
 
 
+class SiwcOutcome(NamedTuple):
+    """What a host write did to the cache, in `admit_write`'s order."""
+
+    absorbed: bool
+    writeback: tuple | None  # (LineAddress, line) of an evicted entry
+
+
+_ABSORBED = SiwcOutcome(True, None)
+_PASSED = SiwcOutcome(False, None)
+
+
 class SiwcCache(Mitigation):
     """Per-bank coin-toss write cache."""
 
@@ -151,6 +160,9 @@ class SiwcCache(Mitigation):
         self.entries = [WriteCacheEntry() for _ in range(cfg.siwc_entry_count)]
         self._slot: dict[int, int] = {}  # row_col -> slot of every valid entry
         self._used = 0  # slots fill in order and never empty
+        self._insert_below = coin_threshold(cfg.siwc_q_insert)
+        self._evict_below = coin_threshold(cfg.siwc_q_evict)
+        self._victim_bits = len(self.entries).bit_length()
 
     @classmethod
     def sram_bits(cls, cfg: SimConfig) -> int:
@@ -190,35 +202,34 @@ class SiwcCache(Mitigation):
             raise ConsistencyError("cache index disagrees with the entries")
 
     def admit_write(self, addr: LineAddress, data: int,
-                    rng: Random) -> tuple[bool, tuple | None]:
-        out = self.process_write(addr, data, rng)
-        return out.absorbed, out.writeback
+                    rng: Random) -> SiwcOutcome:
+        return self.process_write(addr, data, rng)
 
     def process_write(self, addr: LineAddress, data: int,
-                      rng: Random) -> StrategyOutcome:
-        out = StrategyOutcome()
+                      rng: Random) -> SiwcOutcome:
+        """A miss tosses the insert coin; on a full cache it then tosses the
+        evict coin and draws the victim slot. No coin is skipped at
+        probability 0 or 1."""
         slot = self._find(addr)
         if slot is not None:
             self.entries[slot].data = data
-            out.absorbed = True
-            return out
-        if not self.entries:
-            return out
-        if not rng.random() < self.cfg.siwc_q_insert:
-            return out
+            return _ABSORBED
+        if not self.entries or not rng.random() < self._insert_below:
+            return _PASSED
+        writeback = None
         if self._used < len(self.entries):
             free = self._used
             self._used += 1
         else:
-            if not rng.random() < self.cfg.siwc_q_evict:
-                return out
-            free = rng.randrange(len(self.entries))
+            if not rng.random() < self._evict_below:
+                return _PASSED
+            free = draw_below(rng.getrandbits, len(self.entries),
+                              self._victim_bits)
             victim = self.entries[free]
-            out.writeback = (self._unpack(victim.row_col), victim.data)
+            writeback = (self._unpack(victim.row_col), victim.data)
             self.stats.evictions += 1
         self._install(free, addr, data)
-        out.absorbed = True
-        return out
+        return _ABSORBED if writeback is None else SiwcOutcome(True, writeback)
 
     def process_read(self, addr: LineAddress) -> int | None:
         slot = self._find(addr)

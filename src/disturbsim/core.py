@@ -124,6 +124,31 @@ def count_zeros(line: int) -> list[int]:
             for s in _WORD_SHIFTS]
 
 
+# CPython's `Random.random()` returns k / 2**53 for an integer k in [0, 2**53).
+_RANDOM_SCALE = 1 << 53
+
+
+def coin_threshold(p) -> float:
+    """The float t for which `rng.random() < t` decides exactly as
+    `rng.random() < p` does, for a probability p (int, float or Fraction)
+    in [0, 1]. With p = n/d, k / 2**53 < n/d holds exactly when
+    k < ceil(n * 2**53 / d), and both sides divided by 2**53 are exact
+    binary64 values, so comparing with t builds no Fraction per toss."""
+    p = Fraction(p)
+    return -(-p.numerator * _RANDOM_SCALE // p.denominator) / _RANDOM_SCALE
+
+
+def draw_below(getrandbits, n: int, bits: int) -> int:
+    """`Random.randrange(n)` for n >= 1, given that Random's `getrandbits`
+    and `bits = n.bit_length()`: the same rejection loop as
+    `Random._randbelow_with_getrandbits`, so the same value and the same
+    draws, without randrange's argument checks."""
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
 def decompose_address(byte_addr: int, g: Geometry) -> LineAddress:
     """Map a module byte address onto (rank, bank, row, col)."""
     if byte_addr < 0:

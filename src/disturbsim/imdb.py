@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from random import Random
+from typing import NamedTuple
 
 from .baselines import Mitigation
 from .core import (ConsistencyError, LineAddress, ProtocolError,
-                   SimConfig, count_one_to_zero, count_zeros)
+                   SimConfig, coin_threshold, count_one_to_zero, count_zeros,
+                   draw_below)
 from .media import CellArray
 
 ZFC_MAX = 511       # 9-bit saturating sub-counters
@@ -47,17 +50,23 @@ class BarrierEntry:
     freq_cntr: int = 0
 
 
-@dataclass
-class ImdbOutcome:
-    rewrites: list = field(default_factory=list)  # LineAddress targets, Full mode
+# AppLE compares (maximal sub-counter, rewrite counter) as one int
+_KEY_SHIFT = CNTR_MAX.bit_length()
+_NO_KEY = (ZFC_MAX + 1) << _KEY_SHIFT  # above every entry's key
+
+
+class ImdbOutcome(NamedTuple):
+    rewrites: list | tuple = ()  # LineAddress targets, Full mode
     absorbed: bool = False
     writeback: tuple | None = None  # (LineAddress, line)
-    occupancy_cycles: int = 0
+    occupancy_ns: int = 0
 
 
 def prior_init(data: int) -> list[int]:
-    """Zero-bit count of each word, the warm-up bias for fresh entries."""
-    return [min(z, ZFC_MAX) for z in count_zeros(data)]
+    """Zero-bit count of each word, the warm-up bias for fresh entries. It
+    needs no saturation: a 64-bit word has at most 64 zero bits, well below
+    the sub-counters' ZFC_MAX."""
+    return count_zeros(data)
 
 
 def sram_capacity(n_mt: int, n_b: int, banks: int) -> dict:
@@ -98,6 +107,21 @@ class Imdb(Mitigation):
         self._free_mt = list(range(cfg.n_mt))  # heap of free main-table slots
         self._bb_used = 0  # barrier slots fill in order and never empty
         self._clock = 0  # monotone access stamp for the LRU variant
+        p = Fraction(cfg.insert_prob)
+        self._always_insert = p.numerator >= p.denominator  # no coin at p >= 1
+        self._insert_below = coin_threshold(p)
+        # AppLE samples one slot in each group of consecutive slots
+        size = cfg.n_mt // cfg.n_groups
+        self._group_size = size
+        self._group_bits = size.bit_length()
+        self._group_bases = range(0, cfg.n_mt, size or 1)  # none if n_mt = 0
+        # the outcomes that carry nothing but the bank occupancy: a table
+        # access, an absorbed write, and an insertion that evicts
+        self._hit_ns = cfg.cycles_to_ns(cfg.hit_cycles)
+        self._hit = ImdbOutcome(occupancy_ns=self._hit_ns)
+        self._absorbed = ImdbOutcome(absorbed=True, occupancy_ns=self._hit_ns)
+        self._evict = ImdbOutcome(occupancy_ns=cfg.cycles_to_ns(
+            cfg.hit_cycles + apple_latency_cycles(cfg.n_groups)))
 
     @classmethod
     def sram_bits(cls, cfg: SimConfig) -> int:
@@ -143,6 +167,8 @@ class Imdb(Mitigation):
         e.last_use = self._clock
 
     def _require_full(self) -> None:
+        if not self.mt:
+            raise ProtocolError("the main table has no slots")
         if self._free_mt:
             raise ProtocolError(
                 f"slot {self._free_mt[0]} is free; use it instead of evicting")
@@ -167,6 +193,10 @@ class Imdb(Mitigation):
         if used != [i < self._bb_used for i in range(len(self.bb))]:
             raise ConsistencyError(f"barrier slots {used} do not fill in order "
                                    f"up to {self._bb_used}")
+        for slot, e in enumerate(self.mt):  # AppLE's int keys rely on these
+            if e.valid and (max(e.zfc) > ZFC_MAX or e.rewrite_cntr > CNTR_MAX):
+                raise ConsistencyError(f"main-table slot {slot} holds a counter "
+                                       f"wider than its field")
 
     # -- victim selection --------------------------------------------------
 
@@ -179,16 +209,20 @@ class Imdb(Mitigation):
         return min(range(len(self.mt)), key=lambda i: self._victim_key(self.mt[i], i))
 
     def select_victim_apple(self, rng: Random) -> int:
+        """Sample one slot per group, with one uniform draw each, and return
+        the sample with the least `_victim_key`. Groups come in slot order,
+        so keeping the first of equal int keys breaks ties by slot."""
         self._require_full()
-        n_groups = self.cfg.n_groups
-        group_size = len(self.mt) // n_groups
-        best = None
-        for g in range(n_groups):
-            slot = g * group_size + rng.randrange(group_size)
-            key = self._victim_key(self.mt[slot], slot)
-            if best is None or key < best[0]:
-                best = (key, slot)
-        return best[1]
+        mt, getrandbits = self.mt, rng.getrandbits
+        size, bits = self._group_size, self._group_bits
+        best_key = _NO_KEY
+        for base in self._group_bases:
+            slot = base + draw_below(getrandbits, size, bits)
+            e = mt[slot]
+            key = e.zfc[e.max_zfc_idx] << _KEY_SHIFT | e.rewrite_cntr
+            if key < best_key:
+                best_key, best = key, slot
+        return best
 
     def select_victim_lru(self) -> int:
         self._require_full()
@@ -204,11 +238,10 @@ class Imdb(Mitigation):
     def write(self, media: CellArray, cmd, rng: Random) -> tuple:
         """The tables see the write; it reaches the media unless absorbed."""
         res = self.process_write(cmd.addr, cmd.old_data, cmd.data, rng)
-        occupancy_ns = self.cfg.cycles_to_ns(res.occupancy_cycles)
         if res.absorbed:
-            latency = max(occupancy_ns, 1)
+            latency = max(res.occupancy_ns, 1)
         else:
-            latency = occupancy_ns + super().write(media, cmd, rng)[0]
+            latency = res.occupancy_ns + super().write(media, cmd, rng)[0]
         return latency, res.rewrites, res.writeback
 
     # -- write / read paths --------------------------------------------------
@@ -231,8 +264,7 @@ class Imdb(Mitigation):
 
         if hit is not None and hit[0] == "bb":
             self._bb_hit(hit[1]).data = new_data
-            return ImdbOutcome(absorbed=True,
-                               occupancy_cycles=self.cfg.hit_cycles)
+            return self._absorbed
 
         if hit is not None and hit[0] == "mt":
             return self._mt_hit(hit[1], addr, old_data, new_data)
@@ -249,32 +281,30 @@ class Imdb(Mitigation):
             e.zfc[i] = min(e.zfc[i] + f, ZFC_MAX)
         e.max_zfc_idx = _max_idx(e.zfc)
 
-        out = ImdbOutcome(occupancy_cycles=self.cfg.hit_cycles)
         # The trigger requires fresh flips: a rewrite that changes nothing must
         # not re-fire an entry whose counters sit at or above the threshold.
-        if any(flips) and e.zfc[e.max_zfc_idx] >= self.cfg.threshold:
-            e.rewrite_cntr = min(e.rewrite_cntr + 1, CNTR_MAX)
-            out.rewrites = addr.neighbor_rows(self.geometry)
-            self.stats.rewrites += len(out.rewrites)
-            if self.cfg.n_b > 0:
-                out.writeback = self.promote_and_demote(slot, new_data)
-                out.absorbed = True
-            else:
-                # Bufferless variant: the entry stays; restart its counters
-                # from the prior knowledge of the data just written.
-                e.zfc = (prior_init(new_data) if self.cfg.prior_knowledge
-                         else [0] * 8)
-                e.max_zfc_idx = _max_idx(e.zfc)
-        return out
+        if not (any(flips) and e.zfc[e.max_zfc_idx] >= self.cfg.threshold):
+            return self._hit
+        e.rewrite_cntr = min(e.rewrite_cntr + 1, CNTR_MAX)
+        rewrites = addr.neighbor_rows(self.geometry)
+        self.stats.rewrites += len(rewrites)
+        if self.cfg.n_b > 0:
+            writeback = self.promote_and_demote(slot, new_data)
+            return ImdbOutcome(rewrites, True, writeback, self._hit_ns)
+        # Bufferless variant: the entry stays; restart its counters from the
+        # prior knowledge of the data just written.
+        e.zfc = prior_init(new_data) if self.cfg.prior_knowledge else [0] * 8
+        e.max_zfc_idx = _max_idx(e.zfc)
+        return ImdbOutcome(rewrites, occupancy_ns=self._hit_ns)
 
     def _miss(self, addr: LineAddress, new_data: int,
               rng: Random) -> ImdbOutcome:
-        p = self.cfg.insert_prob
-        if not self.mt or not (p >= 1 or rng.random() < p):
+        if not self.mt or not (self._always_insert
+                               or rng.random() < self._insert_below):
             self.stats.bypasses += 1
-            return ImdbOutcome(occupancy_cycles=self.cfg.hit_cycles)
+            return self._hit
         self.stats.insertions += 1
-        cycles = self.cfg.hit_cycles
+        out = self._hit
         if self._free_mt:
             slot = self._free_mt[0]
         else:
@@ -282,11 +312,11 @@ class Imdb(Mitigation):
                 slot = self.select_victim_lru()
             else:
                 slot = self.select_victim_apple(rng)
-            cycles += apple_latency_cycles(self.cfg.n_groups)
+            out = self._evict
             self.stats.evictions += 1
         self.install(slot, addr.row_col(self.geometry),
                      prior_init(new_data) if self.cfg.prior_knowledge else [0] * 8)
-        return ImdbOutcome(occupancy_cycles=cycles)
+        return out
 
     def try_absorb(self, addr: LineAddress, data: int) -> bool:
         """Admission-time check: a write whose address sits in the barrier

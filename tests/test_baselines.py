@@ -1,8 +1,9 @@
 from fractions import Fraction
+from itertools import cycle
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from disturbsim.baselines import SiwcCache, vnc_wrap_write
@@ -140,6 +141,42 @@ def test_siwc_eviction_coin_can_refuse():
     assert cache.process_write(A, ONES, rng).absorbed
     out = cache.process_write(LineAddress(0, 0, 5, 0), ZEROS, rng)
     assert not out.absorbed and out.writeback is None
+
+
+SIWC_PROBS = st.one_of(
+    st.fractions(0, 1, max_denominator=12),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(2 ** 60 - 1, 2 ** 60)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_insert=SIWC_PROBS, q_evict=SIWC_PROBS, entries=st.integers(1, 4),
+       full=st.booleans(), seed=st.integers(0, 2 ** 32))
+def test_siwc_write_draws_as_with_fraction_coins(q_insert, q_evict, entries,
+                                                 full, seed):
+    """One miss tosses the insert coin, and on a full cache the evict coin
+    and the victim draw, as `random() < q` and `randrange` did: the same
+    decisions, and the same generator state afterwards."""
+    cfg = make_cfg(siwc_entries=entries, siwc_q_insert=q_insert,
+                   siwc_q_evict=q_evict)
+    cache = SiwcCache(cfg, 0, 0, RunStats())
+    if full:
+        assume(q_insert > 0)
+        filler, rows = Random(seed + 1), cycle(range(6))
+        while cache.occupancy() < entries:
+            cache.process_write(LineAddress(0, 0, next(rows), 0), ONES, filler)
+    held = [e.row_col for e in cache.entries]  # the row, on one-column TINY
+    expected = Random(seed)
+    absorbed = expected.random() < q_insert
+    victim = None
+    if absorbed and full:
+        absorbed = expected.random() < q_evict
+        victim = expected.randrange(entries) if absorbed else None
+    rng = Random(seed)
+    out = cache.process_write(LineAddress(0, 0, 7, 0), ZEROS, rng)
+    assert rng.getstate() == expected.getstate()
+    assert out.absorbed == absorbed
+    assert out.writeback == (None if victim is None
+                             else (LineAddress(0, 0, held[victim], 0), ONES))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from disturbsim.core import (LINE_BYTES, Geometry, LineAddress,
-                             RangeError, SimConfig, compose_address,
-                             count_one_to_zero, count_zeros, decompose_address)
+                             RangeError, SimConfig, coin_threshold,
+                             compose_address, count_one_to_zero, count_zeros,
+                             decompose_address, draw_below)
 from helpers import TINY, make_cfg
 
 
@@ -103,3 +105,45 @@ def test_cycles_to_ns_rounds_up():
     assert cfg.cycles_to_ns(0) == 0
     assert cfg.cycles_to_ns(1) == 2
     assert cfg.cycles_to_ns(4) == 5
+
+
+# A probability as the config or a caller may give it: int, float or Fraction.
+PROBABILITIES = st.one_of(
+    st.integers(0, 1), st.floats(0, 1), st.fractions(0, 1),
+    st.sampled_from([Fraction(1, 3), Fraction(2, 3), Fraction(1, 128),
+                     Fraction(2 ** 60 - 1, 2 ** 60), Fraction(1, 2 ** 60)]))
+
+
+@given(p=PROBABILITIES, offset=st.sampled_from([-1, 0, 1, None]),
+       k_random=st.integers(0, 2 ** 53 - 1))
+@example(p=Fraction(1, 3), offset=0, k_random=0)
+@example(p=1.0, offset=-1, k_random=0)
+def test_coin_threshold_decides_as_the_fraction(p, offset, k_random):
+    """`random()` returns k / 2**53; for k at, just below and just above
+    the bound ceil(n * 2**53 / d), and for any k, comparing with the float
+    threshold decides as comparing with the exact probability does."""
+    q = Fraction(p)
+    bound = -(-q.numerator * 2 ** 53 // q.denominator)
+    k = k_random if offset is None else min(max(bound + offset, 0), 2 ** 53 - 1)
+    x = k / 2 ** 53
+    assert (x < coin_threshold(p)) == (x < q)
+
+
+def test_coin_threshold_ends():
+    assert coin_threshold(0) == 0.0  # never true
+    assert coin_threshold(Fraction(1)) == 1.0  # always true, yet still a draw
+    assert coin_threshold(Fraction(2 ** 60 - 1, 2 ** 60)) == 1.0
+    assert coin_threshold(0.5) == 0.5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 4242])
+def test_draw_below_matches_randrange(seed):
+    """Same values and the same generator state as `randrange(n)`, for n
+    that are powers of two (where half of all draws are rejected) and for
+    the others."""
+    for n in range(1, 131):
+        ours, theirs = Random(seed), Random(seed)
+        got = [draw_below(ours.getrandbits, n, n.bit_length())
+               for _ in range(25)]
+        assert got == [theirs.randrange(n) for _ in range(25)], n
+        assert ours.getstate() == theirs.getstate(), n

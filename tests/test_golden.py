@@ -1,33 +1,50 @@
-"""Byte-identity of a committed `compare` report.
+"""Byte-identity of committed `compare` reports.
 
 `golden/compare.json` is the `compare --format json` report of
 `golden/compare.cfg` on `golden/compare.trace`, a 200-record hotspot trace
-over two banks. Refactors of the controller or of a strategy must
-reproduce it byte for byte; a change that alters results on purpose
-regenerates it and says why.
+over two banks. `golden/coins.json` is the report of `golden/coins.cfg` on
+`golden/coins.trace` (`gen --kind uniform --config golden/coins.cfg
+--seed 2 -n 300 --gap-ns 10`): coins of 1/3 and 2/3, no barrier buffer,
+and AppLE groups of three slots. Refactors of the controller or of a
+strategy must reproduce both byte for byte; a change that alters results
+on purpose regenerates them and says why.
 """
 
+import dataclasses
+import fractions
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from disturbsim.cli import dispatch
-from disturbsim.controller import MITIGATIONS
+from disturbsim.config import load_config
+from disturbsim.controller import MITIGATIONS, run_to_completion
 from disturbsim.core import STRATEGIES
+from disturbsim.traces import read_trace_file
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_compare_report_matches_golden(tmp_path):
-    report = tmp_path / "compare.json"
-    assert dispatch(["compare", "--config", str(GOLDEN / "compare.cfg"),
-                     "--trace", str(GOLDEN / "compare.trace"),
+def compare_report(tmp_path, name: str) -> bytes:
+    """`compare --format json` of golden/<name>.cfg on golden/<name>.trace;
+    asserts it equals golden/<name>.json and returns that."""
+    report = tmp_path / f"{name}.json"
+    assert dispatch(["compare", "--config", str(GOLDEN / f"{name}.cfg"),
+                     "--trace", str(GOLDEN / f"{name}.trace"),
                      "--format", "json", "-o", str(report)]) == 0
-    expected = (GOLDEN / "compare.json").read_bytes()
+    expected = (GOLDEN / f"{name}.json").read_bytes()
     assert report.read_bytes() == expected
+    return expected
+
+
+def test_compare_report_matches_golden(tmp_path):
+    expected = compare_report(tmp_path, "compare")
 
     # the fixture reaches every hook of every strategy
     rows = {r["strategy"]: r for r in json.loads(expected)["rows"]}
@@ -43,6 +60,36 @@ def test_compare_report_matches_golden(tmp_path):
     # every host write reaches the media under VnC; the rest are corrections
     assert vnc["media_writes"] > vnc["host_writes"]
     assert vnc["wde_exposed"] == 0
+
+
+def test_non_dyadic_coins_report_matches_golden(tmp_path):
+    """Pins the coin thresholds of 1/3 and 2/3 and the rejection sampling
+    of AppLE's three-slot groups and of SIWC's six-entry victim draw."""
+    rows = {r["strategy"]: r
+            for r in json.loads(compare_report(tmp_path, "coins"))["rows"]}
+    imdb, siwc = rows["imdb"], rows["siwc"]
+    assert imdb["evictions"] > 0  # AppLE ran
+    assert imdb["bypasses"] > 0 and imdb["insertions"] > 0  # the coin fell both ways
+    assert siwc["evictions"] > 0  # both SIWC coins and the victim draw ran
+
+
+@pytest.mark.parametrize("name", ["compare", "coins"])
+@pytest.mark.parametrize("strategy", ["siwc", "imdb"])
+def test_no_fraction_or_randrange_per_event(monkeypatch, strategy, name):
+    """No per-event path compares a Fraction or calls `randrange`: the
+    coins compare floats and the victim draws use `getrandbits`."""
+    cfg = dataclasses.replace(load_config(str(GOLDEN / f"{name}.cfg")),
+                              strategy=strategy)
+    trace = read_trace_file(str(GOLDEN / f"{name}.trace"))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called during a run")
+
+    monkeypatch.setattr(fractions.Fraction, "_richcmp", forbidden)
+    monkeypatch.setattr(random.Random, "randrange", forbidden)
+    stats = run_to_completion(cfg, trace)
+    monkeypatch.undo()
+    assert stats.evictions > 0
 
 
 def test_compare_needs_no_numpy(tmp_path):

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from disturbsim.core import (LINE_MASK, ConsistencyError, LineAddress,
                              ProtocolError, count_zeros)
-from disturbsim.imdb import (BB_ENTRY_BITS, MT_ENTRY_BITS, ZFC_MAX, Imdb,
-                             apple_latency_cycles, prior_init, sram_capacity)
+from disturbsim.imdb import (BB_ENTRY_BITS, CNTR_MAX, MT_ENTRY_BITS, ZFC_MAX,
+                             Imdb, apple_latency_cycles, prior_init,
+                             sram_capacity)
 from disturbsim.metrics import RunStats
+from apple_ref import select_victim_apple as reference_apple
 from helpers import TINY, line_of, make_cfg, random_line
 
 ONES = LINE_MASK
@@ -254,6 +256,21 @@ def test_check_detects_index_drift():
         t.check()
 
 
+def test_check_detects_counters_wider_than_their_fields():
+    """AppLE packs an entry's counters into one int key, so `check` fails an
+    entry whose counters could not be held in the table's fields."""
+    t = make_imdb(n_mt=4, n_groups=4)
+    t.install(1, 5, [ZFC_MAX] * 8, CNTR_MAX)
+    t.check()
+    t.install(2, 6, [0, ZFC_MAX + 1] + [0] * 6)
+    with pytest.raises(ConsistencyError):
+        t.check()
+    t = make_imdb(n_mt=4, n_groups=4)
+    t.install(2, 6, [0] * 8, CNTR_MAX + 1)
+    with pytest.raises(ConsistencyError):
+        t.check()
+
+
 TABLE_OPS = st.lists(st.tuples(
     st.sampled_from(["write", "absorb", "read"]), st.integers(0, 7),
     st.integers(0, 2 ** 64 - 1)), max_size=60)
@@ -291,3 +308,63 @@ def test_counters_saturate():
         t.process_write(addr(3), ZEROS, ONES, rng)
     assert max(t.mt[0].zfc) <= ZFC_MAX
     assert t.mt[0].rewrite_cntr <= 255
+
+
+# (n_mt, n_groups): one group, one-slot groups, power-of-two and other sizes
+GROUPINGS = st.sampled_from([(1, 1), (4, 4), (4, 1), (6, 2), (6, 3), (8, 2),
+                             (8, 8), (12, 4), (10, 2), (7, 1)])
+
+
+@st.composite
+def full_tables(draw):
+    """A full main table; small counter ranges make equal keys common."""
+    n_mt, n_groups = draw(GROUPINGS)
+    t = make_imdb(n_mt=n_mt, n_groups=n_groups)
+    top = draw(st.sampled_from([1, 3, ZFC_MAX]))
+    for slot in range(n_mt):
+        zfc = draw(st.lists(st.integers(0, top), min_size=8, max_size=8))
+        t.install(slot, slot, zfc, draw(st.integers(0, min(top, CNTR_MAX))))
+    return t
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=full_tables(), seed=st.integers(0, 2 ** 32), rounds=st.integers(1, 4))
+def test_apple_matches_reference(t, seed, rounds):
+    """The hoisted AppLE loop picks the slot the randrange-and-tuple
+    version picks, and leaves the generator in the same state."""
+    ours, theirs = Random(seed), Random(seed)
+    for _ in range(rounds):
+        assert t.select_victim_apple(ours) == reference_apple(t, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_apple_needs_a_main_table():
+    with pytest.raises(ProtocolError):
+        make_imdb(n_mt=0, n_b=1).select_victim_apple(Random(0))
+
+
+INSERT_PROBS = st.one_of(
+    st.fractions(0, 1),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 3),
+                     Fraction(2 ** 60 - 1, 2 ** 60)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=INSERT_PROBS, full=st.booleans(), seed=st.integers(0, 2 ** 32))
+def test_miss_draws_as_with_a_fraction_coin(p, full, seed):
+    """One miss tosses the insertion coin as `random() < insert_prob` did
+    (no toss at p >= 1), then draws AppLE's samples on a full table: the
+    same decision and the same generator state afterwards."""
+    t = make_imdb(n_mt=6, n_groups=2, insert_prob=p)
+    for slot in range(6 if full else 3):
+        t.install(slot, slot, [slot % 4] * 8)
+    expected = Random(seed)
+    inserted = p >= 1 or expected.random() < p
+    victim = None
+    if inserted:
+        victim = reference_apple(t, expected) if full else 3
+    rng = Random(seed)
+    t.process_write(addr(7), ONES, ZEROS, rng)
+    assert rng.getstate() == expected.getstate()
+    assert (t.stats.insertions, t.stats.bypasses) == (inserted, not inserted)
+    assert t.lookup(addr(7)) == (None if victim is None else ("mt", victim))
