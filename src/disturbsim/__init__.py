@@ -5,7 +5,7 @@ from .core import (EnergyParams, Geometry, LineAddress, SimConfig,
                    compose_address, count_one_to_zero, count_zeros,
                    decompose_address)
 from .controller import Engine, run_to_completion
-from .imdb import Imdb, prior_init, sram_capacity
+from .imdb import Imdb, sram_capacity
 from .media import CellArray, WriteMode
 from .metrics import RunStats, emit_report, energy_total, tradeoff_report
 from .traces import (TraceRecord, gen_hammer, gen_slow_flip, gen_synthetic,
@@ -18,6 +18,6 @@ __all__ = [
     "LineAddress", "RunStats", "SimConfig", "TraceRecord", "WriteMode",
     "compose_address", "count_one_to_zero", "count_zeros",
     "decompose_address", "emit_report", "energy_total", "gen_hammer",
-    "gen_slow_flip", "gen_synthetic", "parse_trace", "prior_init",
-    "run_to_completion", "sram_capacity", "tradeoff_report",
+    "gen_slow_flip", "gen_synthetic", "parse_trace", "run_to_completion",
+    "sram_capacity", "tradeoff_report",
 ]

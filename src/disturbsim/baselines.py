@@ -234,6 +234,3 @@ class SiwcCache(Mitigation):
     def process_read(self, addr: LineAddress) -> int | None:
         slot = self._find(addr)
         return self.entries[slot].data if slot is not None else None
-
-    def occupancy(self) -> int:
-        return self._used

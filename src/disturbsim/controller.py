@@ -38,7 +38,7 @@ from .baselines import Mitigation, SiwcCache, vnc_wrap_write
 from .core import (ConsistencyError, LineAddress, RangeError,
                    SimConfig, decompose_address)
 from .imdb import Imdb
-from .media import CellArray, WriteMode
+from .media import DIFFERENTIAL, FULL, CellArray, WriteMode
 from .metrics import RunStats, energy_total
 from .traces import TraceRecord
 
@@ -51,8 +51,20 @@ class CommandKind(enum.Enum):
     WRITEBACK = "writeback"
 
 
+# The members as module constants for the hot paths: on Python 3.11 reading
+# `CommandKind.HOST_READ` goes through EnumType and costs about 120-160 ns,
+# against 10-25 ns for a module constant, and a host write reads about 19.
+HOST_READ = CommandKind.HOST_READ
+HOST_WRITE = CommandKind.HOST_WRITE
+PRE_WRITE_READ = CommandKind.PRE_WRITE_READ
+REWRITE = CommandKind.REWRITE
+WRITEBACK = CommandKind.WRITEBACK
+
+
 @dataclass(eq=False, slots=True)
 class Command:
+    # The engine builds commands positionally, in this field order: with
+    # keywords a command costs about twice as much to build.
     kind: CommandKind
     addr: LineAddress
     data: int | None = None
@@ -64,19 +76,17 @@ class Command:
     paired: "Command | None" = None  # write awaiting this pre-write read
 
 
-READ_KINDS = (CommandKind.HOST_READ, CommandKind.PRE_WRITE_READ)
-
-
 class _Bank:
-    """One bank's queued commands, indexed per kind and per line. Commands
-    enter through `enqueue`, in seq order, and leave through `remove` once
-    `Engine.next_command` has picked them."""
+    """One bank's queued commands, indexed per kind and per line, and its
+    mitigation. Commands enter through `enqueue`, in seq order, and leave
+    through `remove` once `Engine.next_command` has picked them."""
 
     __slots__ = ("read_q", "write_q", "rewrites", "host_reads", "ready_pres",
                  "blocked_pres", "ready_writes", "lines", "busy_until",
-                 "draining")
+                 "draining", "mitigation")
 
-    def __init__(self):
+    def __init__(self, mitigation: Mitigation):
+        self.mitigation = mitigation
         self.read_q: dict[Command, None] = {}   # every queued read
         self.write_q: dict[Command, None] = {}  # every queued write
         self.rewrites: deque[Command] = deque()
@@ -96,10 +106,10 @@ class _Bank:
 
     def enqueue(self, cmd: Command) -> None:
         kind = cmd.kind
-        if kind is CommandKind.HOST_READ:
+        if kind is HOST_READ:
             self.read_q[cmd] = None
             self.host_reads.append(cmd)
-        elif kind is CommandKind.PRE_WRITE_READ:
+        elif kind is PRE_WRITE_READ:
             self.read_q[cmd] = None
             if self._pwr_ready(cmd):
                 heappush(self.ready_pres, (cmd.seq, cmd))
@@ -112,7 +122,7 @@ class _Bank:
                 raise ConsistencyError(
                     f"write seq {cmd.seq} enqueued after seq {line[-1].seq}")
             line.append(cmd)
-            if kind is CommandKind.REWRITE:
+            if kind is REWRITE:
                 self.rewrites.append(cmd)
             elif cmd.prepared:
                 heappush(self.ready_writes, (cmd.seq, cmd))
@@ -122,23 +132,25 @@ class _Bank:
         prepares its write; removing a line's oldest write may release the
         pre-write read of the next one."""
         kind = cmd.kind
-        if kind is CommandKind.HOST_READ:
+        if kind is HOST_READ:
             head = self.host_reads.popleft()
-        elif kind is CommandKind.PRE_WRITE_READ:
+        elif kind is PRE_WRITE_READ:
             head = heappop(self.ready_pres)[1]
-        elif kind is CommandKind.REWRITE:
+        elif kind is REWRITE:
             head = self.rewrites.popleft()
         else:
             head = heappop(self.ready_writes)[1]
         if head is not cmd:
             raise ConsistencyError(
                 f"{kind.value} seq {cmd.seq} is not at the head of its queue")
-        if kind in READ_KINDS:
+        if kind is HOST_READ:
             del self.read_q[cmd]
-            if kind is CommandKind.PRE_WRITE_READ:
-                write = cmd.paired
-                write.prepared = True
-                heappush(self.ready_writes, (write.seq, write))
+            return
+        if kind is PRE_WRITE_READ:
+            del self.read_q[cmd]
+            write = cmd.paired
+            write.prepared = True
+            heappush(self.ready_writes, (write.seq, write))
             return
         del self.write_q[cmd]
         line = self.lines[cmd.addr]
@@ -188,20 +200,23 @@ class Engine:
         self.media = CellArray(cfg)
         self.rng = Random(cfg.seed)
         self.stats = RunStats()
-        g = cfg.geometry
-        self.banks = [_Bank() for _ in range(g.num_banks)]
+        g = self._geometry = cfg.geometry
+        self._banks_per_rank = g.banks_per_rank
+        self._read_ns = cfg.read_ns
         self._depth = cfg.queue_depth
         self._low_watermark = cfg.drain_watermark
         strategy = MITIGATIONS[cfg.strategy]
+        # flat bank number rank * banks_per_rank + bank, as `_bank` indexes
         self.mitigations = [strategy(cfg, r, b, self.stats)
                             for r in range(g.ranks)
                             for b in range(g.banks_per_rank)]
+        self.banks = [_Bank(m) for m in self.mitigations]
         self._seq = 0
         self._admitted = 0
         self._serviced = 0
         self._end_time = 0
-        # the record last submitted: (record_no, address, bank number)
-        self._head = (-1, None, 0)
+        # the record last submitted: (record_no, address, bank)
+        self._head = (-1, None, None)
 
     # -- helpers -------------------------------------------------------------
 
@@ -209,8 +224,9 @@ class Engine:
         self._seq += 1
         return self._seq
 
-    def _bank_index(self, addr: LineAddress) -> int:
-        return addr.bank_index(self.cfg.geometry)
+    def _bank(self, addr: LineAddress) -> _Bank:
+        """The bank of `addr`, in the flat numbering across ranks."""
+        return self.banks[addr[0] * self._banks_per_rank + addr[1]]
 
     # -- admission -----------------------------------------------------------
 
@@ -219,40 +235,43 @@ class Engine:
         of the same record reuses its decoded address."""
         if self._head[0] != record_no:
             try:
-                addr = decompose_address(record.byte_addr, self.cfg.geometry)
+                addr = decompose_address(record.byte_addr, self._geometry)
             except RangeError as exc:
                 raise TraceAbort(record_no, str(exc)) from exc
-            self._head = (record_no, addr, self._bank_index(addr))
-        _, addr, b = self._head
-        bank = self.banks[b]
+            self._head = (record_no, addr, self._bank(addr))
+        _, addr, bank = self._head
+        depth = self._depth
 
         if record.op == "R":
             # Backpressure is checked first so a retried record never
             # re-runs strategy side effects.
-            if len(bank.read_q) >= self._depth:
+            if len(bank.read_q) >= depth:
                 return False
             self.stats.host_reads += 1
-            if self.mitigations[b].process_read(addr) is not None:
+            if bank.mitigation.process_read(addr) is not None:
                 return True
-            bank.enqueue(Command(CommandKind.HOST_READ, addr, enqueue_time=now,
-                                 seq=self._next_seq(), prepared=True))
+            self._seq += 1
+            bank.enqueue(Command(HOST_READ, addr, None, DIFFERENTIAL, True,
+                                 None, now, self._seq))
             self._admitted += 1
             return True
 
-        if len(bank.write_q) >= self._depth or len(bank.read_q) >= self._depth:
+        if len(bank.write_q) >= depth or len(bank.read_q) >= depth:
             return False
 
         self.stats.host_writes += 1
-        absorbed, writeback = self.mitigations[b].admit_write(
+        absorbed, writeback = bank.mitigation.admit_write(
             addr, record.data, self.rng)
         if writeback is not None:
             self._enqueue_writeback(*writeback, now)
         if absorbed:
             return True
-        write = Command(CommandKind.HOST_WRITE, addr, data=record.data,
-                        enqueue_time=now, seq=self._next_seq())
-        pre = Command(CommandKind.PRE_WRITE_READ, addr, enqueue_time=now,
-                      seq=self._next_seq(), prepared=True, paired=write)
+        seq = self._seq
+        self._seq = seq + 2
+        write = Command(HOST_WRITE, addr, record.data, DIFFERENTIAL, False,
+                        None, now, seq + 1)
+        pre = Command(PRE_WRITE_READ, addr, None, DIFFERENTIAL, True, None,
+                      now, seq + 2, write)
         bank.enqueue(write)
         bank.enqueue(pre)
         self._admitted += 2
@@ -263,10 +282,8 @@ class Engine:
         """Internal command; bypasses admission backpressure. Like rewrites,
         writebacks are maintenance traffic and skip the counting tables, so
         evictions can never re-trigger themselves."""
-        bank = self.banks[self._bank_index(addr)]
-        bank.enqueue(Command(CommandKind.WRITEBACK, addr, data=data,
-                             enqueue_time=now, seq=self._next_seq(),
-                             prepared=True))
+        self._bank(addr).enqueue(Command(WRITEBACK, addr, data, DIFFERENTIAL,
+                                         True, None, now, self._next_seq()))
         self._admitted += 1
         self.stats.writebacks += 1
 
@@ -276,16 +293,15 @@ class Engine:
         """Coalesce a freshly generated rewrite with the oldest queued write
         to the same line; otherwise enqueue it (data comes from the intended
         shadow at service time)."""
-        bank = self.banks[self._bank_index(addr)]
+        bank = self._bank(addr)
         line = bank.lines.get(addr)
         if line:
-            if line[0].kind is not CommandKind.REWRITE:
-                line[0].mode = WriteMode.FULL  # latest data retained
+            if line[0].kind is not REWRITE:
+                line[0].mode = FULL  # latest data retained
             self.stats.merges += 1
             return True
-        bank.enqueue(Command(CommandKind.REWRITE, addr, mode=WriteMode.FULL,
-                             enqueue_time=now, seq=self._next_seq(),
-                             prepared=True))
+        bank.enqueue(Command(REWRITE, addr, None, FULL, True, None, now,
+                             self._next_seq()))
         self._admitted += 1
         return False
 
@@ -314,41 +330,43 @@ class Engine:
         bank.remove(cmd)
         self._serviced += 1
 
-        if cmd.kind is CommandKind.HOST_READ:
+        kind = cmd.kind
+        if kind is HOST_READ:
             data = self.media.read_line(cmd.addr)
             self.stats.media_reads += 1
             if data != self.media.intended_line(cmd.addr):
                 self.stats.wde_exposed += 1
-            latency = self.cfg.read_ns
-        elif cmd.kind is CommandKind.PRE_WRITE_READ:
+            latency = self._read_ns
+        elif kind is PRE_WRITE_READ:
             self.stats.pre_write_reads += 1
             cmd.paired.old_data = self.media.read_line(cmd.addr)
-            latency = self.cfg.read_ns
+            latency = self._read_ns
         else:
-            latency = self._service_write(cmd, now)
+            latency = self._service_write(bank, cmd, now)
 
         finish = now + latency
         bank.busy_until = finish
         if finish > self._end_time:
             self._end_time = finish
 
-    def _service_write(self, cmd: Command, now: int) -> int:
-        if cmd.kind is CommandKind.HOST_WRITE:
-            latency, rewrites, writeback = self.mitigations[
-                self._bank_index(cmd.addr)].write(self.media, cmd, self.rng)
+    def _service_write(self, bank: _Bank, cmd: Command, now: int) -> int:
+        kind = cmd.kind
+        if kind is HOST_WRITE:
+            latency, rewrites, writeback = bank.mitigation.write(
+                self.media, cmd, self.rng)
             for target in rewrites:
                 self.merge_rewrite(target, now)
             if writeback is not None:
                 self._enqueue_writeback(*writeback, now)
             return latency
         latency = 0
-        if cmd.kind is CommandKind.REWRITE:
+        if kind is REWRITE:
             # The device fetches the line's intended contents and rewrites
             # all bits. Rewrites are restorative maintenance traffic: they
             # bypass the tables, so they can never trigger further rewrites
             # and the rewrite volume stays bounded by host activity.
             cmd.data = self.media.intended_line(cmd.addr)
-            latency = self.cfg.read_ns
+            latency = self._read_ns
         out = self.media.apply_write(cmd.addr, cmd.data, cmd.mode)
         self.stats.count_write(out)
         return latency + out.latency_ns
@@ -358,20 +376,23 @@ class Engine:
     def run(self) -> RunStats:
         records = self.trace
         n = len(records)
+        banks = self.banks
+        submit, next_command, service = (self.submit, self.next_command,
+                                         self._service)
         i = 0
         now = 0
         while True:
             while i < n and records[i].time <= now:
-                if self.submit(records[i], i, now):
+                if submit(records[i], i, now):
                     i += 1
                 else:
                     break
             issued = False
-            for bank in self.banks:
+            for bank in banks:
                 if bank.busy_until <= now and (bank.read_q or bank.write_q):
-                    cmd = self.next_command(bank, now)
+                    cmd = next_command(bank, now)
                     if cmd is not None:
-                        self._service(bank, cmd, now)
+                        service(bank, cmd, now)
                         issued = True
             if issued:
                 continue
@@ -381,17 +402,17 @@ class Engine:
                     candidates.append(records[i].time)
                 else:
                     # backpressured: the target bank must drain first
-                    b = self.banks[self._head[2]]
+                    b = self._head[2]
                     if b.busy_until > now:
                         candidates.append(b.busy_until)
-            for bank in self.banks:
+            for bank in banks:
                 if (bank.read_q or bank.write_q) and bank.busy_until > now:
                     candidates.append(bank.busy_until)
             if not candidates:
                 break
             now = min(candidates)
 
-        if i < n or any(b.read_q or b.write_q for b in self.banks):
+        if i < n or any(b.read_q or b.write_q for b in banks):
             raise ConsistencyError("engine stalled with unserviceable commands")
 
         return self._finalize()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 WORD_BITS = 64
@@ -66,8 +67,9 @@ class Geometry:
     def total_lines(self) -> int:
         return self.num_banks * self.lines_per_bank
 
-    @property
+    @cached_property
     def capacity_bytes(self) -> int:
+        # cached in the instance dict: decompose_address reads it per record
         return self.total_lines * LINE_BYTES
 
 
@@ -91,22 +93,26 @@ class LineAddress(NamedTuple):
             raise RangeError(f"col {self.col} out of range [0, {g.cols_per_row})")
         return self
 
-    def bank_index(self, g: Geometry) -> int:
-        """Flat bank number across ranks."""
-        return self.rank * g.banks_per_rank + self.bank
-
     def row_col(self, g: Geometry) -> int:
         """Packed row-and-column identifier within a bank."""
         return self.row * g.cols_per_row + self.col
 
     def neighbor_rows(self, g: Geometry) -> list["LineAddress"]:
         """Same-column lines on the adjacent wordlines, edge rows skipped."""
+        rank, bank, row, col = self
         out = []
-        if self.row > 0:
-            out.append(LineAddress(self.rank, self.bank, self.row - 1, self.col))
-        if self.row < g.rows_per_bank - 1:
-            out.append(LineAddress(self.rank, self.bank, self.row + 1, self.col))
+        if row > 0:
+            out.append(_new_tuple(LineAddress, (rank, bank, row - 1, col)))
+        if row < g.rows_per_bank - 1:
+            out.append(_new_tuple(LineAddress, (rank, bank, row + 1, col)))
         return out
+
+
+# Builds a LineAddress from a tuple of its fields without the NamedTuple
+# constructor's argument handling: on Python 3.11, `LineAddress(...)` costs
+# about 350-540 ns and `tuple.__new__(LineAddress, (...))` about 180-220 ns.
+# Only for the hot paths, which pass exactly four ints in field order.
+_new_tuple = tuple.__new__
 
 
 _WORD_SHIFTS = range(0, LINE_BITS, WORD_BITS)
@@ -163,7 +169,7 @@ def decompose_address(byte_addr: int, g: Geometry) -> LineAddress:
     line //= g.banks_per_rank
     rank = line % g.ranks
     row = line // g.ranks
-    return LineAddress(rank, bank, row, col)
+    return _new_tuple(LineAddress, (rank, bank, row, col))
 
 
 def compose_address(addr: LineAddress, g: Geometry) -> int:

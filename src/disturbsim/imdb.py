@@ -20,10 +20,11 @@ from typing import NamedTuple
 
 from .baselines import Mitigation
 from .core import (ConsistencyError, LineAddress, ProtocolError,
-                   SimConfig, coin_threshold, count_one_to_zero, count_zeros,
-                   draw_below)
+                   SimConfig, coin_threshold, count_one_to_zero, count_zeros)
 from .media import CellArray
 
+# Prior knowledge seeds the sub-counters with `count_zeros`, which needs no
+# saturation: a 64-bit word has at most 64 zero bits.
 ZFC_MAX = 511       # 9-bit saturating sub-counters
 CNTR_MAX = 255      # 8-bit rewrite / frequency counters
 
@@ -60,13 +61,6 @@ class ImdbOutcome(NamedTuple):
     absorbed: bool = False
     writeback: tuple | None = None  # (LineAddress, line)
     occupancy_ns: int = 0
-
-
-def prior_init(data: int) -> list[int]:
-    """Zero-bit count of each word, the warm-up bias for fresh entries. It
-    needs no saturation: a 64-bit word has at most 64 zero bits, well below
-    the sub-counters' ZFC_MAX."""
-    return count_zeros(data)
 
 
 def sram_capacity(n_mt: int, n_b: int, banks: int) -> dict:
@@ -200,24 +194,21 @@ class Imdb(Mitigation):
 
     # -- victim selection --------------------------------------------------
 
-    @staticmethod
-    def _victim_key(entry: MainTableEntry, slot: int):
-        return (entry.zfc[entry.max_zfc_idx], entry.rewrite_cntr, slot)
-
-    def select_victim_exact(self) -> int:
-        self._require_full()
-        return min(range(len(self.mt)), key=lambda i: self._victim_key(self.mt[i], i))
-
     def select_victim_apple(self, rng: Random) -> int:
         """Sample one slot per group, with one uniform draw each, and return
-        the sample with the least `_victim_key`. Groups come in slot order,
-        so keeping the first of equal int keys breaks ties by slot."""
+        the sample with the least (maximal sub-counter, rewrite counter,
+        slot). Groups come in slot order, so keeping the first of equal int
+        keys breaks ties by slot."""
         self._require_full()
         mt, getrandbits = self.mt, rng.getrandbits
         size, bits = self._group_size, self._group_bits
         best_key = _NO_KEY
         for base in self._group_bases:
-            slot = base + draw_below(getrandbits, size, bits)
+            # `core.draw_below` inlined: the same getrandbits calls
+            r = getrandbits(bits)
+            while r >= size:
+                r = getrandbits(bits)
+            slot = base + r
             e = mt[slot]
             key = e.zfc[e.max_zfc_idx] << _KEY_SHIFT | e.rewrite_cntr
             if key < best_key:
@@ -293,7 +284,7 @@ class Imdb(Mitigation):
             return ImdbOutcome(rewrites, True, writeback, self._hit_ns)
         # Bufferless variant: the entry stays; restart its counters from the
         # prior knowledge of the data just written.
-        e.zfc = prior_init(new_data) if self.cfg.prior_knowledge else [0] * 8
+        e.zfc = count_zeros(new_data) if self.cfg.prior_knowledge else [0] * 8
         e.max_zfc_idx = _max_idx(e.zfc)
         return ImdbOutcome(rewrites, occupancy_ns=self._hit_ns)
 
@@ -315,7 +306,7 @@ class Imdb(Mitigation):
             out = self._evict
             self.stats.evictions += 1
         self.install(slot, addr.row_col(self.geometry),
-                     prior_init(new_data) if self.cfg.prior_knowledge else [0] * 8)
+                     count_zeros(new_data) if self.cfg.prior_knowledge else [0] * 8)
         return out
 
     def try_absorb(self, addr: LineAddress, data: int) -> bool:
@@ -364,7 +355,7 @@ class Imdb(Mitigation):
             writeback = (self._unpack(victim.row_col), victim.data)
             self.stats.evictions += 1
             del self._where[victim.row_col]
-            self.install(mt_slot, victim.row_col, prior_init(victim.data),
+            self.install(mt_slot, victim.row_col, count_zeros(victim.data),
                          victim.rewrite_cntr)
             free = lfu
         self._claim(row_col, self._bb_slots[free])

@@ -88,7 +88,8 @@ def tradeoff_report(sweep: list[tuple[dict, RunStats]]) -> list[dict]:
     `sweep` pairs a descriptor dict (strategy, n_mt, n_b, n_groups, and
     area_bits, the SRAM bits of all banks' tables) with its run statistics.
     Exactly the runs labeled strategy "none" serve as the speedup baseline;
-    rows breaching the design bounds are flagged, not dropped.
+    `speedup` is None for a run with `completion_time_ns == 0`. Rows
+    breaching the design bounds are flagged, not dropped.
     """
     baseline = next((s for d, s in sweep if d.get("strategy") == "none"), None)
     if baseline is None:
@@ -98,10 +99,8 @@ def tradeoff_report(sweep: list[tuple[dict, RunStats]]) -> list[dict]:
         n_mt = desc.get("n_mt", 0)
         n_b = desc.get("n_b", 0)
         n_g = desc.get("n_groups", 1)
-        if stats.completion_time_ns > 0:
-            speedup = baseline.completion_time_ns / stats.completion_time_ns
-        else:
-            speedup = 1.0
+        speedup = (baseline.completion_time_ns / stats.completion_time_ns
+                   if stats.completion_time_ns > 0 else None)
         flags = []
         if n_g > NG_BOUND:
             flags.append(f"exceeds Ng<={NG_BOUND}")

@@ -18,6 +18,7 @@ from disturbsim.core import (Geometry, LineAddress, SimConfig, compose_address,
 from disturbsim.imdb import Imdb, sram_capacity
 from disturbsim.metrics import RunStats
 from disturbsim.traces import TraceRecord, gen_hammer, gen_slow_flip, gen_synthetic
+from apple_ref import select_victim_exact
 from helpers import TINY, make_cfg
 from oracle import replay_trace_wde
 
@@ -154,7 +155,7 @@ def test_a5_apple():
                 bits = (code >> (2 * i)) & 3
                 values.append((bits & 1, bits >> 1))
             fill_table(t8, values)
-            assert t8.select_victim_apple(Random(code)) == t8.select_victim_exact()
+            assert t8.select_victim_apple(Random(code)) == select_victim_exact(t8)
         # ...and over 10^4 randomized 256-entry tables
         t256 = Imdb(make_cfg(n_mt=256, n_groups=256, n_b=0), 0, 0, RunStats())
         rng = Random(99)
@@ -162,7 +163,7 @@ def test_a5_apple():
             fill_table(t256, zip(rng.choices(range(512), k=256),
                                  rng.choices(range(256), k=256)))
             assert (t256.select_victim_apple(Random(trial))
-                    == t256.select_victim_exact()), trial
+                    == select_victim_exact(t256)), trial
         # (b) one group (pure random victim) loses protection relative to
         # sampled selection on the slow-flip workload
         assert a3_total("flip", n_groups=1) > a3_total("flip", n_groups=8)

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -28,6 +30,36 @@ def test_address_roundtrip_tiny(byte_addr):
     addr.check(TINY)
     # compose returns the line-aligned base of the byte address
     assert compose_address(addr, TINY) == (byte_addr // LINE_BYTES) * LINE_BYTES
+
+
+def exactly(addr):
+    """`addr` as a LineAddress built field by field, asserting its type."""
+    assert type(addr) is LineAddress
+    return LineAddress(addr.rank, addr.bank, addr.row, addr.col)
+
+
+@example(0)
+@example(TINY.capacity_bytes - 1)  # the last line: the bottom edge row
+@given(st.integers(min_value=0, max_value=TINY.capacity_bytes - 1))
+def test_fast_built_addresses_are_line_addresses(byte_addr):
+    line = byte_addr // LINE_BYTES
+    addr = decompose_address(byte_addr, TINY)
+    assert addr == exactly(addr) == LineAddress(0, 0, line, 0)
+    rows = [r for r in (line - 1, line + 1) if 0 <= r < TINY.rows_per_bank]
+    neighbors = addr.neighbor_rows(TINY)
+    assert [exactly(nb) for nb in neighbors] == neighbors
+    assert neighbors == [LineAddress(0, 0, r, 0) for r in rows]
+
+
+def test_capacity_survives_replace_and_pickle():
+    """`sweep --jobs` pickles the config, geometry included."""
+    for g in (TINY, Geometry(), Geometry(ranks=3, cols_per_row=5)):
+        g.capacity_bytes  # noqa: B018 - computed before copying
+        for h in (g, dataclasses.replace(g, rows_per_bank=g.rows_per_bank + 1),
+                  pickle.loads(pickle.dumps(g)),
+                  pickle.loads(pickle.dumps(make_cfg(geometry=g))).geometry):
+            assert h.capacity_bytes == h.num_banks * h.lines_per_bank * 64
+        assert pickle.loads(pickle.dumps(g)) == g
 
 
 @given(st.integers(min_value=0))

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from disturbsim.core import (LINE_MASK, ConsistencyError, LineAddress,
                              ProtocolError, count_zeros)
 from disturbsim.imdb import (BB_ENTRY_BITS, CNTR_MAX, MT_ENTRY_BITS, ZFC_MAX,
-                             Imdb, apple_latency_cycles, prior_init,
-                             sram_capacity)
+                             Imdb, apple_latency_cycles, sram_capacity)
 from disturbsim.metrics import RunStats
 from apple_ref import select_victim_apple as reference_apple
+from apple_ref import select_victim_exact
 from helpers import TINY, line_of, make_cfg, random_line
 
 ONES = LINE_MASK
@@ -34,12 +34,12 @@ def flips16():
     return line_of(((1 << 64) - 1, word1) + ((1 << 64) - 1,) * 6)
 
 
-def test_prior_init_counts_and_saturates():
-    assert prior_init(ONES) == [0] * 8
-    assert prior_init(ZEROS) == [64] * 8  # 64 < 511, no saturation here
+def test_prior_knowledge_counts_zeros_unsaturated():
+    assert count_zeros(ONES) == [0] * 8
+    assert count_zeros(ZEROS) == [64] * 8  # 64 < 511, no saturation here
     d = line_of((0b1010,) + ((1 << 64) - 1,) * 7)
-    assert prior_init(d)[0] == 62
-    assert all(z <= ZFC_MAX for z in prior_init(ZEROS))
+    assert count_zeros(d)[0] == 62
+    assert all(z <= ZFC_MAX for z in count_zeros(ZEROS))
 
 
 def test_entry_bit_widths():
@@ -116,7 +116,7 @@ def test_bufferless_variant_restarts_counters():
     out = t.process_write(addr(3), ONES, flips16(), rng)
     assert out.rewrites and not out.absorbed
     assert t.lookup(addr(3)) == ("mt", 0)  # entry stays in the table
-    assert t.mt[0].zfc == prior_init(flips16())
+    assert t.mt[0].zfc == count_zeros(flips16())
     assert t.mt[0].rewrite_cntr == 1
 
 
@@ -155,7 +155,7 @@ def test_full_bb_demotes_lfu_with_prior():
     assert t.lookup(addr(5)) == ("bb", 0)
     where = t.lookup(addr(3))
     assert where[0] == "mt"
-    assert t.mt[where[1]].zfc == prior_init(ZEROS)
+    assert t.mt[where[1]].zfc == count_zeros(ZEROS)
 
 
 def test_victim_key_ordering_exact():
@@ -163,18 +163,18 @@ def test_victim_key_ordering_exact():
     for i, (zfc, rw) in enumerate([(5, 0), (2, 1), (2, 0), (9, 0)]):
         t.install(i, i, [zfc] + [0] * 7, rw)
     # min zfc wins; rewrite count breaks ties; slot index breaks the rest
-    assert t.select_victim_exact() == 2
+    assert select_victim_exact(t) == 2
     t.mt[2].rewrite_cntr = 1
-    assert t.select_victim_exact() == 1
+    assert select_victim_exact(t) == 1
     t.mt[1].zfc[0] = 5
     t.mt[2].zfc[0] = 5
-    assert t.select_victim_exact() == 0
+    assert select_victim_exact(t) == 0
 
 
 def test_select_victim_requires_full_table():
     t = make_imdb(n_mt=4, n_groups=4)
     with pytest.raises(ProtocolError):
-        t.select_victim_exact()
+        select_victim_exact(t)
     with pytest.raises(ProtocolError):
         t.select_victim_apple(Random(0))
 
@@ -184,7 +184,7 @@ def test_apple_full_sampling_equals_exact():
     t = make_imdb(n_mt=8, n_groups=8)
     for i in range(8):
         t.install(i, i, [rng.randrange(4)] + [0] * 7, rng.randrange(2))
-    assert t.select_victim_apple(Random(0)) == t.select_victim_exact()
+    assert t.select_victim_apple(Random(0)) == select_victim_exact(t)
 
 
 def test_apple_single_group_is_one_random_sample():

@@ -55,6 +55,21 @@ def test_tradeoff_speedup_and_area():
     assert rows[0]["flags"] == ""
 
 
+def test_tradeoff_speedup_undefined_at_zero_completion():
+    sweep = [
+        (desc("none", n_mt=0, n_b=0), stats(completion_time_ns=2000)),
+        (desc("imdb"), stats(completion_time_ns=0)),
+    ]
+    rows = tradeoff_report(sweep)
+    assert rows[0]["speedup"] == 1.0
+    assert rows[1]["speedup"] is None
+    assert json.loads(emit_report(rows, "json"))["rows"][1]["speedup"] is None
+    table = list(csv.DictReader(io.StringIO(
+        emit_report(rows, "csv").split("\n", 1)[1])))
+    assert table[0]["speedup"] == "1.0"
+    assert table[1]["speedup"] == ""
+
+
 def test_tradeoff_flags_design_bounds():
     sweep = [
         (desc("none", n_mt=0, n_b=0), stats(completion_time_ns=1)),
