@@ -23,7 +23,7 @@ from .media import CellArray, WriteMode, WriteOutcome
 if TYPE_CHECKING:
     from .metrics import RunStats
 
-SIWC_ENTRY_BITS = 512 + 25  # data + row_col
+SIWC_ENTRY_BITS = 512 + 25  # data + row-and-column tag
 
 
 class Mitigation:
@@ -31,21 +31,15 @@ class Mitigation:
 
     has_tables = False  # whether n_mt and n_b size the strategy's tables
 
-    def __init__(self, cfg: SimConfig, rank: int, bank: int, stats: RunStats):
+    def __init__(self, cfg: SimConfig, stats: RunStats):
         self.cfg = cfg
         self.geometry = cfg.geometry
-        self.rank = rank
-        self.bank = bank
         self.stats = stats
 
     @classmethod
     def sram_bits(cls, cfg: SimConfig) -> int:
         """SRAM bits of one bank's tables."""
         return 0
-
-    def _unpack(self, row_col: int) -> LineAddress:
-        cols = self.geometry.cols_per_row
-        return LineAddress(self.rank, self.bank, row_col // cols, row_col % cols)
 
     def process_read(self, addr: LineAddress) -> int | None:
         """An admitted host read: the line if the strategy serves it, else
@@ -132,13 +126,6 @@ def vnc_wrap_write(media: CellArray, addr: LineAddress, data: int,
     return write_out, out
 
 
-@dataclass
-class WriteCacheEntry:
-    valid: bool = False
-    row_col: int = 0
-    data: int | None = None
-
-
 class SiwcOutcome(NamedTuple):
     """What a host write did to the cache, in `admit_write`'s order."""
 
@@ -151,55 +138,35 @@ _PASSED = SiwcOutcome(False, None)
 
 
 class SiwcCache(Mitigation):
-    """Per-bank coin-toss write cache."""
+    """Per-bank coin-toss write cache: `lines` holds the cached line of
+    each filled slot, and `data` maps each cached line to its contents.
+    Slots fill in order and never empty."""
 
     has_tables = True
 
-    def __init__(self, cfg: SimConfig, rank: int, bank: int, stats: RunStats):
-        super().__init__(cfg, rank, bank, stats)
-        self.entries = [WriteCacheEntry() for _ in range(cfg.siwc_entry_count)]
-        self._slot: dict[int, int] = {}  # row_col -> slot of every valid entry
-        self._used = 0  # slots fill in order and never empty
+    def __init__(self, cfg: SimConfig, stats: RunStats):
+        super().__init__(cfg, stats)
+        self.lines: list[LineAddress] = []
+        self.data: dict[LineAddress, int] = {}
+        self._capacity = cfg.siwc_entry_count
         self._insert_below = coin_threshold(cfg.siwc_q_insert)
         self._evict_below = coin_threshold(cfg.siwc_q_evict)
-        self._victim_bits = len(self.entries).bit_length()
+        self._victim_bits = self._capacity.bit_length()
 
     @classmethod
     def sram_bits(cls, cfg: SimConfig) -> int:
         return cfg.siwc_entry_count * SIWC_ENTRY_BITS
 
-    def _find(self, addr: LineAddress) -> int | None:
-        return self._slot.get(addr.row_col(self.geometry))
-
-    def _install(self, slot: int, addr: LineAddress, data: int) -> None:
-        """Put an entry into `slot`, replacing any entry there. The one path
-        that fills the cache."""
-        rc = addr.row_col(self.geometry)
-        held = self._slot.setdefault(rc, slot)
-        if held != slot:
-            raise ConsistencyError(f"address {rc} is valid in slot {held}; "
-                                   f"cannot also install it in slot {slot}")
-        e = self.entries[slot]
-        if e.valid and e.row_col != rc:
-            del self._slot[e.row_col]
-        e.valid = True
-        e.row_col = rc
-        e.data = data
-
     def check(self) -> None:
-        """Compare the index and the fill counter with a full scan of the
-        entries; raise ConsistencyError on any difference."""
-        valid = [e.valid for e in self.entries]
-        if valid != [i < self._used for i in range(len(self.entries))]:
-            raise ConsistencyError(f"slots {valid} do not fill in order "
-                                   f"up to {self._used}")
-        seen: dict[int, int] = {}
-        for slot, e in enumerate(self.entries[:self._used]):
-            if seen.setdefault(e.row_col, slot) != slot:
-                raise ConsistencyError(f"address {e.row_col} valid in slots "
-                                       f"{seen[e.row_col]} and {slot}")
-        if seen != self._slot:
-            raise ConsistencyError("cache index disagrees with the entries")
+        """Compare the slots with the data; raise ConsistencyError on any
+        difference."""
+        if len(self.lines) > self._capacity:
+            raise ConsistencyError(f"{len(self.lines)} lines in a cache of "
+                                   f"{self._capacity} entries")
+        if len(set(self.lines)) != len(self.lines):
+            raise ConsistencyError(f"a line is held in two slots: {self.lines}")
+        if self.data.keys() != set(self.lines):
+            raise ConsistencyError("cache data disagrees with the slots")
 
     def admit_write(self, addr: LineAddress, data: int,
                     rng: Random) -> SiwcOutcome:
@@ -210,27 +177,26 @@ class SiwcCache(Mitigation):
         """A miss tosses the insert coin; on a full cache it then tosses the
         evict coin and draws the victim slot. No coin is skipped at
         probability 0 or 1."""
-        slot = self._find(addr)
-        if slot is not None:
-            self.entries[slot].data = data
+        cached = self.data
+        if addr in cached:
+            cached[addr] = data
             return _ABSORBED
-        if not self.entries or not rng.random() < self._insert_below:
+        if not self._capacity or not rng.random() < self._insert_below:
             return _PASSED
-        writeback = None
-        if self._used < len(self.entries):
-            free = self._used
-            self._used += 1
-        else:
-            if not rng.random() < self._evict_below:
-                return _PASSED
-            free = draw_below(rng.getrandbits, len(self.entries),
-                              self._victim_bits)
-            victim = self.entries[free]
-            writeback = (self._unpack(victim.row_col), victim.data)
-            self.stats.evictions += 1
-        self._install(free, addr, data)
-        return _ABSORBED if writeback is None else SiwcOutcome(True, writeback)
+        lines = self.lines
+        if len(lines) < self._capacity:
+            lines.append(addr)
+            cached[addr] = data
+            return _ABSORBED
+        if not rng.random() < self._evict_below:
+            return _PASSED
+        slot = draw_below(rng.getrandbits, self._capacity, self._victim_bits)
+        victim = lines[slot]
+        lines[slot] = addr
+        writeback = (victim, cached.pop(victim))
+        cached[addr] = data
+        self.stats.evictions += 1
+        return SiwcOutcome(True, writeback)
 
     def process_read(self, addr: LineAddress) -> int | None:
-        slot = self._find(addr)
-        return self.entries[slot].data if slot is not None else None
+        return self.data.get(addr)

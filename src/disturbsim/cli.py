@@ -121,25 +121,26 @@ def _desc(cfg: SimConfig) -> dict:
     }
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_cfg(args)
-    trace = read_trace_file(args.trace)
-    stats = run_to_completion(cfg, trace)
-    row = {**_desc(cfg), **stats.as_row()}
-    _write_output(emit_report(row, args.format), args.output)
-    return 0
-
-
-def _cmd_compare(args) -> int:
+def _report_runs(args, strategies: list[str] | None) -> int:
+    """Run each strategy (the config's own when None) on the trace and
+    write one report row per run."""
     cfg = _load_cfg(args)
     trace = read_trace_file(args.trace)
     rows = []
-    for strategy in args.strategies.split(","):
+    for strategy in strategies or [cfg.strategy]:
         run_cfg = dataclasses.replace(cfg, strategy=strategy.strip())
         stats = run_to_completion(run_cfg, trace)
         rows.append({**_desc(run_cfg), **stats.as_row()})
     _write_output(emit_report(rows, args.format), args.output)
     return 0
+
+
+def _cmd_run(args) -> int:
+    return _report_runs(args, None)
+
+
+def _cmd_compare(args) -> int:
+    return _report_runs(args, args.strategies.split(","))
 
 
 def _run_one(cfg_trace):

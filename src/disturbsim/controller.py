@@ -206,10 +206,8 @@ class Engine:
         self._depth = cfg.queue_depth
         self._low_watermark = cfg.drain_watermark
         strategy = MITIGATIONS[cfg.strategy]
-        # flat bank number rank * banks_per_rank + bank, as `_bank` indexes
-        self.mitigations = [strategy(cfg, r, b, self.stats)
-                            for r in range(g.ranks)
-                            for b in range(g.banks_per_rank)]
+        self.mitigations = [strategy(cfg, self.stats)
+                            for _ in range(g.num_banks)]
         self.banks = [_Bank(m) for m in self.mitigations]
         self._seq = 0
         self._admitted = 0

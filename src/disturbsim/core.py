@@ -93,10 +93,6 @@ class LineAddress(NamedTuple):
             raise RangeError(f"col {self.col} out of range [0, {g.cols_per_row})")
         return self
 
-    def row_col(self, g: Geometry) -> int:
-        """Packed row-and-column identifier within a bank."""
-        return self.row * g.cols_per_row + self.col
-
     def neighbor_rows(self, g: Geometry) -> list["LineAddress"]:
         """Same-column lines on the adjacent wordlines, edge rows skipped."""
         rank, bank, row, col = self
@@ -244,6 +240,11 @@ class SimConfig:
         if not 0 <= 2 * self.threshold < self.disturb_limit:
             raise ValueError("need 0 <= 2*threshold < disturb_limit "
                              "(rewrite must fire before two aggressors reach the limit)")
+        for name in ("n_mt", "n_b", "hit_cycles"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.siwc_entries is not None and self.siwc_entries < 0:
+            raise ValueError("siwc entries must be >= 0")
         if self.n_groups < 1:
             raise ValueError("n_groups must be >= 1")
         if self.n_mt > 0 and self.n_mt % self.n_groups != 0:

@@ -28,25 +28,27 @@ from .media import CellArray
 ZFC_MAX = 511       # 9-bit saturating sub-counters
 CNTR_MAX = 255      # 8-bit rewrite / frequency counters
 
-MT_ENTRY_BITS = 25 + 8 + 72 + 3    # row_col + rewrite_cntr + 8x9b zfc + max idx
-BB_ENTRY_BITS = 512 + 25 + 8 + 8   # data + row_col + rewrite_cntr + freq_cntr
+# the 25-bit tag is the line's row and column within the bank
+MT_ENTRY_BITS = 25 + 8 + 72 + 3    # tag + rewrite_cntr + 8x9b zfc + max idx
+BB_ENTRY_BITS = 512 + 25 + 8 + 8   # data + tag + rewrite_cntr + freq_cntr
 
 
-@dataclass(slots=True)
+# Entries compare by identity (eq=False): the index maps each line to the
+# one entry that holds it.
+@dataclass(slots=True, eq=False)
 class MainTableEntry:
-    valid: bool = False
-    row_col: int = 0
+    slot: int
+    addr: LineAddress | None = None  # None: the slot is free
     zfc: list = field(default_factory=lambda: [0] * 8)
     max_zfc_idx: int = 0
     rewrite_cntr: int = 0
     last_use: int = 0  # recency stamp, only consulted by the LRU variant
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class BarrierEntry:
-    valid: bool = False
-    row_col: int = 0
-    data: int | None = None
+    addr: LineAddress
+    data: int
     rewrite_cntr: int = 0
     freq_cntr: int = 0
 
@@ -89,17 +91,13 @@ def apple_latency_cycles(n_groups: int) -> int:
 class Imdb(Mitigation):
     has_tables = True
 
-    def __init__(self, cfg: SimConfig, rank: int, bank: int, stats):
-        super().__init__(cfg, rank, bank, stats)
-        self.mt = [MainTableEntry() for _ in range(cfg.n_mt)]
-        self.bb = [BarrierEntry() for _ in range(cfg.n_b)]
-        # row_col -> ("mt" | "bb", slot) of every valid entry; the values
-        # are the shared tuples below, so they compare by identity
-        self._where: dict[int, tuple[str, int]] = {}
-        self._mt_slots = [("mt", i) for i in range(cfg.n_mt)]
-        self._bb_slots = [("bb", i) for i in range(cfg.n_b)]
+    def __init__(self, cfg: SimConfig, stats):
+        super().__init__(cfg, stats)
+        self.mt = [MainTableEntry(i) for i in range(cfg.n_mt)]
+        self.bb: list[BarrierEntry] = []  # fills up to n_b and never empties
+        # line -> the main-table or barrier entry that holds it
+        self._where: dict[LineAddress, MainTableEntry | BarrierEntry] = {}
         self._free_mt = list(range(cfg.n_mt))  # heap of free main-table slots
-        self._bb_used = 0  # barrier slots fill in order and never empty
         self._clock = 0  # monotone access stamp for the LRU variant
         p = Fraction(cfg.insert_prob)
         self._always_insert = p.numerator >= p.denominator  # no coin at p >= 1
@@ -123,38 +121,37 @@ class Imdb(Mitigation):
 
     # -- lookup ------------------------------------------------------------
 
-    def lookup(self, addr: LineAddress):
-        """Returns ("bb", slot), ("mt", slot), or None. An address is valid
-        in at most one slot of the two tables; `_claim` enforces that."""
-        return self._where.get(addr.row_col(self.geometry))
+    def lookup(self, addr: LineAddress) -> MainTableEntry | BarrierEntry | None:
+        """The entry that holds `addr`, or None. A line is held by at most
+        one entry of the two tables; `_claim` enforces that."""
+        return self._where.get(addr)
 
     # -- the index -----------------------------------------------------------
 
-    def _claim(self, row_col: int, where: tuple[str, int]) -> None:
-        """Index a new entry at `where`, unless its address is already valid
-        in another slot."""
-        held = self._where.setdefault(row_col, where)
-        if held is not where:
-            raise ConsistencyError(
-                f"address {row_col} is valid in {held[0]} slot {held[1]}; "
-                f"cannot also install it in {where[0]} slot {where[1]}")
+    def _claim(self, addr: LineAddress,
+               entry: MainTableEntry | BarrierEntry) -> None:
+        """Index `entry` as the holder of `addr`, unless another entry
+        already holds it."""
+        held = self._where.setdefault(addr, entry)
+        if held is not entry:
+            raise ConsistencyError(f"line {addr} is already held by a "
+                                   f"{type(held).__name__}")
 
-    def install(self, slot: int, row_col: int, zfc: list,
+    def install(self, slot: int, addr: LineAddress, zfc: list,
                 rewrite_cntr: int = 0) -> None:
         """Put an entry into main-table slot `slot`, replacing any entry
         there. The one path that fills the main table."""
         e = self.mt[slot]
-        self._claim(row_col, self._mt_slots[slot])
-        if e.valid:
-            if e.row_col != row_col:
-                del self._where[e.row_col]
-        elif self._free_mt[0] == slot:
-            heappop(self._free_mt)
-        else:
-            self._free_mt.remove(slot)
-            heapify(self._free_mt)
-        e.valid = True
-        e.row_col = row_col
+        self._claim(addr, e)
+        if e.addr is None:
+            if self._free_mt[0] == slot:
+                heappop(self._free_mt)
+            else:
+                self._free_mt.remove(slot)
+                heapify(self._free_mt)
+        elif e.addr != addr:
+            del self._where[e.addr]
+        e.addr = addr
         e.zfc = zfc
         e.max_zfc_idx = _max_idx(zfc)
         e.rewrite_cntr = rewrite_cntr
@@ -170,26 +167,23 @@ class Imdb(Mitigation):
     def check(self) -> None:
         """Compare the index and the free slots with a full scan of both
         tables; raise ConsistencyError on any difference."""
-        seen: dict[int, tuple[str, int]] = {}
-        for table, slots in ((self.mt, self._mt_slots),
-                             (self.bb, self._bb_slots)):
-            for e, where in zip(table, slots):
-                if e.valid and seen.setdefault(e.row_col, where) is not where:
-                    raise ConsistencyError(f"address {e.row_col} valid in "
-                                           f"{seen[e.row_col]} and in {where}")
-        if seen != self._where:
+        seen: dict[LineAddress, MainTableEntry | BarrierEntry] = {}
+        for e in self.mt + self.bb:
+            if e.addr is not None and seen.setdefault(e.addr, e) is not e:
+                raise ConsistencyError(f"line {e.addr} is held by two entries")
+        if seen != self._where:  # entries compare by identity
             raise ConsistencyError("table index disagrees with the entries")
-        free = [i for i, e in enumerate(self.mt) if not e.valid]
+        free = [e.slot for e in self.mt if e.addr is None]
         if sorted(self._free_mt) != free:
             raise ConsistencyError(f"free-slot heap {sorted(self._free_mt)} "
-                                   f"!= invalid main-table slots {free}")
-        used = [e.valid for e in self.bb]
-        if used != [i < self._bb_used for i in range(len(self.bb))]:
-            raise ConsistencyError(f"barrier slots {used} do not fill in order "
-                                   f"up to {self._bb_used}")
-        for slot, e in enumerate(self.mt):  # AppLE's int keys rely on these
-            if e.valid and (max(e.zfc) > ZFC_MAX or e.rewrite_cntr > CNTR_MAX):
-                raise ConsistencyError(f"main-table slot {slot} holds a counter "
+                                   f"!= free main-table slots {free}")
+        if len(self.bb) > self.cfg.n_b:
+            raise ConsistencyError(f"{len(self.bb)} barrier entries in a "
+                                   f"buffer of {self.cfg.n_b}")
+        for e in self.mt:  # AppLE's int keys rely on these
+            if e.addr is not None and (max(e.zfc) > ZFC_MAX
+                                       or e.rewrite_cntr > CNTR_MAX):
+                raise ConsistencyError(f"main-table slot {e.slot} holds a counter "
                                        f"wider than its field")
 
     # -- victim selection --------------------------------------------------
@@ -237,8 +231,7 @@ class Imdb(Mitigation):
 
     # -- write / read paths --------------------------------------------------
 
-    def _bb_hit(self, slot: int) -> BarrierEntry:
-        e = self.bb[slot]
+    def _bb_hit(self, e: BarrierEntry) -> BarrierEntry:
         e.freq_cntr = min(e.freq_cntr + 1, CNTR_MAX)
         self.stats.bb_hits += 1
         self.stats.bb_accesses += 1
@@ -252,20 +245,16 @@ class Imdb(Mitigation):
         self.stats.sram_accesses += 1
         hit = self.lookup(addr)
         self._clock += 1
-
-        if hit is not None and hit[0] == "bb":
-            self._bb_hit(hit[1]).data = new_data
+        if hit is None:
+            return self._miss(addr, new_data, rng)
+        if hit.__class__ is BarrierEntry:
+            self._bb_hit(hit).data = new_data
             return self._absorbed
+        return self._mt_hit(hit, old_data, new_data)
 
-        if hit is not None and hit[0] == "mt":
-            return self._mt_hit(hit[1], addr, old_data, new_data)
-
-        return self._miss(addr, new_data, rng)
-
-    def _mt_hit(self, slot: int, addr: LineAddress, old_data: int,
+    def _mt_hit(self, e: MainTableEntry, old_data: int,
                 new_data: int) -> ImdbOutcome:
         self.stats.mt_hits += 1
-        e = self.mt[slot]
         e.last_use = self._clock
         flips = count_one_to_zero(old_data, new_data)
         for i, f in enumerate(flips):
@@ -277,10 +266,10 @@ class Imdb(Mitigation):
         if not (any(flips) and e.zfc[e.max_zfc_idx] >= self.cfg.threshold):
             return self._hit
         e.rewrite_cntr = min(e.rewrite_cntr + 1, CNTR_MAX)
-        rewrites = addr.neighbor_rows(self.geometry)
+        rewrites = e.addr.neighbor_rows(self.geometry)
         self.stats.rewrites += len(rewrites)
         if self.cfg.n_b > 0:
-            writeback = self.promote_and_demote(slot, new_data)
+            writeback = self.promote_and_demote(e, new_data)
             return ImdbOutcome(rewrites, True, writeback, self._hit_ns)
         # Bufferless variant: the entry stays; restart its counters from the
         # prior knowledge of the data just written.
@@ -305,7 +294,7 @@ class Imdb(Mitigation):
                 slot = self.select_victim_apple(rng)
             out = self._evict
             self.stats.evictions += 1
-        self.install(slot, addr.row_col(self.geometry),
+        self.install(slot, addr,
                      count_zeros(new_data) if self.cfg.prior_knowledge else [0] * 8)
         return out
 
@@ -313,11 +302,11 @@ class Imdb(Mitigation):
         """Admission-time check: a write whose address sits in the barrier
         buffer is consumed there and never reaches the queues."""
         self.stats.sram_searches += 1
-        if not self.bb:
+        if not self.cfg.n_b:
             return False
         hit = self.lookup(addr)
-        if hit is not None and hit[0] == "bb":
-            self._bb_hit(hit[1]).data = data
+        if hit.__class__ is BarrierEntry:
+            self._bb_hit(hit).data = data
             return True
         return False
 
@@ -326,43 +315,35 @@ class Imdb(Mitigation):
         table stores no data and is untouched by reads."""
         self.stats.sram_searches += 1
         hit = self.lookup(addr)
-        if hit is not None and hit[0] == "bb":
-            return self._bb_hit(hit[1]).data
+        if hit.__class__ is BarrierEntry:
+            return self._bb_hit(hit).data
         return None
 
     # -- promotion ---------------------------------------------------------
 
-    def promote_and_demote(self, mt_slot: int,
+    def promote_and_demote(self, src: MainTableEntry,
                            write_data: int) -> tuple | None:
         """Move a rewrite-triggering main-table entry up into the barrier
         buffer, carrying the write data. A full buffer demotes its LFU entry
-        back into the vacated slot and returns that entry's data for
-        writeback."""
-        src = self.mt[mt_slot]
-        row_col, rewrite_cntr = src.row_col, src.rewrite_cntr
-
+        back into the vacated slot and returns that entry's line and data
+        for writeback."""
+        entry = BarrierEntry(src.addr, write_data, src.rewrite_cntr)
         writeback = None
-        if self._bb_used < len(self.bb):
-            free = self._bb_used
-            self._bb_used += 1
-            src.valid = False
-            del self._where[row_col]
-            heappush(self._free_mt, mt_slot)
+        if len(self.bb) < self.cfg.n_b:
+            del self._where[src.addr]
+            src.addr = None
+            heappush(self._free_mt, src.slot)
+            self.bb.append(entry)
         else:
-            lfu = min(range(len(self.bb)),
-                      key=lambda i: (self.bb[i].freq_cntr, i))
+            # min keeps the first of equal counts: the lowest slot wins ties
+            bb = self.bb
+            lfu = min(range(len(bb)), key=lambda i: bb[i].freq_cntr)
             victim = self.bb[lfu]
-            writeback = (self._unpack(victim.row_col), victim.data)
+            writeback = (victim.addr, victim.data)
             self.stats.evictions += 1
-            del self._where[victim.row_col]
-            self.install(mt_slot, victim.row_col, count_zeros(victim.data),
+            del self._where[victim.addr]
+            self.install(src.slot, victim.addr, count_zeros(victim.data),
                          victim.rewrite_cntr)
-            free = lfu
-        self._claim(row_col, self._bb_slots[free])
-        e = self.bb[free]
-        e.valid = True
-        e.row_col = row_col
-        e.data = write_data
-        e.rewrite_cntr = rewrite_cntr
-        e.freq_cntr = 0
+            self.bb[lfu] = entry
+        self._claim(entry.addr, entry)
         return writeback

@@ -139,16 +139,19 @@ def test_a4_prior_knowledge_halves_wde():
 # -- A5: AppLE degeneracy and sampling trend --------------------------------------
 
 
+LINES = [LineAddress(0, 0, row, 0) for row in range(256)]
+
+
 def fill_table(imdb, values):
     for i, (zfc, rw) in enumerate(values):
-        imdb.install(i, i, [zfc] + [0] * 7, rw)
+        imdb.install(i, LINES[i], [zfc] + [0] * 7, rw)
 
 
 def test_a5_apple():
     with criterion("A5"):
         # (a) full sampling is exactly the global policy: exhaustive over
         # 8-entry tables with binary counter states...
-        t8 = Imdb(make_cfg(n_mt=8, n_groups=8, n_b=0), 0, 0, RunStats())
+        t8 = Imdb(make_cfg(n_mt=8, n_groups=8, n_b=0), RunStats())
         for code in range(4 ** 8):
             values = []
             for i in range(8):
@@ -157,7 +160,7 @@ def test_a5_apple():
             fill_table(t8, values)
             assert t8.select_victim_apple(Random(code)) == select_victim_exact(t8)
         # ...and over 10^4 randomized 256-entry tables
-        t256 = Imdb(make_cfg(n_mt=256, n_groups=256, n_b=0), 0, 0, RunStats())
+        t256 = Imdb(make_cfg(n_mt=256, n_groups=256, n_b=0), RunStats())
         rng = Random(99)
         for trial in range(10_000):
             fill_table(t256, zip(rng.choices(range(512), k=256),

@@ -18,10 +18,6 @@ ZEROS = 0
 A = LineAddress(0, 0, 3, 0)
 
 
-def occupancy(cache):
-    return sum(e.valid for e in cache.entries)
-
-
 def hammer(media, target, rounds):
     for _ in range(rounds):
         media.apply_write(target, ONES, WriteMode.DIFFERENTIAL)
@@ -104,27 +100,27 @@ def test_vnc_raises_past_the_correction_bound():
 
 def test_siwc_hit_absorbs():
     cfg = make_cfg(siwc_entries=4, siwc_q_insert=Fraction(1))
-    cache = SiwcCache(cfg, 0, 0, RunStats())
+    cache = SiwcCache(cfg, RunStats())
     rng = Random(0)
     assert cache.process_write(A, ONES, rng).absorbed
     out = cache.process_write(A, ZEROS, rng)
     assert out.absorbed and out.writeback is None
     assert cache.process_read(A) == ZEROS
-    assert occupancy(cache) == 1
+    assert len(cache.lines) == 1
 
 
 def test_siwc_insert_coin():
     cfg = make_cfg(siwc_entries=4, siwc_q_insert=Fraction(0))
-    cache = SiwcCache(cfg, 0, 0, RunStats())
+    cache = SiwcCache(cfg, RunStats())
     out = cache.process_write(A, ONES, Random(0))
     assert not out.absorbed
-    assert occupancy(cache) == 0
+    assert len(cache.lines) == 0
 
 
 def test_siwc_eviction_writes_back():
     cfg = make_cfg(siwc_entries=2, siwc_q_insert=Fraction(1),
                    siwc_q_evict=Fraction(1))
-    cache = SiwcCache(cfg, 0, 0, RunStats())
+    cache = SiwcCache(cfg, RunStats())
     rng = Random(0)
     lines = [LineAddress(0, 0, r, 0) for r in range(3)]
     for a in lines:
@@ -134,13 +130,13 @@ def test_siwc_eviction_writes_back():
     wb_addr, wb_data = out.writeback
     assert wb_addr in lines[:2] and wb_data == ONES
     assert cache.stats.evictions == 1
-    assert occupancy(cache) == 2
+    assert len(cache.lines) == 2
 
 
 def test_siwc_eviction_coin_can_refuse():
     cfg = make_cfg(siwc_entries=1, siwc_q_insert=Fraction(1),
                    siwc_q_evict=Fraction(0))
-    cache = SiwcCache(cfg, 0, 0, RunStats())
+    cache = SiwcCache(cfg, RunStats())
     rng = Random(0)
     assert cache.process_write(A, ONES, rng).absorbed
     out = cache.process_write(LineAddress(0, 0, 5, 0), ZEROS, rng)
@@ -162,13 +158,13 @@ def test_siwc_write_draws_as_with_fraction_coins(q_insert, q_evict, entries,
     decisions, and the same generator state afterwards."""
     cfg = make_cfg(siwc_entries=entries, siwc_q_insert=q_insert,
                    siwc_q_evict=q_evict)
-    cache = SiwcCache(cfg, 0, 0, RunStats())
+    cache = SiwcCache(cfg, RunStats())
     if full:
         assume(q_insert > 0)
         filler, rows = Random(seed + 1), cycle(range(6))
-        while occupancy(cache) < entries:
+        while len(cache.lines) < entries:
             cache.process_write(LineAddress(0, 0, next(rows), 0), ONES, filler)
-    held = [e.row_col for e in cache.entries]  # the row, on one-column TINY
+    held = list(cache.lines)
     expected = Random(seed)
     absorbed = expected.random() < q_insert
     victim = None
@@ -179,8 +175,7 @@ def test_siwc_write_draws_as_with_fraction_coins(q_insert, q_evict, entries,
     out = cache.process_write(LineAddress(0, 0, 7, 0), ZEROS, rng)
     assert rng.getstate() == expected.getstate()
     assert out.absorbed == absorbed
-    assert out.writeback == (None if victim is None
-                             else (LineAddress(0, 0, held[victim], 0), ONES))
+    assert out.writeback == (None if victim is None else (held[victim], ONES))
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,11 +183,46 @@ def test_siwc_write_draws_as_with_fraction_coins(q_insert, q_evict, entries,
        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=40))
 def test_siwc_check_holds_after_every_operation(entries, seed, ops):
     cfg = make_cfg(siwc_entries=entries)
-    cache = SiwcCache(cfg, 0, 0, RunStats())
+    cache = SiwcCache(cfg, RunStats())
     rng = Random(seed)
     for is_write, row in ops:
         if is_write:
             cache.process_write(LineAddress(0, 0, row, 0), ONES, rng)
         else:
             cache.process_read(LineAddress(0, 0, row, 0))
+        cache.check()
+
+
+def full_cache():
+    """A three-entry cache holding rows 0, 1 and 2, and a passing check."""
+    cfg = make_cfg(siwc_entries=3, siwc_q_insert=Fraction(1))
+    cache = SiwcCache(cfg, RunStats())
+    rng = Random(0)
+    for row in range(3):
+        cache.process_write(LineAddress(0, 0, row, 0), ONES, rng)
+    cache.check()
+    return cache
+
+
+def test_siwc_check_detects_a_line_in_two_slots():
+    cache = full_cache()
+    cache.lines[2] = cache.lines[0]
+    del cache.data[LineAddress(0, 0, 2, 0)]
+    with pytest.raises(ConsistencyError, match="two slots"):
+        cache.check()
+
+
+def test_siwc_check_detects_data_of_a_line_no_slot_holds():
+    cache = full_cache()
+    cache.data[LineAddress(0, 0, 5, 0)] = ZEROS
+    with pytest.raises(ConsistencyError, match="disagrees"):
+        cache.check()
+
+
+def test_siwc_check_detects_more_lines_than_entries():
+    cache = full_cache()
+    extra = LineAddress(0, 0, 5, 0)
+    cache.lines.append(extra)
+    cache.data[extra] = ZEROS
+    with pytest.raises(ConsistencyError, match="cache of 3 entries"):
         cache.check()

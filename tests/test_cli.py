@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,8 @@ from disturbsim.cli import dispatch
 from disturbsim.controller import Engine
 from disturbsim.core import LINE_MASK
 from disturbsim.traces import TraceRecord, write_trace_file
+
+GOLDEN = Path(__file__).parent / "golden"
 
 CFG = """
 [geometry]
@@ -80,6 +83,20 @@ def test_run_is_byte_identical(cfg_path, trace_path, tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("strategy", ["none", "vnc", "siwc", "imdb"])
+def test_run_is_compare_of_one_strategy(tmp_path, strategy, fmt):
+    """`run` gives the bytes `compare --strategies <s>` gives."""
+    common = ["--config", str(GOLDEN / "ranks.cfg"),
+              "--trace", str(GOLDEN / "ranks.trace"), "--format", fmt]
+    run, compare = tmp_path / "run", tmp_path / "compare"
+    assert dispatch(["run", *common, "--set", f"run.strategy={strategy}",
+                     "-o", str(run)]) == 0
+    assert dispatch(["compare", *common, "--strategies", strategy,
+                     "-o", str(compare)]) == 0
+    assert run.read_bytes() == compare.read_bytes()
+
+
 def test_set_overrides(cfg_path, trace_path):
     rows = run_rows(["run", "--config", cfg_path, "--trace", trace_path,
                      "--set", "run.strategy=imdb", "--format", "json"])
@@ -136,7 +153,7 @@ def test_sweep_runs_tableless_strategies_once(cfg_path, trace_path):
 
 
 def test_sweep_sizes_siwc_area_from_its_cache(cfg_path, trace_path):
-    """SIWC rows count full-line cache entries (512 data + 25 row_col bits),
+    """SIWC rows count full-line cache entries (512 data + 25 tag bits),
     an explicit siwc.entries included, not IMDB's table widths."""
     args = ["sweep", "--config", cfg_path, "--trace", trace_path,
             "--strategies", "none,siwc", "--param", "n_b=0,2",
@@ -157,6 +174,24 @@ def test_bad_config_exit_code(tmp_path, trace_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[run]\nstrategy = warp\n")
     rc = dispatch(["run", "--config", str(bad), "--trace", trace_path])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("E:2:")
+
+
+@pytest.mark.parametrize("args", [
+    ["--set", "siwc.entries=-3"],
+    ["--set", "imdb.n_mt=-8"],
+    ["--set", "imdb.n_b=-1"],
+    ["--set", "imdb.hit_cycles=-5"],
+    ["--param", "n_mt=-8"],
+    ["--param", "n_b=-1"],
+])
+def test_negative_table_sizes_and_cycles_exit_code(cfg_path, trace_path,
+                                                   capsys, args):
+    """A negative table size or hit latency is an input error: it would
+    give a negative area, a negative table or a run faster than `none`."""
+    rc = dispatch(["sweep", "--config", cfg_path, "--trace", trace_path,
+                   "--strategies", "none,siwc,imdb", *args])
     assert rc == 2
     assert capsys.readouterr().err.startswith("E:2:")
 

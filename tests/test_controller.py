@@ -269,9 +269,9 @@ def test_all_zeros_line_in_a_table_serves_reads(strategy):
     table = eng.mitigations[0]
     a = LineAddress(0, 0, 3, 0)
     if strategy == "imdb":
-        table.install(0, a.row_col(TINY), [0] * 8)
-        assert table.promote_and_demote(0, ZEROS) is None
-        assert table.lookup(a) == ("bb", 0)
+        table.install(0, a, [0] * 8)
+        assert table.promote_and_demote(table.mt[0], ZEROS) is None
+        assert table.lookup(a) is table.bb[0]
     else:
         assert table.process_write(a, ZEROS, Random(0)).absorbed
     assert eng.submit(TraceRecord(0, "R", addr_bytes(3)), 0, 0)

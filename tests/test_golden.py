@@ -5,9 +5,12 @@
 over two banks. `golden/coins.json` is the report of `golden/coins.cfg` on
 `golden/coins.trace` (`gen --kind uniform --config golden/coins.cfg
 --seed 2 -n 300 --gap-ns 10`): coins of 1/3 and 2/3, no barrier buffer,
-and AppLE groups of three slots. Refactors of the controller or of a
-strategy must reproduce both byte for byte; a change that alters results
-on purpose regenerates them and says why.
+and AppLE groups of three slots. `golden/ranks.json` is the report of
+`golden/ranks.cfg` on `golden/ranks.trace` (`gen --kind hotspot --config
+golden/ranks.cfg --seed 1 -n 300 --gap-ns 10`): two ranks of two banks,
+so every writeback must return to its own rank. Refactors of the
+controller or of a strategy must reproduce all three byte for byte; a
+change that alters results on purpose regenerates them and says why.
 """
 
 import dataclasses
@@ -24,7 +27,7 @@ import pytest
 from disturbsim.cli import dispatch
 from disturbsim.config import load_config
 from disturbsim.controller import MITIGATIONS, run_to_completion
-from disturbsim.core import STRATEGIES
+from disturbsim.core import STRATEGIES, decompose_address
 from disturbsim.traces import read_trace_file
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,7 +76,24 @@ def test_non_dyadic_coins_report_matches_golden(tmp_path):
     assert siwc["evictions"] > 0  # both SIWC coins and the victim draw ran
 
 
-@pytest.mark.parametrize("name", ["compare", "coins"])
+def test_two_rank_report_matches_golden(tmp_path):
+    """Pins writebacks on a geometry with two ranks: an evicted entry must
+    go back to the rank and bank it came from."""
+    rows = {r["strategy"]: r
+            for r in json.loads(compare_report(tmp_path, "ranks"))["rows"]}
+    imdb, siwc = rows["imdb"], rows["siwc"]
+    assert siwc["evictions"] > 0 and siwc["writebacks"] > 0
+    assert imdb["evictions"] > 0 and imdb["writebacks"] > 0
+    assert imdb["bb_hits"] > 0
+
+    g = load_config(str(GOLDEN / "ranks.cfg")).geometry
+    assert (g.ranks, g.banks_per_rank) == (2, 2)
+    banks = {decompose_address(r.byte_addr, g)[:2]
+             for r in read_trace_file(str(GOLDEN / "ranks.trace"))}
+    assert banks == {(r, b) for r in range(2) for b in range(2)}  # all four
+
+
+@pytest.mark.parametrize("name", ["compare", "coins", "ranks"])
 @pytest.mark.parametrize("strategy", ["siwc", "imdb"])
 def test_no_fraction_or_randrange_per_event(monkeypatch, strategy, name):
     """No per-event path compares a Fraction or calls `randrange`: the

@@ -12,7 +12,7 @@ from disturbsim.imdb import (BB_ENTRY_BITS, CNTR_MAX, MT_ENTRY_BITS, ZFC_MAX,
 from disturbsim.metrics import RunStats
 from apple_ref import select_victim_apple as reference_apple
 from apple_ref import select_victim_exact
-from helpers import TINY, line_of, make_cfg, random_line
+from helpers import line_of, make_cfg, random_line
 
 ONES = LINE_MASK
 ZEROS = 0
@@ -23,7 +23,7 @@ def addr(row, col=0):
 
 
 def make_imdb(**kw) -> Imdb:
-    return Imdb(make_cfg(**kw), 0, 0, RunStats())
+    return Imdb(make_cfg(**kw), RunStats())
 
 
 def flips16():
@@ -65,8 +65,7 @@ def test_miss_inserts_with_prior_knowledge():
     t = make_imdb(n_mt=4, n_groups=4)
     t.process_write(addr(1), ONES, flips16(), Random(0))
     assert t.stats.insertions == 1
-    slot = t.lookup(addr(1))
-    assert slot == ("mt", 0)
+    assert t.lookup(addr(1)) is t.mt[0]
     assert t.mt[0].zfc == count_zeros(flips16())
     assert t.mt[0].max_zfc_idx == 1
 
@@ -95,7 +94,7 @@ def test_mt_hit_accumulates_and_triggers():
     out = t.process_write(addr(3), ONES, flips16(), rng)
     assert out.rewrites == [addr(2), addr(4)]
     assert out.absorbed  # promoted into the barrier buffer
-    assert t.lookup(addr(3)) == ("bb", 0)
+    assert t.lookup(addr(3)) is t.bb[0]
     assert t.bb[0].data == flips16()
 
 
@@ -115,7 +114,7 @@ def test_bufferless_variant_restarts_counters():
     t.process_write(addr(3), ONES, flips16(), rng)
     out = t.process_write(addr(3), ONES, flips16(), rng)
     assert out.rewrites and not out.absorbed
-    assert t.lookup(addr(3)) == ("mt", 0)  # entry stays in the table
+    assert t.lookup(addr(3)) is t.mt[0]  # entry stays in the table
     assert t.mt[0].zfc == count_zeros(flips16())
     assert t.mt[0].rewrite_cntr == 1
 
@@ -152,16 +151,16 @@ def test_full_bb_demotes_lfu_with_prior():
     t.process_write(addr(5), ONES, flips16(), rng)
     out = t.process_write(addr(5), ONES, flips16(), rng)  # must demote addr 3
     assert out.writeback == (addr(3), ZEROS)
-    assert t.lookup(addr(5)) == ("bb", 0)
+    assert t.lookup(addr(5)) is t.bb[0]
     where = t.lookup(addr(3))
-    assert where[0] == "mt"
-    assert t.mt[where[1]].zfc == count_zeros(ZEROS)
+    assert where in t.mt
+    assert where.zfc == count_zeros(ZEROS)
 
 
 def test_victim_key_ordering_exact():
     t = make_imdb(n_mt=4, n_groups=4)
     for i, (zfc, rw) in enumerate([(5, 0), (2, 1), (2, 0), (9, 0)]):
-        t.install(i, i, [zfc] + [0] * 7, rw)
+        t.install(i, addr(i), [zfc] + [0] * 7, rw)
     # min zfc wins; rewrite count breaks ties; slot index breaks the rest
     assert select_victim_exact(t) == 2
     t.mt[2].rewrite_cntr = 1
@@ -183,14 +182,14 @@ def test_apple_full_sampling_equals_exact():
     rng = Random(7)
     t = make_imdb(n_mt=8, n_groups=8)
     for i in range(8):
-        t.install(i, i, [rng.randrange(4)] + [0] * 7, rng.randrange(2))
+        t.install(i, addr(i), [rng.randrange(4)] + [0] * 7, rng.randrange(2))
     assert t.select_victim_apple(Random(0)) == select_victim_exact(t)
 
 
 def test_apple_single_group_is_one_random_sample():
     t = make_imdb(n_mt=8, n_groups=1)
     for i in range(8):
-        t.install(i, i, [i] + [0] * 7)
+        t.install(i, addr(i), [i] + [0] * 7)
     rng = Random(3)
     expect = Random(3).randrange(8)
     assert t.select_victim_apple(rng) == expect
@@ -228,31 +227,40 @@ def test_write_requires_old_data():
 
 def test_duplicate_entries_rejected():
     t = make_imdb(n_mt=4, n_groups=4, n_b=1)
-    t.install(0, 9, [0] * 8)
+    t.install(0, addr(9), [0] * 8)
     with pytest.raises(ConsistencyError):
-        t.install(1, 9, [0] * 8)
+        t.install(1, addr(9), [0] * 8)
     # across tables: an address in the barrier buffer
     t = make_imdb(n_mt=4, n_groups=4, threshold=3, disturb_limit=8, n_b=1)
     rng = Random(0)
     t.process_write(addr(3), ONES, flips16(), rng)
     t.process_write(addr(3), ONES, flips16(), rng)  # promoted into bb
-    assert t.lookup(addr(3)) == ("bb", 0)
+    assert t.lookup(addr(3)) is t.bb[0]
     with pytest.raises(ConsistencyError):
-        t.install(1, addr(3).row_col(TINY), [0] * 8)
+        t.install(1, addr(3), [0] * 8)
     t.check()
 
 
 def test_check_detects_index_drift():
     t = make_imdb(n_mt=4, n_groups=4)
-    t.install(2, 5, [0] * 8)
+    t.install(2, addr(5), [0] * 8)
     t.check()
-    t.mt[2].row_col = 6  # entry changed behind the index's back
-    with pytest.raises(ConsistencyError):
+    t.mt[2].addr = addr(6)  # entry changed behind the index's back
+    with pytest.raises(ConsistencyError, match="index disagrees"):
         t.check()
     t = make_imdb(n_mt=4, n_groups=4)
-    t.install(2, 5, [0] * 8)
-    t.mt[2].valid = False  # slot freed without returning it to the heap
-    with pytest.raises(ConsistencyError):
+    t.install(2, addr(5), [0] * 8)
+    t.mt[2].addr = None  # slot freed without returning it to the heap
+    del t._where[addr(5)]
+    with pytest.raises(ConsistencyError, match="free-slot heap"):
+        t.check()
+    t = make_imdb(n_mt=4, n_groups=4, threshold=3, disturb_limit=8, n_b=1)
+    rng = Random(0)
+    t.process_write(addr(3), ONES, flips16(), rng)
+    t.process_write(addr(3), ONES, flips16(), rng)  # promoted into bb
+    t.check()
+    del t._where[addr(3)]  # barrier entry missing from the index
+    with pytest.raises(ConsistencyError, match="index disagrees"):
         t.check()
 
 
@@ -260,13 +268,13 @@ def test_check_detects_counters_wider_than_their_fields():
     """AppLE packs an entry's counters into one int key, so `check` fails an
     entry whose counters could not be held in the table's fields."""
     t = make_imdb(n_mt=4, n_groups=4)
-    t.install(1, 5, [ZFC_MAX] * 8, CNTR_MAX)
+    t.install(1, addr(5), [ZFC_MAX] * 8, CNTR_MAX)
     t.check()
-    t.install(2, 6, [0, ZFC_MAX + 1] + [0] * 6)
+    t.install(2, addr(6), [0, ZFC_MAX + 1] + [0] * 6)
     with pytest.raises(ConsistencyError):
         t.check()
     t = make_imdb(n_mt=4, n_groups=4)
-    t.install(2, 6, [0] * 8, CNTR_MAX + 1)
+    t.install(2, addr(6), [0] * 8, CNTR_MAX + 1)
     with pytest.raises(ConsistencyError):
         t.check()
 
@@ -323,7 +331,8 @@ def full_tables(draw):
     top = draw(st.sampled_from([1, 3, ZFC_MAX]))
     for slot in range(n_mt):
         zfc = draw(st.lists(st.integers(0, top), min_size=8, max_size=8))
-        t.install(slot, slot, zfc, draw(st.integers(0, min(top, CNTR_MAX))))
+        t.install(slot, addr(slot), zfc,
+                  draw(st.integers(0, min(top, CNTR_MAX))))
     return t
 
 
@@ -357,7 +366,7 @@ def test_miss_draws_as_with_a_fraction_coin(p, full, seed):
     same decision and the same generator state afterwards."""
     t = make_imdb(n_mt=6, n_groups=2, insert_prob=p)
     for slot in range(6 if full else 3):
-        t.install(slot, slot, [slot % 4] * 8)
+        t.install(slot, addr(slot), [slot % 4] * 8)
     expected = Random(seed)
     inserted = p >= 1 or expected.random() < p
     victim = None
@@ -367,4 +376,4 @@ def test_miss_draws_as_with_a_fraction_coin(p, full, seed):
     t.process_write(addr(7), ONES, ZEROS, rng)
     assert rng.getstate() == expected.getstate()
     assert (t.stats.insertions, t.stats.bypasses) == (inserted, not inserted)
-    assert t.lookup(addr(7)) == (None if victim is None else ("mt", victim))
+    assert t.lookup(addr(7)) is (None if victim is None else t.mt[victim])
