@@ -231,16 +231,18 @@ class Engine:
     def submit(self, record: TraceRecord, record_no: int, now: int) -> bool:
         """Admit one trace record. Returns False on backpressure; the retry
         of the same record reuses its decoded address."""
+        # one unpack: reading a NamedTuple's fields by name is slower
+        _, op, byte_addr, data = record
         if self._head[0] != record_no:
             try:
-                addr = decompose_address(record.byte_addr, self._geometry)
+                addr = decompose_address(byte_addr, self._geometry)
             except RangeError as exc:
                 raise TraceAbort(record_no, str(exc)) from exc
             self._head = (record_no, addr, self._bank(addr))
         _, addr, bank = self._head
         depth = self._depth
 
-        if record.op == "R":
+        if op == "R":
             # Backpressure is checked first so a retried record never
             # re-runs strategy side effects.
             if len(bank.read_q) >= depth:
@@ -259,14 +261,14 @@ class Engine:
 
         self.stats.host_writes += 1
         absorbed, writeback = bank.mitigation.admit_write(
-            addr, record.data, self.rng)
+            addr, data, self.rng)
         if writeback is not None:
             self._enqueue_writeback(*writeback, now)
         if absorbed:
             return True
         seq = self._seq
         self._seq = seq + 2
-        write = Command(HOST_WRITE, addr, record.data, DIFFERENTIAL, False,
+        write = Command(HOST_WRITE, addr, data, DIFFERENTIAL, False,
                         None, now, seq + 1)
         pre = Command(PRE_WRITE_READ, addr, None, DIFFERENTIAL, True, None,
                       now, seq + 2, write)
@@ -379,10 +381,13 @@ class Engine:
                                          self._service)
         i = 0
         now = 0
+        due = records[0].time if n else 0  # the time of records[i], if i < n
         while True:
-            while i < n and records[i].time <= now:
+            while i < n and due <= now:
                 if submit(records[i], i, now):
                     i += 1
+                    if i < n:
+                        due = records[i].time
                 else:
                     break
             issued = False
@@ -396,8 +401,8 @@ class Engine:
                 continue
             candidates = []
             if i < n:
-                if records[i].time > now:
-                    candidates.append(records[i].time)
+                if due > now:
+                    candidates.append(due)
                 else:
                     # backpressured: the target bank must drain first
                     b = self._head[2]

@@ -104,10 +104,11 @@ class LineAddress(NamedTuple):
         return out
 
 
-# Builds a LineAddress from a tuple of its fields without the NamedTuple
-# constructor's argument handling: on Python 3.11, `LineAddress(...)` costs
-# about 350-540 ns and `tuple.__new__(LineAddress, (...))` about 180-220 ns.
-# Only for the hot paths, which pass exactly four ints in field order.
+# Builds a NamedTuple (a LineAddress, or a TraceRecord in the trace parser)
+# from a tuple of its fields without the constructor's argument handling: on
+# Python 3.11, `LineAddress(...)` costs about 350-540 ns and
+# `tuple.__new__(LineAddress, (...))` about 180-220 ns. Only for the hot
+# paths, which pass every field, checked, in field order.
 _new_tuple = tuple.__new__
 
 

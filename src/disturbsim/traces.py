@@ -4,17 +4,25 @@ One record per line: `<time_ns> <R|W> 0x<addr_hex> [0x<128 hex chars>]`.
 Times are non-decreasing, `#` starts a comment, write records carry a full
 512-bit payload. A `.gz` suffix is handled transparently by the file
 helpers. The text format is chosen over binary for diff-ability.
+
+`parse_trace` reads a well-formed, comment-free record with one regex
+match (`_RECORD`), then checks that the op agrees with whether data is
+present and that the time does not decrease. Any other line (a comment, a
+blank line, a malformed field, a decreasing time) goes to the field-by-field
+checks in `_parse_line`, which skip it or raise the error, so every
+`TraceParseError` and its position come from those checks.
 """
 
 from __future__ import annotations
 
 import gzip
 import re
-from dataclasses import dataclass
+import sys
 from random import Random
+from typing import NamedTuple
 
 from .core import (LINE_BITS, LINE_BYTES, LINE_MASK, WORD_BITS, Geometry,
-                   LineAddress, compose_address)
+                   LineAddress, _new_tuple, compose_address)
 
 _HEX_CHARS = LINE_BITS // 4  # 128
 
@@ -22,6 +30,14 @@ _HEX_CHARS = LINE_BITS // 4  # 128
 # non-ASCII digits.
 _DECIMAL = re.compile(r"[0-9]+")
 _HEX = re.compile(r"(?:0[xX])?([0-9a-fA-F]+)")
+# A whole record in the form `TraceRecord.format` writes, with any spaces
+# or tabs between the fields and any whitespace after the last one.
+_RECORD = re.compile(
+    r"[ \t]*([0-9]+)"                                       # time
+    r"[ \t]+([RW])"                                         # op
+    r"[ \t]+(?:0[xX])?([0-9a-fA-F]+)"                       # address
+    rf"(?:[ \t]+(?:0[xX])?([0-9a-fA-F]{{{_HEX_CHARS}}}))?"  # data
+    r"\s*")
 
 
 class TraceParseError(ValueError):
@@ -31,8 +47,7 @@ class TraceParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     time: int  # ns
     op: str    # "R" | "W"
     byte_addr: int
@@ -59,50 +74,78 @@ def _field_column(line: str, index: int) -> int:
     return len(line) + 1
 
 
+def _parse_line(raw: str, line_no: int, last_time: int) -> TraceRecord | None:
+    """Check one line field by field: its record, None for a blank or
+    comment-only line, or a TraceParseError at the first bad field."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None
+    parts = line.split()
+
+    def err(index, message):
+        raise TraceParseError(line_no, _field_column(raw, index), message)
+
+    if len(parts) < 3:
+        err(0, "expected `<time> <R|W> <addr> [<data>]`")
+    if not _DECIMAL.fullmatch(parts[0]):
+        err(0, f"malformed time {parts[0]!r}")
+    try:
+        t = int(parts[0])
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        err(0, f"time has {len(parts[0])} digits, more than the "
+               f"{sys.get_int_max_str_digits()} that int() converts")
+    if t < last_time:
+        err(0, f"decreasing time {t} after {last_time}")
+    op = parts[1]
+    if op not in ("R", "W"):
+        err(1, f"unknown op {op!r}")
+    digits = _HEX.fullmatch(parts[2])
+    if not digits:
+        err(2, f"malformed hex address {parts[2]!r}")
+    addr = int(digits[1], 16)
+    data = None
+    if op == "W":
+        if len(parts) < 4:
+            err(2, "missing write data")
+        digits = _HEX.fullmatch(parts[3])
+        if not digits:
+            err(3, f"malformed hex data {parts[3]!r}")
+        if len(digits[1]) != _HEX_CHARS:
+            err(3, f"write data must be {_HEX_CHARS} hex chars, "
+                   f"got {len(digits[1])}")
+        data = int(digits[1], 16)
+        if len(parts) > 4:
+            err(4, "trailing fields after write data")
+    elif len(parts) > 3:
+        err(3, "trailing fields after read record")
+    return TraceRecord(t, op, addr, data)
+
+
 def parse_trace(source) -> list[TraceRecord]:
     """Strictly parse a trace from a text stream or an iterable of lines."""
     records = []
-    last_time = None
+    append = records.append
+    match = _RECORD.fullmatch
+    last_time = 0
     for line_no, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-
-        def err(index, message):
-            raise TraceParseError(line_no, _field_column(raw, index), message)
-
-        if len(parts) < 3:
-            err(0, "expected `<time> <R|W> <addr> [<data>]`")
-        if not _DECIMAL.fullmatch(parts[0]):
-            err(0, f"malformed time {parts[0]!r}")
-        t = int(parts[0])
-        if last_time is not None and t < last_time:
-            err(0, f"decreasing time {t} after {last_time}")
-        op = parts[1]
-        if op not in ("R", "W"):
-            err(1, f"unknown op {op!r}")
-        digits = _HEX.fullmatch(parts[2])
-        if not digits:
-            err(2, f"malformed hex address {parts[2]!r}")
-        addr = int(digits[1], 16)
-        data = None
-        if op == "W":
-            if len(parts) < 4:
-                err(2, "missing write data")
-            digits = _HEX.fullmatch(parts[3])
-            if not digits:
-                err(3, f"malformed hex data {parts[3]!r}")
-            if len(digits[1]) != _HEX_CHARS:
-                err(3, f"write data must be {_HEX_CHARS} hex chars, "
-                       f"got {len(digits[1])}")
-            data = int(digits[1], 16)
-            if len(parts) > 4:
-                err(4, "trailing fields after write data")
-        elif len(parts) > 3:
-            err(3, "trailing fields after read record")
-        last_time = t
-        records.append(TraceRecord(t, op, addr, data))
+        m = match(raw)
+        if m is not None:
+            time, op, addr, data = m.groups()
+            try:
+                t = int(time)
+            except ValueError:  # too many digits: _parse_line says where
+                t = -1
+            # a write carries data and a read does not
+            if t >= last_time and (data is None) is (op == "R"):
+                last_time = t
+                append(_new_tuple(TraceRecord, (
+                    t, op, int(addr, 16),
+                    None if data is None else int(data, 16))))
+                continue
+        record = _parse_line(raw, line_no, last_time)
+        if record is not None:
+            last_time = record.time
+            append(record)
     return records
 
 
@@ -129,11 +172,20 @@ def read_trace_file(path: str) -> list[TraceRecord]:
 # -- generators ----------------------------------------------------------
 
 
+def _check_gap(gap_ns: int) -> None:
+    # a negative gap would write decreasing times, which no parser accepts
+    if gap_ns < 0:
+        raise ValueError(f"gap_ns must be >= 0, got {gap_ns}")
+
+
 def gen_hammer(target: int, rounds: int, gap_ns: int = 10) -> list[TraceRecord]:
     """Alternate full-ones / full-zeros writes to one line. Every all-zeros
     write delivers one RESET pulse per bit to the adjacent wordlines."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if target < 0:
+        raise ValueError(f"target must be >= 0, got {target}")
+    _check_gap(gap_ns)
     records = []
     t = 0
     for _ in range(rounds):
@@ -175,6 +227,7 @@ def gen_slow_flip(victims: int, interleave: int, rounds: int, rng: Random,
     top of the bank and even the outermost rewrite has no idle row beyond
     it to disturb.
     """
+    _check_gap(gap_ns)
     if rounds == 0 or victims == 0:
         return []
     if 2 * victims + 1 > g.rows_per_bank:
@@ -221,6 +274,7 @@ def gen_synthetic(kind: str, n: int, rng: Random,
     """Synthetic access-shape workloads: iid uniform, 90/10 hotspot, or a
     persistent-structure proxy mixing fresh sequential allocations with hot
     header updates."""
+    _check_gap(gap_ns)
     records = []
     t = 0
 

@@ -218,6 +218,32 @@ def test_bad_trace_exit_code(cfg_path, tmp_path, capsys):
     assert rc == 2
 
 
+def test_overlong_time_exit_code(cfg_path, tmp_path, capsys):
+    bad = tmp_path / "long.trace"
+    bad.write_text("0 R 0x0\n" + "1" * 5000 + " R 0x0\n")
+    rc = dispatch(["run", "--config", cfg_path, "--trace", str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("E:2:line 2, column 1: time has")
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "hammer", "--rounds", "4", "--gap-ns", "-10"],
+    ["--kind", "hammer", "--rounds", "4", "--target", "-64"],
+    ["--kind", "slow-flip", "--victims", "4", "--rounds", "2", "--gap-ns", "-1"],
+    ["--kind", "uniform", "-n", "20", "--gap-ns", "-10"],
+])
+def test_gen_negative_gap_or_target_exit_code(cfg_path, tmp_path, capsys,
+                                              args):
+    """A negative gap would write decreasing times and a negative target a
+    negative address, which `run` rejects: `gen` refuses both and writes
+    nothing."""
+    out = tmp_path / "neg.trace"
+    rc = dispatch(["gen", "--config", cfg_path, *args, "-o", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("E:2:")
+    assert not out.exists()
+
+
 def test_bad_address_behind_backpressure_exit_code(cfg_path, tmp_path, capsys):
     # one-deep queues: the writes ahead of the bad record are retried first
     records = [TraceRecord(0, "W", 64 * r, LINE_MASK) for r in range(4)]

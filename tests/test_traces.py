@@ -1,14 +1,19 @@
 import io
+import pickle
+from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import trace_ref
 from disturbsim.core import LINE_BYTES, LINE_MASK, Geometry, decompose_address
 from disturbsim.traces import (TraceParseError, TraceRecord, emit_trace,
                                gen_hammer, gen_slow_flip, gen_synthetic,
                                parse_trace, read_trace_file, write_trace_file)
 from helpers import TINY, words_of
+
+GOLDEN = Path(__file__).parent / "golden"
 
 D = LINE_MASK
 
@@ -78,6 +83,7 @@ def test_gen_hammer_shape():
     assert all(r.op == "W" and r.byte_addr == 0x40 for r in recs)
     assert [r.data for r in recs[:2]] == [(1 << 512) - 1, 0]
     assert [r.time for r in recs] == [0, 7, 14, 21, 28, 35]
+    assert parse_text(emit_trace(recs)) == recs
 
 
 def test_gen_slow_flip_structure():
@@ -102,6 +108,7 @@ def test_gen_slow_flip_structure():
             # repeat writes to a noise line carry identical data
             assert noise_payloads.setdefault(r.byte_addr, r.data) == r.data
     assert agg_rows == {1, 3, 5, 7}  # odd rows only; neighbors stay idle
+    assert parse_text(emit_trace(recs)) == recs
 
 
 def test_gen_slow_flip_alternates_subsets():
@@ -133,3 +140,159 @@ def test_gen_synthetic_is_well_formed(kind):
 def test_gen_synthetic_unknown_kind():
     with pytest.raises(ValueError):
         gen_synthetic("zipf", 10, Random(0), TINY)
+
+
+@pytest.mark.parametrize("name", ["compare", "coins", "ranks"])
+def test_golden_traces_reemit_byte_for_byte(name):
+    path = GOLDEN / f"{name}.trace"
+    assert emit_trace(read_trace_file(str(path))) == path.read_text()
+
+
+def test_record_pickles_is_immutable_and_formats():
+    write = TraceRecord(7, "W", 0x80, (1 << 511) | 5)
+    read = TraceRecord(9, "R", 0x40)
+    for rec in (write, read):
+        # sweep --jobs pickles records into its worker processes
+        copy = pickle.loads(pickle.dumps(rec))
+        assert copy == rec and type(copy) is TraceRecord
+        with pytest.raises(AttributeError):
+            rec.time = 0
+    assert read.data is None
+    assert read.format() == "9 R 0x40"
+    assert write.format() == "7 W 0x80 0x8" + "0" * 126 + "5"
+    # the one-match path builds the same type as the constructor
+    assert all(type(r) is TraceRecord for r in parse_text(
+        emit_trace([write, read])))
+
+
+TOO_LONG = "1" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("line,column", [
+    (f"{TOO_LONG} R 0x0\n", 1),             # a well-formed record
+    (f"  {TOO_LONG} R 0x0  # note\n", 3),   # a line with a comment
+])
+def test_overlong_time_carries_position(line, column):
+    with pytest.raises(TraceParseError, match="5000 digits") as exc:
+        parse_text("0 R 0x0\n" + line)
+    assert (exc.value.line_no, exc.value.column) == (2, column)
+
+
+# -- equivalence with the reference parser -------------------------------
+
+SEPARATORS = st.sampled_from([" ", " ", " ", "\t", "  ", " \t", "\x0b",
+                              "\x1c", "\u3000"])
+LEADING = st.sampled_from(["", "", "", " ", "\t", "\u3000"])
+TRAILING = st.sampled_from(["", "", "", " ", "\t", "\x0b", "\u3000",
+                            " # note", "#note"])
+ENDINGS = st.sampled_from(["\n", "\n", "\r\n"])
+# How one record may be broken; "" leaves it well-formed.
+FAULTS = st.sampled_from([""] * 12 + [
+    "decreasing", "signed", "underscore", "arabic", "too-long",
+    "leading-zeros", "bad-op", "signed-addr", "bad-addr", "bare-prefix",
+    "short-data", "long-data", "read-data", "write-no-data", "trailing"])
+
+
+@st.composite
+def hex_field(draw, value, width=None):
+    digits = f"{value:0{width}x}" if width else f"{value:x}"
+    if draw(st.booleans()):
+        digits = digits.upper()
+    return draw(st.sampled_from(["0x", "0X", ""])) + digits
+
+
+@st.composite
+def record_line(draw, time):
+    """One record line, well-formed unless a fault is drawn, and its time."""
+    fault = draw(FAULTS)
+    op = draw(st.sampled_from("RW"))
+    if fault == "decreasing" and time > 0:
+        time -= draw(st.integers(1, time))
+    time_field = str(time)
+    if fault == "signed":
+        time_field = draw(st.sampled_from("+-")) + time_field
+    elif fault == "underscore":
+        time_field = time_field[:1] + "_" + time_field[1:]
+    elif fault == "arabic":
+        time_field += "\u0663"
+    elif fault == "too-long":
+        time_field = TOO_LONG
+    elif fault == "leading-zeros":
+        time_field = "00" + time_field
+    if fault == "bad-op":
+        op = draw(st.sampled_from(["r", "w", "X", "RW"]))
+    addr = draw(hex_field(draw(st.integers(0, 1 << 40))))
+    if fault == "signed-addr":
+        addr = "+" + addr
+    elif fault == "bad-addr":
+        addr = draw(st.sampled_from(["zz", "0x4_0", "0xg"]))
+    elif fault == "bare-prefix":
+        addr = draw(st.sampled_from(["0x", "0X"]))
+    fields = [time_field, op, addr]
+    with_data = (op == "W") != (fault in ("read-data", "write-no-data"))
+    if with_data:
+        width = {"short-data": 127, "long-data": 129}.get(fault, 128)
+        value = draw(st.integers(0, (1 << 4 * width) - 1))
+        fields.append(draw(hex_field(value, width)))
+    if fault == "trailing":
+        fields.append(draw(st.sampled_from(["junk", "0", "\u0663"])))
+    line = draw(LEADING) + fields[0]
+    for field in fields[1:]:
+        line += draw(SEPARATORS) + field
+    return line + draw(TRAILING), time
+
+
+@st.composite
+def trace_text(draw):
+    lines = []
+    time = 0
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["record"] * 4 + ["comment", "blank"]))
+        if kind == "comment":
+            line = draw(LEADING) + "# " + draw(st.text(max_size=8))
+            line = line.replace("\n", "").replace("\r", "")
+        elif kind == "blank":
+            line = draw(LEADING) + draw(TRAILING)
+        else:
+            time += draw(st.integers(0, 1000))
+            line, time = draw(record_line(time))
+        lines.append(line + draw(ENDINGS))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")  # no newline at the end
+    return "".join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(trace_text())
+@example("0 R 0x0 extra")  # a trailing field with no newline after it
+@example("0 W 0x0 0x" + "f" * 128 + "\t0")
+@example("0\x1cR\x0b0x40\u3000\r\n5 W 0X80 " + "A" * 128)
+def test_parse_matches_reference(text):
+    """The one-match parser returns the reference's records, or raises its
+    error at the same line and column with the same message. An over-long
+    time, which the reference reports without a position, is reported at
+    the time field of the line the reference stopped at."""
+    seen = []
+
+    def lines():
+        for line in io.StringIO(text):
+            seen.append(line)
+            yield line
+
+    try:
+        expected = trace_ref.parse_trace(lines())
+    except TraceParseError as ref:
+        with pytest.raises(TraceParseError) as exc:
+            parse_text(text)
+        assert ((exc.value.line_no, exc.value.column, str(exc.value))
+                == (ref.line_no, ref.column, str(ref)))
+    except ValueError:  # the reference's int() refused an over-long time
+        with pytest.raises(TraceParseError, match="5000 digits") as exc:
+            parse_text(text)
+        line = seen[-1]
+        assert exc.value.line_no == len(seen)
+        assert exc.value.column == len(line) - len(line.lstrip()) + 1
+    else:
+        got = parse_text(text)
+        assert got == expected
+        assert all(type(r) is TraceRecord for r in got)
