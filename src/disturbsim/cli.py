@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from random import Random
 
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, parse_config_text
 from .controller import MITIGATIONS, TraceAbort, run_to_completion
 from .core import ConsistencyError, SimConfig
 from .metrics import emit_report, tradeoff_report
@@ -76,15 +76,14 @@ def _build_parser() -> _Parser:
 
 
 def _load_cfg(args) -> SimConfig:
-    if args.config:
-        cfg = load_config(args.config, args.overrides)
-    else:
-        from .config import parse_config_text
-        cfg = parse_config_text("", args.overrides)
+    overrides = list(args.overrides)
     env_seed = os.environ.get("DISTURBSIM_SEED")
     if env_seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(env_seed))
-    return cfg
+        # last, so the variable wins over the file and over --set
+        overrides.append(f"run.seed={env_seed}")
+    if args.config:
+        return load_config(args.config, overrides)
+    return parse_config_text("", overrides)
 
 
 def _write_output(text: str, path: str | None) -> None:

@@ -11,12 +11,18 @@ Example:
     strategy = imdb
     seed = 7
 
+A key is a field of `SimConfig`, `Geometry` or `EnergyParams` in core.py,
+whose annotation picks the value parser: `[geometry]` and `[energy]` take
+every field of their dataclass, `_SECTIONS` groups the other fields into
+sections, and a `[siwc]` key drops the `siwc_` prefix.
+
 Unknown sections or keys are rejected. Overrides of the form
 `section.key=value` apply after the file is parsed.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
 from .core import EnergyParams, Geometry, SimConfig
@@ -26,7 +32,6 @@ class ConfigError(ValueError):
     pass
 
 
-# section -> key -> (target SimConfig/Geometry/EnergyParams field, parser)
 def _int(s): return int(s, 0)
 
 
@@ -45,64 +50,39 @@ def _bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-_SCHEMA = {
-    "geometry": {
-        "ranks": _int,
-        "banks_per_rank": _int,
-        "rows_per_bank": _int,
-        "cols_per_row": _int,
-    },
-    "timing": {
-        "read_ns": _int,
-        "set_ns": _int,
-        "reset_ns": _int,
-        "controller_clock_hz": _int,
-    },
-    "media": {
-        "disturb_limit": _int,
-        "initial_fill": str,
-    },
-    "imdb": {
-        "threshold": _int,
-        "insert_prob": _prob,
-        "n_mt": _int,
-        "n_b": _int,
-        "n_groups": _int,
-        "prior_knowledge": _bool,
-        "mt_policy": str,
-        "hit_cycles": _int,
-    },
-    "siwc": {
-        "entries": _int,
-        "q_insert": _prob,
-        "q_evict": _prob,
-    },
-    "run": {
-        "strategy": str,
-        "seed": _int,
-        "queue_depth": _int,
-        "drain_low_watermark": _int,
-    },
-    "energy": {
-        "pcm_read_pj": float,
-        "pcm_set_pj_per_bit": float,
-        "pcm_reset_pj_per_bit": float,
-        "sram_search_pj": float,
-        "sram_access_pj": float,
-        "bb_access_pj": float,
-    },
+# field annotation (a string: core.py postpones annotations) -> value parser
+_PARSERS = {"int": _int, "int | None": _int, "Fraction": _prob, "bool": _bool,
+            "str": str, "float": float}
+
+_NESTED = {"geometry": Geometry, "energy": EnergyParams}
+
+# section -> the SimConfig fields it sets
+_SECTIONS = {
+    "timing": ("read_ns", "set_ns", "reset_ns", "controller_clock_hz"),
+    "media": ("disturb_limit", "initial_fill"),
+    "imdb": ("threshold", "insert_prob", "n_mt", "n_b", "n_groups",
+             "prior_knowledge", "mt_policy", "hit_cycles"),
+    "siwc": ("siwc_entries", "siwc_q_insert", "siwc_q_evict"),
+    "run": ("strategy", "seed", "queue_depth", "drain_low_watermark"),
 }
 
-# config key -> SimConfig field name, where they differ
-_RENAMES = {
-    ("siwc", "entries"): "siwc_entries",
-    ("siwc", "q_insert"): "siwc_q_insert",
-    ("siwc", "q_evict"): "siwc_q_evict",
-}
+
+def _schema() -> dict[str, dict[str, tuple]]:
+    """section -> key -> (field name, parser), built once at import."""
+    types = {f.name: f.type
+             for cls in (SimConfig, *_NESTED.values()) for f in fields(cls)}
+    sections = {sec: [f.name for f in fields(cls)]
+                for sec, cls in _NESTED.items()} | _SECTIONS
+    return {sec: {name.removeprefix("siwc_"): (name, _PARSERS[types[name]])
+                  for name in names}
+            for sec, names in sections.items()}
+
+
+_SCHEMA = _schema()
 
 
 def parse_config_text(text: str, overrides: list[str] | None = None) -> SimConfig:
-    values: dict[tuple[str, str], object] = {}
+    values: dict[str, dict[str, object]] = {}
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -136,30 +116,21 @@ def _store(values, section, key, value, where):
     keys = _SCHEMA[section]
     if key not in keys:
         raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]")
+    name, parse = keys[key]
     try:
-        values[(section, key)] = keys[key](value)
+        values.setdefault(section, {})[name] = parse(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{where}: bad value for {section}.{key}: {exc}") from exc
 
 
-def _build(values: dict) -> SimConfig:
-    def section_kwargs(section):
-        out = {}
-        for (sec, key), v in values.items():
-            if sec == section:
-                out[_RENAMES.get((sec, key), key)] = v
-        return out
-
+def _build(values: dict[str, dict[str, object]]) -> SimConfig:
     kwargs = {}
-    geo = section_kwargs("geometry")
-    if geo:
-        kwargs["geometry"] = Geometry(**geo)
-    energy = section_kwargs("energy")
-    if energy:
-        kwargs["energy"] = EnergyParams(**energy)
-    for sec in ("timing", "media", "imdb", "siwc", "run"):
-        kwargs.update(section_kwargs(sec))
     try:
+        for sec, cls in _NESTED.items():
+            if sec in values:
+                kwargs[sec] = cls(**values.pop(sec))
+        for section_values in values.values():
+            kwargs.update(section_values)
         return SimConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

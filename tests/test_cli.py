@@ -111,6 +111,18 @@ def test_env_seed_override(cfg_path, trace_path, monkeypatch):
     assert rows[0]["seed"] == 77
 
 
+def test_env_seed_parses_like_config_seed(cfg_path, trace_path, monkeypatch,
+                                          capsys):
+    monkeypatch.setenv("DISTURBSIM_SEED", "0x10")
+    rows = run_rows(["run", "--config", cfg_path, "--trace", trace_path,
+                     "--set", "run.seed=5", "--format", "json"])
+    assert rows[0]["seed"] == 16
+    monkeypatch.setenv("DISTURBSIM_SEED", "abc")
+    rc = dispatch(["run", "--config", cfg_path, "--trace", trace_path])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("E:2:")
+
+
 def test_compare_covers_strategies(cfg_path, trace_path):
     rows = run_rows(["compare", "--config", cfg_path, "--trace", trace_path,
                      "--format", "json"])
@@ -176,6 +188,13 @@ def test_bad_config_exit_code(tmp_path, trace_path, capsys):
     rc = dispatch(["run", "--config", str(bad), "--trace", trace_path])
     assert rc == 2
     assert capsys.readouterr().err.startswith("E:2:")
+
+
+def test_bad_geometry_exit_code(cfg_path, trace_path, capsys):
+    rc = dispatch(["run", "--config", cfg_path, "--trace", trace_path,
+                   "--set", "geometry.ranks=0"])
+    assert rc == 2
+    assert capsys.readouterr().err == "E:2:ranks must be >= 1\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -287,3 +306,22 @@ def test_gen_uniform_cli(cfg_path, tmp_path):
     assert rc == 0
     from disturbsim.traces import read_trace_file
     assert len(read_trace_file(path)) == 50
+
+
+def test_readme_example_runs(tmp_path, monkeypatch):
+    """The README's example config and CLI block run as written, the sweep
+    with two jobs."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (tmp_path / "sim.cfg").write_text(
+        readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = [line.split() for line in block.splitlines()
+                if line.startswith("disturbsim ")]
+    assert [c[1] for c in commands] == ["gen", "gen", "run", "compare",
+                                        "sweep"]
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        if command[1] == "sweep":
+            command[command.index("--jobs") + 1] = "2"
+        assert dispatch(command[1:]) == 0, command

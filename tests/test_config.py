@@ -1,8 +1,10 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from disturbsim.config import ConfigError, load_config, parse_config_text
+from disturbsim.core import EnergyParams, Geometry, SimConfig
 
 SAMPLE = """
 # experiment: small module
@@ -70,6 +72,8 @@ def test_overrides_apply_after_file():
     "[imdb]\ninsert_prob = 1/0\n",
     "[run]\nstrategy = bogus\n",
     "[imdb]\nn_mt = 16\nn_groups = 3\n",
+    "[geometry]\nranks = 0\n",
+    "[energy]\npcm_read_pj = -1\n",
 ])
 def test_rejects_bad_input(text):
     with pytest.raises(ConfigError):
@@ -93,3 +97,75 @@ def test_load_config_file(tmp_path):
 def test_hex_ints_accepted():
     cfg = parse_config_text("[run]\nseed = 0x10\n")
     assert cfg.seed == 16
+
+
+# Every (section, key) the config file accepts, with a non-default value in
+# each form the parsers take, the field it sets and the value it gives.
+SCHEMA = [
+    ("geometry", "ranks", "0x3", "ranks", 3),
+    ("geometry", "banks_per_rank", "4", "banks_per_rank", 4),
+    ("geometry", "rows_per_bank", "0x40", "rows_per_bank", 64),
+    ("geometry", "cols_per_row", "2", "cols_per_row", 2),
+    ("timing", "read_ns", "0x20", "read_ns", 32),
+    ("timing", "set_ns", "200", "set_ns", 200),
+    ("timing", "reset_ns", "120", "reset_ns", 120),
+    ("timing", "controller_clock_hz", "1_000_000_000", "controller_clock_hz",
+     10 ** 9),
+    ("media", "disturb_limit", "2048", "disturb_limit", 2048),
+    ("media", "initial_fill", "zeros", "initial_fill", "zeros"),
+    ("imdb", "threshold", "0x100", "threshold", 256),
+    ("imdb", "insert_prob", "1/4", "insert_prob", Fraction(1, 4)),
+    ("imdb", "n_mt", "0x80", "n_mt", 128),
+    ("imdb", "n_b", "4", "n_b", 4),
+    ("imdb", "n_groups", "16", "n_groups", 16),
+    ("imdb", "prior_knowledge", "off", "prior_knowledge", False),
+    ("imdb", "mt_policy", "lru", "mt_policy", "lru"),
+    ("imdb", "hit_cycles", "3", "hit_cycles", 3),
+    ("siwc", "entries", "20", "siwc_entries", 20),
+    ("siwc", "q_insert", "1/3", "siwc_q_insert", Fraction(1, 3)),
+    ("siwc", "q_evict", "0.25", "siwc_q_evict", Fraction(1, 4)),
+    ("run", "strategy", "imdb", "strategy", "imdb"),
+    ("run", "seed", "0x10", "seed", 16),
+    ("run", "queue_depth", "32", "queue_depth", 32),
+    ("run", "drain_low_watermark", "8", "drain_low_watermark", 8),
+    ("energy", "pcm_read_pj", "2.5", "pcm_read_pj", 2.5),
+    ("energy", "pcm_set_pj_per_bit", "1e-1", "pcm_set_pj_per_bit", 0.1),
+    ("energy", "pcm_reset_pj_per_bit", "3", "pcm_reset_pj_per_bit", 3.0),
+    ("energy", "sram_search_pj", "0.5", "sram_search_pj", 0.5),
+    ("energy", "sram_access_pj", "0.25", "sram_access_pj", 0.25),
+    ("energy", "bb_access_pj", "1.5", "bb_access_pj", 1.5),
+]
+
+
+def _settings(cfg: SimConfig) -> dict:
+    """Every setting of a config by field name, nested ones included."""
+    out = {}
+    for obj in (cfg, cfg.geometry, cfg.energy):
+        out.update((f.name, getattr(obj, f.name)) for f in fields(obj)
+                   if f.name not in ("geometry", "energy"))
+    return out
+
+
+def test_schema_covers_every_field_once():
+    names = [name for _, _, _, name, _ in SCHEMA]
+    assert len(SCHEMA) == 31 and len(set(names)) == len(names)
+    assert len({(sec, key) for sec, key, *_ in SCHEMA}) == len(SCHEMA)
+    expected = {f.name for cls in (SimConfig, Geometry, EnergyParams)
+                for f in fields(cls)} - {"geometry", "energy"}
+    assert set(names) == expected
+
+
+@pytest.mark.parametrize("section,key,text,name,value", SCHEMA)
+def test_each_key_sets_exactly_its_field(section, key, text, name, value):
+    defaults = _settings(SimConfig())
+    for cfg in (parse_config_text(f"[{section}]\n{key} = {text}\n"),
+                parse_config_text("", [f"{section}.{key}={text}"])):
+        got = _settings(cfg)
+        assert {k for k in got if got[k] != defaults[k]} == {name}
+        assert got[name] == value and type(got[name]) is type(value)
+
+
+def test_bool_accepts_on():
+    cfg = parse_config_text("[imdb]\nprior_knowledge = off\n",
+                            ["imdb.prior_knowledge=on"])
+    assert cfg.prior_knowledge is True
