@@ -1,22 +1,24 @@
 """Discrete-event media controller: queues, priority scheduling, pre-write
-read preparation, rewrite merging, write draining, and bank timing.
+reads, rewrite merging, write draining, and bank timing.
 
-Scheduling is priority-classed FCFS: Rewrite > HostRead > PreWriteRead >
-(HostWrite | Writeback), with one exception: once a write queue fills, its
-prepared writes drain ahead of pre-write reads until occupancy falls to the
-low watermark. Host writes are held unprepared until their pre-write read
-returns the old line contents. The run is fully deterministic for a given
-(config, trace, seed).
+A host write is one command, serviced twice: first its pre-write read, which
+returns the old line contents for counting flips and prepares the write, then
+the write itself. Scheduling is priority-classed FCFS: Rewrite > HostRead >
+PreWriteRead > (HostWrite | Writeback), with one exception: once a write
+queue fills, its prepared writes drain ahead of pre-write reads until
+occupancy falls to the low watermark. The run is fully deterministic for a
+given (config, trace, seed).
 
 A bank keeps its queued commands per kind, so a decision looks only at queue
 heads: a FIFO of rewrites, a FIFO of host reads, a seq-ordered heap of
-prepared host writes and writebacks, and a seq-ordered heap of the pre-write
-reads that may run. A per-line index maps each line to its queued writes in
-seq order. A pre-write read must observe every older write to its line, so
-it may run once its own write is the line's oldest queued write; until then
-it waits, keyed by that write, and the index releases it when the writes
-ahead of it leave. A fresh rewrite merges into the line's oldest queued
-write. `read_q` and `write_q` hold every queued read and write, for counts.
+prepared host writes and writebacks, and a seq-ordered heap of unprepared
+host writes whose pre-write read may run. A per-line index maps each line to
+its queued writes in seq order. A pre-write read must observe every older
+write to its line, so it may run once its write is the line's oldest queued
+write: at enqueue, or when the write ahead of it leaves. A fresh rewrite
+merges into the line's oldest queued write. `read_q` holds every queued host
+read and every write still awaiting its pre-write read, `write_q` every
+queued write; both are for counts.
 Each trace record's address is decoded once, at its first admission
 attempt; backpressure retries reuse it.
 
@@ -46,7 +48,6 @@ from .traces import TraceRecord
 class CommandKind(enum.Enum):
     HOST_READ = "host-read"
     HOST_WRITE = "host-write"
-    PRE_WRITE_READ = "pre-write-read"
     REWRITE = "rewrite"
     WRITEBACK = "writeback"
 
@@ -56,7 +57,6 @@ class CommandKind(enum.Enum):
 # against 10-25 ns for a module constant, and a host write reads about 19.
 HOST_READ = CommandKind.HOST_READ
 HOST_WRITE = CommandKind.HOST_WRITE
-PRE_WRITE_READ = CommandKind.PRE_WRITE_READ
 REWRITE = CommandKind.REWRITE
 WRITEBACK = CommandKind.WRITEBACK
 
@@ -73,68 +73,62 @@ class Command:
     old_data: int | None = None
     enqueue_time: int = 0
     seq: int = 0
-    paired: "Command | None" = None  # write awaiting this pre-write read
 
 
 class _Bank:
     """One bank's queued commands, indexed per kind and per line, and its
     mitigation. Commands enter through `enqueue`, in seq order, and leave
-    through `remove` once `Engine.next_command` has picked them."""
+    through `remove` once `Engine.next_command` has picked them. An
+    unprepared host write is picked first for its pre-write read, which
+    `remove` turns into preparing it, and then again as a write."""
 
     __slots__ = ("read_q", "write_q", "rewrites", "host_reads", "ready_pres",
-                 "blocked_pres", "ready_writes", "lines", "busy_until",
-                 "draining", "mitigation")
+                 "ready_writes", "lines", "busy_until", "draining",
+                 "mitigation")
 
     def __init__(self, mitigation: Mitigation):
         self.mitigation = mitigation
-        self.read_q: dict[Command, None] = {}   # every queued read
+        self.read_q: dict[Command, None] = {}   # host reads, unprepared writes
         self.write_q: dict[Command, None] = {}  # every queued write
         self.rewrites: deque[Command] = deque()
         self.host_reads: deque[Command] = deque()
         self.ready_pres: list[tuple[int, Command]] = []    # heap by seq
-        self.blocked_pres: dict[Command, Command] = {}     # write -> its pre-read
         self.ready_writes: list[tuple[int, Command]] = []  # heap by seq
         self.lines: dict[LineAddress, list[Command]] = {}  # queued writes
         self.busy_until = 0
         self.draining = False
-
-    def _pwr_ready(self, pre: Command) -> bool:
-        """A pre-write read must observe every older write to its line, or
-        the paired write would count flips against stale contents."""
-        line = self.lines.get(pre.addr)
-        return line is not None and line[0] is pre.paired
 
     def enqueue(self, cmd: Command) -> None:
         kind = cmd.kind
         if kind is HOST_READ:
             self.read_q[cmd] = None
             self.host_reads.append(cmd)
-        elif kind is PRE_WRITE_READ:
-            self.read_q[cmd] = None
-            if self._pwr_ready(cmd):
-                heappush(self.ready_pres, (cmd.seq, cmd))
-            else:
-                self.blocked_pres[cmd.paired] = cmd
+            return
+        self.write_q[cmd] = None
+        line = self.lines.setdefault(cmd.addr, [])
+        if line and line[-1].seq > cmd.seq:
+            raise ConsistencyError(
+                f"write seq {cmd.seq} enqueued after seq {line[-1].seq}")
+        line.append(cmd)
+        if kind is REWRITE:
+            self.rewrites.append(cmd)
+        elif cmd.prepared:
+            heappush(self.ready_writes, (cmd.seq, cmd))
         else:
-            self.write_q[cmd] = None
-            line = self.lines.setdefault(cmd.addr, [])
-            if line and line[-1].seq > cmd.seq:
-                raise ConsistencyError(
-                    f"write seq {cmd.seq} enqueued after seq {line[-1].seq}")
-            line.append(cmd)
-            if kind is REWRITE:
-                self.rewrites.append(cmd)
-            elif cmd.prepared:
-                heappush(self.ready_writes, (cmd.seq, cmd))
+            # A pre-write read must observe every older write to its line,
+            # or the write would count flips against stale contents.
+            self.read_q[cmd] = None
+            if line[0] is cmd:
+                heappush(self.ready_pres, (cmd.seq, cmd))
 
     def remove(self, cmd: Command) -> None:
-        """Take a picked command off the queues. Removing a pre-write read
-        prepares its write; removing a line's oldest write may release the
-        pre-write read of the next one."""
+        """Take a picked command off the queues. Picking an unprepared write
+        runs its pre-write read and prepares it; removing a line's oldest
+        write may release the pre-write read of the next one."""
         kind = cmd.kind
         if kind is HOST_READ:
             head = self.host_reads.popleft()
-        elif kind is PRE_WRITE_READ:
+        elif not cmd.prepared:
             head = heappop(self.ready_pres)[1]
         elif kind is REWRITE:
             head = self.rewrites.popleft()
@@ -146,11 +140,10 @@ class _Bank:
         if kind is HOST_READ:
             del self.read_q[cmd]
             return
-        if kind is PRE_WRITE_READ:
+        if not cmd.prepared:
             del self.read_q[cmd]
-            write = cmd.paired
-            write.prepared = True
-            heappush(self.ready_writes, (write.seq, write))
+            cmd.prepared = True
+            heappush(self.ready_writes, (cmd.seq, cmd))
             return
         del self.write_q[cmd]
         line = self.lines[cmd.addr]
@@ -161,9 +154,9 @@ class _Bank:
         if not line:
             del self.lines[cmd.addr]
             return
-        pre = self.blocked_pres.pop(line[0], None)
-        if pre is not None:
-            heappush(self.ready_pres, (pre.seq, pre))
+        head = line[0]
+        if not head.prepared:
+            heappush(self.ready_pres, (head.seq, head))
 
 
 class Vnc(Mitigation):
@@ -206,9 +199,8 @@ class Engine:
         self._depth = cfg.queue_depth
         self._low_watermark = cfg.drain_watermark
         strategy = MITIGATIONS[cfg.strategy]
-        self.mitigations = [strategy(cfg, self.stats)
-                            for _ in range(g.num_banks)]
-        self.banks = [_Bank(m) for m in self.mitigations]
+        self.banks = [_Bank(strategy(cfg, self.stats))
+                      for _ in range(g.num_banks)]
         self._seq = 0
         self._admitted = 0
         self._serviced = 0
@@ -266,15 +258,10 @@ class Engine:
             self._enqueue_writeback(*writeback, now)
         if absorbed:
             return True
-        seq = self._seq
-        self._seq = seq + 2
-        write = Command(HOST_WRITE, addr, data, DIFFERENTIAL, False,
-                        None, now, seq + 1)
-        pre = Command(PRE_WRITE_READ, addr, None, DIFFERENTIAL, True, None,
-                      now, seq + 2, write)
-        bank.enqueue(write)
-        bank.enqueue(pre)
-        self._admitted += 2
+        self._seq += 1
+        bank.enqueue(Command(HOST_WRITE, addr, data, DIFFERENTIAL, False,
+                             None, now, self._seq))
+        self._admitted += 2  # serviced twice: its pre-write read, then itself
         return True
 
     def _enqueue_writeback(self, addr: LineAddress, data: int,
@@ -327,6 +314,7 @@ class Engine:
     # -- service ---------------------------------------------------------------
 
     def _service(self, bank: _Bank, cmd: Command, now: int) -> None:
+        prepared = cmd.prepared  # picked unprepared: its pre-write read
         bank.remove(cmd)
         self._serviced += 1
 
@@ -337,9 +325,9 @@ class Engine:
             if data != self.media.intended_line(cmd.addr):
                 self.stats.wde_exposed += 1
             latency = self._read_ns
-        elif kind is PRE_WRITE_READ:
+        elif not prepared:
             self.stats.pre_write_reads += 1
-            cmd.paired.old_data = self.media.read_line(cmd.addr)
+            cmd.old_data = self.media.read_line(cmd.addr)
             latency = self._read_ns
         else:
             latency = self._service_write(bank, cmd, now)
@@ -429,8 +417,7 @@ class Engine:
                 raise ConsistencyError(
                     f"bank {i} still indexes queued writes to "
                     f"{len(bank.lines)} lines")
-        for mitigation in self.mitigations:
-            mitigation.check()
+            bank.mitigation.check()
         stats = self.stats
         stats.completion_time_ns = self._end_time
         stats.wde_exposed += len(self.media.scrub_divergence())

@@ -13,6 +13,7 @@ decomposition is mixed-radix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -191,8 +192,8 @@ class EnergyParams:
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if v < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 STRATEGIES = ("none", "vnc", "siwc", "imdb")

@@ -172,10 +172,12 @@ def read_trace_file(path: str) -> list[TraceRecord]:
 # -- generators ----------------------------------------------------------
 
 
-def _check_gap(gap_ns: int) -> None:
-    # a negative gap would write decreasing times, which no parser accepts
-    if gap_ns < 0:
-        raise ValueError(f"gap_ns must be >= 0, got {gap_ns}")
+def _check_nonnegative(**values: int) -> None:
+    # A negative gap would write decreasing times, which no parser accepts,
+    # and a negative count an empty trace.
+    for name, v in values.items():
+        if v < 0:
+            raise ValueError(f"{name} must be >= 0, got {v}")
 
 
 def gen_hammer(target: int, rounds: int, gap_ns: int = 10) -> list[TraceRecord]:
@@ -183,9 +185,7 @@ def gen_hammer(target: int, rounds: int, gap_ns: int = 10) -> list[TraceRecord]:
     write delivers one RESET pulse per bit to the adjacent wordlines."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if target < 0:
-        raise ValueError(f"target must be >= 0, got {target}")
-    _check_gap(gap_ns)
+    _check_nonnegative(target=target, gap_ns=gap_ns)
     records = []
     t = 0
     for _ in range(rounds):
@@ -227,7 +227,8 @@ def gen_slow_flip(victims: int, interleave: int, rounds: int, rng: Random,
     top of the bank and even the outermost rewrite has no idle row beyond
     it to disturb.
     """
-    _check_gap(gap_ns)
+    _check_nonnegative(victims=victims, interleave=interleave, rounds=rounds,
+                       gap_ns=gap_ns)
     if rounds == 0 or victims == 0:
         return []
     if 2 * victims + 1 > g.rows_per_bank:
@@ -274,7 +275,7 @@ def gen_synthetic(kind: str, n: int, rng: Random,
     """Synthetic access-shape workloads: iid uniform, 90/10 hotspot, or a
     persistent-structure proxy mixing fresh sequential allocations with hot
     header updates."""
-    _check_gap(gap_ns)
+    _check_nonnegative(n=n, gap_ns=gap_ns)
     records = []
     t = 0
 

@@ -1,17 +1,19 @@
 """Naive linear-scan scheduler used as the reference for the engine's indexed
 bank queues.
 
-A bank here is two plain lists, `read_q` and `write_q`, in arrival order.
-Every decision scans them whole, exactly as the engine once did: priority-
-classed FCFS (Rewrite > HostRead > PreWriteRead > HostWrite | Writeback),
-prepared writes draining ahead of pre-write reads while the write queue is
-over its watermark, and a pre-write read held back while an older write to
-its line is queued.
+A bank here is two plain lists, `read_q` and `write_q`, in arrival order. A
+host write is one command: it sits in `write_q` until it is serviced, and an
+unprepared one also sits in `read_q`, where it stands for its pre-write read.
+Picking it unprepared runs that read, which prepares it. Every decision scans
+the lists whole, exactly as the engine once did: priority-classed FCFS
+(Rewrite > HostRead > PreWriteRead > HostWrite | Writeback), prepared writes
+draining ahead of pre-write reads while the write queue is over its
+watermark, and a pre-write read held back while an older write to its line
+is queued.
 """
 
 from disturbsim.controller import CommandKind
 
-READ_KINDS = (CommandKind.HOST_READ, CommandKind.PRE_WRITE_READ)
 WRITE_KINDS = (CommandKind.HOST_WRITE, CommandKind.WRITEBACK)
 
 
@@ -21,20 +23,24 @@ class RefBank:
         self.write_q = []
         self.draining = False
 
-    def _queue(self, cmd):
-        return self.read_q if cmd.kind in READ_KINDS else self.write_q
-
     def enqueue(self, cmd):
-        self._queue(cmd).append(cmd)
+        if cmd.kind is not CommandKind.HOST_READ:
+            self.write_q.append(cmd)
+        if cmd.kind is CommandKind.HOST_READ or not cmd.prepared:
+            self.read_q.append(cmd)
 
     def remove(self, cmd):
-        self._queue(cmd).remove(cmd)  # commands compare by identity
+        """A picked read, or an unprepared write's pre-write read, leaves
+        `read_q`; a picked write leaves `write_q`."""
+        if cmd in self.read_q:  # commands compare by identity
+            self.read_q.remove(cmd)
+        else:
+            self.write_q.remove(cmd)
 
 
-def pwr_ready(bank, pre):
+def pwr_ready(bank, write):
     """A pre-write read must observe every older write to its line."""
-    return not any(c.seq < pre.seq and c.addr == pre.addr
-                   and c is not pre.paired
+    return not any(c.seq < write.seq and c.addr == write.addr
                    for c in bank.write_q)
 
 
@@ -56,8 +62,7 @@ def next_command(bank, queue_depth, drain_watermark):
     if bank.draining and ready_write is not None:
         return ready_write
     pre = next((c for c in bank.read_q
-                if c.kind is CommandKind.PRE_WRITE_READ
-                and pwr_ready(bank, c)), None)
+                if not c.prepared and pwr_ready(bank, c)), None)
     if pre is not None:
         return pre
     return ready_write

@@ -254,14 +254,10 @@ def random_bank_state(cfg, rng):
         seq += 1
         kind = rng.choice([CommandKind.HOST_WRITE, CommandKind.WRITEBACK,
                            CommandKind.REWRITE])
-        prepared = kind is CommandKind.REWRITE or rng.random() < 0.5
-        w = Command(kind, LineAddress(0, 0, rng.randrange(8), 0),
-                    data=0, prepared=prepared, seq=seq)
-        bank.enqueue(w)
-        if kind is CommandKind.HOST_WRITE and not prepared:
-            seq += 1
-            bank.enqueue(Command(CommandKind.PRE_WRITE_READ, w.addr,
-                                 prepared=True, seq=seq, paired=w))
+        # only a host write waits for a pre-write read, as in the engine
+        prepared = kind is not CommandKind.HOST_WRITE or rng.random() < 0.5
+        bank.enqueue(Command(kind, LineAddress(0, 0, rng.randrange(8), 0),
+                             data=0, prepared=prepared, seq=seq))
     for _ in range(rng.randrange(3)):
         seq += 1
         bank.enqueue(Command(CommandKind.HOST_READ,
@@ -299,7 +295,11 @@ def test_a9_determinism_and_priority(tmp_path):
             has_rewrite = any(c.kind is CommandKind.REWRITE
                               for c in bank.write_q)
             if picked is not None:
-                assert picked.prepared
+                if not picked.prepared:
+                    # an unprepared pick is its write's pre-write read,
+                    # which runs only once no older write to the line waits
+                    assert picked.kind is CommandKind.HOST_WRITE
+                    assert bank.lines[picked.addr][0] is picked
                 if has_rewrite:
                     # rewrites outrank everything, pre-write reads included
                     assert picked.kind is CommandKind.REWRITE

@@ -215,6 +215,20 @@ def test_negative_table_sizes_and_cycles_exit_code(cfg_path, trace_path,
     assert capsys.readouterr().err.startswith("E:2:")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_energy_exit_code(tmp_path, capsys, value):
+    """A non-finite energy input would make every energy figure NaN or
+    infinite, which JSON cannot carry."""
+    out = tmp_path / "ranks.json"
+    rc = dispatch(["run", "--config", str(GOLDEN / "ranks.cfg"),
+                   "--trace", str(GOLDEN / "ranks.trace"),
+                   "--set", f"energy.pcm_read_pj={value}",
+                   "--format", "json", "-o", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("E:2:")
+    assert not out.exists()
+
+
 def test_missing_trace_exit_code(cfg_path, capsys):
     rc = dispatch(["run", "--config", cfg_path, "--trace", "/nonexistent"])
     assert rc == 2
@@ -250,17 +264,35 @@ def test_overlong_time_exit_code(cfg_path, tmp_path, capsys):
     ["--kind", "hammer", "--rounds", "4", "--target", "-64"],
     ["--kind", "slow-flip", "--victims", "4", "--rounds", "2", "--gap-ns", "-1"],
     ["--kind", "uniform", "-n", "20", "--gap-ns", "-10"],
+    ["--kind", "uniform", "-n", "-5"],
+    ["--kind", "hotspot", "-n", "-1"],
+    ["--kind", "slow-flip", "--victims", "-2"],
+    ["--kind", "slow-flip", "--interleave", "-1"],
+    ["--kind", "slow-flip", "--rounds", "-3"],
 ])
 def test_gen_negative_gap_or_target_exit_code(cfg_path, tmp_path, capsys,
                                               args):
     """A negative gap would write decreasing times and a negative target a
-    negative address, which `run` rejects: `gen` refuses both and writes
-    nothing."""
+    negative address, which `run` rejects, and a negative count an empty
+    trace: `gen` refuses all three and writes nothing."""
     out = tmp_path / "neg.trace"
     rc = dispatch(["gen", "--config", cfg_path, *args, "-o", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("E:2:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "uniform", "-n", "0"],
+    ["--kind", "slow-flip", "--victims", "0"],
+    ["--kind", "slow-flip", "--interleave", "0"],
+    ["--kind", "slow-flip", "--rounds", "0"],
+])
+def test_gen_zero_count_writes_trace(cfg_path, tmp_path, args):
+    """Zero counts stay allowed: only a negative count is refused."""
+    out = tmp_path / "zero.trace"
+    assert dispatch(["gen", "--config", cfg_path, *args, "-o", str(out)]) == 0
+    assert out.exists()
 
 
 def test_bad_address_behind_backpressure_exit_code(cfg_path, tmp_path, capsys):

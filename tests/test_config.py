@@ -74,6 +74,9 @@ def test_overrides_apply_after_file():
     "[imdb]\nn_mt = 16\nn_groups = 3\n",
     "[geometry]\nranks = 0\n",
     "[energy]\npcm_read_pj = -1\n",
+    "[energy]\npcm_read_pj = nan\n",
+    "[energy]\nsram_search_pj = inf\n",
+    "[energy]\nbb_access_pj = -inf\n",
 ])
 def test_rejects_bad_input(text):
     with pytest.raises(ConfigError):

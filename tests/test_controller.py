@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scheduler_ref
@@ -17,9 +17,9 @@ ONES = LINE_MASK
 ZEROS = 0
 
 
-def cmd(kind, row, prepared=False, seq=0, paired=None):
+def cmd(kind, row, prepared=False, seq=0):
     return Command(kind, LineAddress(0, 0, row, 0), data=ZEROS,
-                   prepared=prepared, seq=seq, paired=paired)
+                   prepared=prepared, seq=seq)
 
 
 def empty_engine(**kw) -> Engine:
@@ -46,11 +46,9 @@ def test_priority_rewrite_first():
 def test_priority_host_read_over_pre_write_read():
     eng = empty_engine()
     bank = eng.banks[0]
-    write = cmd(CommandKind.HOST_WRITE, 2, seq=1)
-    enqueue(bank, write,
-            cmd(CommandKind.PRE_WRITE_READ, 2, prepared=True, seq=2,
-                paired=write),
-            cmd(CommandKind.HOST_READ, 1, prepared=True, seq=3))
+    # the unprepared write stands for its pending pre-write read
+    enqueue(bank, cmd(CommandKind.HOST_WRITE, 2, seq=1),
+            cmd(CommandKind.HOST_READ, 1, prepared=True, seq=2))
     assert eng.next_command(bank, 0).kind is CommandKind.HOST_READ
 
 
@@ -59,10 +57,9 @@ def test_priority_pre_write_read_over_writes():
     bank = eng.banks[0]
     write = cmd(CommandKind.HOST_WRITE, 2, seq=1)
     ready = cmd(CommandKind.HOST_WRITE, 3, prepared=True, seq=2)
-    enqueue(bank, write, ready,
-            cmd(CommandKind.PRE_WRITE_READ, 2, prepared=True, seq=3,
-                paired=write))
-    assert eng.next_command(bank, 0).kind is CommandKind.PRE_WRITE_READ
+    enqueue(bank, write, ready)
+    picked = eng.next_command(bank, 0)
+    assert picked is write and not picked.prepared  # its pre-write read
 
 
 def test_drain_mode_puts_writes_ahead_of_pre_reads():
@@ -72,20 +69,19 @@ def test_drain_mode_puts_writes_ahead_of_pre_reads():
               for r in range(4)]
     pwr_target = cmd(CommandKind.HOST_WRITE, 5, seq=10)
     # five writes, above queue_depth: drain kicks in
-    enqueue(bank, *writes, pwr_target,
-            cmd(CommandKind.PRE_WRITE_READ, 5, prepared=True, seq=11,
-                paired=pwr_target))
+    enqueue(bank, *writes, pwr_target)
     picked = eng.next_command(bank, 0)
-    assert picked.kind is CommandKind.HOST_WRITE
+    assert picked in writes and picked.prepared
     # draining persists until the queue reaches the low watermark
     bank.remove(picked)
     assert len(bank.write_q) == 4
     picked = eng.next_command(bank, 0)
-    assert picked.kind is CommandKind.HOST_WRITE
+    assert picked in writes and picked.prepared
     bank.remove(picked)
     bank.remove(eng.next_command(bank, 0))
     assert len(bank.write_q) == 2
-    assert eng.next_command(bank, 0).kind is CommandKind.PRE_WRITE_READ
+    picked = eng.next_command(bank, 0)
+    assert picked is pwr_target and not picked.prepared  # its pre-write read
 
 
 def test_pre_write_read_waits_for_older_same_line_write():
@@ -93,19 +89,27 @@ def test_pre_write_read_waits_for_older_same_line_write():
     bank = eng.banks[0]
     older = cmd(CommandKind.HOST_WRITE, 2, prepared=True, seq=1)
     younger = cmd(CommandKind.HOST_WRITE, 2, seq=2)
-    enqueue(bank, older, younger,
-            cmd(CommandKind.PRE_WRITE_READ, 2, prepared=True, seq=3,
-                paired=younger))
+    enqueue(bank, older, younger)
     # serving the pre-read now would capture stale contents
     assert eng.next_command(bank, 0) is older
     bank.remove(older)
-    assert eng.next_command(bank, 0).kind is CommandKind.PRE_WRITE_READ
+    picked = eng.next_command(bank, 0)
+    assert picked is younger and not picked.prepared  # its pre-write read
 
 
 def test_unprepared_writes_never_selected():
+    """An unprepared write is picked only for its pre-write read, and as a
+    write only once that read has prepared it."""
     eng = empty_engine()
     bank = eng.banks[0]
-    enqueue(bank, cmd(CommandKind.HOST_WRITE, 2, seq=1))
+    write = cmd(CommandKind.HOST_WRITE, 2, seq=1)
+    enqueue(bank, write)
+    assert eng.next_command(bank, 0) is write
+    bank.remove(write)  # the pre-write read: prepares, does not dequeue
+    assert write.prepared and not bank.read_q
+    assert list(bank.write_q) == [write]
+    assert eng.next_command(bank, 0) is write
+    bank.remove(write)
     assert eng.next_command(bank, 0) is None
 
 
@@ -149,10 +153,12 @@ BANK_OPS = st.lists(st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(depth=st.integers(2, 6), ops=BANK_OPS)
+# the second write's pre-write read is released when the first write leaves
+@example(depth=4, ops=[("write", 1), ("write", 1)] + [("pick", 0)] * 4)
 def test_indexed_bank_matches_reference_scheduler(depth, ops):
     """Random enqueue/pick/service/merge sequences, in the order the engine
-    creates commands (seq grows with enqueue order, a pre-write read right
-    after its write), pick and merge exactly as the linear scans do."""
+    creates commands (seq grows with enqueue order, a host write enqueued
+    unprepared), pick and merge exactly as the linear scans do."""
     low = depth // 2
     eng = empty_engine(queue_depth=depth, drain_low_watermark=low)
     bank = eng.banks[0]
@@ -168,11 +174,8 @@ def test_indexed_bank_matches_reference_scheduler(depth, ops):
             add(Command(CommandKind.HOST_READ, addr, prepared=True,
                         seq=eng._next_seq()))
         elif op == "write":
-            write = Command(CommandKind.HOST_WRITE, addr, data=ZEROS,
-                            seq=eng._next_seq())
-            add(write)
-            add(Command(CommandKind.PRE_WRITE_READ, addr, prepared=True,
-                        seq=eng._next_seq(), paired=write))
+            add(Command(CommandKind.HOST_WRITE, addr, data=ZEROS,
+                        seq=eng._next_seq()))
         elif op == "writeback":
             add(Command(CommandKind.WRITEBACK, addr, data=ZEROS,
                         prepared=True, seq=eng._next_seq()))
@@ -266,7 +269,7 @@ def test_all_zeros_line_in_a_table_serves_reads(strategy):
     """The int 0 is the all-zeros line, not a miss: a barrier-buffer or
     write-cache entry holding it serves the host read."""
     eng = empty_engine(strategy=strategy, siwc_q_insert=Fraction(1))
-    table = eng.mitigations[0]
+    table = eng.banks[0].mitigation
     a = LineAddress(0, 0, 3, 0)
     if strategy == "imdb":
         table.install(0, a, [0] * 8)

@@ -36,6 +36,21 @@ def test_every_span_is_defined_on_its_owner(layers):
         assert attr in owner.__dict__, name
 
 
+# `Trace.counts()` on the compare golden: the per-layer view of the bank
+# queues (retried submits, deepest read + write queue, enqueue-to-pick waits)
+# and the conservation triple (admitted, serviced, merges).
+COMPARE_COUNTS = {
+    "none": dict(retries=628, queue_depth_max=8, wait_p50=900, wait_p99=1300,
+                 conservation=(361, 361, 0)),
+    "vnc": dict(retries=643, queue_depth_max=8, wait_p50=2100, wait_p99=2900,
+                conservation=(361, 361, 0)),
+    "siwc": dict(retries=99, queue_depth_max=8, wait_p50=950, wait_p99=1200,
+                 conservation=(64, 64, 0)),
+    "imdb": dict(retries=793, queue_depth_max=9, wait_p50=403, wait_p99=2109,
+                 conservation=(434, 434, 1)),
+}
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_traced_run_reports_as_untraced(layers, strategy):
     cfg = dataclasses.replace(load_config(str(GOLDEN / "compare.cfg")),
@@ -53,6 +68,8 @@ def test_traced_run_reports_as_untraced(layers, strategy):
     counts = tracer.counts()
     assert spans["controller.submit"][0] >= len(trace)
     assert counts["conservation"] == tracer.engine.conservation
+    pinned = COMPARE_COUNTS[strategy]
+    assert {k: counts[k] for k in pinned} == pinned
     if strategy == "imdb":
         assert spans["imdb.lookup"][0] > 0
     if strategy == "siwc":
