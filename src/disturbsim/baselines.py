@@ -2,12 +2,16 @@
 
 `Mitigation` holds the hooks the controller calls, and is itself the `none`
 strategy. A strategy subclasses it, overrides the hooks it needs and counts
-its own events in the run's `RunStats`. Verify-and-correct (VnC) reads the
-two neighbor lines before and after every write and issues full corrective
-rewrites where the physical contents diverge from the intended data. The
-SIWC-style strategy keeps a small fully associative write cache with
-coin-toss insertion and eviction; its exact probabilities are configurable
-because the source study does not publish them.
+its own events in the run's `RunStats`. Every hook or table method that
+reports on a host write returns one `Outcome`, and a broken hook
+precondition raises `ConsistencyError`.
+
+Verify-and-correct (VnC) reads the two neighbor lines before and after
+every write and issues full corrective rewrites where the physical contents
+diverge from the intended data. The SIWC-style strategy keeps a small fully
+associative write cache with coin-toss insertion and eviction; its exact
+probabilities are configurable because the source study does not publish
+them.
 """
 
 from __future__ import annotations
@@ -16,14 +20,28 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import (ConsistencyError, LineAddress, ProtocolError,
-                   SimConfig, coin_threshold, draw_below)
+from .core import (ConsistencyError, LineAddress, SimConfig, _new_tuple,
+                   coin_threshold, draw_below)
 from .media import CellArray, WriteMode, WriteOutcome
 
 if TYPE_CHECKING:
     from .metrics import RunStats
 
 SIWC_ENTRY_BITS = 512 + 25  # data + row-and-column tag
+
+
+class Outcome(NamedTuple):
+    """What a strategy did with one host write. The hot paths build it with
+    `core._new_tuple`, every field in this order."""
+
+    absorbed: bool  # the strategy holds the write: it skips queue or media
+    writeback: tuple | None  # (LineAddress, line) to queue for the media
+    rewrites: list | tuple  # LineAddress targets of Full-mode rewrites
+    latency_ns: int  # bank occupancy
+
+
+PASSED = Outcome(False, None, (), 0)
+ABSORBED = Outcome(True, None, (), 0)
 
 
 class Mitigation:
@@ -47,17 +65,17 @@ class Mitigation:
         return None
 
     def admit_write(self, addr: LineAddress, data: int,
-                    rng: Random) -> tuple[bool, tuple | None]:
-        """An admitted host write: (absorbed, writeback). An absorbed write
-        is never queued; a writeback (addr, data) is queued for the media."""
-        return False, None
+                    rng: Random) -> Outcome:
+        """An admitted host write. An absorbed write is never queued; the
+        controller queues the writeback for the media."""
+        return PASSED
 
-    def write(self, media: CellArray, cmd, rng: Random) -> tuple:
-        """Service a prepared host write: (latency_ns, rewrite targets,
-        writeback). The controller merges or queues each rewrite."""
+    def write(self, media: CellArray, cmd, rng: Random) -> Outcome:
+        """Service a prepared host write. The controller merges or queues
+        each rewrite and queues the writeback."""
         out = media.apply_write(cmd.addr, cmd.data, cmd.mode)
         self.stats.count_write(out)
-        return out.latency_ns, (), None
+        return _new_tuple(Outcome, (False, None, (), out.latency_ns))
 
     def check(self) -> None:
         """Raise ConsistencyError if the strategy's own state is corrupt."""
@@ -89,8 +107,8 @@ def vnc_wrap_write(media: CellArray, addr: LineAddress, data: int,
     # L = 1 never ends: each correction re-flips the line it came from.
     limit = cfg.disturb_limit
     if limit < 3:
-        raise ProtocolError(f"verify-and-correct needs disturb_limit >= 3, "
-                            f"not {limit}")
+        raise ConsistencyError(f"verify-and-correct needs disturb_limit "
+                               f">= 3, not {limit}")
     max_corrections = limit * cfg.geometry.rows_per_bank // (limit - 2)
 
     out = StrategyOutcome()
@@ -126,17 +144,6 @@ def vnc_wrap_write(media: CellArray, addr: LineAddress, data: int,
     return write_out, out
 
 
-class SiwcOutcome(NamedTuple):
-    """What a host write did to the cache, in `admit_write`'s order."""
-
-    absorbed: bool
-    writeback: tuple | None  # (LineAddress, line) of an evicted entry
-
-
-_ABSORBED = SiwcOutcome(True, None)
-_PASSED = SiwcOutcome(False, None)
-
-
 class SiwcCache(Mitigation):
     """Per-bank coin-toss write cache: `lines` holds the cached line of
     each filled slot, and `data` maps each cached line to its contents.
@@ -169,34 +176,34 @@ class SiwcCache(Mitigation):
             raise ConsistencyError("cache data disagrees with the slots")
 
     def admit_write(self, addr: LineAddress, data: int,
-                    rng: Random) -> SiwcOutcome:
+                    rng: Random) -> Outcome:
         return self.process_write(addr, data, rng)
 
     def process_write(self, addr: LineAddress, data: int,
-                      rng: Random) -> SiwcOutcome:
+                      rng: Random) -> Outcome:
         """A miss tosses the insert coin; on a full cache it then tosses the
         evict coin and draws the victim slot. No coin is skipped at
         probability 0 or 1."""
         cached = self.data
         if addr in cached:
             cached[addr] = data
-            return _ABSORBED
+            return ABSORBED
         if not self._capacity or not rng.random() < self._insert_below:
-            return _PASSED
+            return PASSED
         lines = self.lines
         if len(lines) < self._capacity:
             lines.append(addr)
             cached[addr] = data
-            return _ABSORBED
+            return ABSORBED
         if not rng.random() < self._evict_below:
-            return _PASSED
+            return PASSED
         slot = draw_below(rng.getrandbits, self._capacity, self._victim_bits)
         victim = lines[slot]
         lines[slot] = addr
         writeback = (victim, cached.pop(victim))
         cached[addr] = data
         self.stats.evictions += 1
-        return SiwcOutcome(True, writeback)
+        return _new_tuple(Outcome, (True, writeback, (), 0))
 
     def process_read(self, addr: LineAddress) -> int | None:
         return self.data.get(addr)

@@ -160,7 +160,11 @@ def _cmd_sweep(args) -> int:
         name = name.strip()
         if name not in ("n_mt", "n_b", "n_groups"):
             raise UsageError(f"unsupported sweep parameter {name!r}")
-        axes.append((name, [int(v) for v in values.split(",")]))
+        try:
+            axes.append((name, [int(v, 0) for v in values.split(",")]))
+        except ValueError:
+            raise UsageError(f"bad --param {spec!r}, values must be "
+                             f"integers") from None
     grid = [{}]
     for name, values in axes:
         grid = [{**point, name: v} for point in grid for v in values]

@@ -23,9 +23,11 @@ Each trace record's address is decoded once, at its first admission
 attempt; backpressure retries reuse it.
 
 The strategy is one `Mitigation` per bank (see `baselines`), built from the
-`MITIGATIONS` table. The engine calls only its hooks: it owns the queues,
-merges the rewrites and queues the writebacks the hooks return, and sends
-rewrites and writebacks straight to the media.
+`MITIGATIONS` table. The engine calls only its hooks, and each write hook
+returns one `Outcome`: the engine owns the queues, skips the queue for an
+absorbed write, merges the outcome's rewrites, queues its writeback and
+occupies the bank for its latency. Rewrites and writebacks go straight to
+the media.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from random import Random
 
-from .baselines import Mitigation, SiwcCache, vnc_wrap_write
-from .core import (ConsistencyError, LineAddress, RangeError,
-                   SimConfig, decompose_address)
+from .baselines import Mitigation, Outcome, SiwcCache, vnc_wrap_write
+from .core import (ConsistencyError, LineAddress, RangeError, SimConfig,
+                   _new_tuple, decompose_address)
 from .imdb import Imdb
 from .media import DIFFERENTIAL, FULL, CellArray, WriteMode
 from .metrics import RunStats, energy_total
@@ -162,12 +164,12 @@ class _Bank:
 class Vnc(Mitigation):
     """Verify-and-correct: every host write runs through `vnc_wrap_write`."""
 
-    def write(self, media: CellArray, cmd: Command, rng: Random) -> tuple:
+    def write(self, media: CellArray, cmd: Command, rng: Random) -> Outcome:
         out, strat = vnc_wrap_write(media, cmd.addr, cmd.data, self.cfg)
         self.stats.media_reads += len(strat.extra_reads)
         self.stats.count_write(out)
         self.stats.media_writes += len(strat.extra_writes)
-        return out.latency_ns, (), None
+        return _new_tuple(Outcome, (False, None, (), out.latency_ns))
 
 
 MITIGATIONS: dict[str, type[Mitigation]] = {
@@ -252,7 +254,7 @@ class Engine:
             return False
 
         self.stats.host_writes += 1
-        absorbed, writeback = bank.mitigation.admit_write(
+        absorbed, writeback, _, _ = bank.mitigation.admit_write(
             addr, data, self.rng)
         if writeback is not None:
             self._enqueue_writeback(*writeback, now)
@@ -340,7 +342,7 @@ class Engine:
     def _service_write(self, bank: _Bank, cmd: Command, now: int) -> int:
         kind = cmd.kind
         if kind is HOST_WRITE:
-            latency, rewrites, writeback = bank.mitigation.write(
+            _, writeback, rewrites, latency = bank.mitigation.write(
                 self.media, cmd, self.rng)
             for target in rewrites:
                 self.merge_rewrite(target, now)

@@ -32,12 +32,9 @@ class RangeError(ValueError):
     """An address component falls outside the configured geometry."""
 
 
-class ProtocolError(RuntimeError):
-    """A caller violated an operation's precondition (e.g. missing old data)."""
-
-
 class ConsistencyError(RuntimeError):
-    """An internal invariant of a table or queue was violated."""
+    """An internal invariant of a table or queue, or a precondition of a
+    mitigation hook, was violated."""
 
 
 @dataclass(frozen=True)
@@ -105,11 +102,11 @@ class LineAddress(NamedTuple):
         return out
 
 
-# Builds a NamedTuple (a LineAddress, or a TraceRecord in the trace parser)
-# from a tuple of its fields without the constructor's argument handling: on
-# Python 3.11, `LineAddress(...)` costs about 350-540 ns and
-# `tuple.__new__(LineAddress, (...))` about 180-220 ns. Only for the hot
-# paths, which pass every field, checked, in field order.
+# Builds a NamedTuple (a LineAddress, a TraceRecord in the trace parser, or
+# a mitigation's Outcome) from a tuple of its fields without the
+# constructor's argument handling: on Python 3.11, `LineAddress(...)` costs
+# about 350-540 ns and `tuple.__new__(LineAddress, (...))` about 180-220 ns.
+# Only for the hot paths, which pass every field, checked, in field order.
 _new_tuple = tuple.__new__
 
 

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from random import Random
-from typing import NamedTuple
 
-from .baselines import Mitigation
-from .core import (ConsistencyError, LineAddress, ProtocolError,
-                   SimConfig, coin_threshold, count_one_to_zero, count_zeros)
+from .baselines import ABSORBED, PASSED, Mitigation, Outcome
+from .core import (ConsistencyError, LineAddress, SimConfig, _new_tuple,
+                   coin_threshold, count_one_to_zero, count_zeros)
 from .media import CellArray
 
 # Prior knowledge seeds the sub-counters with `count_zeros`, which needs no
@@ -56,13 +55,6 @@ class BarrierEntry:
 # AppLE compares (maximal sub-counter, rewrite counter) as one int
 _KEY_SHIFT = CNTR_MAX.bit_length()
 _NO_KEY = (ZFC_MAX + 1) << _KEY_SHIFT  # above every entry's key
-
-
-class ImdbOutcome(NamedTuple):
-    rewrites: list | tuple = ()  # LineAddress targets, Full mode
-    absorbed: bool = False
-    writeback: tuple | None = None  # (LineAddress, line)
-    occupancy_ns: int = 0
 
 
 def sram_capacity(n_mt: int, n_b: int, banks: int) -> dict:
@@ -107,12 +99,13 @@ class Imdb(Mitigation):
         self._group_size = size
         self._group_bits = size.bit_length()
         self._group_bases = range(0, cfg.n_mt, size or 1)  # none if n_mt = 0
-        # the outcomes that carry nothing but the bank occupancy: a table
-        # access, an absorbed write, and an insertion that evicts
+        # the outcomes that carry nothing but the table occupancy: a table
+        # access, an absorbed write (at least 1 ns, so that its service
+        # occupies the bank), and an insertion that evicts
         self._hit_ns = cfg.cycles_to_ns(cfg.hit_cycles)
-        self._hit = ImdbOutcome(occupancy_ns=self._hit_ns)
-        self._absorbed = ImdbOutcome(absorbed=True, occupancy_ns=self._hit_ns)
-        self._evict = ImdbOutcome(occupancy_ns=cfg.cycles_to_ns(
+        self._hit = Outcome(False, None, (), self._hit_ns)
+        self._absorbed = Outcome(True, None, (), max(self._hit_ns, 1))
+        self._evict = Outcome(False, None, (), cfg.cycles_to_ns(
             cfg.hit_cycles + apple_latency_cycles(cfg.n_groups)))
 
     @classmethod
@@ -159,9 +152,9 @@ class Imdb(Mitigation):
 
     def _require_full(self) -> None:
         if not self.mt:
-            raise ProtocolError("the main table has no slots")
+            raise ConsistencyError("the main table has no slots")
         if self._free_mt:
-            raise ProtocolError(
+            raise ConsistencyError(
                 f"slot {self._free_mt[0]} is free; use it instead of evicting")
 
     def check(self) -> None:
@@ -217,17 +210,18 @@ class Imdb(Mitigation):
     # -- the mitigation hooks ------------------------------------------------
 
     def admit_write(self, addr: LineAddress, data: int,
-                    rng: Random) -> tuple[bool, None]:
-        return self.try_absorb(addr, data), None
+                    rng: Random) -> Outcome:
+        return ABSORBED if self.try_absorb(addr, data) else PASSED
 
-    def write(self, media: CellArray, cmd, rng: Random) -> tuple:
-        """The tables see the write; it reaches the media unless absorbed."""
+    def write(self, media: CellArray, cmd, rng: Random) -> Outcome:
+        """The tables see the write; it reaches the media unless absorbed,
+        and the bank is occupied by the tables, then by the media."""
         res = self.process_write(cmd.addr, cmd.old_data, cmd.data, rng)
         if res.absorbed:
-            latency = max(res.occupancy_ns, 1)
-        else:
-            latency = res.occupancy_ns + super().write(media, cmd, rng)[0]
-        return latency, res.rewrites, res.writeback
+            return res
+        media_ns = super().write(media, cmd, rng).latency_ns
+        return _new_tuple(Outcome, (False, res.writeback, res.rewrites,
+                                    res.latency_ns + media_ns))
 
     # -- write / read paths --------------------------------------------------
 
@@ -238,9 +232,12 @@ class Imdb(Mitigation):
         return e
 
     def process_write(self, addr: LineAddress, old_data: int | None,
-                      new_data: int, rng: Random) -> ImdbOutcome:
+                      new_data: int, rng: Random) -> Outcome:
+        """The tables' part of a host write; `latency_ns` is the table
+        occupancy, at least 1 ns for an absorbed write."""
         if old_data is None:
-            raise ProtocolError("write reached the tables without prepared old data")
+            raise ConsistencyError(
+                "write reached the tables without prepared old data")
         self.stats.sram_searches += 1
         self.stats.sram_accesses += 1
         hit = self.lookup(addr)
@@ -253,7 +250,7 @@ class Imdb(Mitigation):
         return self._mt_hit(hit, old_data, new_data)
 
     def _mt_hit(self, e: MainTableEntry, old_data: int,
-                new_data: int) -> ImdbOutcome:
+                new_data: int) -> Outcome:
         self.stats.mt_hits += 1
         e.last_use = self._clock
         flips = count_one_to_zero(old_data, new_data)
@@ -270,15 +267,16 @@ class Imdb(Mitigation):
         self.stats.rewrites += len(rewrites)
         if self.cfg.n_b > 0:
             writeback = self.promote_and_demote(e, new_data)
-            return ImdbOutcome(rewrites, True, writeback, self._hit_ns)
+            return _new_tuple(Outcome, (True, writeback, rewrites,
+                                        self._absorbed.latency_ns))
         # Bufferless variant: the entry stays; restart its counters from the
         # prior knowledge of the data just written.
         e.zfc = count_zeros(new_data) if self.cfg.prior_knowledge else [0] * 8
         e.max_zfc_idx = _max_idx(e.zfc)
-        return ImdbOutcome(rewrites, occupancy_ns=self._hit_ns)
+        return _new_tuple(Outcome, (False, None, rewrites, self._hit_ns))
 
     def _miss(self, addr: LineAddress, new_data: int,
-              rng: Random) -> ImdbOutcome:
+              rng: Random) -> Outcome:
         if not self.mt or not (self._always_insert
                                or rng.random() < self._insert_below):
             self.stats.bypasses += 1

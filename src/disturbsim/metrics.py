@@ -122,11 +122,9 @@ def tradeoff_report(sweep: list[tuple[dict, RunStats]]) -> list[dict]:
 
 
 def emit_report(payload, fmt: str = "csv") -> str:
-    """Serialize one stats row or a table of rows deterministically."""
+    """Serialize one run's `RunStats` or a list of rows deterministically."""
     if isinstance(payload, RunStats):
         rows = [payload.as_row()]
-    elif isinstance(payload, dict):
-        rows = [payload]
     else:
         rows = list(payload)
     if fmt == "json":

@@ -16,6 +16,7 @@ checks in `_parse_line`, which skip it or raise the error, so every
 from __future__ import annotations
 
 import gzip
+import io
 import re
 import sys
 from random import Random
@@ -30,6 +31,7 @@ _HEX_CHARS = LINE_BITS // 4  # 128
 # non-ASCII digits.
 _DECIMAL = re.compile(r"[0-9]+")
 _HEX = re.compile(r"(?:0[xX])?([0-9a-fA-F]+)")
+_FIELD = re.compile(r"\S+")  # whitespace as `str.split` splits on it
 # A whole record in the form `TraceRecord.format` writes, with any spaces
 # or tabs between the fields and any whitespace after the last one.
 _RECORD = re.compile(
@@ -59,31 +61,16 @@ class TraceRecord(NamedTuple):
         return f"{self.time} R {self.byte_addr:#x}"
 
 
-def _field_column(line: str, index: int) -> int:
-    """1-based column where whitespace-separated field `index` starts."""
-    fields_seen = -1
-    in_field = False
-    for col, ch in enumerate(line):
-        if ch.isspace():
-            in_field = False
-        elif not in_field:
-            in_field = True
-            fields_seen += 1
-            if fields_seen == index:
-                return col + 1
-    return len(line) + 1
-
-
 def _parse_line(raw: str, line_no: int, last_time: int) -> TraceRecord | None:
     """Check one line field by field: its record, None for a blank or
     comment-only line, or a TraceParseError at the first bad field."""
-    line = raw.split("#", 1)[0].strip()
-    if not line:
+    fields = list(_FIELD.finditer(raw.split("#", 1)[0]))
+    if not fields:
         return None
-    parts = line.split()
+    parts = [f[0] for f in fields]
 
     def err(index, message):
-        raise TraceParseError(line_no, _field_column(raw, index), message)
+        raise TraceParseError(line_no, fields[index].start() + 1, message)
 
     if len(parts) < 3:
         err(0, "expected `<time> <R|W> <addr> [<data>]`")
@@ -154,9 +141,13 @@ def emit_trace(records) -> str:
 
 
 def _open_text(path: str, mode: str):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t")
-    return open(path, mode)
+    if not str(path).endswith(".gz"):
+        return open(path, mode)
+    if mode == "r":
+        return gzip.open(path, "rt")
+    # mtime=0 keeps the clock out of the header: the same records give the
+    # same bytes
+    return io.TextIOWrapper(gzip.GzipFile(path, "wb", mtime=0))
 
 
 def write_trace_file(records, path: str) -> None:
@@ -285,19 +276,13 @@ def gen_synthetic(kind: str, n: int, rng: Random,
     def random_data() -> int:
         return rng.getrandbits(LINE_BITS)
 
-    if kind == "uniform":
+    if kind in ("uniform", "hotspot"):
+        hot = []  # 90 % of hotspot accesses go to a fixed set of lines
+        if kind == "hotspot":
+            hot_count = min(max(1, g.total_lines // 10), 4096)
+            hot = [random_line() for _ in range(hot_count)]
         for _ in range(n):
-            addr = random_line()
-            if rng.random() < write_fraction:
-                records.append(TraceRecord(t, "W", addr, random_data()))
-            else:
-                records.append(TraceRecord(t, "R", addr))
-            t += gap_ns
-    elif kind == "hotspot":
-        hot_count = max(1, g.total_lines // 10)
-        hot = [rng.randrange(g.total_lines) * LINE_BYTES for _ in range(min(hot_count, 4096))]
-        for _ in range(n):
-            if rng.random() < 0.9:
+            if hot and rng.random() < 0.9:
                 addr = rng.choice(hot)
             else:
                 addr = random_line()

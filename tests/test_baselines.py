@@ -7,8 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from disturbsim.baselines import SiwcCache, vnc_wrap_write
-from disturbsim.core import (LINE_MASK, ConsistencyError, LineAddress,
-                             ProtocolError)
+from disturbsim.core import LINE_MASK, ConsistencyError, LineAddress
 from disturbsim.media import CellArray, WriteMode
 from disturbsim.metrics import RunStats
 from helpers import TINY, line_of, make_cfg
@@ -94,7 +93,8 @@ def test_vnc_raises_past_the_correction_bound():
         vnc_wrap_write(NeverSettles(cfg), A, ZEROS, cfg)
     # below L = 3 no bound exists, so the call is refused outright
     cfg = make_cfg(strategy="none", disturb_limit=2, threshold=0)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ConsistencyError,
+                       match="needs disturb_limit >= 3, not 2"):
         vnc_wrap_write(CellArray(cfg), A, ZEROS, cfg)
 
 

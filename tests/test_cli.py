@@ -7,6 +7,7 @@ import pytest
 from disturbsim.cli import dispatch
 from disturbsim.controller import Engine
 from disturbsim.core import LINE_MASK
+from disturbsim.media import CellArray
 from disturbsim.traces import TraceRecord, write_trace_file
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -174,6 +175,33 @@ def test_sweep_sizes_siwc_area_from_its_cache(cfg_path, trace_path):
     assert [r["area_bits"] for r in rows[1:]] == [16 * 537, 18 * 537]
     rows = run_rows(args + ["--set", "siwc.entries=5"])
     assert [r["area_bits"] for r in rows[1:]] == [5 * 537, 5 * 537]
+
+
+def test_sweep_param_values_parse_like_config_ints(cfg_path, trace_path):
+    """`--param` takes the integer forms a config file takes."""
+    rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
+                     "--param", "n_mt=0x10,8", "--format", "json"])
+    assert [r["n_mt"] for r in rows if r["strategy"] == "imdb"] == [16, 8]
+
+
+@pytest.mark.parametrize("spec", ["n_mt=abc", "n_b=1,x", "n_groups=", "n_mt"])
+def test_bad_sweep_param_is_usage_error(cfg_path, trace_path, capsys, spec):
+    rc = dispatch(["sweep", "--config", cfg_path, "--trace", trace_path,
+                   "--param", spec])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"E:1:bad --param {spec!r}")
+
+
+def test_broken_hook_precondition_exit_code(cfg_path, trace_path, capsys,
+                                            monkeypatch):
+    """A hook whose precondition breaks is an invariant failure: a pre-write
+    read that returns no line leaves IMDB's tables no old data."""
+    monkeypatch.setattr(CellArray, "read_line", lambda self, addr: None)
+    rc = dispatch(["run", "--config", cfg_path, "--trace", trace_path,
+                   "--set", "run.strategy=imdb"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "E:3:write reached the tables without prepared old data\n")
 
 
 def test_usage_error_exit_code(capsys):

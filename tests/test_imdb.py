@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disturbsim.core import (LINE_MASK, ConsistencyError, LineAddress,
-                             ProtocolError, count_zeros)
+                             count_zeros)
 from disturbsim.imdb import (BB_ENTRY_BITS, CNTR_MAX, MT_ENTRY_BITS, ZFC_MAX,
                              Imdb, apple_latency_cycles, sram_capacity)
 from disturbsim.metrics import RunStats
@@ -130,6 +130,19 @@ def test_bb_hit_absorbs_and_updates_data():
     assert t.bb[0].freq_cntr == 1
 
 
+def test_absorbed_write_occupies_the_bank_at_least_1ns():
+    """With zero-cycle tables, a table access takes no bank time, but a
+    write the tables absorb, at promotion or on a barrier hit, takes 1 ns."""
+    t = make_imdb(n_mt=4, n_groups=4, threshold=3, disturb_limit=8, n_b=1,
+                  hit_cycles=0)
+    rng = Random(0)
+    assert t.process_write(addr(3), ONES, flips16(), rng).latency_ns == 0
+    promoted = t.process_write(addr(3), ONES, flips16(), rng)
+    assert promoted.absorbed and promoted.latency_ns == 1
+    hit = t.process_write(addr(3), flips16(), ONES, rng)
+    assert hit.absorbed and hit.latency_ns == 1
+
+
 def test_try_absorb_and_read_path():
     t = make_imdb(n_mt=4, n_groups=4, threshold=3, disturb_limit=8, n_b=1)
     rng = Random(0)
@@ -172,9 +185,9 @@ def test_victim_key_ordering_exact():
 
 def test_select_victim_requires_full_table():
     t = make_imdb(n_mt=4, n_groups=4)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ConsistencyError, match="slot 0 is free"):
         select_victim_exact(t)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ConsistencyError, match="slot 0 is free"):
         t.select_victim_apple(Random(0))
 
 
@@ -221,7 +234,8 @@ def test_lru_variant_evicts_stalest():
 
 def test_write_requires_old_data():
     t = make_imdb()
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ConsistencyError,
+                       match="without prepared old data"):
         t.process_write(addr(1), None, ONES, Random(0))
 
 
@@ -348,7 +362,7 @@ def test_apple_matches_reference(t, seed, rounds):
 
 
 def test_apple_needs_a_main_table():
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ConsistencyError, match="the main table has no slots"):
         make_imdb(n_mt=0, n_b=1).select_victim_apple(Random(0))
 
 

@@ -1,5 +1,6 @@
 import io
 import pickle
+import time
 from pathlib import Path
 from random import Random
 
@@ -52,6 +53,20 @@ def test_roundtrip_through_gzip(tmp_path):
     path = str(tmp_path / "t.trace.gz")
     write_trace_file(recs, path)
     assert read_trace_file(path) == recs
+
+
+def test_gzip_output_is_reproducible(tmp_path, monkeypatch):
+    """The gzip header carries no write time: the same records written at
+    two times give the same bytes."""
+    recs = gen_hammer(0x80, 4)
+    path = tmp_path / "t.trace.gz"
+    written = []
+    for now in (1_000_000_000.0, 1_000_000_001.0):
+        monkeypatch.setattr(time, "time", lambda: now)
+        write_trace_file(recs, str(path))
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert read_trace_file(str(path)) == recs
 
 
 @pytest.mark.parametrize("text,line_no,column", [
