@@ -2,7 +2,8 @@
 
 `Mitigation` holds the hooks the controller calls, and is itself the `none`
 strategy. A strategy subclasses it, overrides the hooks it needs and counts
-its own events in the run's `RunStats`. Every hook or table method that
+its own table events in the run's `RunStats`; the media counts the reads
+and writes that reach it. Every hook or table method that
 reports on a host write returns one `Outcome`, and a broken hook
 precondition raises `ConsistencyError`.
 
@@ -16,13 +17,14 @@ them.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (ConsistencyError, LineAddress, SimConfig, _new_tuple,
                    coin_threshold, draw_below)
-from .media import CellArray, WriteMode, WriteOutcome
+from .media import DIFFERENTIAL, FULL, CellArray, WriteOutcome
 
 if TYPE_CHECKING:
     from .metrics import RunStats
@@ -73,9 +75,8 @@ class Mitigation:
     def write(self, media: CellArray, cmd, rng: Random) -> Outcome:
         """Service a prepared host write. The controller merges or queues
         each rewrite and queues the writeback."""
-        out = media.apply_write(cmd.addr, cmd.data, cmd.mode)
-        self.stats.count_write(out)
-        return _new_tuple(Outcome, (False, None, (), out.latency_ns))
+        latency = media.apply_write(cmd.addr, cmd.data, cmd.mode).latency_ns
+        return _new_tuple(Outcome, (False, None, (), latency))
 
     def check(self) -> None:
         """Raise ConsistencyError if the strategy's own state is corrupt."""
@@ -84,7 +85,7 @@ class Mitigation:
 @dataclass
 class StrategyOutcome:
     extra_reads: list = field(default_factory=list)      # LineAddress
-    extra_writes: list = field(default_factory=list)     # (addr, line, WriteMode)
+    extra_writes: list = field(default_factory=list)     # LineAddress
 
 
 def vnc_wrap_write(media: CellArray, addr: LineAddress, data: int,
@@ -94,7 +95,9 @@ def vnc_wrap_write(media: CellArray, addr: LineAddress, data: int,
     Neighbors are read before the write and again after it; any checked line
     whose physical state diverges from intended data is corrected with a full
     rewrite. Corrections can disturb their own neighbors, so those are pushed
-    onto the worklist until no divergence remains.
+    onto the worklist until no divergence remains. The returned outcome is
+    the host write's own, except that its `latency_ns` is the occupancy of
+    the whole verify-and-correct sequence.
     """
     # Termination. After its first correction in this call, a line Y holds
     # its intended data and every cell's pulse count is 0 (a full write
@@ -111,32 +114,27 @@ def vnc_wrap_write(media: CellArray, addr: LineAddress, data: int,
                                f">= 3, not {limit}")
     max_corrections = limit * cfg.geometry.rows_per_bank // (limit - 2)
 
-    out = StrategyOutcome()
     pre = addr.neighbor_rows(cfg.geometry)
     for nb in pre:
         media.read_line(nb)
-        out.extra_reads.append(nb)
+    out = StrategyOutcome(list(pre))
 
-    write_out = media.apply_write(addr, data, WriteMode.DIFFERENTIAL)
+    write_out = media.apply_write(addr, data, DIFFERENTIAL)
     total_ns = write_out.latency_ns
 
-    pending = list(pre)
+    pending = deque(pre)
     while pending:
-        nb = pending.pop(0)
+        nb = pending.popleft()
         physical = media.read_line(nb)
         out.extra_reads.append(nb)
         intended = media.intended_line(nb)
         if physical != intended:
-            corr = media.apply_write(nb, intended, WriteMode.FULL)
-            out.extra_writes.append((nb, intended, WriteMode.FULL))
+            total_ns += media.apply_write(nb, intended, FULL).latency_ns
+            out.extra_writes.append(nb)
             if len(out.extra_writes) > max_corrections:
                 raise ConsistencyError(
                     f"VnC made {len(out.extra_writes)} corrections for one "
                     f"write, above the bound of {max_corrections}")
-            write_out.wde_events.extend(corr.wde_events)
-            write_out.reset_pulses += corr.reset_pulses
-            write_out.set_pulses += corr.set_pulses
-            total_ns += corr.latency_ns
             # A corrective full write aggresses its own neighbors; verify them too.
             pending.extend(nb.neighbor_rows(cfg.geometry))
     # Each verification read occupies the bank for a standard read slot.

@@ -16,10 +16,10 @@ from random import Random
 
 from .config import ConfigError, load_config, parse_config_text
 from .controller import MITIGATIONS, TraceAbort, run_to_completion
-from .core import ConsistencyError, SimConfig
+from .core import STRATEGIES, ConsistencyError, SimConfig
 from .metrics import emit_report, tradeoff_report
-from .traces import (TraceParseError, gen_hammer, gen_slow_flip,
-                     gen_synthetic, read_trace_file, write_trace_file)
+from .traces import (gen_hammer, gen_slow_flip, gen_synthetic,
+                     read_trace_file, write_trace_file)
 
 
 class UsageError(Exception):
@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument("-o", "--output", help="report path (default stdout)")
         cmd.add_argument("--format", choices=["csv", "json"], default="csv")
     sub.choices["compare"].add_argument(
-        "--strategies", default="none,vnc,siwc,imdb",
+        "--strategies", default=",".join(STRATEGIES),
         help="comma-separated strategy list")
     sweep = sub.choices["sweep"]
     sweep.add_argument("--strategies", default="none,imdb",
@@ -120,26 +120,27 @@ def _desc(cfg: SimConfig) -> dict:
     }
 
 
-def _report_runs(args, strategies: list[str] | None) -> int:
-    """Run each strategy (the config's own when None) on the trace and
-    write one report row per run."""
+def _strategies(spec: str) -> list[str]:
+    """The names in a `--strategies` list, without blank entries."""
+    strategies = [s.strip() for s in spec.split(",") if s.strip()]
+    if not strategies:
+        raise UsageError(f"--strategies {spec!r} names no strategy")
+    return strategies
+
+
+def _cmd_run(args) -> int:
+    """`run` and `compare`: run each strategy (for `run` the config's own)
+    on the trace and write one report row per run."""
     cfg = _load_cfg(args)
     trace = read_trace_file(args.trace)
     rows = []
-    for strategy in strategies or [cfg.strategy]:
-        run_cfg = dataclasses.replace(cfg, strategy=strategy.strip())
+    for strategy in ([cfg.strategy] if args.subcommand == "run"
+                     else _strategies(args.strategies)):
+        run_cfg = dataclasses.replace(cfg, strategy=strategy)
         stats = run_to_completion(run_cfg, trace)
         rows.append({**_desc(run_cfg), **stats.as_row()})
     _write_output(emit_report(rows, args.format), args.output)
     return 0
-
-
-def _cmd_run(args) -> int:
-    return _report_runs(args, None)
-
-
-def _cmd_compare(args) -> int:
-    return _report_runs(args, args.strategies.split(","))
 
 
 def _run_one(cfg_trace):
@@ -149,7 +150,7 @@ def _run_one(cfg_trace):
 
 def _cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    strategies = _strategies(args.strategies)
     if "none" not in strategies:
         raise ConfigError("missing baseline: sweep strategies must include `none`")
     axes = []
@@ -203,18 +204,14 @@ def dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "gen": _cmd_gen,
-            "run": _cmd_run,
-            "compare": _cmd_compare,
-            "sweep": _cmd_sweep,
-        }[args.subcommand]
+        handler = {"gen": _cmd_gen, "run": _cmd_run, "compare": _cmd_run,
+                   "sweep": _cmd_sweep}[args.subcommand]
         return handler(args)
     except UsageError as exc:
         print(f"E:1:{exc}", file=sys.stderr)
         return 1
-    except (ConfigError, TraceParseError, TraceAbort, OSError,
-            ValueError) as exc:
+    # ConfigError and TraceParseError are ValueErrors
+    except (TraceAbort, OSError, ValueError) as exc:
         print(f"E:2:{exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

@@ -165,10 +165,7 @@ class Vnc(Mitigation):
     """Verify-and-correct: every host write runs through `vnc_wrap_write`."""
 
     def write(self, media: CellArray, cmd: Command, rng: Random) -> Outcome:
-        out, strat = vnc_wrap_write(media, cmd.addr, cmd.data, self.cfg)
-        self.stats.media_reads += len(strat.extra_reads)
-        self.stats.count_write(out)
-        self.stats.media_writes += len(strat.extra_writes)
+        out, _ = vnc_wrap_write(media, cmd.addr, cmd.data, self.cfg)
         return _new_tuple(Outcome, (False, None, (), out.latency_ns))
 
 
@@ -184,8 +181,11 @@ class TraceAbort(RuntimeError):
     """A trace record could not be applied (bad address); names the record."""
 
     def __init__(self, record_no: int, message: str):
-        super().__init__(f"record {record_no}: {message}")
+        super().__init__(record_no, message)  # picklable: `sweep --jobs`
         self.record_no = record_no
+
+    def __str__(self) -> str:
+        return f"record {self.record_no}: {self.args[1]}"
 
 
 class Engine:
@@ -323,7 +323,6 @@ class Engine:
         kind = cmd.kind
         if kind is HOST_READ:
             data = self.media.read_line(cmd.addr)
-            self.stats.media_reads += 1
             if data != self.media.intended_line(cmd.addr):
                 self.stats.wde_exposed += 1
             latency = self._read_ns
@@ -357,9 +356,8 @@ class Engine:
             # and the rewrite volume stays bounded by host activity.
             cmd.data = self.media.intended_line(cmd.addr)
             latency = self._read_ns
-        out = self.media.apply_write(cmd.addr, cmd.data, cmd.mode)
-        self.stats.count_write(out)
-        return latency + out.latency_ns
+        return latency + self.media.apply_write(cmd.addr, cmd.data,
+                                                cmd.mode).latency_ns
 
     # -- main loop ---------------------------------------------------------------
 
@@ -389,15 +387,9 @@ class Engine:
                         issued = True
             if issued:
                 continue
-            candidates = []
-            if i < n:
-                if due > now:
-                    candidates.append(due)
-                else:
-                    # backpressured: the target bank must drain first
-                    b = self._head[2]
-                    if b.busy_until > now:
-                        candidates.append(b.busy_until)
+            # No bank issued, so every bank with queued commands is busy. A
+            # backpressured record's bank has some, and wakes the loop below.
+            candidates = [due] if i < n and due > now else []
             for bank in banks:
                 if (bank.read_q or bank.write_q) and bank.busy_until > now:
                     candidates.append(bank.busy_until)
@@ -420,7 +412,13 @@ class Engine:
                     f"bank {i} still indexes queued writes to "
                     f"{len(bank.lines)} lines")
             bank.mitigation.check()
-        stats = self.stats
+        stats, media = self.stats, self.media
+        # The media counted every operation, pre-write reads among its reads.
+        stats.media_reads = media.reads - stats.pre_write_reads
+        stats.media_writes = media.writes
+        stats.set_pulses = media.set_pulses
+        stats.reset_pulses = media.reset_pulses
+        stats.wde_raw = media.flips
         stats.completion_time_ns = self._end_time
         stats.wde_exposed += len(self.media.scrub_divergence())
         stats.energy = energy_total(stats, self.cfg.energy)

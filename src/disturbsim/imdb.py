@@ -219,7 +219,7 @@ class Imdb(Mitigation):
         res = self.process_write(cmd.addr, cmd.old_data, cmd.data, rng)
         if res.absorbed:
             return res
-        media_ns = super().write(media, cmd, rng).latency_ns
+        media_ns = media.apply_write(cmd.addr, cmd.data, cmd.mode).latency_ns
         return _new_tuple(Outcome, (False, res.writeback, res.rewrites,
                                     res.latency_ns + media_ns))
 

@@ -83,6 +83,9 @@ class CellArray:
     its line: a line is materialized only after its address passed the
     check, so a call that finds the line materialized skips it, and an
     out-of-range address raises RangeError on every call.
+
+    The array counts the media operations it performs: `reads`, `writes`,
+    their `set_pulses` and `reset_pulses`, and the `flips` they caused.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -95,8 +98,11 @@ class CellArray:
         self._limit_planes = [j for j in range(self._planes)
                               if self.limit >> j & 1]
         self._lines: dict[LineAddress, _Line] = {}
+        self.reads = self.writes = self.flips = 0
+        self.set_pulses = self.reset_pulses = 0
 
     def read_line(self, addr: LineAddress) -> int:
+        self.reads += 1
         line = self._lines.get(addr)
         if line is None:
             addr.check(self.geometry)
@@ -132,8 +138,14 @@ class CellArray:
             reset_mask = ~data & LINE_MASK
             set_mask = data
 
-        out.reset_pulses = reset_mask.bit_count()
-        out.set_pulses = set_mask.bit_count()
+        out.reset_pulses = reset_pulses = reset_mask.bit_count()
+        out.set_pulses = set_pulses = set_mask.bit_count()
+        self.writes += 1
+        self.reset_pulses += reset_pulses
+        self.set_pulses += set_pulses
+        # Bank occupancy of one write slot. SET pulses dominate when present;
+        # a no-flip differential write still costs one RESET-class slot.
+        out.latency_ns = self.cfg.set_ns if set_mask else self.cfg.reset_ns
 
         line.phys = line.intended = data
         if programmed:
@@ -163,9 +175,8 @@ class CellArray:
                 if flips:
                     victim.phys |= flips
                     _clear(planes, flips)
+                    self.flips += flips.bit_count()
                     out.wde_events.extend((nb, k) for k in _set_bits(flips))
-
-        out.latency_ns = write_latency(out, self.cfg)
         return out
 
     def scrub_divergence(self) -> list[tuple[LineAddress, int]]:
@@ -189,10 +200,3 @@ def _clear(planes: list[int], cells: int) -> None:
         if plane:
             planes[j] = plane & keep
 
-
-def write_latency(outcome: WriteOutcome, cfg: SimConfig) -> int:
-    """Bank occupancy of one write slot. SET pulses dominate when present;
-    a no-flip differential write still costs one RESET-class slot."""
-    if outcome.set_pulses > 0:
-        return cfg.set_ns
-    return cfg.reset_ns

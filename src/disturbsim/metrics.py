@@ -5,6 +5,10 @@ events at the media, wde_exposed counts what the host could actually observe
 (divergent reads plus the end-of-run scrub). Prevention-style strategies
 drive both to zero; correction-style strategies (VnC) leave wde_raw nonzero
 while keeping wde_exposed at zero.
+
+The media counts its own operations (`media_*`, the pulses and `wde_raw`),
+which the engine copies in at the end of a run; the strategies count their
+table events, and the engine the rest.
 """
 
 from __future__ import annotations
@@ -47,21 +51,10 @@ class RunStats:
     completion_time_ns: int = 0
     energy: dict = field(default_factory=dict)
 
-    def count_write(self, out) -> None:
-        """Count one media write (a `WriteOutcome`): its pulses and flips."""
-        self.media_writes += 1
-        self.set_pulses += out.set_pulses
-        self.reset_pulses += out.reset_pulses
-        self.wde_raw += len(out.wde_events)
-
     def as_row(self) -> dict:
-        row = {}
-        for f in fields(self):
-            if f.name == "energy":
-                continue
-            row[f.name] = getattr(self, f.name)
-        for k in sorted(self.energy):
-            row[f"energy_{k}"] = self.energy[k]
+        row = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "energy"}
+        row.update((f"energy_{k}", self.energy[k]) for k in sorted(self.energy))
         return row
 
 
@@ -96,7 +89,6 @@ def tradeoff_report(sweep: list[tuple[dict, RunStats]]) -> list[dict]:
         raise ValueError("missing baseline: sweep must include a strategy=none run")
     rows = []
     for desc, stats in sweep:
-        n_mt = desc.get("n_mt", 0)
         n_b = desc.get("n_b", 0)
         n_g = desc.get("n_groups", 1)
         speedup = (baseline.completion_time_ns / stats.completion_time_ns
@@ -108,7 +100,7 @@ def tradeoff_report(sweep: list[tuple[dict, RunStats]]) -> list[dict]:
             flags.append(f"exceeds Nb<={NB_BOUND}")
         rows.append({
             "strategy": desc.get("strategy", ""),
-            "n_mt": n_mt,
+            "n_mt": desc.get("n_mt", 0),
             "n_b": n_b,
             "n_groups": n_g,
             "wde_raw": stats.wde_raw,
@@ -123,10 +115,8 @@ def tradeoff_report(sweep: list[tuple[dict, RunStats]]) -> list[dict]:
 
 def emit_report(payload, fmt: str = "csv") -> str:
     """Serialize one run's `RunStats` or a list of rows deterministically."""
-    if isinstance(payload, RunStats):
-        rows = [payload.as_row()]
-    else:
-        rows = list(payload)
+    rows = ([payload.as_row()] if isinstance(payload, RunStats)
+            else list(payload))
     if fmt == "json":
         return json.dumps({"schema": SCHEMA_VERSION, "rows": rows},
                           sort_keys=True, indent=2) + "\n"

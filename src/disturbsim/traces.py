@@ -10,7 +10,8 @@ match (`_RECORD`), then checks that the op agrees with whether data is
 present and that the time does not decrease. Any other line (a comment, a
 blank line, a malformed field, a decreasing time) goes to the field-by-field
 checks in `_parse_line`, which skip it or raise the error, so every
-`TraceParseError` and its position come from those checks.
+`TraceParseError` about a record and its position come from those checks;
+an unreadable `.gz` file raises one at the line where its data ended.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import gzip
 import io
 import re
 import sys
+import zlib
 from random import Random
 from typing import NamedTuple
 
@@ -44,9 +46,12 @@ _RECORD = re.compile(
 
 class TraceParseError(ValueError):
     def __init__(self, line_no: int, column: int, message: str):
-        super().__init__(f"line {line_no}, column {column}: {message}")
+        super().__init__(line_no, column, message)  # picklable: `sweep --jobs`
         self.line_no = line_no
         self.column = column
+
+    def __str__(self) -> str:
+        return f"line {self.line_no}, column {self.column}: {self.args[2]}"
 
 
 class TraceRecord(NamedTuple):
@@ -114,25 +119,30 @@ def parse_trace(source) -> list[TraceRecord]:
     append = records.append
     match = _RECORD.fullmatch
     last_time = 0
-    for line_no, raw in enumerate(source, start=1):
-        m = match(raw)
-        if m is not None:
-            time, op, addr, data = m.groups()
-            try:
-                t = int(time)
-            except ValueError:  # too many digits: _parse_line says where
-                t = -1
-            # a write carries data and a read does not
-            if t >= last_time and (data is None) is (op == "R"):
-                last_time = t
-                append(_new_tuple(TraceRecord, (
-                    t, op, int(addr, 16),
-                    None if data is None else int(data, 16))))
-                continue
-        record = _parse_line(raw, line_no, last_time)
-        if record is not None:
-            last_time = record.time
-            append(record)
+    line_no = 0
+    try:
+        for line_no, raw in enumerate(source, start=1):
+            m = match(raw)
+            if m is not None:
+                time, op, addr, data = m.groups()
+                try:
+                    t = int(time)
+                except ValueError:  # too many digits: _parse_line says where
+                    t = -1
+                # a write carries data and a read does not
+                if t >= last_time and (data is None) is (op == "R"):
+                    last_time = t
+                    append(_new_tuple(TraceRecord, (
+                        t, op, int(addr, 16),
+                        None if data is None else int(data, 16))))
+                    continue
+            record = _parse_line(raw, line_no, last_time)
+            if record is not None:
+                last_time = record.time
+                append(record)
+    except (EOFError, zlib.error) as exc:  # a truncated or corrupt .gz
+        raise TraceParseError(line_no + 1, 1,
+                              f"unreadable compressed data: {exc}") from exc
     return records
 
 

@@ -1,14 +1,15 @@
 import json
 import os
+import pickle
 from pathlib import Path
 
 import pytest
 
 from disturbsim.cli import dispatch
-from disturbsim.controller import Engine
+from disturbsim.controller import Engine, TraceAbort
 from disturbsim.core import LINE_MASK
 from disturbsim.media import CellArray
-from disturbsim.traces import TraceRecord, write_trace_file
+from disturbsim.traces import TraceParseError, TraceRecord, write_trace_file
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -333,6 +334,61 @@ def test_bad_address_behind_backpressure_exit_code(cfg_path, tmp_path, capsys):
                    "--set", "run.queue_depth=1"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("E:2:record 4:")
+
+
+@pytest.mark.parametrize("error", [
+    TraceAbort(1, "byte_addr 0xffffffffff exceeds module capacity 0x1000"),
+    TraceParseError(3, 5, "unknown op 'Q'"),
+])
+def test_trace_errors_survive_pickling(error):
+    """A `sweep --jobs` worker returns its error to the parent by pickle."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_bad_address_exit_code(tmp_path, capsys, jobs):
+    bad = tmp_path / "bad.trace"
+    bad.write_text("0 R 0x0\n10 R 0xffffffffff\n")
+    rc = dispatch(["sweep", "--config", str(GOLDEN / "compare.cfg"),
+                   "--trace", str(bad), "--jobs", jobs])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "E:2:record 1: byte_addr 0xffffffffff exceeds module capacity "
+        "0x1000\n")
+
+
+def test_truncated_gz_trace_exit_code(cfg_path, tmp_path, capsys):
+    whole = tmp_path / "h.trace.gz"
+    assert dispatch(["gen", "--kind", "hammer", "--rounds", "50",
+                     "-o", str(whole)]) == 0
+    cut = tmp_path / "cut.trace.gz"
+    cut.write_bytes(whole.read_bytes()[:60])
+    rc = dispatch(["run", "--config", cfg_path, "--trace", str(cut)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("E:2:line 1, column 1: unreadable compressed data")
+
+
+def test_compare_and_sweep_drop_blank_strategies(cfg_path, trace_path):
+    compare = run_rows(["compare", "--config", cfg_path, "--trace",
+                        trace_path, "--strategies", "none,, imdb,",
+                        "--format", "json"])
+    assert [r["strategy"] for r in compare] == ["none", "imdb"]
+    sweep = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
+                      "--strategies", "none,, imdb,", "--format", "json"])
+    assert [r["strategy"] for r in sweep] == ["none", "imdb"]
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_empty_strategy_list_is_usage_error(cfg_path, trace_path, capsys,
+                                            command):
+    rc = dispatch([command, "--config", cfg_path, "--trace", trace_path,
+                   "--strategies", " , "])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("E:1:--strategies")
 
 
 def test_conservation_failure_exit_code(cfg_path, trace_path, monkeypatch,

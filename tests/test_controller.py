@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scheduler_ref
-from disturbsim.controller import (Command, CommandKind, Engine, TraceAbort,
-                                   run_to_completion)
-from disturbsim.core import LINE_MASK, ConsistencyError, LineAddress
+from disturbsim.controller import (MITIGATIONS, Command, CommandKind, Engine,
+                                   TraceAbort, run_to_completion)
+from disturbsim.core import (LINE_MASK, STRATEGIES, ConsistencyError,
+                             LineAddress)
 from disturbsim.media import WriteMode
 from disturbsim.traces import TraceRecord, gen_hammer, gen_synthetic
 from helpers import TINY, addr_bytes, make_cfg
@@ -289,6 +290,12 @@ def test_backpressure_preserves_counts():
     cfg = make_cfg(strategy="siwc", queue_depth=1, siwc_entries=2)
     stats = run_to_completion(cfg, writes)
     assert stats.host_writes == 12
+
+
+def test_mitigations_list_the_accepted_strategies():
+    """The config accepts exactly the names that `MITIGATIONS` builds, and
+    `compare` runs them in this order."""
+    assert tuple(MITIGATIONS) == STRATEGIES
 
 
 def test_trace_abort_names_record():

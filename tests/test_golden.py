@@ -28,6 +28,7 @@ from disturbsim.cli import dispatch
 from disturbsim.config import load_config
 from disturbsim.controller import MITIGATIONS, run_to_completion
 from disturbsim.core import STRATEGIES, decompose_address
+from disturbsim.media import CellArray
 from disturbsim.traces import read_trace_file
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -110,6 +111,40 @@ def test_no_fraction_or_randrange_per_event(monkeypatch, strategy, name):
     stats = run_to_completion(cfg, trace)
     monkeypatch.undo()
     assert stats.evictions > 0
+
+
+@pytest.mark.parametrize("name", ["compare", "coins", "ranks"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_each_media_operation_is_counted_once(monkeypatch, strategy, name):
+    """The report's media counts are the sums over the media calls
+    themselves, wrapped on the class as the benchmark's tracer wraps them:
+    no operation is counted twice or missed, whoever called it."""
+    cfg = dataclasses.replace(load_config(str(GOLDEN / f"{name}.cfg")),
+                              strategy=strategy)
+    trace = read_trace_file(str(GOLDEN / f"{name}.trace"))
+    seen = dict(reads=0, writes=0, set_pulses=0, reset_pulses=0, flips=0)
+    apply_write, read_line = CellArray.apply_write, CellArray.read_line
+
+    def counted_write(self, addr, data, mode):
+        out = apply_write(self, addr, data, mode)
+        seen["writes"] += 1
+        seen["set_pulses"] += out.set_pulses
+        seen["reset_pulses"] += out.reset_pulses
+        seen["flips"] += len(out.wde_events)
+        return out
+
+    def counted_read(self, addr):
+        seen["reads"] += 1
+        return read_line(self, addr)
+
+    monkeypatch.setattr(CellArray, "apply_write", counted_write)
+    monkeypatch.setattr(CellArray, "read_line", counted_read)
+    stats = run_to_completion(cfg, trace)
+    monkeypatch.undo()
+    assert seen["writes"] > 0
+    assert dict(reads=stats.media_reads + stats.pre_write_reads,
+                writes=stats.media_writes, set_pulses=stats.set_pulses,
+                reset_pulses=stats.reset_pulses, flips=stats.wde_raw) == seen
 
 
 def test_compare_needs_no_numpy(tmp_path):

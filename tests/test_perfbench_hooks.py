@@ -37,17 +37,49 @@ def test_every_span_is_defined_on_its_owner(layers):
 
 
 # `Trace.counts()` on the compare golden: the per-layer view of the bank
-# queues (retried submits, deepest read + write queue, enqueue-to-pick waits)
-# and the conservation triple (admitted, serviced, merges).
+# queues (retried submits, deepest read + write queue, enqueue-to-pick waits),
+# the media (flips, lines touched), the strategies (VnC's verification reads,
+# SIWC's absorbed writes) and the conservation triple (admitted, serviced,
+# merges).
 COMPARE_COUNTS = {
     "none": dict(retries=628, queue_depth_max=8, wait_p50=900, wait_p99=1300,
+                 flips=1084, lines=32, vnc_extra_reads=0, siwc_absorbed=0,
                  conservation=(361, 361, 0)),
     "vnc": dict(retries=643, queue_depth_max=8, wait_p50=2100, wait_p99=2900,
+                flips=11, lines=51, vnc_extra_reads=558, siwc_absorbed=0,
                 conservation=(361, 361, 0)),
     "siwc": dict(retries=99, queue_depth_max=8, wait_p50=950, wait_p99=1200,
+                 flips=0, lines=24, vnc_extra_reads=0, siwc_absorbed=136,
                  conservation=(64, 64, 0)),
     "imdb": dict(retries=793, queue_depth_max=9, wait_p50=403, wait_p99=2109,
+                 flips=4366, lines=39, vnc_extra_reads=0, siwc_absorbed=0,
                  conservation=(434, 434, 1)),
+}
+
+# The call count of every span with calls on the compare golden: a refactor
+# that moves work between layers keeps each patched name's calls.
+_COMMON_CALLS = {"controller.run": 1, "core.decompose_address": 200,
+                 "media.scrub_divergence": 1}
+COMPARE_CALLS = {
+    "none": {**_COMMON_CALLS, "controller.submit": 828,
+             "controller.next_command": 361, "media.apply_write": 161,
+             "media.read_line": 200, "media.intended_line": 39},
+    "vnc": {**_COMMON_CALLS, "controller.submit": 843,
+            "controller.next_command": 361, "baselines.vnc_wrap_write": 161,
+            "media.apply_write": 170, "media.read_line": 758,
+            "media.intended_line": 327},
+    "siwc": {**_COMMON_CALLS, "controller.submit": 299,
+             "controller.next_command": 64,
+             "baselines.siwc.process_write": 161,
+             "baselines.siwc.process_read": 39, "media.apply_write": 27,
+             "media.read_line": 37, "media.intended_line": 12},
+    "imdb": {**_COMMON_CALLS, "controller.submit": 993,
+             "controller.next_command": 434, "controller.merge_rewrite": 102,
+             "imdb.process_write": 120, "imdb.try_absorb": 161,
+             "imdb.process_read": 39, "imdb.lookup": 320,
+             "imdb.select_victim_apple": 6, "imdb.promote_and_demote": 63,
+             "media.apply_write": 196, "media.read_line": 152,
+             "media.intended_line": 133},
 }
 
 
@@ -68,8 +100,9 @@ def test_traced_run_reports_as_untraced(layers, strategy):
     counts = tracer.counts()
     assert spans["controller.submit"][0] >= len(trace)
     assert counts["conservation"] == tracer.engine.conservation
-    pinned = COMPARE_COUNTS[strategy]
-    assert {k: counts[k] for k in pinned} == pinned
+    assert counts == COMPARE_COUNTS[strategy]
+    assert {name: calls for name, (calls, _) in spans.items()
+            if calls} == COMPARE_CALLS[strategy]
     if strategy == "imdb":
         assert spans["imdb.lookup"][0] > 0
     if strategy == "siwc":
