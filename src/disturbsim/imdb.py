@@ -7,6 +7,18 @@ managed addresses and fires a pair of full rewrites on the adjacent wordlines
 when the maximal sub-counter reaches the threshold; the barrier buffer holds
 the data of addresses that keep triggering rewrites and absorbs their writes
 entirely. Table events are counted in the run's statistics as they happen.
+
+AppLE compares main-table entries by one int key, (maximal sub-counter,
+rewrite counter) packed as `zfc max << _KEY_SHIFT | rewrite_cntr`. `Imdb`
+caches each occupied slot's key in `_keys`, so that a victim draw reads one
+list item per sample. The calls that change a main-table entry's counters
+keep its key in step: `install` (every insertion and every demotion) and
+`_mt_hit` (a write that counts flips without triggering, and the
+bufferless reset after a trigger). A trigger with a barrier buffer hands
+the slot to `promote_and_demote`, which refills it through `install` or
+frees it; a free slot keeps a stale key until `install` fills it again,
+and AppLE draws only on a full table. `check` compares every occupied
+slot's cached key with its entry.
 """
 
 from __future__ import annotations
@@ -57,6 +69,10 @@ _KEY_SHIFT = CNTR_MAX.bit_length()
 _NO_KEY = (ZFC_MAX + 1) << _KEY_SHIFT  # above every entry's key
 
 
+def _apple_key(e: MainTableEntry) -> int:
+    return e.zfc[e.max_zfc_idx] << _KEY_SHIFT | e.rewrite_cntr
+
+
 def sram_capacity(n_mt: int, n_b: int, banks: int) -> dict:
     """Exact SRAM bit budget of the two tables."""
     mt_bits = n_mt * MT_ENTRY_BITS
@@ -90,6 +106,7 @@ class Imdb(Mitigation):
         # line -> the main-table or barrier entry that holds it
         self._where: dict[LineAddress, MainTableEntry | BarrierEntry] = {}
         self._free_mt = list(range(cfg.n_mt))  # heap of free main-table slots
+        self._keys = [0] * cfg.n_mt  # AppLE key of each occupied slot
         self._clock = 0  # monotone access stamp for the LRU variant
         p = Fraction(cfg.insert_prob)
         self._always_insert = p.numerator >= p.denominator  # no coin at p >= 1
@@ -149,6 +166,7 @@ class Imdb(Mitigation):
         e.max_zfc_idx = _max_idx(zfc)
         e.rewrite_cntr = rewrite_cntr
         e.last_use = self._clock
+        self._keys[slot] = _apple_key(e)
 
     def _require_full(self) -> None:
         if not self.mt:
@@ -174,10 +192,15 @@ class Imdb(Mitigation):
             raise ConsistencyError(f"{len(self.bb)} barrier entries in a "
                                    f"buffer of {self.cfg.n_b}")
         for e in self.mt:  # AppLE's int keys rely on these
-            if e.addr is not None and (max(e.zfc) > ZFC_MAX
-                                       or e.rewrite_cntr > CNTR_MAX):
+            if e.addr is None:
+                continue
+            if max(e.zfc) > ZFC_MAX or e.rewrite_cntr > CNTR_MAX:
                 raise ConsistencyError(f"main-table slot {e.slot} holds a counter "
                                        f"wider than its field")
+            if self._keys[e.slot] != _apple_key(e):
+                raise ConsistencyError(
+                    f"main-table slot {e.slot} has AppLE key "
+                    f"{self._keys[e.slot]:#x}, its entry {_apple_key(e):#x}")
 
     # -- victim selection --------------------------------------------------
 
@@ -187,7 +210,7 @@ class Imdb(Mitigation):
         slot). Groups come in slot order, so keeping the first of equal int
         keys breaks ties by slot."""
         self._require_full()
-        mt, getrandbits = self.mt, rng.getrandbits
+        keys, getrandbits = self._keys, rng.getrandbits
         size, bits = self._group_size, self._group_bits
         best_key = _NO_KEY
         for base in self._group_bases:
@@ -195,11 +218,9 @@ class Imdb(Mitigation):
             r = getrandbits(bits)
             while r >= size:
                 r = getrandbits(bits)
-            slot = base + r
-            e = mt[slot]
-            key = e.zfc[e.max_zfc_idx] << _KEY_SHIFT | e.rewrite_cntr
+            key = keys[base + r]
             if key < best_key:
-                best_key, best = key, slot
+                best_key, best = key, base + r
         return best
 
     def select_victim_lru(self) -> int:
@@ -253,14 +274,18 @@ class Imdb(Mitigation):
                 new_data: int) -> Outcome:
         self.stats.mt_hits += 1
         e.last_use = self._clock
-        flips = count_one_to_zero(old_data, new_data)
-        for i, f in enumerate(flips):
-            e.zfc[i] = min(e.zfc[i] + f, ZFC_MAX)
-        e.max_zfc_idx = _max_idx(e.zfc)
-
         # The trigger requires fresh flips: a rewrite that changes nothing must
         # not re-fire an entry whose counters sit at or above the threshold.
-        if not (any(flips) and e.zfc[e.max_zfc_idx] >= self.cfg.threshold):
+        # Without flips no counter moves either.
+        if old_data & ~new_data == 0:
+            return self._hit
+        zfc = e.zfc
+        for i, f in enumerate(count_one_to_zero(old_data, new_data)):
+            if f:  # only the words with flips
+                zfc[i] = min(zfc[i] + f, ZFC_MAX)
+        e.max_zfc_idx = _max_idx(zfc)
+        if zfc[e.max_zfc_idx] < self.cfg.threshold:
+            self._keys[e.slot] = _apple_key(e)
             return self._hit
         e.rewrite_cntr = min(e.rewrite_cntr + 1, CNTR_MAX)
         rewrites = e.addr.neighbor_rows(self.geometry)
@@ -273,6 +298,7 @@ class Imdb(Mitigation):
         # prior knowledge of the data just written.
         e.zfc = count_zeros(new_data) if self.cfg.prior_knowledge else [0] * 8
         e.max_zfc_idx = _max_idx(e.zfc)
+        self._keys[e.slot] = _apple_key(e)
         return _new_tuple(Outcome, (False, None, rewrites, self._hit_ns))
 
     def _miss(self, addr: LineAddress, new_data: int,

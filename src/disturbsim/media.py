@@ -41,7 +41,7 @@ DIFFERENTIAL = WriteMode.DIFFERENTIAL
 FULL = WriteMode.FULL
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteOutcome:
     reset_pulses: int = 0
     set_pulses: int = 0
@@ -60,15 +60,20 @@ def _set_bits(mask: int) -> list[int]:
 
 
 class _Line:
-    """One materialized line: its cells, its intended data and the
-    bit-planes of its cells' pulse counts, lowest plane first."""
+    """One materialized line: its address, its cells, its intended data,
+    the bit-planes of its cells' pulse counts, lowest plane first, and its
+    victims: None until the line first sends RESET pulses, False after
+    that write, and from its second such write on the list of the lines of
+    its in-range neighbour rows."""
 
-    __slots__ = ("phys", "intended", "planes")
+    __slots__ = ("addr", "phys", "intended", "planes", "victims")
 
-    def __init__(self, fill: int, planes: int):
+    def __init__(self, addr: LineAddress, fill: int, planes: int):
+        self.addr = addr
         self.phys = fill
         self.intended = fill
         self.planes = [0] * planes
+        self.victims = None
 
 
 class CellArray:
@@ -86,12 +91,24 @@ class CellArray:
 
     The array counts the media operations it performs: `reads`, `writes`,
     their `set_pulses` and `reset_pulses`, and the `flips` they caused.
+
+    A line that sends RESET pulses again and again keeps its victims:
+    `apply_write` looks the neighbours up (materializing them) on the
+    line's first two pulsing writes, keeps the list of their lines at the
+    second, and reads it on every later write. Lines are never removed or
+    replaced, so the kept lines stay the array's own. Where most lines are
+    written once (the benchmark's `uniform-paced`), keeping the list from
+    the first write on made whole runs about 3 % slower: each kept list
+    outlives its write and adds to the garbage collector's work. The list
+    holds the lines alone, not (address, line) pairs, which cost more
+    there: a victim knows its own address.
     """
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
         self.geometry = cfg.geometry
         self.limit = cfg.disturb_limit
+        self.set_ns = cfg.set_ns
+        self.reset_ns = cfg.reset_ns
         self._fill = cfg.fill_line
         self._planes = self.limit.bit_length()
         # the planes where L has a 1 bit: their AND marks the counts at L
@@ -125,9 +142,8 @@ class CellArray:
         if not 0 <= data <= LINE_MASK:
             raise ValueError(f"line data {data:#x} is not a 512-bit value")
         if line is None:
-            line = lines[addr] = _Line(self._fill, self._planes)
+            line = lines[addr] = _Line(addr, self._fill, self._planes)
         old = line.phys
-        out = WriteOutcome()
 
         if mode is DIFFERENTIAL:
             programmed = old ^ data
@@ -138,14 +154,15 @@ class CellArray:
             reset_mask = ~data & LINE_MASK
             set_mask = data
 
-        out.reset_pulses = reset_pulses = reset_mask.bit_count()
-        out.set_pulses = set_pulses = set_mask.bit_count()
+        reset_pulses = reset_mask.bit_count()
+        set_pulses = set_mask.bit_count()
         self.writes += 1
         self.reset_pulses += reset_pulses
         self.set_pulses += set_pulses
         # Bank occupancy of one write slot. SET pulses dominate when present;
         # a no-flip differential write still costs one RESET-class slot.
-        out.latency_ns = self.cfg.set_ns if set_mask else self.cfg.reset_ns
+        out = WriteOutcome(reset_pulses, set_pulses, [],
+                           self.set_ns if set_mask else self.reset_ns)
 
         line.phys = line.intended = data
         if programmed:
@@ -153,10 +170,17 @@ class CellArray:
 
         if reset_mask:
             limit_planes = self._limit_planes
-            for nb in addr.neighbor_rows(self.geometry):
-                victim = lines.get(nb)
-                if victim is None:  # in range: a neighbor of a valid line
-                    victim = lines[nb] = _Line(self._fill, self._planes)
+            victims = line.victims
+            if victims.__class__ is not list:
+                found = []
+                for nb in addr.neighbor_rows(self.geometry):
+                    victim = lines.get(nb)
+                    if victim is None:  # in range: a neighbor of a valid line
+                        victim = lines[nb] = _Line(nb, self._fill, self._planes)
+                    found.append(victim)
+                line.victims = found if victims is False else False
+                victims = found
+            for victim in victims:
                 planes = victim.planes
                 at_limit = LINE_MASK
                 for j in limit_planes:
@@ -176,6 +200,7 @@ class CellArray:
                     victim.phys |= flips
                     _clear(planes, flips)
                     self.flips += flips.bit_count()
+                    nb = victim.addr
                     out.wde_events.extend((nb, k) for k in _set_bits(flips))
         return out
 

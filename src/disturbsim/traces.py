@@ -12,6 +12,10 @@ blank line, a malformed field, a decreasing time) goes to the field-by-field
 checks in `_parse_line`, which skip it or raise the error, so every
 `TraceParseError` about a record and its position come from those checks;
 an unreadable `.gz` file raises one at the line where its data ended.
+Files are decoded as UTF-8 with `surrogateescape`, so a byte that is not
+UTF-8 never stops the decoder mid-file: it reaches `_parse_line` as a lone
+surrogate, which is no digit, op or hex character, and fails there with its
+line and column (in a comment it is skipped with the comment).
 """
 
 from __future__ import annotations
@@ -151,10 +155,13 @@ def emit_trace(records) -> str:
 
 
 def _open_text(path: str, mode: str):
+    if mode == "r":  # bad bytes fail in _parse_line, with a position
+        if str(path).endswith(".gz"):
+            return gzip.open(path, "rt", encoding="utf-8",
+                             errors="surrogateescape")
+        return open(path, encoding="utf-8", errors="surrogateescape")
     if not str(path).endswith(".gz"):
         return open(path, mode)
-    if mode == "r":
-        return gzip.open(path, "rt")
     # mtime=0 keeps the clock out of the header: the same records give the
     # same bytes
     return io.TextIOWrapper(gzip.GzipFile(path, "wb", mtime=0))

@@ -372,6 +372,14 @@ def test_truncated_gz_trace_exit_code(cfg_path, tmp_path, capsys):
     assert err.startswith("E:2:line 1, column 1: unreadable compressed data")
 
 
+def test_non_utf8_trace_exit_code(cfg_path, tmp_path, capsys):
+    bad = tmp_path / "bin.trace"
+    bad.write_bytes(b"0 R 0x0\n10 R 0x40\n\xff\xfe junk\n")
+    rc = dispatch(["run", "--config", cfg_path, "--trace", str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("E:2:line 3, column 1: ")
+
+
 def test_compare_and_sweep_drop_blank_strategies(cfg_path, trace_path):
     compare = run_rows(["compare", "--config", cfg_path, "--trace",
                         trace_path, "--strategies", "none,, imdb,",

@@ -293,6 +293,21 @@ def test_check_detects_counters_wider_than_their_fields():
         t.check()
 
 
+def test_check_detects_a_stale_apple_key():
+    """AppLE reads each slot's cached key, so `check` fails a key that
+    disagrees with its entry, whichever side changed."""
+    t = make_imdb(n_mt=4, n_groups=4)
+    t.install(1, addr(5), [3] + [0] * 7, 2)
+    t.check()
+    t._keys[1] += 1
+    with pytest.raises(ConsistencyError, match="slot 1 has AppLE key"):
+        t.check()
+    t._keys[1] -= 1
+    t.mt[1].rewrite_cntr = 3  # counter moved behind the key's back
+    with pytest.raises(ConsistencyError, match="slot 1 has AppLE key"):
+        t.check()
+
+
 TABLE_OPS = st.lists(st.tuples(
     st.sampled_from(["write", "absorb", "read"]), st.integers(0, 7),
     st.integers(0, 2 ** 64 - 1)), max_size=60)
@@ -319,6 +334,39 @@ def test_check_holds_after_every_operation(n_mt, n_b, policy, seed, ops):
         else:
             t.process_read(addr(row))
         t.check()
+
+
+WORDS = st.one_of(st.sampled_from([0, (1 << 64) - 1]),
+                  st.integers(0, (1 << 64) - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_b=st.sampled_from([0, 1, 2]), prior=st.booleans(),
+       p=st.sampled_from([Fraction(1, 2), Fraction(7, 8)]),
+       seed=st.integers(0, 2 ** 32),
+       ops=st.lists(st.tuples(st.integers(0, 7),
+                              st.lists(WORDS, min_size=8, max_size=8)),
+                    max_size=60))
+def test_apple_keys_follow_every_write(n_b, prior, p, seed, ops):
+    """Writes drive the cached AppLE keys through insertions, counted hits,
+    triggers, the bufferless reset and demotions. After each one `check`
+    holds, and on a full table the victim draw equals the reference's, with
+    the generator left in the same state."""
+    t = make_imdb(n_mt=4, n_groups=2, n_b=n_b, threshold=15,
+                  disturb_limit=32, prior_knowledge=prior, insert_prob=p)
+    rng = Random(seed)
+    old = {}
+    for row, words in ops:
+        data = line_of(words)
+        t.process_write(addr(row), old.get(row, ZEROS), data, rng)
+        old[row] = data
+        t.check()
+        if not t._free_mt:
+            ours, theirs = Random(), Random()
+            ours.setstate(rng.getstate())
+            theirs.setstate(rng.getstate())
+            assert t.select_victim_apple(ours) == reference_apple(t, theirs)
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_counters_saturate():

@@ -178,6 +178,41 @@ def test_media_matches_naive_ledger(seed, fill_ones):
         assert media.accum_of(addr) == pulses
 
 
+def test_victim_cache_matches_naive_ledger():
+    """A line keeps its victims from its second pulsing write on: row 0
+    and the last row keep one victim, row 1, made as row 0's victim, later
+    pulses rows 0 and 2 itself, and row 4, pulsing once, keeps none. Flips
+    and pulse counts follow the per-cell oracle throughout, and the kept
+    victims leave out-of-range addresses rejected."""
+    media = CellArray(make_cfg(initial_fill="zeros", disturb_limit=3,
+                               threshold=1))
+    ledger = NaiveLedger(TINY, 3, 0)
+    top, row1, row4, last = (LineAddress(0, 0, r, 0) for r in (0, 1, 4, 7))
+    rng = Random(11)
+    writes = [(addr, (LINE_MASK, random_line(rng), 0))
+              for addr in [top, last] * 3 + [row1, top, last] * 4]
+    writes.append((row4, (LINE_MASK, 0)))  # one pulsing write
+    events = []
+    for addr, datas in writes:
+        for data in datas:
+            events.extend(media.apply_write(addr, data,
+                                            WriteMode.DIFFERENTIAL).wde_events)
+            ledger.write(addr, data)
+    assert events and sorted(events) == sorted(ledger.wde_events)
+    assert {nb for nb, _ in events} == {LineAddress(0, 0, r, 0)
+                                        for r in (1, 2, 6)}
+    for addr, pulses in ledger.pulses.items():
+        assert media.accum_of(addr) == pulses
+    lines = media._lines
+    assert lines[top].victims == [lines[row1]]
+    assert lines[last].victims == [lines[LineAddress(0, 0, 6, 0)]]
+    assert lines[row1].victims == [lines[top], lines[LineAddress(0, 0, 2, 0)]]
+    assert lines[row4].victims is False
+    assert all(line.addr == addr for addr, line in lines.items())
+    for bad in (LineAddress(0, 0, -1, 0), LineAddress(0, 0, 8, 0)):
+        assert_rejected(media, bad)
+
+
 def test_threshold_must_leave_rewrite_headroom():
     with pytest.raises(ValueError):
         make_cfg(disturb_limit=1, threshold=1)

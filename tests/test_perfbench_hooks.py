@@ -83,31 +83,63 @@ COMPARE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_traced_run_reports_as_untraced(layers, strategy):
-    cfg = dataclasses.replace(load_config(str(GOLDEN / "compare.cfg")),
+# The same for imdb on the coins golden: n_b = 0, so triggers take the
+# bufferless reset, and insert_prob = 1/3 tosses a coin on every miss.
+COINS_IMDB_COUNTS = dict(retries=1051, queue_depth_max=9, wait_p50=901,
+                         wait_p99=1912, flips=47, lines=64, vnc_extra_reads=0,
+                         siwc_absorbed=0, conservation=(573, 573, 4))
+COINS_IMDB_CALLS = {
+    "controller.run": 1, "controller.submit": 1351,
+    "controller.next_command": 573, "controller.merge_rewrite": 67,
+    "core.decompose_address": 300, "imdb.process_write": 210,
+    "imdb.try_absorb": 210, "imdb.process_read": 90, "imdb.lookup": 300,
+    "imdb.select_victim_apple": 39, "media.apply_write": 273,
+    "media.read_line": 300, "media.intended_line": 153,
+    "media.scrub_divergence": 1}
+
+
+def traced_run(layers, golden, strategy):
+    """The tracer after a traced run of a golden input, whose report must
+    equal the untraced run's."""
+    cfg = dataclasses.replace(load_config(str(GOLDEN / f"{golden}.cfg")),
                               strategy=strategy)
-    trace = read_trace_file(str(GOLDEN / "compare.trace"))
+    trace = read_trace_file(str(GOLDEN / f"{golden}.trace"))
     untraced = emit_report(Engine(cfg, trace).run(), "json")
 
     tracer = layers.Trace()
     with tracer.installed():
         traced = emit_report(Engine(cfg, trace).run(), "json")
     assert traced == untraced
-
+    # every patch was undone
+    for _, owner, attr in layers.SPANS:
+        assert not hasattr(owner.__dict__[attr], "__wrapped__")
     # the tracer's own summaries read what the hooks returned
+    assert tracer.summary()["controller.submit"][0] >= len(trace)
+    assert tracer.counts()["conservation"] == tracer.engine.conservation
+    return tracer
+
+
+def calls_of(tracer):
+    return {name: calls for name, (calls, _) in tracer.summary().items()
+            if calls}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_traced_run_reports_as_untraced(layers, strategy):
+    tracer = traced_run(layers, "compare", strategy)
     spans = tracer.summary()
     counts = tracer.counts()
-    assert spans["controller.submit"][0] >= len(trace)
-    assert counts["conservation"] == tracer.engine.conservation
     assert counts == COMPARE_COUNTS[strategy]
-    assert {name: calls for name, (calls, _) in spans.items()
-            if calls} == COMPARE_CALLS[strategy]
+    assert calls_of(tracer) == COMPARE_CALLS[strategy]
     if strategy == "imdb":
         assert spans["imdb.lookup"][0] > 0
     if strategy == "siwc":
         assert 0 < counts["siwc_absorbed"] <= spans[
             "baselines.siwc.process_write"][0]
-    # every patch was undone
-    for _, owner, attr in layers.SPANS:
-        assert not hasattr(owner.__dict__[attr], "__wrapped__")
+
+
+def test_traced_bufferless_imdb(layers):
+    tracer = traced_run(layers, "coins", "imdb")
+    assert tracer.engine.cfg.n_b == 0
+    assert tracer.counts() == COINS_IMDB_COUNTS
+    assert calls_of(tracer) == COINS_IMDB_CALLS

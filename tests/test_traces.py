@@ -1,3 +1,4 @@
+import gzip
 import io
 import pickle
 import time
@@ -90,6 +91,26 @@ def test_parse_errors_carry_position(text, line_no, column):
     with pytest.raises(TraceParseError) as exc:
         parse_text(text)
     assert (exc.value.line_no, exc.value.column) == (line_no, column)
+
+
+# the third line starts with two bytes that are not UTF-8
+NON_UTF8 = b"0 R 0x0\n10 R 0x40\n\xff\xfe junk\n"
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_non_utf8_byte_fails_at_its_line(tmp_path, suffix):
+    path = tmp_path / f"bin.trace{suffix}"
+    path.write_bytes(gzip.compress(NON_UTF8, mtime=0) if suffix else NON_UTF8)
+    with pytest.raises(TraceParseError) as info:
+        read_trace_file(str(path))
+    assert str(info.value).startswith("line 3, column 1: expected")
+
+
+def test_non_utf8_byte_in_a_comment_is_skipped(tmp_path):
+    path = tmp_path / "c.trace"
+    path.write_bytes(b"0 R 0x0 # caf\xe9\n10 R 0x40\n")
+    assert read_trace_file(str(path)) == [TraceRecord(0, "R", 0),
+                                          TraceRecord(10, "R", 0x40)]
 
 
 def test_gen_hammer_shape():
