@@ -71,7 +71,8 @@ def _build_parser() -> _Parser:
                        metavar="NAME=V1,V2,...",
                        help="imdb parameter axis (n_mt, n_b, n_groups)")
     sweep.add_argument("--jobs", type=int, default=1,
-                       help="parallel simulation processes")
+                       help="parallel simulation processes, at most one "
+                            "per run (at least 1)")
     return parser
 
 
@@ -149,6 +150,8 @@ def _run_one(cfg_trace):
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs {args.jobs} must be at least 1")
     cfg = _load_cfg(args)
     strategies = _strategies(args.strategies)
     if "none" not in strategies:
@@ -182,8 +185,10 @@ def _cmd_sweep(args) -> int:
                                                    **point))
             except ValueError as exc:
                 raise ConfigError(f"sweep point {point}: {exc}") from exc
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the fork start method forks every worker up front: none beyond the runs
+    workers = min(args.jobs, len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, [(c, trace) for c in configs]))
     else:
         results = [run_to_completion(c, trace) for c in configs]

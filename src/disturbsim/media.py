@@ -7,17 +7,22 @@ two adjacent wordlines; an idle cell storing 0 that accumulates
 carry roughly half the heat and are modeled as non-aggressing. Programming a
 cell resets its own accumulation.
 
+Pulse counts are kept only for cells storing 0; a cell storing 1 counts
+nothing. This is exact: a cell storing 1 gets back to 0 only by being
+programmed, which clears its count, so the flip test never reads the count
+a cell took while it stored 1.
+
 A line is one 512-bit int; bit k is cell k. Each line's pulse counts are
 bit-sliced (Biham, "A fast new DES implementation in software", FSE 1997):
 `L.bit_length()` bit-planes, each a 512-bit int, where bit k of plane j is
 bit j of cell k's count, for L = `disturb_limit`. One bitwise operation on
 the planes thus acts on all 512 cells at once:
 
-- a RESET pulse is a ripple-carry add of the pulse mask into the planes,
-  skipping cells whose count is already L (counts saturate at L);
-- since no count exceeds L, a count equals L exactly when its cell is set
-  in every plane where L has a 1 bit, so the hit test is an AND of those
-  planes;
+- a RESET pulse is a ripple-carry add of the pulse mask into the planes:
+  the pulsed cells whose same-column cell in the victim stores 0;
+- a count that reaches L flips its cell, which clears the count, so no
+  count passes L, and a count equals L exactly when its cell is set in
+  every plane where L has a 1 bit: the flip set is the AND of those planes;
 - programming or flipping a cell clears its bit in every plane.
 """
 
@@ -61,10 +66,11 @@ def _set_bits(mask: int) -> list[int]:
 
 class _Line:
     """One materialized line: its address, its cells, its intended data,
-    the bit-planes of its cells' pulse counts, lowest plane first, and its
-    victims: None until the line first sends RESET pulses, False after
-    that write, and from its second such write on the list of the lines of
-    its in-range neighbour rows."""
+    the bit-planes of the pulse counts of its cells storing 0, lowest plane
+    first, and its victims: None until the line first sends RESET pulses,
+    False after that write and for as long as an in-range neighbour row is
+    not materialized, and otherwise, from its second such write on, the
+    list of the lines of all its in-range neighbour rows."""
 
     __slots__ = ("addr", "phys", "intended", "planes", "victims")
 
@@ -80,9 +86,14 @@ class CellArray:
     """Per-run physical bit state plus per-cell disturbance accumulation.
 
     Lines are materialized lazily with the configured initial-fill pattern,
-    when first written or disturbed; a line never materialized holds the
-    fill pattern and no pulses. An intended-data shadow records what each
-    line should hold so that exposure of disturbance errors is measurable.
+    when first written or when a RESET pulse reaches one of their cells
+    storing 0; a line never materialized holds the fill pattern and no
+    pulses. Pulse counts are kept only for cells storing 0, so a cell
+    storing 1 counts 0 (see the module docstring for why that is exact).
+    Under the `ones` fill a never-written line stores no 0 and takes no
+    count, so only the lines that are written are materialized. An
+    intended-data shadow records what each line should hold so that
+    exposure of disturbance errors is measurable.
 
     An address is validated against the geometry when a call first touches
     its line: a line is materialized only after its address passed the
@@ -93,15 +104,18 @@ class CellArray:
     their `set_pulses` and `reset_pulses`, and the `flips` they caused.
 
     A line that sends RESET pulses again and again keeps its victims:
-    `apply_write` looks the neighbours up (materializing them) on the
-    line's first two pulsing writes, keeps the list of their lines at the
-    second, and reads it on every later write. Lines are never removed or
-    replaced, so the kept lines stay the array's own. Where most lines are
-    written once (the benchmark's `uniform-paced`), keeping the list from
-    the first write on made whole runs about 3 % slower: each kept list
-    outlives its write and adds to the garbage collector's work. The list
-    holds the lines alone, not (address, line) pairs, which cost more
-    there: a victim knows its own address.
+    `apply_write` looks the neighbours up on the line's pulsing writes,
+    keeps the list of their lines from the second such write on once it
+    holds every in-range neighbour, and reads it on every later write.
+    A list without a neighbour that is not materialized yet would miss the
+    neighbour's pulses once it is written, so such a list is not kept.
+    Lines are never removed or replaced, so the kept lines stay the
+    array's own. Where most lines are written once (the benchmark's
+    `uniform-paced`), keeping the list from the first write on made whole
+    runs about 3 % slower: each kept list outlives its write and adds to
+    the garbage collector's work. The list holds the lines alone, not
+    (address, line) pairs, which cost more there: a victim knows its own
+    address.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -114,6 +128,8 @@ class CellArray:
         # the planes where L has a 1 bit: their AND marks the counts at L
         self._limit_planes = [j for j in range(self._planes)
                               if self.limit >> j & 1]
+        # under the `ones` fill a never-written neighbour takes no pulse
+        self._lazy_victims = self._fill == LINE_MASK
         self._lines: dict[LineAddress, _Line] = {}
         self.reads = self.writes = self.flips = 0
         self.set_pulses = self.reset_pulses = 0
@@ -173,29 +189,33 @@ class CellArray:
             victims = line.victims
             if victims.__class__ is not list:
                 found = []
+                # kept from the second pulsing write on, once complete
+                complete = victims is False
                 for nb in addr.neighbor_rows(self.geometry):
                     victim = lines.get(nb)
                     if victim is None:  # in range: a neighbor of a valid line
+                        if self._lazy_victims:  # stores no 0 to count on
+                            complete = False
+                            continue
                         victim = lines[nb] = _Line(nb, self._fill, self._planes)
                     found.append(victim)
-                line.victims = found if victims is False else False
+                line.victims = found if complete else False
                 victims = found
             for victim in victims:
+                pulse = reset_mask & ~victim.phys  # counted on 0 cells only
+                if not pulse:
+                    continue
                 planes = victim.planes
-                at_limit = LINE_MASK
-                for j in limit_planes:
-                    at_limit &= planes[j]
-                carry = reset_mask & ~at_limit  # counts saturate at L
+                carry = pulse
                 for j, plane in enumerate(planes):
                     if not carry:
                         break
                     planes[j] = plane ^ carry
                     carry &= plane
-                # Only just-pulsed cells can newly reach the limit.
-                hits = reset_mask
+                # a count at L is a flip, and only pulsed counts can reach L
+                flips = pulse
                 for j in limit_planes:
-                    hits &= planes[j]
-                flips = hits & ~victim.phys  # occupied cells never flip
+                    flips &= planes[j]
                 if flips:
                     victim.phys |= flips
                     _clear(planes, flips)
@@ -211,7 +231,8 @@ class CellArray:
                       if (diff := line.phys ^ line.intended))
 
     def accum_of(self, addr: LineAddress) -> list[int]:
-        """Per-cell pulse counts of a line, cell 0 first."""
+        """Per-cell pulse counts of a line, cell 0 first; 0 for every cell
+        storing 1, which keeps no count."""
         line = self._lines.get(addr)
         planes = [] if line is None else line.planes
         return [sum((plane >> k & 1) << j for j, plane in enumerate(planes))

@@ -54,6 +54,28 @@ def test_a1_engine_matches_pulse_ledger_oracle():
         assert time.monotonic() - start < 10.0
 
 
+def test_ones_fill_runs_match_pulse_ledger_oracle():
+    """A1's check under the default `ones` fill, on uniform and hotspot
+    traces: a never-written line stores no 0 and takes no pulse, so the
+    media materializes exactly the lines the trace writes."""
+    flips = 0
+    for kind in ("uniform", "hotspot"):
+        for limit in (2, 4, 8):
+            for seed in range(5):
+                trace = gen_synthetic(kind, 500, Random(seed), TINY)
+                cfg = make_cfg(strategy="none", disturb_limit=limit,
+                               threshold=0, n_b=0, initial_fill="ones")
+                engine = Engine(cfg, trace)
+                stats = engine.run()
+                expect = replay_trace_wde(trace, TINY, limit, "ones")
+                assert stats.wde_raw == expect, (kind, limit, seed)
+                flips += expect
+                written = {decompose_address(rec.byte_addr, TINY)
+                           for rec in trace if rec.op == "W"}
+                assert set(engine.media._lines) == written, (kind, seed)
+    assert flips > 0  # the written zeros do flip
+
+
 # -- A2: zero-WDE guarantee ----------------------------------------------------
 
 

@@ -148,6 +148,51 @@ def test_sweep_parallel_matches_serial(cfg_path, trace_path):
     assert run_rows(args) == run_rows(args + ["--jobs", "2"])
 
 
+class RecordingPool:
+    """Stands in for `ProcessPoolExecutor`: records its worker count and
+    runs the jobs in this process."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, workers", [("2", [2]), ("3", [3]),
+                                           ("64", [3]), ("1", [])])
+def test_sweep_starts_no_more_workers_than_runs(cfg_path, trace_path,
+                                                monkeypatch, jobs, workers):
+    """Three runs (none and imdb at n_groups 1 and 4) start at most three
+    workers whatever `--jobs` asks for, and one job runs in process."""
+    monkeypatch.setattr("disturbsim.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "workers", [])
+    args = ["sweep", "--config", cfg_path, "--trace", trace_path,
+            "--param", "n_groups=1,4", "--format", "json"]
+    assert run_rows(args + ["--jobs", jobs]) == run_rows(args)
+    assert RecordingPool.workers == workers
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "-8"])
+def test_sweep_jobs_below_one_is_usage_error(cfg_path, trace_path,
+                                             monkeypatch, capsys, jobs):
+    monkeypatch.setattr("disturbsim.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "workers", [])
+    rc = dispatch(["sweep", "--config", cfg_path, "--trace", trace_path,
+                   "--jobs", jobs])
+    assert rc == 1
+    assert capsys.readouterr().err == f"E:1:--jobs {jobs} must be at least 1\n"
+    assert RecordingPool.workers == []
+
+
 def test_sweep_requires_none_baseline(cfg_path, trace_path, capsys):
     rc = dispatch(["sweep", "--config", cfg_path, "--trace", trace_path,
                    "--strategies", "imdb"])

@@ -1,8 +1,11 @@
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from disturbsim.config import parse_config_text
 from disturbsim.core import LINE_MASK, Geometry, LineAddress, RangeError
 from disturbsim.media import CellArray, WriteMode
 from helpers import TINY, make_cfg, random_line
@@ -11,6 +14,13 @@ from oracle import NaiveLedger
 A = LineAddress(0, 0, 3, 0)
 UP = LineAddress(0, 0, 2, 0)
 DOWN = LineAddress(0, 0, 4, 0)
+
+
+def ledger_counts(ledger, addr):
+    """The ledger's pulse counts of a line as the media keeps them: on
+    cells storing 0 only, 0 on cells storing 1."""
+    return [0 if bit else pulses
+            for bit, pulses in zip(ledger.value[addr], ledger.pulses[addr])]
 
 
 def test_differential_write_pulses():
@@ -174,8 +184,8 @@ def test_media_matches_naive_ledger(seed, fill_ones):
         got = media.read_line(addr)
         want = sum(ledger._bit(addr, k) << k for k in range(512))
         assert got == want
-    for addr, pulses in ledger.pulses.items():
-        assert media.accum_of(addr) == pulses
+    for addr in ledger.pulses:
+        assert media.accum_of(addr) == ledger_counts(ledger, addr)
 
 
 def test_victim_cache_matches_naive_ledger():
@@ -201,8 +211,8 @@ def test_victim_cache_matches_naive_ledger():
     assert events and sorted(events) == sorted(ledger.wde_events)
     assert {nb for nb, _ in events} == {LineAddress(0, 0, r, 0)
                                         for r in (1, 2, 6)}
-    for addr, pulses in ledger.pulses.items():
-        assert media.accum_of(addr) == pulses
+    for addr in ledger.pulses:
+        assert media.accum_of(addr) == ledger_counts(ledger, addr)
     lines = media._lines
     assert lines[top].victims == [lines[row1]]
     assert lines[last].victims == [lines[LineAddress(0, 0, 6, 0)]]
@@ -211,6 +221,58 @@ def test_victim_cache_matches_naive_ledger():
     assert all(line.addr == addr for addr, line in lines.items())
     for bad in (LineAddress(0, 0, -1, 0), LineAddress(0, 0, 8, 0)):
         assert_rejected(media, bad)
+
+
+def test_late_written_neighbor_is_pulsed():
+    """Under the `ones` fill a never-written neighbour takes no pulse and is
+    not materialized, so a line whose neighbour is written after the line's
+    first pulsing writes must not keep a victim list without it: UP, written
+    with zeros after A pulsed twice, flips when A pulses L more times."""
+    limit = 3
+    media = CellArray(make_cfg(initial_fill="ones", disturb_limit=limit,
+                               threshold=1))
+    ledger = NaiveLedger(TINY, limit, 1)
+    rng = Random(5)
+    events = []
+
+    def write(addr, data):
+        events.extend(media.apply_write(addr, data,
+                                        WriteMode.DIFFERENTIAL).wde_events)
+        ledger.write(addr, data)
+
+    write(DOWN, random_line(rng))
+    for _ in range(2):  # A pulses twice while UP is unwritten
+        write(A, LINE_MASK)
+        write(A, 0)
+    assert UP not in media._lines
+    write(UP, 0)
+    for _ in range(limit):
+        write(A, LINE_MASK)
+        write(A, 0)
+    assert sorted(events) == sorted(ledger.wde_events)
+    assert sorted(k for nb, k in events if nb == UP) == list(range(512))
+    for addr in (A, UP, DOWN):
+        assert media.read_line(addr) == sum(
+            ledger._bit(addr, k) << k for k in range(512))
+        assert media.accum_of(addr) == ledger_counts(ledger, addr)
+    lines = media._lines
+    assert set(lines) == {A, UP, DOWN}
+    assert lines[A].victims == [lines[UP], lines[DOWN]]  # complete: kept
+
+
+def test_benchmark_covers_both_fills():
+    """The benchmark times both victim paths: never-written neighbours are
+    skipped under the `ones` fill and materialized under `zeros`."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(bench)
+    fills = {name: parse_config_text(w.config.format(seed=1)).initial_fill
+             for name, w in WORKLOADS.items()}
+    assert fills == {"hotspot-backlog": "ones", "uniform-paced": "ones",
+                     "slowflip-paced": "zeros"}
 
 
 def test_threshold_must_leave_rewrite_headroom():
