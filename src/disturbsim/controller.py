@@ -28,6 +28,25 @@ returns one `Outcome`: the engine owns the queues, skips the queue for an
 absorbed write, merges the outcome's rewrites, queues its writeback and
 occupies the bank for its latency. Rewrites and writebacks go straight to
 the media.
+
+`Engine.run` makes one pass over the banks per event. At time `now` it
+admits the records due, until one is refused, and then one pass services
+each idle bank with queued commands and takes the wake time: the earliest of
+the next record's time and the `busy_until` of every bank that still has
+queued commands, a bank that just issued counting with its new one. The loop
+then jumps to the wake time, unless the pass issued and a refused record is
+due: that record is retried at once, and only if it is admitted does another
+pass run at `now`. No pass is skipped that could issue, because of three
+invariants:
+
+- I1. Every service occupies its bank for at least 1 ns, so a bank that
+  issued at `now` is busy at `now` (`_service` checks it).
+- I2. A service enqueues only into the bank it services: rewrites go to
+  neighbour rows, in the same rank and bank, and writebacks come from that
+  bank's own tables. A service never gives another bank work
+  (`_service_write` checks it).
+- I3. A refused `submit` has no side effect, so the pass's wake time still
+  holds after it.
 """
 
 from __future__ import annotations
@@ -332,6 +351,10 @@ class Engine:
             latency = self._read_ns
         else:
             latency = self._service_write(bank, cmd, now)
+        if latency < 1:  # `run` relies on a serviced bank being busy
+            raise ConsistencyError(
+                f"{kind.value} seq {cmd.seq} occupies its bank for "
+                f"{latency} ns")
 
         finish = now + latency
         bank.busy_until = finish
@@ -344,8 +367,10 @@ class Engine:
             _, writeback, rewrites, latency = bank.mitigation.write(
                 self.media, cmd, self.rng)
             for target in rewrites:
+                _require_same_bank(cmd, "rewrite", target)
                 self.merge_rewrite(target, now)
             if writeback is not None:
+                _require_same_bank(cmd, "writeback", writeback[0])
                 self._enqueue_writeback(*writeback, now)
             return latency
         latency = 0
@@ -367,6 +392,7 @@ class Engine:
         banks = self.banks
         submit, next_command, service = (self.submit, self.next_command,
                                          self._service)
+        never = float("inf")  # no wake time: the run is over or stalled
         i = 0
         now = 0
         due = records[0].time if n else 0  # the time of records[i], if i < n
@@ -378,24 +404,34 @@ class Engine:
                         due = records[i].time
                 else:
                     break
+            # One pass: service every idle bank, and find the wake time, the
+            # next record's or the earliest busy bank's with queued commands.
             issued = False
+            wake = due if i < n and due > now else never
             for bank in banks:
-                if bank.busy_until <= now and (bank.read_q or bank.write_q):
+                if not (bank.read_q or bank.write_q):
+                    continue
+                if bank.busy_until <= now:
                     cmd = next_command(bank, now)
-                    if cmd is not None:
-                        service(bank, cmd, now)
-                        issued = True
-            if issued:
-                continue
-            # No bank issued, so every bank with queued commands is busy. A
-            # backpressured record's bank has some, and wakes the loop below.
-            candidates = [due] if i < n and due > now else []
-            for bank in banks:
-                if (bank.read_q or bank.write_q) and bank.busy_until > now:
-                    candidates.append(bank.busy_until)
-            if not candidates:
+                    if cmd is None:
+                        continue  # unserviceable: the stall check below
+                    service(bank, cmd, now)
+                    issued = True
+                    if not (bank.read_q or bank.write_q):
+                        continue
+                if bank.busy_until < wake:
+                    wake = bank.busy_until
+            if issued and i < n and due <= now:
+                # The pass may have freed the queue a record waits on. Only
+                # an admission can give an idle bank work at `now`.
+                if submit(records[i], i, now):
+                    i += 1
+                    if i < n:
+                        due = records[i].time
+                    continue
+            if wake is never:
                 break
-            now = min(candidates)
+            now = wake
 
         if i < n or any(b.read_q or b.write_q for b in banks):
             raise ConsistencyError("engine stalled with unserviceable commands")
@@ -428,6 +464,15 @@ class Engine:
     @property
     def conservation(self) -> tuple[int, int, int]:
         return (self._admitted, self._serviced, self.stats.merges)
+
+
+def _require_same_bank(cmd: Command, what: str, addr: LineAddress) -> None:
+    """`Engine.run` relies on a service enqueueing only into its own bank."""
+    if addr[0] != cmd.addr[0] or addr[1] != cmd.addr[1]:
+        raise ConsistencyError(
+            f"servicing seq {cmd.seq} in rank {cmd.addr[0]} bank "
+            f"{cmd.addr[1]} returned a {what} to rank {addr[0]} bank "
+            f"{addr[1]}")
 
 
 def run_to_completion(cfg: SimConfig, trace: list[TraceRecord]) -> RunStats:

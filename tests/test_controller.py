@@ -6,13 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scheduler_ref
+from disturbsim.baselines import Mitigation, Outcome
 from disturbsim.controller import (MITIGATIONS, Command, CommandKind, Engine,
                                    TraceAbort, run_to_completion)
 from disturbsim.core import (LINE_MASK, STRATEGIES, ConsistencyError,
-                             LineAddress)
+                             Geometry, LineAddress, compose_address)
 from disturbsim.media import WriteMode
+from disturbsim.metrics import emit_report
 from disturbsim.traces import TraceRecord, gen_hammer, gen_synthetic
 from helpers import TINY, addr_bytes, make_cfg
+from loop_ref import TwoPassEngine
 
 ONES = LINE_MASK
 ZEROS = 0
@@ -375,3 +378,119 @@ def test_siwc_writebacks_reach_media():
     stats = run_to_completion(cfg, writes)
     assert stats.writebacks > 0
     assert stats.media_writes > 0
+
+
+# -- the main loop -------------------------------------------------------------
+
+TWO_BANKS = Geometry(ranks=1, banks_per_rank=2, rows_per_bank=8,
+                     cols_per_row=1)
+
+
+class ZeroLatency(Mitigation):
+    """Breaks I1: a serviced host write leaves its bank idle."""
+
+    def write(self, media, cmd, rng):
+        media.apply_write(cmd.addr, cmd.data, cmd.mode)
+        return Outcome(False, None, (), 0)
+
+
+class OtherBank(Mitigation):
+    """Breaks I2: a serviced host write in bank 0 returns its `what`, a
+    rewrite or a writeback, for the same row of bank 1."""
+
+    what = "rewrite"
+
+    def write(self, media, cmd, rng):
+        latency = media.apply_write(cmd.addr, cmd.data, cmd.mode).latency_ns
+        target = cmd.addr._replace(bank=1)
+        if self.what == "rewrite":
+            return Outcome(False, None, (target,), latency)
+        return Outcome(False, (target, ONES), (), latency)
+
+
+def bank0_write_engine(mitigation) -> Engine:
+    """A 2-bank engine with `mitigation` on bank 0 and one write to it."""
+    trace = [TraceRecord(0, "W", addr_bytes(2, g=TWO_BANKS), ONES)]
+    eng = Engine(make_cfg(geometry=TWO_BANKS), trace)
+    eng.banks[0].mitigation = mitigation(eng.cfg, eng.stats)
+    return eng
+
+
+def test_service_without_bank_occupancy_raises():
+    eng = bank0_write_engine(ZeroLatency)
+    with pytest.raises(ConsistencyError,
+                       match="host-write seq 1 occupies its bank for 0 ns"):
+        eng.run()
+
+
+@pytest.mark.parametrize("what", ["rewrite", "writeback"])
+def test_service_enqueueing_into_another_bank_raises(what):
+    eng = bank0_write_engine(OtherBank)
+    eng.banks[0].mitigation.what = what
+    with pytest.raises(ConsistencyError,
+                       match=f"rank 0 bank 0 returned a {what} to rank 0 "
+                             f"bank 1"):
+        eng.run()
+
+
+def test_unserviceable_command_stalls_the_engine():
+    # one-deep queues: the second read waits behind the first, which
+    # `next_command` never picks
+    trace = [TraceRecord(0, "R", addr_bytes(1)),
+             TraceRecord(0, "R", addr_bytes(2))]
+    eng = Engine(make_cfg(queue_depth=1), trace)
+    eng.next_command = lambda bank, now: None
+    with pytest.raises(ConsistencyError,
+                       match="engine stalled with unserviceable commands"):
+        eng.run()
+
+
+def traced_run(engine_cls, cfg, trace):
+    """Run one engine; return its report, final random state, conservation
+    counts and every `submit` and `next_command` call as (name, now)."""
+    eng = engine_cls(cfg, trace)
+    calls = []
+    for name in ("submit", "next_command"):
+        def traced(*args, _name=name, _fn=getattr(eng, name)):
+            calls.append((_name, args[-1]))
+            return _fn(*args)
+        setattr(eng, name, traced)
+    report = emit_report(eng.run(), "json")
+    return report, eng.rng.getstate(), eng.conservation, calls
+
+
+RECORDS = st.lists(st.tuples(
+    st.integers(0, 300),                  # gap to the previous record, ns
+    st.booleans(),                        # a write?
+    st.tuples(st.integers(0, 1), st.integers(0, 1),
+              st.integers(0, 7), st.integers(0, 1)),  # rank, bank, row, col
+    # the data: a half-ones line, and ONES // 3, alternating bits
+    st.sampled_from([ZEROS, ONES, ONES >> 256, ONES // 3])),
+    max_size=60)
+
+
+@settings(deadline=None)
+@given(ranks=st.integers(1, 2), banks=st.integers(1, 2),
+       depth=st.integers(1, 4), strategy=st.sampled_from(STRATEGIES),
+       hit_cycles=st.sampled_from([0, 2]), seed=st.integers(0, 3),
+       records=RECORDS)
+def test_one_pass_loop_matches_two_pass_reference(ranks, banks, depth,
+                                                  strategy, hit_cycles, seed,
+                                                  records):
+    """Gaps of 0-300 ns against 100-250 ns services: records share times and
+    back up, so retries, rescans and waits on busy banks all occur. The
+    one-pass loop makes the same calls at the same times as the loop it
+    replaced, and ends in the same state."""
+    g = Geometry(ranks=ranks, banks_per_rank=banks, rows_per_bank=8,
+                 cols_per_row=2)
+    cfg = make_cfg(geometry=g, strategy=strategy, queue_depth=depth,
+                   hit_cycles=hit_cycles, siwc_entries=4, seed=seed)
+    trace, now = [], 0
+    for gap, write, (rank, bank, row, col), data in records:
+        now += gap
+        addr = compose_address(
+            LineAddress(rank % ranks, bank % banks, row, col), g)
+        trace.append(TraceRecord(now, "W", addr, data) if write
+                     else TraceRecord(now, "R", addr))
+    assert (traced_run(Engine, cfg, trace)
+            == traced_run(TwoPassEngine, cfg, trace))
