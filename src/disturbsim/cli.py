@@ -196,7 +196,7 @@ def _cmd_sweep(args) -> int:
     for c, stats in zip(configs, results):
         desc = _desc(c)
         if c.strategy not in tabled:
-            desc.update(n_mt=0, n_b=0)
+            desc.update(n_mt=0, n_b=0, n_groups=0)
         desc["area_bits"] = (MITIGATIONS[c.strategy].sram_bits(c)
                              * c.geometry.num_banks)
         sweep.append((desc, stats))

@@ -225,7 +225,6 @@ class Engine:
         self._seq = 0
         self._admitted = 0
         self._serviced = 0
-        self._end_time = 0
         # the record last submitted: (record_no, address, bank)
         self._head = (-1, None, None)
 
@@ -356,10 +355,7 @@ class Engine:
                 f"{kind.value} seq {cmd.seq} occupies its bank for "
                 f"{latency} ns")
 
-        finish = now + latency
-        bank.busy_until = finish
-        if finish > self._end_time:
-            self._end_time = finish
+        bank.busy_until = now + latency
 
     def _service_write(self, bank: _Bank, cmd: Command, now: int) -> int:
         kind = cmd.kind
@@ -455,7 +451,8 @@ class Engine:
         stats.set_pulses = media.set_pulses
         stats.reset_pulses = media.reset_pulses
         stats.wde_raw = media.flips
-        stats.completion_time_ns = self._end_time
+        # a bank is serviced only once idle, so its `busy_until` only grows
+        stats.completion_time_ns = max(b.busy_until for b in self.banks)
         stats.wde_exposed += len(self.media.scrub_divergence())
         stats.energy = energy_total(stats, self.cfg.energy)
         return stats

@@ -9,16 +9,11 @@ the data of addresses that keep triggering rewrites and absorbs their writes
 entirely. Table events are counted in the run's statistics as they happen.
 
 AppLE compares main-table entries by one int key, (maximal sub-counter,
-rewrite counter) packed as `zfc max << _KEY_SHIFT | rewrite_cntr`. `Imdb`
-caches each occupied slot's key in `_keys`, so that a victim draw reads one
-list item per sample. The calls that change a main-table entry's counters
-keep its key in step: `install` (every insertion and every demotion) and
-`_mt_hit` (a write that counts flips without triggering, and the
-bufferless reset after a trigger). A trigger with a barrier buffer hands
-the slot to `promote_and_demote`, which refills it through `install` or
-frees it; a free slot keeps a stale key until `install` fills it again,
-and AppLE draws only on a full table. `check` compares every occupied
-slot's cached key with its entry.
+rewrite counter) packed as `max(zfc) << _KEY_SHIFT | rewrite_cntr`, and
+each entry stores its own. `install` and `_mt_hit` set it whenever they
+change the counters of an entry that stays in its slot; a freed slot keeps
+a stale key, and AppLE draws only on a full table. `check` compares every
+occupied entry's key with its counters.
 """
 
 from __future__ import annotations
@@ -51,8 +46,8 @@ class MainTableEntry:
     slot: int
     addr: LineAddress | None = None  # None: the slot is free
     zfc: list = field(default_factory=lambda: [0] * 8)
-    max_zfc_idx: int = 0
     rewrite_cntr: int = 0
+    key: int = 0  # AppLE's sort key: `_apple_key` of the counters
     last_use: int = 0  # recency stamp, only consulted by the LRU variant
 
 
@@ -70,7 +65,7 @@ _NO_KEY = (ZFC_MAX + 1) << _KEY_SHIFT  # above every entry's key
 
 
 def _apple_key(e: MainTableEntry) -> int:
-    return e.zfc[e.max_zfc_idx] << _KEY_SHIFT | e.rewrite_cntr
+    return max(e.zfc) << _KEY_SHIFT | e.rewrite_cntr
 
 
 def sram_capacity(n_mt: int, n_b: int, banks: int) -> dict:
@@ -84,11 +79,6 @@ def sram_capacity(n_mt: int, n_b: int, banks: int) -> dict:
         "bits_per_bank": per_bank,
         "total_bits": per_bank * banks,
     }
-
-
-def _max_idx(zfc: list) -> int:
-    """Index of the maximal sub-counter; the lowest index wins ties."""
-    return zfc.index(max(zfc))
 
 
 def apple_latency_cycles(n_groups: int) -> int:
@@ -106,7 +96,6 @@ class Imdb(Mitigation):
         # line -> the main-table or barrier entry that holds it
         self._where: dict[LineAddress, MainTableEntry | BarrierEntry] = {}
         self._free_mt = list(range(cfg.n_mt))  # heap of free main-table slots
-        self._keys = [0] * cfg.n_mt  # AppLE key of each occupied slot
         self._clock = 0  # monotone access stamp for the LRU variant
         p = Fraction(cfg.insert_prob)
         self._always_insert = p.numerator >= p.denominator  # no coin at p >= 1
@@ -163,10 +152,9 @@ class Imdb(Mitigation):
             del self._where[e.addr]
         e.addr = addr
         e.zfc = zfc
-        e.max_zfc_idx = _max_idx(zfc)
         e.rewrite_cntr = rewrite_cntr
         e.last_use = self._clock
-        self._keys[slot] = _apple_key(e)
+        e.key = _apple_key(e)
 
     def _require_full(self) -> None:
         if not self.mt:
@@ -197,10 +185,10 @@ class Imdb(Mitigation):
             if max(e.zfc) > ZFC_MAX or e.rewrite_cntr > CNTR_MAX:
                 raise ConsistencyError(f"main-table slot {e.slot} holds a counter "
                                        f"wider than its field")
-            if self._keys[e.slot] != _apple_key(e):
+            if e.key != _apple_key(e):
                 raise ConsistencyError(
-                    f"main-table slot {e.slot} has AppLE key "
-                    f"{self._keys[e.slot]:#x}, its entry {_apple_key(e):#x}")
+                    f"main-table slot {e.slot} has AppLE key {e.key:#x}, "
+                    f"its counters {_apple_key(e):#x}")
 
     # -- victim selection --------------------------------------------------
 
@@ -210,7 +198,7 @@ class Imdb(Mitigation):
         slot). Groups come in slot order, so keeping the first of equal int
         keys breaks ties by slot."""
         self._require_full()
-        keys, getrandbits = self._keys, rng.getrandbits
+        mt, getrandbits = self.mt, rng.getrandbits
         size, bits = self._group_size, self._group_bits
         best_key = _NO_KEY
         for base in self._group_bases:
@@ -218,7 +206,7 @@ class Imdb(Mitigation):
             r = getrandbits(bits)
             while r >= size:
                 r = getrandbits(bits)
-            key = keys[base + r]
+            key = mt[base + r].key
             if key < best_key:
                 best_key, best = key, base + r
         return best
@@ -283,9 +271,8 @@ class Imdb(Mitigation):
         for i, f in enumerate(count_one_to_zero(old_data, new_data)):
             if f:  # only the words with flips
                 zfc[i] = min(zfc[i] + f, ZFC_MAX)
-        e.max_zfc_idx = _max_idx(zfc)
-        if zfc[e.max_zfc_idx] < self.cfg.threshold:
-            self._keys[e.slot] = _apple_key(e)
+        if max(zfc) < self.cfg.threshold:
+            e.key = _apple_key(e)
             return self._hit
         e.rewrite_cntr = min(e.rewrite_cntr + 1, CNTR_MAX)
         rewrites = e.addr.neighbor_rows(self.geometry)
@@ -297,8 +284,7 @@ class Imdb(Mitigation):
         # Bufferless variant: the entry stays; restart its counters from the
         # prior knowledge of the data just written.
         e.zfc = count_zeros(new_data) if self.cfg.prior_knowledge else [0] * 8
-        e.max_zfc_idx = _max_idx(e.zfc)
-        self._keys[e.slot] = _apple_key(e)
+        e.key = _apple_key(e)
         return _new_tuple(Outcome, (False, None, rewrites, self._hit_ns))
 
     def _miss(self, addr: LineAddress, new_data: int,

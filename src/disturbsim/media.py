@@ -67,10 +67,9 @@ def _set_bits(mask: int) -> list[int]:
 class _Line:
     """One materialized line: its address, its cells, its intended data,
     the bit-planes of the pulse counts of its cells storing 0, lowest plane
-    first, and its victims: None until the line first sends RESET pulses,
-    False after that write and for as long as an in-range neighbour row is
-    not materialized, and otherwise, from its second such write on, the
-    list of the lines of all its in-range neighbour rows."""
+    first, and its victims: None, or the list of the lines of all its
+    in-range neighbour rows, kept from a pulsing write that found them all
+    materialized."""
 
     __slots__ = ("addr", "phys", "intended", "planes", "victims")
 
@@ -103,19 +102,12 @@ class CellArray:
     The array counts the media operations it performs: `reads`, `writes`,
     their `set_pulses` and `reset_pulses`, and the `flips` they caused.
 
-    A line that sends RESET pulses again and again keeps its victims:
-    `apply_write` looks the neighbours up on the line's pulsing writes,
-    keeps the list of their lines from the second such write on once it
-    holds every in-range neighbour, and reads it on every later write.
-    A list without a neighbour that is not materialized yet would miss the
-    neighbour's pulses once it is written, so such a list is not kept.
-    Lines are never removed or replaced, so the kept lines stay the
-    array's own. Where most lines are written once (the benchmark's
-    `uniform-paced`), keeping the list from the first write on made whole
-    runs about 3 % slower: each kept list outlives its write and adds to
-    the garbage collector's work. The list holds the lines alone, not
-    (address, line) pairs, which cost more there: a victim knows its own
-    address.
+    A line keeps its victims once they are complete: a pulsing write looks
+    the neighbours up until every in-range neighbour is materialized, then
+    keeps the list of their lines for every later write. A list without a
+    neighbour that is not materialized yet would miss the neighbour's
+    pulses once it is written, so such a list is not kept. Lines are never
+    removed or replaced, so the kept lines stay the array's own.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -187,10 +179,9 @@ class CellArray:
         if reset_mask:
             limit_planes = self._limit_planes
             victims = line.victims
-            if victims.__class__ is not list:
-                found = []
-                # kept from the second pulsing write on, once complete
-                complete = victims is False
+            if victims is None:
+                victims = []
+                complete = True
                 for nb in addr.neighbor_rows(self.geometry):
                     victim = lines.get(nb)
                     if victim is None:  # in range: a neighbor of a valid line
@@ -198,9 +189,9 @@ class CellArray:
                             complete = False
                             continue
                         victim = lines[nb] = _Line(nb, self._fill, self._planes)
-                    found.append(victim)
-                line.victims = found if complete else False
-                victims = found
+                    victims.append(victim)
+                if complete:
+                    line.victims = victims
             for victim in victims:
                 pulse = reset_mask & ~victim.phys  # counted on 0 cells only
                 if not pulse:

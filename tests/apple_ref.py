@@ -10,7 +10,7 @@ slot per group (`n_groups = n_mt`) must equal it.
 
 
 def victim_key(entry, slot):
-    return (entry.zfc[entry.max_zfc_idx], entry.rewrite_cntr, slot)
+    return (max(entry.zfc), entry.rewrite_cntr, slot)
 
 
 def select_victim_exact(table) -> int:

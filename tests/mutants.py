@@ -1,0 +1,162 @@
+"""A kill-list of hand-made mutants, and the runner that checks each is killed.
+
+Each mutant names a file, a text that occurs in it exactly once, the text
+that replaces it, and the tests that must fail once it is replaced. The
+runner copies `src/` and `tests/` into a temporary directory, applies one
+mutant there, runs its tests with `pytest -x -q` and requires them to fail;
+the checkout itself is never edited. Hypothesis runs with a fixed seed, so
+a kill does not depend on the examples a run happens to draw.
+
+    python3 tests/mutants.py
+
+pytest does not collect this file; `tests/test_mutants.py` checks without
+running anything that each mutant still applies to the code.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300  # a mutant that hangs its tests counts as killed
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the checkout
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the checkout
+
+
+MUTANTS = [
+    Mutant("media-carry", "src/disturbsim/media.py",
+           "carry &= plane", "carry &= ~plane",
+           ("tests/test_media.py::test_media_matches_naive_ledger",)),
+    Mutant("incomplete-victims-kept", "src/disturbsim/media.py",
+           "                if complete:\n"
+           "                    line.victims = victims\n",
+           "                line.victims = victims\n",
+           ("tests/test_media.py::test_late_written_neighbor_is_pulsed",)),
+    Mutant("read-counted-twice", "src/disturbsim/media.py",
+           "self.reads += 1", "self.reads += 2",
+           ("tests/test_golden.py::test_compare_report_matches_golden",)),
+    Mutant("coin-floor", "src/disturbsim/core.py",
+           "return -(-p.numerator * _RANDOM_SCALE // p.denominator)",
+           "return (p.numerator * _RANDOM_SCALE // p.denominator)",
+           ("tests/test_core.py::test_coin_threshold_decides_as_the_fraction",)),
+    Mutant("apple-keeps-last-tie", "src/disturbsim/imdb.py",
+           "if key < best_key:", "if key <= best_key:",
+           ("tests/test_imdb.py::test_apple_matches_reference",)),
+    Mutant("mt-hit-stale-key", "src/disturbsim/imdb.py",
+           "        if max(zfc) < self.cfg.threshold:\n"
+           "            e.key = _apple_key(e)\n",
+           "        if max(zfc) < self.cfg.threshold:\n",
+           ("tests/test_imdb.py::test_apple_keys_follow_every_write",)),
+    Mutant("absorbed-write-takes-0ns", "src/disturbsim/imdb.py",
+           "max(self._hit_ns, 1)", "self._hit_ns",
+           ("tests/test_imdb.py::"
+            "test_absorbed_write_occupies_the_bank_at_least_1ns",)),
+    Mutant("freed-slot-not-pushed", "src/disturbsim/imdb.py",
+           "            heappush(self._free_mt, src.slot)\n", "",
+           ("tests/test_imdb.py::test_check_holds_after_every_operation",)),
+    Mutant("install-keeps-old-index", "src/disturbsim/imdb.py",
+           "            del self._where[e.addr]\n", "            pass\n",
+           ("tests/test_imdb.py::test_check_holds_after_every_operation",)),
+    Mutant("parser-accepts-decreasing-time", "src/disturbsim/traces.py",
+           "if t >= last_time and (data is None) is (op == \"R\"):",
+           "if (data is None) is (op == \"R\"):",
+           ("tests/test_traces.py::test_parse_errors_carry_position",)),
+    Mutant("parser-accepts-op-data-mismatch", "src/disturbsim/traces.py",
+           "if t >= last_time and (data is None) is (op == \"R\"):",
+           "if t >= last_time:",
+           ("tests/test_traces.py::test_parse_errors_carry_position",)),
+    Mutant("rank-term", "src/disturbsim/controller.py",
+           "self.banks[addr[0] * self._banks_per_rank + addr[1]]",
+           "self.banks[addr[1]]",
+           ("tests/test_golden.py::test_two_rank_report_matches_golden",)),
+    Mutant("writeback-to-another-rank", "src/disturbsim/controller.py",
+           "if addr[0] != cmd.addr[0] or addr[1] != cmd.addr[1]:",
+           "if addr[1] != cmd.addr[1]:",
+           ("tests/test_controller.py::"
+            "test_service_enqueueing_into_another_rank_raises",)),
+    Mutant("loop-no-rescan-after-retry", "src/disturbsim/controller.py",
+           "                        due = records[i].time\n"
+           "                    continue\n",
+           "                        due = records[i].time\n",
+           ("tests/test_controller.py::"
+            "test_one_pass_loop_matches_two_pass_reference",)),
+    Mutant("loop-issuer-out-of-wake", "src/disturbsim/controller.py",
+           "                    issued = True\n"
+           "                    if not (bank.read_q or bank.write_q):\n"
+           "                        continue\n",
+           "                    issued = True\n"
+           "                    continue\n",
+           ("tests/test_controller.py::"
+            "test_one_pass_loop_matches_two_pass_reference",)),
+    Mutant("loop-wake-before-service", "src/disturbsim/controller.py",
+           "                if bank.busy_until <= now:\n",
+           "                wake = min(wake, bank.busy_until)\n"
+           "                if bank.busy_until <= now:\n",
+           ("tests/test_controller.py::"
+            "test_one_pass_loop_matches_two_pass_reference",)),
+]
+
+
+def apply(text: str, mutant: Mutant) -> str:
+    """`text` with the mutant's one occurrence of its old text replaced."""
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: old text occurs {count} times in "
+                         f"{mutant.path}, not once")
+    return text.replace(mutant.old, mutant.new)
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """Apply `mutant` in a copy of the checkout and run its tests; return
+    whether they failed, and how."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        target = work / mutant.path
+        target.write_text(apply(target.read_text(), mutant))
+        env = dict(os.environ, PYTHONPATH="src")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q",
+               "--hypothesis-seed=0", *mutant.tests]
+        try:
+            proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True,
+                                  text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return True, f"timed out after {TIMEOUT_S} s"
+    # pytest exits 1 when tests ran and failed; other codes mean they
+    # passed (0) or never ran as meant (errors, no tests collected)
+    if proc.returncode == 1:
+        return True, "failed"
+    tail = (proc.stdout + proc.stderr).strip().splitlines()[-3:]
+    return False, f"pytest exited {proc.returncode}: " + " | ".join(tail)
+
+
+def main() -> int:
+    survivors = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        killed, how = run(mutant)
+        survivors += not killed
+        print(f"{'killed' if killed else 'SURVIVED'} {mutant.name} "
+              f"({how}, {time.perf_counter() - start:.1f} s)", flush=True)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -211,6 +211,18 @@ def test_sweep_runs_tableless_strategies_once(cfg_path, trace_path):
     assert [r["area_bits"] for r in rows[4:]] == [16 * 108, 16 * 108 + 2 * 553]
 
 
+def test_sweep_flags_no_bound_on_tableless_strategies(cfg_path, trace_path):
+    """With n_groups past the Ng bound only `imdb` is flagged: `none` and
+    `vnc` have no tables, so they report n_groups = 0, as n_mt and n_b."""
+    rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
+                     "--strategies", "none,vnc,imdb",
+                     "--set", "imdb.n_mt=64", "--set", "imdb.n_groups=64",
+                     "--format", "json"])
+    assert [(r["strategy"], r["n_mt"], r["n_b"], r["n_groups"], r["flags"])
+            for r in rows] == [("none", 0, 0, 0, ""), ("vnc", 0, 0, 0, ""),
+                               ("imdb", 64, 2, 64, "exceeds Ng<=32")]
+
+
 def test_sweep_sizes_siwc_area_from_its_cache(cfg_path, trace_path):
     """SIWC rows count full-line cache entries (512 data + 25 tag bits),
     an explicit siwc.entries included, not IMDB's table widths."""

@@ -384,6 +384,8 @@ def test_siwc_writebacks_reach_media():
 
 TWO_BANKS = Geometry(ranks=1, banks_per_rank=2, rows_per_bank=8,
                      cols_per_row=1)
+TWO_RANKS = Geometry(ranks=2, banks_per_rank=1, rows_per_bank=8,
+                     cols_per_row=1)
 
 
 class ZeroLatency(Mitigation):
@@ -395,23 +397,25 @@ class ZeroLatency(Mitigation):
 
 
 class OtherBank(Mitigation):
-    """Breaks I2: a serviced host write in bank 0 returns its `what`, a
-    rewrite or a writeback, for the same row of bank 1."""
+    """Breaks I2: a serviced host write in bank 0 of rank 0 returns its
+    `what`, a rewrite or a writeback, for the same row of bank 1, or of
+    rank 1 with `where = "rank"`."""
 
     what = "rewrite"
+    where = "bank"
 
     def write(self, media, cmd, rng):
         latency = media.apply_write(cmd.addr, cmd.data, cmd.mode).latency_ns
-        target = cmd.addr._replace(bank=1)
+        target = cmd.addr._replace(**{self.where: 1})
         if self.what == "rewrite":
             return Outcome(False, None, (target,), latency)
         return Outcome(False, (target, ONES), (), latency)
 
 
-def bank0_write_engine(mitigation) -> Engine:
+def bank0_write_engine(mitigation, g=TWO_BANKS) -> Engine:
     """A 2-bank engine with `mitigation` on bank 0 and one write to it."""
-    trace = [TraceRecord(0, "W", addr_bytes(2, g=TWO_BANKS), ONES)]
-    eng = Engine(make_cfg(geometry=TWO_BANKS), trace)
+    trace = [TraceRecord(0, "W", addr_bytes(2, g=g), ONES)]
+    eng = Engine(make_cfg(geometry=g), trace)
     eng.banks[0].mitigation = mitigation(eng.cfg, eng.stats)
     return eng
 
@@ -430,6 +434,17 @@ def test_service_enqueueing_into_another_bank_raises(what):
     with pytest.raises(ConsistencyError,
                        match=f"rank 0 bank 0 returned a {what} to rank 0 "
                              f"bank 1"):
+        eng.run()
+
+
+def test_service_enqueueing_into_another_rank_raises():
+    """The I2 guard compares ranks too: bank 0 of rank 1 is another bank."""
+    eng = bank0_write_engine(OtherBank, TWO_RANKS)
+    eng.banks[0].mitigation.what = "writeback"
+    eng.banks[0].mitigation.where = "rank"
+    with pytest.raises(ConsistencyError,
+                       match="rank 0 bank 0 returned a writeback to rank 1 "
+                             "bank 0"):
         eng.run()
 
 
@@ -474,6 +489,12 @@ RECORDS = st.lists(st.tuples(
        depth=st.integers(1, 4), strategy=st.sampled_from(STRATEGIES),
        hit_cycles=st.sampled_from([0, 2]), seed=st.integers(0, 3),
        records=RECORDS)
+# One queue slot and records all due at 0: each record is refused, then
+# admitted by the retry that follows a service, and the writes stay queued
+# after their pre-write reads.
+@example(ranks=1, banks=1, depth=1, strategy="none", hit_cycles=0, seed=0,
+         records=[(0, False, (0, 0, 0, 0), ZEROS)] * 4
+         + [(0, True, (0, 0, 0, 0), ZEROS)] * 2)
 def test_one_pass_loop_matches_two_pass_reference(ranks, banks, depth,
                                                   strategy, hit_cycles, seed,
                                                   records):

@@ -67,7 +67,8 @@ def test_miss_inserts_with_prior_knowledge():
     assert t.stats.insertions == 1
     assert t.lookup(addr(1)) is t.mt[0]
     assert t.mt[0].zfc == count_zeros(flips16())
-    assert t.mt[0].max_zfc_idx == 1
+    # AppLE's key: maximal sub-counter 16 above rewrite counter 0
+    assert t.mt[0].key == 16 << CNTR_MAX.bit_length()
 
 
 def test_miss_without_prior_knowledge_starts_cold():
@@ -294,15 +295,15 @@ def test_check_detects_counters_wider_than_their_fields():
 
 
 def test_check_detects_a_stale_apple_key():
-    """AppLE reads each slot's cached key, so `check` fails a key that
-    disagrees with its entry, whichever side changed."""
+    """AppLE reads each entry's stored key, so `check` fails a key that
+    disagrees with its counters, whichever side changed."""
     t = make_imdb(n_mt=4, n_groups=4)
     t.install(1, addr(5), [3] + [0] * 7, 2)
     t.check()
-    t._keys[1] += 1
+    t.mt[1].key += 1
     with pytest.raises(ConsistencyError, match="slot 1 has AppLE key"):
         t.check()
-    t._keys[1] -= 1
+    t.mt[1].key -= 1
     t.mt[1].rewrite_cntr = 3  # counter moved behind the key's back
     with pytest.raises(ConsistencyError, match="slot 1 has AppLE key"):
         t.check()

@@ -189,11 +189,13 @@ def test_media_matches_naive_ledger(seed, fill_ones):
 
 
 def test_victim_cache_matches_naive_ledger():
-    """A line keeps its victims from its second pulsing write on: row 0
+    """Under the `zeros` fill every neighbour is materialized at a line's
+    first pulsing write, so the line keeps its victims from then on: row 0
     and the last row keep one victim, row 1, made as row 0's victim, later
-    pulses rows 0 and 2 itself, and row 4, pulsing once, keeps none. Flips
-    and pulse counts follow the per-cell oracle throughout, and the kept
-    victims leave out-of-range addresses rejected."""
+    pulses rows 0 and 2 itself, and row 4 keeps rows 3 and 5 after its one
+    pulsing write. Flips and pulse counts follow the per-cell oracle
+    throughout, and the kept victims leave out-of-range addresses
+    rejected."""
     media = CellArray(make_cfg(initial_fill="zeros", disturb_limit=3,
                                threshold=1))
     ledger = NaiveLedger(TINY, 3, 0)
@@ -217,7 +219,8 @@ def test_victim_cache_matches_naive_ledger():
     assert lines[top].victims == [lines[row1]]
     assert lines[last].victims == [lines[LineAddress(0, 0, 6, 0)]]
     assert lines[row1].victims == [lines[top], lines[LineAddress(0, 0, 2, 0)]]
-    assert lines[row4].victims is False
+    assert lines[row4].victims == [lines[LineAddress(0, 0, 3, 0)],
+                                   lines[LineAddress(0, 0, 5, 0)]]
     assert all(line.addr == addr for addr, line in lines.items())
     for bad in (LineAddress(0, 0, -1, 0), LineAddress(0, 0, 8, 0)):
         assert_rejected(media, bad)
