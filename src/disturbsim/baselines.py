@@ -1,11 +1,11 @@
 """The per-bank mitigation interface, and the baseline strategies.
 
 `Mitigation` holds the hooks the controller calls, and is itself the `none`
-strategy. A strategy subclasses it, overrides the hooks it needs and counts
-its own table events in the run's `RunStats`; the media counts the reads
-and writes that reach it. Every hook or table method that
-reports on a host write returns one `Outcome`, and a broken hook
-precondition raises `ConsistencyError`.
+strategy. A strategy subclasses it, overrides the hooks it needs (and
+`design`, if the config sizes its tables) and counts its own table events
+in the run's `RunStats`; the media counts the reads and writes that reach
+it. Every hook or table method that reports on a host write returns one
+`Outcome`, and a broken hook precondition raises `ConsistencyError`.
 
 Verify-and-correct (VnC) reads the two neighbor lines before and after
 every write and issues full corrective rewrites where the physical contents
@@ -47,9 +47,8 @@ ABSORBED = Outcome(True, None, (), 0)
 
 
 class Mitigation:
-    """One bank's mitigation strategy: plain media writes, as `none` does."""
-
-    has_tables = False  # whether n_mt and n_b size the strategy's tables
+    """One bank's mitigation strategy: plain media writes, as `none` does,
+    with no table, so its `design` reads no swept size."""
 
     def __init__(self, cfg: SimConfig, stats: RunStats):
         self.cfg = cfg
@@ -57,9 +56,11 @@ class Mitigation:
         self.stats = stats
 
     @classmethod
-    def sram_bits(cls, cfg: SimConfig) -> int:
-        """SRAM bits of one bank's tables."""
-        return 0
+    def design(cls, cfg: SimConfig) -> dict:
+        """The one statement of the swept sizes the strategy reads at `cfg`
+        (`n_mt`, `n_b`, `n_groups`, 0 when unread) and `area_bits`, the SRAM
+        bits of one bank's tables. `sweep` simulates each design once."""
+        return {"n_mt": 0, "n_b": 0, "n_groups": 0, "area_bits": 0}
 
     def process_read(self, addr: LineAddress) -> int | None:
         """An admitted host read: the line if the strategy serves it, else
@@ -147,20 +148,28 @@ class SiwcCache(Mitigation):
     each filled slot, and `data` maps each cached line to its contents.
     Slots fill in order and never empty."""
 
-    has_tables = True
-
     def __init__(self, cfg: SimConfig, stats: RunStats):
         super().__init__(cfg, stats)
         self.lines: list[LineAddress] = []
         self.data: dict[LineAddress, int] = {}
-        self._capacity = cfg.siwc_entry_count
+        self._capacity = self.entry_count(cfg)
         self._insert_below = coin_threshold(cfg.siwc_q_insert)
         self._evict_below = coin_threshold(cfg.siwc_q_evict)
         self._victim_bits = self._capacity.bit_length()
 
+    @staticmethod
+    def entry_count(cfg: SimConfig) -> int:
+        """`siwc.entries`, by default n_mt + n_b (entry parity with IMDB)."""
+        return (cfg.n_mt + cfg.n_b if cfg.siwc_entries is None
+                else cfg.siwc_entries)
+
     @classmethod
-    def sram_bits(cls, cfg: SimConfig) -> int:
-        return cfg.siwc_entry_count * SIWC_ENTRY_BITS
+    def design(cls, cfg: SimConfig) -> dict:
+        # n_mt and n_b size the cache only by default; no group is sampled
+        parity = cfg.siwc_entries is None
+        return {"n_mt": cfg.n_mt if parity else 0,
+                "n_b": cfg.n_b if parity else 0, "n_groups": 0,
+                "area_bits": cls.entry_count(cfg) * SIWC_ENTRY_BITS}
 
     def check(self) -> None:
         """Compare the slots with the data; raise ConsistencyError on any

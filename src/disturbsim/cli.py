@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
                        help="must include the `none` baseline")
     sweep.add_argument("--param", action="append", default=[],
                        metavar="NAME=V1,V2,...",
-                       help="imdb parameter axis (n_mt, n_b, n_groups)")
+                       help="design parameter axis (n_mt, n_b, n_groups)")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="parallel simulation processes, at most one "
                             "per run (at least 1)")
@@ -156,7 +156,7 @@ def _cmd_sweep(args) -> int:
     strategies = _strategies(args.strategies)
     if "none" not in strategies:
         raise ConfigError("missing baseline: sweep strategies must include `none`")
-    axes = []
+    axes = {}
     for spec in args.param:
         if "=" not in spec:
             raise UsageError(f"bad --param {spec!r}, expected NAME=V1,V2,...")
@@ -164,27 +164,29 @@ def _cmd_sweep(args) -> int:
         name = name.strip()
         if name not in ("n_mt", "n_b", "n_groups"):
             raise UsageError(f"unsupported sweep parameter {name!r}")
+        if name in axes:
+            raise UsageError(f"--param {name} given twice")
         try:
-            axes.append((name, [int(v, 0) for v in values.split(",")]))
+            axes[name] = [int(v, 0) for v in values.split(",")]
         except ValueError:
             raise UsageError(f"bad --param {spec!r}, values must be "
                              f"integers") from None
     grid = [{}]
-    for name, values in axes:
+    for name, values in axes.items():
         grid = [{**point, name: v} for point in grid for v in values]
 
-    # strategies without tables run once: the grid does not change them
-    tabled = {s for s, m in MITIGATIONS.items() if m.has_tables}
     trace = read_trace_file(args.trace)
-    configs = []
+    # one run per design: sizes that a strategy does not read change nothing
+    runs = {}
     for strategy in strategies:
-        points = grid if strategy in tabled else [{}]
-        for point in points:
+        for point in grid:
             try:
-                configs.append(dataclasses.replace(cfg, strategy=strategy,
-                                                   **point))
+                c = dataclasses.replace(cfg, strategy=strategy, **point)
             except ValueError as exc:
                 raise ConfigError(f"sweep point {point}: {exc}") from exc
+            design = MITIGATIONS[strategy].design(c)
+            runs.setdefault((strategy, *design.values()), (c, design))
+    configs = [c for c, _ in runs.values()]
     # the fork start method forks every worker up front: none beyond the runs
     workers = min(args.jobs, len(configs))
     if workers > 1:
@@ -192,14 +194,10 @@ def _cmd_sweep(args) -> int:
             results = list(pool.map(_run_one, [(c, trace) for c in configs]))
     else:
         results = [run_to_completion(c, trace) for c in configs]
-    sweep = []
-    for c, stats in zip(configs, results):
-        desc = _desc(c)
-        if c.strategy not in tabled:
-            desc.update(n_mt=0, n_b=0, n_groups=0)
-        desc["area_bits"] = (MITIGATIONS[c.strategy].sram_bits(c)
-                             * c.geometry.num_banks)
-        sweep.append((desc, stats))
+    banks = cfg.geometry.num_banks
+    sweep = [({**design, "strategy": c.strategy,
+               "area_bits": design["area_bits"] * banks}, stats)
+             for (c, design), stats in zip(runs.values(), results)]
     table = tradeoff_report(sweep)
     _write_output(emit_report(table, args.format), args.output)
     return 0

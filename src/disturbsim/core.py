@@ -278,12 +278,6 @@ class SimConfig:
     def fill_line(self) -> int:
         return LINE_MASK if self.initial_fill == "ones" else 0
 
-    @property
-    def siwc_entry_count(self) -> int:
-        if self.siwc_entries is None:
-            return self.n_mt + self.n_b
-        return self.siwc_entries
-
     def cycles_to_ns(self, cycles: int) -> int:
         # Round up: a partially used controller cycle still occupies the table.
         return -(-cycles * 1_000_000_000 // self.controller_clock_hz)

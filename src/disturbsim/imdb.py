@@ -87,8 +87,6 @@ def apple_latency_cycles(n_groups: int) -> int:
 
 
 class Imdb(Mitigation):
-    has_tables = True
-
     def __init__(self, cfg: SimConfig, stats):
         super().__init__(cfg, stats)
         self.mt = [MainTableEntry(i) for i in range(cfg.n_mt)]
@@ -115,8 +113,10 @@ class Imdb(Mitigation):
             cfg.hit_cycles + apple_latency_cycles(cfg.n_groups)))
 
     @classmethod
-    def sram_bits(cls, cfg: SimConfig) -> int:
-        return sram_capacity(cfg.n_mt, cfg.n_b, 1)["bits_per_bank"]
+    def design(cls, cfg: SimConfig) -> dict:
+        area = sram_capacity(cfg.n_mt, cfg.n_b, 1)["bits_per_bank"]
+        return {"n_mt": cfg.n_mt, "n_b": cfg.n_b, "n_groups": cfg.n_groups,
+                "area_bits": area}
 
     # -- lookup ------------------------------------------------------------
 

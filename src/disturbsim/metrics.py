@@ -84,25 +84,23 @@ def tradeoff_report(sweep: list[tuple[dict, RunStats]]) -> list[dict]:
     `speedup` is None for a run with `completion_time_ns == 0`. Rows
     breaching the design bounds are flagged, not dropped.
     """
-    baseline = next((s for d, s in sweep if d.get("strategy") == "none"), None)
+    baseline = next((s for d, s in sweep if d["strategy"] == "none"), None)
     if baseline is None:
         raise ValueError("missing baseline: sweep must include a strategy=none run")
     rows = []
     for desc, stats in sweep:
-        n_b = desc.get("n_b", 0)
-        n_g = desc.get("n_groups", 1)
         speedup = (baseline.completion_time_ns / stats.completion_time_ns
                    if stats.completion_time_ns > 0 else None)
         flags = []
-        if n_g > NG_BOUND:
+        if desc["n_groups"] > NG_BOUND:
             flags.append(f"exceeds Ng<={NG_BOUND}")
-        if n_b > NB_BOUND:
+        if desc["n_b"] > NB_BOUND:
             flags.append(f"exceeds Nb<={NB_BOUND}")
         rows.append({
-            "strategy": desc.get("strategy", ""),
-            "n_mt": desc.get("n_mt", 0),
-            "n_b": n_b,
-            "n_groups": n_g,
+            "strategy": desc["strategy"],
+            "n_mt": desc["n_mt"],
+            "n_b": desc["n_b"],
+            "n_groups": desc["n_groups"],
             "wde_raw": stats.wde_raw,
             "wde_exposed": stats.wde_exposed,
             "area_bits": desc["area_bits"],

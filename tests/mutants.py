@@ -108,6 +108,20 @@ MUTANTS = [
            "                if bank.busy_until <= now:\n",
            ("tests/test_controller.py::"
             "test_one_pass_loop_matches_two_pass_reference",)),
+    Mutant("siwc-design-reads-groups", "src/disturbsim/baselines.py",
+           '"n_b": cfg.n_b if parity else 0, "n_groups": 0,',
+           '"n_b": cfg.n_b if parity else 0, "n_groups": cfg.n_groups,',
+           ("tests/test_cli.py::test_sweep_runs_siwc_once_across_n_groups",
+            "tests/test_cli.py::test_sweep_runs_each_distinct_design_once")),
+    Mutant("imdb-design-drops-groups", "src/disturbsim/imdb.py",
+           '"n_groups": cfg.n_groups,', '"n_groups": 0,',
+           ("tests/test_cli.py::test_sweep_runs_siwc_once_across_n_groups",
+            "tests/test_cli.py::test_sweep_runs_each_distinct_design_once")),
+    Mutant("sweep-runs-every-point", "src/disturbsim/cli.py",
+           "runs.setdefault((strategy, *design.values()), (c, design))",
+           "runs[len(runs)] = (c, design)",
+           ("tests/test_cli.py::test_sweep_runs_a_repeated_value_once",
+            "tests/test_cli.py::test_sweep_runs_each_distinct_design_once")),
 ]
 
 

@@ -143,8 +143,10 @@ def test_sweep_produces_tradeoff_rows(cfg_path, trace_path):
 
 
 def test_sweep_parallel_matches_serial(cfg_path, trace_path):
+    """The process pool keeps the deduplicated runs in their serial order."""
     args = ["sweep", "--config", cfg_path, "--trace", trace_path,
-            "--param", "n_groups=1,4", "--format", "json"]
+            "--strategies", "none,vnc,siwc,imdb", "--param", "n_groups=1,4",
+            "--param", "n_b=0,2", "--format", "json"]
     assert run_rows(args) == run_rows(args + ["--jobs", "2"])
 
 
@@ -232,7 +234,72 @@ def test_sweep_sizes_siwc_area_from_its_cache(cfg_path, trace_path):
     rows = run_rows(args)
     assert [r["area_bits"] for r in rows[1:]] == [16 * 537, 18 * 537]
     rows = run_rows(args + ["--set", "siwc.entries=5"])
-    assert [r["area_bits"] for r in rows[1:]] == [5 * 537, 5 * 537]
+    assert [(r["strategy"], r["n_mt"], r["n_b"], r["n_groups"],
+             r["area_bits"]) for r in rows[1:]] == [("siwc", 0, 0, 0, 5 * 537)]
+
+
+def test_sweep_runs_siwc_once_across_n_groups(cfg_path, trace_path):
+    """SIWC samples no groups: an n_groups axis gives one `siwc` row, with
+    n_groups = 0 and no bound flag."""
+    rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
+                     "--strategies", "none,siwc,imdb",
+                     "--set", "imdb.n_mt=64", "--param", "n_groups=4,64",
+                     "--format", "json"])
+    assert [(r["strategy"], r["n_mt"], r["n_b"], r["n_groups"], r["flags"])
+            for r in rows] == [("none", 0, 0, 0, ""), ("siwc", 64, 2, 0, ""),
+                               ("imdb", 64, 2, 4, ""),
+                               ("imdb", 64, 2, 64, "exceeds Ng<=32")]
+
+
+def test_sweep_runs_a_repeated_value_once(cfg_path, trace_path):
+    rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
+                     "--param", "n_b=2,2", "--format", "json"])
+    assert [(r["strategy"], r["n_b"]) for r in rows] == [("none", 0),
+                                                         ("imdb", 2)]
+
+
+def test_sweep_runs_each_distinct_design_once(cfg_path, trace_path,
+                                              monkeypatch):
+    """Of the 2 x 2 x 2 grid, `none` and `vnc` read no size, `siwc` reads
+    n_mt and n_b, and `imdb` reads all three: 1 + 1 + 4 + 8 runs."""
+    monkeypatch.setattr("disturbsim.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "workers", [])
+    rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
+                     "--strategies", "none,vnc,siwc,imdb",
+                     "--param", "n_mt=16,32", "--param", "n_b=0,2",
+                     "--param", "n_groups=4,8", "--format", "json",
+                     "--jobs", "64"])
+    assert RecordingPool.workers == [14]
+    designs = [(r["strategy"], r["n_mt"], r["n_b"], r["n_groups"])
+               for r in rows]
+    assert designs == (
+        [("none", 0, 0, 0), ("vnc", 0, 0, 0)]
+        + [("siwc", m, b, 0) for m in (16, 32) for b in (0, 2)]
+        + [("imdb", m, b, g) for m in (16, 32) for b in (0, 2)
+           for g in (4, 8)])
+    area = {r["strategy"]: r["area_bits"] for r in rows if r["n_mt"] == 32
+            and r["n_b"] == 2}
+    assert area == {"siwc": 34 * 537, "imdb": 32 * 108 + 2 * 553}
+
+
+def test_sweep_repeated_param_axis_is_usage_error(cfg_path, trace_path,
+                                                  capsys):
+    rc = dispatch(["sweep", "--config", cfg_path, "--trace", trace_path,
+                   "--param", "n_b=0", "--param", "n_b=2"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("E:1:--param n_b given twice")
+
+
+def test_sweep_invalid_point_exits_2_for_every_strategy(cfg_path, trace_path,
+                                                        capsys):
+    """Every strategy builds every point's config, so n_groups = 3, which
+    does not divide n_mt = 16, is an input error even for strategies that
+    do not read it."""
+    rc = dispatch(["sweep", "--config", cfg_path, "--trace", trace_path,
+                   "--strategies", "none,vnc", "--param", "n_groups=3"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "E:2:sweep point {'n_groups': 3}: n_groups must divide n_mt")
 
 
 def test_sweep_param_values_parse_like_config_ints(cfg_path, trace_path):

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from disturbsim.baselines import SiwcCache
 from disturbsim.core import (LINE_BYTES, Geometry, LineAddress,
                              RangeError, SimConfig, coin_threshold,
                              compose_address, count_one_to_zero, count_zeros,
@@ -126,8 +127,8 @@ def test_config_derived_defaults():
     cfg = make_cfg(queue_depth=10)
     assert cfg.drain_watermark == 5
     assert make_cfg(queue_depth=10, drain_low_watermark=2).drain_watermark == 2
-    assert cfg.siwc_entry_count == cfg.n_mt + cfg.n_b
-    assert make_cfg(siwc_entries=5).siwc_entry_count == 5
+    assert SiwcCache.entry_count(cfg) == cfg.n_mt + cfg.n_b
+    assert SiwcCache.entry_count(make_cfg(siwc_entries=5)) == 5
     assert cfg.fill_line == 0
     assert make_cfg(initial_fill="ones").fill_line == (1 << 512) - 1
 
