@@ -70,7 +70,8 @@ class Mitigation:
     def admit_write(self, addr: LineAddress, data: int,
                     rng: Random) -> Outcome:
         """An admitted host write. An absorbed write is never queued; the
-        controller queues the writeback for the media."""
+        controller merges or queues each rewrite and queues the writeback,
+        as for `write`."""
         return PASSED
 
     def write(self, media: CellArray, cmd, rng: Random) -> Outcome:

@@ -43,8 +43,8 @@ invariants:
   issued at `now` is busy at `now` (`_service` checks it).
 - I2. A service enqueues only into the bank it services: rewrites go to
   neighbour rows, in the same rank and bank, and writebacks come from that
-  bank's own tables. A service never gives another bank work
-  (`_service_write` checks it).
+  bank's own tables. A service never gives another bank work (`_take`
+  checks it, at admission and at service).
 - I3. A refused `submit` has no side effect, so the pass's wake time still
   holds after it.
 """
@@ -230,10 +230,6 @@ class Engine:
 
     # -- helpers -------------------------------------------------------------
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def _bank(self, addr: LineAddress) -> _Bank:
         """The bank of `addr`, in the flat numbering across ranks."""
         return self.banks[addr[0] * self._banks_per_rank + addr[1]]
@@ -260,39 +256,50 @@ class Engine:
             if len(bank.read_q) >= depth:
                 return False
             self.stats.host_reads += 1
-            if bank.mitigation.process_read(addr) is not None:
-                return True
-            self._seq += 1
-            bank.enqueue(Command(HOST_READ, addr, None, DIFFERENTIAL, True,
-                                 None, now, self._seq))
-            self._admitted += 1
+            if bank.mitigation.process_read(addr) is None:
+                self._enqueue(bank, HOST_READ, addr, None, DIFFERENTIAL, now)
             return True
 
         if len(bank.write_q) >= depth or len(bank.read_q) >= depth:
             return False
 
         self.stats.host_writes += 1
-        absorbed, writeback, _, _ = bank.mitigation.admit_write(
+        absorbed, writeback, rewrites, _ = bank.mitigation.admit_write(
             addr, data, self.rng)
-        if writeback is not None:
-            self._enqueue_writeback(*writeback, now)
-        if absorbed:
-            return True
-        self._seq += 1
-        bank.enqueue(Command(HOST_WRITE, addr, data, DIFFERENTIAL, False,
-                             None, now, self._seq))
-        self._admitted += 2  # serviced twice: its pre-write read, then itself
+        if writeback is not None or rewrites:
+            self._take(addr, writeback, rewrites, now)
+        if not absorbed:
+            self._enqueue(bank, HOST_WRITE, addr, data, DIFFERENTIAL, now)
         return True
 
-    def _enqueue_writeback(self, addr: LineAddress, data: int,
-                           now: int) -> None:
-        """Internal command; bypasses admission backpressure. Like rewrites,
+    def _enqueue(self, bank: _Bank, kind: CommandKind, addr: LineAddress,
+                 data: int | None, mode: WriteMode, now: int) -> None:
+        """The one way into a bank queue: number a new command and count
+        the services it owes. A host write is queued unprepared and serviced
+        twice, first for its pre-write read."""
+        prepared = kind is not HOST_WRITE
+        self._seq += 1
+        bank.enqueue(Command(kind, addr, data, mode, prepared, None, now,
+                             self._seq))
+        self._admitted += 1 if prepared else 2
+
+    def _take(self, addr: LineAddress, writeback: tuple | None,
+              rewrites: list | tuple, now: int) -> None:
+        """Queue what a write hook's `Outcome` returned for the host write
+        to `addr`: merge each rewrite and queue the writeback, both in
+        `addr`'s bank (I2). They bypass admission backpressure. Rewrites and
         writebacks are maintenance traffic and skip the counting tables, so
-        evictions can never re-trigger themselves."""
-        self._bank(addr).enqueue(Command(WRITEBACK, addr, data, DIFFERENTIAL,
-                                         True, None, now, self._next_seq()))
-        self._admitted += 1
-        self.stats.writebacks += 1
+        they can never trigger more of themselves. Most outcomes return
+        neither, and the callers then skip the call."""
+        for target in rewrites:
+            _require_same_bank(addr, "rewrite", target)
+            self.merge_rewrite(target, now)
+        if writeback is not None:
+            target, data = writeback
+            _require_same_bank(addr, "writeback", target)
+            self._enqueue(self._bank(target), WRITEBACK, target, data,
+                          DIFFERENTIAL, now)
+            self.stats.writebacks += 1
 
     # -- rewrite merging -------------------------------------------------------
 
@@ -307,9 +314,7 @@ class Engine:
                 line[0].mode = FULL  # latest data retained
             self.stats.merges += 1
             return True
-        bank.enqueue(Command(REWRITE, addr, None, FULL, True, None, now,
-                             self._next_seq()))
-        self._admitted += 1
+        self._enqueue(bank, REWRITE, addr, None, FULL, now)
         return False
 
     # -- scheduling ------------------------------------------------------------
@@ -338,47 +343,37 @@ class Engine:
         bank.remove(cmd)
         self._serviced += 1
 
-        kind = cmd.kind
+        kind, media = cmd.kind, self.media
         if kind is HOST_READ:
-            data = self.media.read_line(cmd.addr)
-            if data != self.media.intended_line(cmd.addr):
+            data = media.read_line(cmd.addr)
+            if data != media.intended_line(cmd.addr):
                 self.stats.wde_exposed += 1
             latency = self._read_ns
         elif not prepared:
             self.stats.pre_write_reads += 1
-            cmd.old_data = self.media.read_line(cmd.addr)
+            cmd.old_data = media.read_line(cmd.addr)
             latency = self._read_ns
+        elif kind is HOST_WRITE:
+            _, writeback, rewrites, latency = bank.mitigation.write(
+                media, cmd, self.rng)
+            if writeback is not None or rewrites:
+                self._take(cmd.addr, writeback, rewrites, now)
         else:
-            latency = self._service_write(bank, cmd, now)
+            # Maintenance goes straight to the media. For a rewrite the
+            # device first fetches the line's intended contents, and it
+            # rewrites all bits.
+            latency = 0
+            if kind is REWRITE:
+                cmd.data = media.intended_line(cmd.addr)
+                latency = self._read_ns
+            latency += media.apply_write(cmd.addr, cmd.data,
+                                         cmd.mode).latency_ns
         if latency < 1:  # `run` relies on a serviced bank being busy
             raise ConsistencyError(
                 f"{kind.value} seq {cmd.seq} occupies its bank for "
                 f"{latency} ns")
 
         bank.busy_until = now + latency
-
-    def _service_write(self, bank: _Bank, cmd: Command, now: int) -> int:
-        kind = cmd.kind
-        if kind is HOST_WRITE:
-            _, writeback, rewrites, latency = bank.mitigation.write(
-                self.media, cmd, self.rng)
-            for target in rewrites:
-                _require_same_bank(cmd, "rewrite", target)
-                self.merge_rewrite(target, now)
-            if writeback is not None:
-                _require_same_bank(cmd, "writeback", writeback[0])
-                self._enqueue_writeback(*writeback, now)
-            return latency
-        latency = 0
-        if kind is REWRITE:
-            # The device fetches the line's intended contents and rewrites
-            # all bits. Rewrites are restorative maintenance traffic: they
-            # bypass the tables, so they can never trigger further rewrites
-            # and the rewrite volume stays bounded by host activity.
-            cmd.data = self.media.intended_line(cmd.addr)
-            latency = self._read_ns
-        return latency + self.media.apply_write(cmd.addr, cmd.data,
-                                                cmd.mode).latency_ns
 
     # -- main loop ---------------------------------------------------------------
 
@@ -463,13 +458,14 @@ class Engine:
         return (self._admitted, self._serviced, self.stats.merges)
 
 
-def _require_same_bank(cmd: Command, what: str, addr: LineAddress) -> None:
-    """`Engine.run` relies on a service enqueueing only into its own bank."""
-    if addr[0] != cmd.addr[0] or addr[1] != cmd.addr[1]:
+def _require_same_bank(addr: LineAddress, what: str,
+                       target: LineAddress) -> None:
+    """`Engine.run` relies on a hook's rewrites and writeback going only
+    into the bank of the line it wrote (I2)."""
+    if target[0] != addr[0] or target[1] != addr[1]:
         raise ConsistencyError(
-            f"servicing seq {cmd.seq} in rank {cmd.addr[0]} bank "
-            f"{cmd.addr[1]} returned a {what} to rank {addr[0]} bank "
-            f"{addr[1]}")
+            f"a write to rank {addr[0]} bank {addr[1]} returned a {what} "
+            f"to rank {target[0]} bank {target[1]}")
 
 
 def run_to_completion(cfg: SimConfig, trace: list[TraceRecord]) -> RunStats:

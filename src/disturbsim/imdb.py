@@ -114,8 +114,10 @@ class Imdb(Mitigation):
 
     @classmethod
     def design(cls, cfg: SimConfig) -> dict:
+        # a main table with no slot samples no group
         area = sram_capacity(cfg.n_mt, cfg.n_b, 1)["bits_per_bank"]
-        return {"n_mt": cfg.n_mt, "n_b": cfg.n_b, "n_groups": cfg.n_groups,
+        return {"n_mt": cfg.n_mt, "n_b": cfg.n_b,
+                "n_groups": cfg.n_groups if cfg.n_mt else 0,
                 "area_bits": area}
 
     # -- lookup ------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 Each mutant names a file, a text that occurs in it exactly once, the text
 that replaces it, and the tests that must fail once it is replaced. The
-runner copies `src/` and `tests/` into a temporary directory, applies one
-mutant there, runs its tests with `pytest -x -q` and requires them to fail;
-the checkout itself is never edited. Hypothesis runs with a fixed seed, so
-a kill does not depend on the examples a run happens to draw.
+runner copies `src/`, `tests/`, `perfbench/` and `pyproject.toml` into a
+temporary directory, applies one mutant there, runs its tests with
+`pytest -x -q` and requires them to fail; the checkout itself is never
+edited. A named test that cannot run in the copy would fail there for that
+reason alone, so the runner first runs every named test once in an
+unmutated copy and requires them all to pass. Hypothesis runs with a fixed
+seed, so a kill does not depend on the examples a run happens to draw.
 
     python3 tests/mutants.py
 
@@ -26,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300  # a mutant that hangs its tests counts as killed
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 
 
 @dataclass(frozen=True)
@@ -84,10 +88,26 @@ MUTANTS = [
            "self.banks[addr[1]]",
            ("tests/test_golden.py::test_two_rank_report_matches_golden",)),
     Mutant("writeback-to-another-rank", "src/disturbsim/controller.py",
-           "if addr[0] != cmd.addr[0] or addr[1] != cmd.addr[1]:",
-           "if addr[1] != cmd.addr[1]:",
+           "if target[0] != addr[0] or target[1] != addr[1]:",
+           "if target[1] != addr[1]:",
            ("tests/test_controller.py::"
             "test_service_enqueueing_into_another_rank_raises",)),
+    Mutant("take-skips-writeback-check", "src/disturbsim/controller.py",
+           '            _require_same_bank(addr, "writeback", target)\n', "",
+           ("tests/test_controller.py::"
+            "test_admission_writeback_into_another_bank_raises",
+            "tests/test_controller.py::"
+            "test_service_enqueueing_into_another_bank_raises",
+            "tests/test_controller.py::"
+            "test_service_enqueueing_into_another_rank_raises")),
+    Mutant("host-write-owes-one-service", "src/disturbsim/controller.py",
+           "self._admitted += 1 if prepared else 2", "self._admitted += 1",
+           ("tests/test_golden.py::test_compare_report_matches_golden",)),
+    Mutant("enqueue-time-zero", "src/disturbsim/controller.py",
+           "Command(kind, addr, data, mode, prepared, None, now,",
+           "Command(kind, addr, data, mode, prepared, None, 0,",
+           ("tests/test_perfbench_hooks.py::"
+            "test_traced_run_reports_as_untraced",)),
     Mutant("loop-no-rescan-after-retry", "src/disturbsim/controller.py",
            "                        due = records[i].time\n"
            "                    continue\n",
@@ -114,9 +134,13 @@ MUTANTS = [
            ("tests/test_cli.py::test_sweep_runs_siwc_once_across_n_groups",
             "tests/test_cli.py::test_sweep_runs_each_distinct_design_once")),
     Mutant("imdb-design-drops-groups", "src/disturbsim/imdb.py",
-           '"n_groups": cfg.n_groups,', '"n_groups": 0,',
+           '"n_groups": cfg.n_groups if cfg.n_mt else 0,', '"n_groups": 0,',
            ("tests/test_cli.py::test_sweep_runs_siwc_once_across_n_groups",
             "tests/test_cli.py::test_sweep_runs_each_distinct_design_once")),
+    Mutant("imdb-design-groups-without-table", "src/disturbsim/imdb.py",
+           '"n_groups": cfg.n_groups if cfg.n_mt else 0,',
+           '"n_groups": cfg.n_groups,',
+           ("tests/test_cli.py::test_sweep_runs_imdb_without_main_table_once",)),
     Mutant("sweep-runs-every-point", "src/disturbsim/cli.py",
            "runs.setdefault((strategy, *design.values()), (c, design))",
            "runs[len(runs)] = (c, design)",
@@ -134,34 +158,56 @@ def apply(text: str, mutant: Mutant) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def run(mutant: Mutant) -> tuple[bool, str]:
-    """Apply `mutant` in a copy of the checkout and run its tests; return
-    whether they failed, and how."""
+def pytest_in_copy(tests: tuple[str, ...],
+                   mutant: Mutant | None = None) -> tuple[int | None, str]:
+    """Run `tests` in a copy of the checkout, with `mutant` applied if one
+    is given; return pytest's exit code (None on timeout) and its last
+    lines."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         work = Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, work / part,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
-        target = work / mutant.path
-        target.write_text(apply(target.read_text(), mutant))
+        for part in COPIED:
+            if (ROOT / part).is_dir():
+                shutil.copytree(ROOT / part, work / part,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(ROOT / part, work / part)
+        if mutant is not None:
+            target = work / mutant.path
+            target.write_text(apply(target.read_text(), mutant))
         env = dict(os.environ, PYTHONPATH="src")
         cmd = [sys.executable, "-m", "pytest", "-x", "-q",
-               "--hypothesis-seed=0", *mutant.tests]
+               "--hypothesis-seed=0", *tests]
         try:
             proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True,
                                   text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return True, f"timed out after {TIMEOUT_S} s"
+            return None, f"timed out after {TIMEOUT_S} s"
+    tail = (proc.stdout + proc.stderr).strip().splitlines()[-3:]
+    return proc.returncode, " | ".join(tail)
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """Apply `mutant` in a copy of the checkout and run its tests; return
+    whether they failed, and how."""
+    code, tail = pytest_in_copy(mutant.tests, mutant)
+    if code is None:
+        return True, tail
     # pytest exits 1 when tests ran and failed; other codes mean they
     # passed (0) or never ran as meant (errors, no tests collected)
-    if proc.returncode == 1:
+    if code == 1:
         return True, "failed"
-    tail = (proc.stdout + proc.stderr).strip().splitlines()[-3:]
-    return False, f"pytest exited {proc.returncode}: " + " | ".join(tail)
+    return False, f"pytest exited {code}: {tail}"
 
 
 def main() -> int:
+    start = time.perf_counter()
+    named = tuple(sorted({t for mutant in MUTANTS for t in mutant.tests}))
+    code, tail = pytest_in_copy(named)
+    print(f"baseline: {len(named)} named tests in an unmutated copy "
+          f"({tail}, {time.perf_counter() - start:.1f} s)", flush=True)
+    if code != 0:
+        print(f"BASELINE FAILED: pytest exited {code}", flush=True)
+        return 1
     survivors = 0
     for mutant in MUTANTS:
         start = time.perf_counter()

@@ -251,6 +251,16 @@ def test_sweep_runs_siwc_once_across_n_groups(cfg_path, trace_path):
                                ("imdb", 64, 2, 64, "exceeds Ng<=32")]
 
 
+def test_sweep_runs_imdb_without_main_table_once(cfg_path, trace_path):
+    """With n_mt = 0 IMDB samples no groups: an n_groups axis gives one
+    `imdb` row, with n_groups = 0 and no bound flag."""
+    rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
+                     "--set", "imdb.n_mt=0", "--param", "n_groups=1,4,64",
+                     "--format", "json"])
+    assert [(r["strategy"], r["n_mt"], r["n_b"], r["n_groups"], r["flags"])
+            for r in rows] == [("none", 0, 0, 0, ""), ("imdb", 0, 2, 0, "")]
+
+
 def test_sweep_runs_a_repeated_value_once(cfg_path, trace_path):
     rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
                      "--param", "n_b=2,2", "--format", "json"])

@@ -160,29 +160,28 @@ BANK_OPS = st.lists(st.tuples(
 # the second write's pre-write read is released when the first write leaves
 @example(depth=4, ops=[("write", 1), ("write", 1)] + [("pick", 0)] * 4)
 def test_indexed_bank_matches_reference_scheduler(depth, ops):
-    """Random enqueue/pick/service/merge sequences, in the order the engine
-    creates commands (seq grows with enqueue order, a host write enqueued
-    unprepared), pick and merge exactly as the linear scans do."""
+    """Random enqueue/pick/service/merge sequences, with commands made by
+    `Engine._enqueue` as the engine makes them (seq grows with enqueue
+    order, a host write enqueued unprepared), pick and merge exactly as the
+    linear scans do."""
     low = depth // 2
     eng = empty_engine(queue_depth=depth, drain_low_watermark=low)
     bank = eng.banks[0]
     ref = scheduler_ref.RefBank()
 
-    def add(c):
-        bank.enqueue(c)
-        ref.enqueue(c)
+    def add(kind, addr, data=None):
+        eng._enqueue(bank, kind, addr, data, WriteMode.DIFFERENTIAL, 0)
+        ref.enqueue(bank.host_reads[-1] if kind is CommandKind.HOST_READ
+                    else next(reversed(bank.write_q)))
 
     for op, row in ops:
         addr = LineAddress(0, 0, row, 0)
         if op == "read":
-            add(Command(CommandKind.HOST_READ, addr, prepared=True,
-                        seq=eng._next_seq()))
+            add(CommandKind.HOST_READ, addr)
         elif op == "write":
-            add(Command(CommandKind.HOST_WRITE, addr, data=ZEROS,
-                        seq=eng._next_seq()))
+            add(CommandKind.HOST_WRITE, addr, ZEROS)
         elif op == "writeback":
-            add(Command(CommandKind.WRITEBACK, addr, data=ZEROS,
-                        prepared=True, seq=eng._next_seq()))
+            add(CommandKind.WRITEBACK, addr, ZEROS)
         elif op == "rewrite":
             target = scheduler_ref.merge_target(ref, addr)
             modes = {c: c.mode for c in ref.write_q}
@@ -412,6 +411,14 @@ class OtherBank(Mitigation):
         return Outcome(False, (target, ONES), (), latency)
 
 
+class OtherBankAtAdmission(Mitigation):
+    """Breaks I2 at admission: a host write to bank 0 is absorbed, and its
+    writeback is for the same row of bank 1."""
+
+    def admit_write(self, addr, data, rng):
+        return Outcome(True, (addr._replace(bank=1), data), (), 0)
+
+
 def bank0_write_engine(mitigation, g=TWO_BANKS) -> Engine:
     """A 2-bank engine with `mitigation` on bank 0 and one write to it."""
     trace = [TraceRecord(0, "W", addr_bytes(2, g=g), ONES)]
@@ -445,6 +452,15 @@ def test_service_enqueueing_into_another_rank_raises():
     with pytest.raises(ConsistencyError,
                        match="rank 0 bank 0 returned a writeback to rank 1 "
                              "bank 0"):
+        eng.run()
+
+
+def test_admission_writeback_into_another_bank_raises():
+    """`submit` holds a writeback to the bank of the written line too."""
+    eng = bank0_write_engine(OtherBankAtAdmission)
+    with pytest.raises(ConsistencyError,
+                       match="rank 0 bank 0 returned a writeback to rank 0 "
+                             "bank 1"):
         eng.run()
 
 
