@@ -17,8 +17,7 @@ them.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -86,8 +85,8 @@ class Mitigation:
 
 @dataclass
 class StrategyOutcome:
-    extra_reads: list = field(default_factory=list)      # LineAddress
-    extra_writes: list = field(default_factory=list)     # LineAddress
+    extra_reads: list   # LineAddress: every line read, pre-reads first
+    extra_writes: list  # LineAddress: every corrected line
 
 
 def vnc_wrap_write(media: CellArray, addr: LineAddress, data: int,
@@ -119,29 +118,27 @@ def vnc_wrap_write(media: CellArray, addr: LineAddress, data: int,
     pre = addr.neighbor_rows(cfg.geometry)
     for nb in pre:
         media.read_line(nb)
-    out = StrategyOutcome(list(pre))
 
     write_out = media.apply_write(addr, data, DIFFERENTIAL)
     total_ns = write_out.latency_ns
 
-    pending = deque(pre)
-    while pending:
-        nb = pending.popleft()
+    checked = list(pre)  # the worklist: it grows while it is walked
+    corrected = []
+    for nb in checked:
         physical = media.read_line(nb)
-        out.extra_reads.append(nb)
         intended = media.intended_line(nb)
         if physical != intended:
             total_ns += media.apply_write(nb, intended, FULL).latency_ns
-            out.extra_writes.append(nb)
-            if len(out.extra_writes) > max_corrections:
+            corrected.append(nb)
+            if len(corrected) > max_corrections:
                 raise ConsistencyError(
-                    f"VnC made {len(out.extra_writes)} corrections for one "
+                    f"VnC made {len(corrected)} corrections for one "
                     f"write, above the bound of {max_corrections}")
             # A corrective full write aggresses its own neighbors; verify them too.
-            pending.extend(nb.neighbor_rows(cfg.geometry))
+            checked.extend(nb.neighbor_rows(cfg.geometry))
     # Each verification read occupies the bank for a standard read slot.
-    write_out.latency_ns = total_ns + len(out.extra_reads) * cfg.read_ns
-    return write_out, out
+    write_out.latency_ns = total_ns + (len(pre) + len(checked)) * cfg.read_ns
+    return write_out, StrategyOutcome(pre + checked, corrected)
 
 
 class SiwcCache(Mitigation):
@@ -166,11 +163,11 @@ class SiwcCache(Mitigation):
 
     @classmethod
     def design(cls, cfg: SimConfig) -> dict:
-        # n_mt and n_b size the cache only by default; no group is sampled
-        parity = cfg.siwc_entries is None
-        return {"n_mt": cfg.n_mt if parity else 0,
-                "n_b": cfg.n_b if parity else 0, "n_groups": 0,
-                "area_bits": cls.entry_count(cfg) * SIWC_ENTRY_BITS}
+        # By default n_mt and n_b size the cache only through their sum, its
+        # entry count, reported as n_mt; no group is sampled
+        entries = cls.entry_count(cfg)
+        return {"n_mt": entries if cfg.siwc_entries is None else 0, "n_b": 0,
+                "n_groups": 0, "area_bits": entries * SIWC_ENTRY_BITS}
 
     def check(self) -> None:
         """Compare the slots with the data; raise ConsistencyError on any

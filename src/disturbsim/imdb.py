@@ -68,6 +68,10 @@ def _apple_key(e: MainTableEntry) -> int:
     return max(e.zfc) << _KEY_SHIFT | e.rewrite_cntr
 
 
+def _cold_zfc(data: int) -> list:  # the seed without prior knowledge
+    return [0] * 8
+
+
 def sram_capacity(n_mt: int, n_b: int, banks: int) -> dict:
     """Exact SRAM bit budget of the two tables."""
     mt_bits = n_mt * MT_ENTRY_BITS
@@ -95,6 +99,11 @@ class Imdb(Mitigation):
         self._where: dict[LineAddress, MainTableEntry | BarrierEntry] = {}
         self._free_mt = list(range(cfg.n_mt))  # heap of free main-table slots
         self._clock = 0  # monotone access stamp for the LRU variant
+        # Every fresh entry (an insertion, the bufferless reset, a demotion)
+        # starts its sub-counters from `_seed` of the data it holds.
+        self._seed = count_zeros if cfg.prior_knowledge else _cold_zfc
+        self._select_victim = (self.select_victim_lru if cfg.mt_policy == "lru"
+                               else self.select_victim_apple)
         p = Fraction(cfg.insert_prob)
         self._always_insert = p.numerator >= p.denominator  # no coin at p >= 1
         self._insert_below = coin_threshold(p)
@@ -213,7 +222,7 @@ class Imdb(Mitigation):
                 best_key, best = key, base + r
         return best
 
-    def select_victim_lru(self) -> int:
+    def select_victim_lru(self, rng: Random) -> int:  # draws nothing
         self._require_full()
         return min(range(len(self.mt)),
                    key=lambda i: (self.mt[i].last_use, i))
@@ -283,9 +292,8 @@ class Imdb(Mitigation):
             writeback = self.promote_and_demote(e, new_data)
             return _new_tuple(Outcome, (True, writeback, rewrites,
                                         self._absorbed.latency_ns))
-        # Bufferless variant: the entry stays; restart its counters from the
-        # prior knowledge of the data just written.
-        e.zfc = count_zeros(new_data) if self.cfg.prior_knowledge else [0] * 8
+        # Bufferless variant: the entry stays; its counters restart from `_seed`.
+        e.zfc = self._seed(new_data)
         e.key = _apple_key(e)
         return _new_tuple(Outcome, (False, None, rewrites, self._hit_ns))
 
@@ -296,18 +304,12 @@ class Imdb(Mitigation):
             self.stats.bypasses += 1
             return self._hit
         self.stats.insertions += 1
-        out = self._hit
         if self._free_mt:
-            slot = self._free_mt[0]
+            slot, out = self._free_mt[0], self._hit
         else:
-            if self.cfg.mt_policy == "lru":
-                slot = self.select_victim_lru()
-            else:
-                slot = self.select_victim_apple(rng)
-            out = self._evict
+            slot, out = self._select_victim(rng), self._evict
             self.stats.evictions += 1
-        self.install(slot, addr,
-                     count_zeros(new_data) if self.cfg.prior_knowledge else [0] * 8)
+        self.install(slot, addr, self._seed(new_data))
         return out
 
     def try_absorb(self, addr: LineAddress, data: int) -> bool:
@@ -354,7 +356,7 @@ class Imdb(Mitigation):
             writeback = (victim.addr, victim.data)
             self.stats.evictions += 1
             del self._where[victim.addr]
-            self.install(src.slot, victim.addr, count_zeros(victim.data),
+            self.install(src.slot, victim.addr, self._seed(victim.data),
                          victim.rewrite_cntr)
             self.bb[lfu] = entry
         self._claim(entry.addr, entry)

@@ -60,6 +60,14 @@ MUTANTS = [
     Mutant("apple-keeps-last-tie", "src/disturbsim/imdb.py",
            "if key < best_key:", "if key <= best_key:",
            ("tests/test_imdb.py::test_apple_matches_reference",)),
+    Mutant("victim-always-apple", "src/disturbsim/imdb.py",
+           '(self.select_victim_lru if cfg.mt_policy == "lru"\n'
+           "                               else self.select_victim_apple)",
+           "self.select_victim_apple",
+           ("tests/test_acceptance.py::test_a3_flip_policy_beats_lru",)),
+    Mutant("demotion-seeds-from-prior", "src/disturbsim/imdb.py",
+           "self._seed(victim.data)", "count_zeros(victim.data)",
+           ("tests/test_imdb.py::test_full_bb_demotes_lfu_with_prior",)),
     Mutant("mt-hit-stale-key", "src/disturbsim/imdb.py",
            "        if max(zfc) < self.cfg.threshold:\n"
            "            e.key = _apple_key(e)\n",
@@ -128,9 +136,13 @@ MUTANTS = [
            "                if bank.busy_until <= now:\n",
            ("tests/test_controller.py::"
             "test_one_pass_loop_matches_two_pass_reference",)),
+    Mutant("vnc-skips-correction-neighbours", "src/disturbsim/baselines.py",
+           "            checked.extend(nb.neighbor_rows(cfg.geometry))\n", "",
+           ("tests/test_baselines.py::"
+            "test_vnc_cascading_corrections_converge",)),
     Mutant("siwc-design-reads-groups", "src/disturbsim/baselines.py",
-           '"n_b": cfg.n_b if parity else 0, "n_groups": 0,',
-           '"n_b": cfg.n_b if parity else 0, "n_groups": cfg.n_groups,',
+           '"n_groups": 0, "area_bits": entries',
+           '"n_groups": cfg.n_groups, "area_bits": entries',
            ("tests/test_cli.py::test_sweep_runs_siwc_once_across_n_groups",
             "tests/test_cli.py::test_sweep_runs_each_distinct_design_once")),
     Mutant("imdb-design-drops-groups", "src/disturbsim/imdb.py",

@@ -240,13 +240,13 @@ def test_sweep_sizes_siwc_area_from_its_cache(cfg_path, trace_path):
 
 def test_sweep_runs_siwc_once_across_n_groups(cfg_path, trace_path):
     """SIWC samples no groups: an n_groups axis gives one `siwc` row, with
-    n_groups = 0 and no bound flag."""
+    n_groups = 0 and no bound flag. Its n_mt is its entry count, 64 + 2."""
     rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
                      "--strategies", "none,siwc,imdb",
                      "--set", "imdb.n_mt=64", "--param", "n_groups=4,64",
                      "--format", "json"])
     assert [(r["strategy"], r["n_mt"], r["n_b"], r["n_groups"], r["flags"])
-            for r in rows] == [("none", 0, 0, 0, ""), ("siwc", 64, 2, 0, ""),
+            for r in rows] == [("none", 0, 0, 0, ""), ("siwc", 66, 0, 0, ""),
                                ("imdb", 64, 2, 4, ""),
                                ("imdb", 64, 2, 64, "exceeds Ng<=32")]
 
@@ -261,6 +261,18 @@ def test_sweep_runs_imdb_without_main_table_once(cfg_path, trace_path):
             for r in rows] == [("none", 0, 0, 0, ""), ("imdb", 0, 2, 0, "")]
 
 
+def test_sweep_runs_siwc_once_per_entry_count(cfg_path, trace_path):
+    """Under entry parity SIWC reads n_mt and n_b only through their sum:
+    (16, 2) and (18, 0) are one 18-entry cache, run once."""
+    rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
+                     "--strategies", "none,siwc", "--set", "imdb.n_groups=2",
+                     "--param", "n_mt=16,18", "--param", "n_b=0,2",
+                     "--format", "json"])
+    assert [(r["strategy"], r["n_mt"], r["n_b"], r["area_bits"])
+            for r in rows] == [("none", 0, 0, 0)] + [
+                ("siwc", n, 0, n * 537) for n in (16, 18, 20)]
+
+
 def test_sweep_runs_a_repeated_value_once(cfg_path, trace_path):
     rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
                      "--param", "n_b=2,2", "--format", "json"])
@@ -271,7 +283,8 @@ def test_sweep_runs_a_repeated_value_once(cfg_path, trace_path):
 def test_sweep_runs_each_distinct_design_once(cfg_path, trace_path,
                                               monkeypatch):
     """Of the 2 x 2 x 2 grid, `none` and `vnc` read no size, `siwc` reads
-    n_mt and n_b, and `imdb` reads all three: 1 + 1 + 4 + 8 runs."""
+    the sum of n_mt and n_b (16, 18, 32 and 34 entries, reported as n_mt),
+    and `imdb` reads all three: 1 + 1 + 4 + 8 runs."""
     monkeypatch.setattr("disturbsim.cli.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "workers", [])
     rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
@@ -284,11 +297,11 @@ def test_sweep_runs_each_distinct_design_once(cfg_path, trace_path,
                for r in rows]
     assert designs == (
         [("none", 0, 0, 0), ("vnc", 0, 0, 0)]
-        + [("siwc", m, b, 0) for m in (16, 32) for b in (0, 2)]
+        + [("siwc", m + b, 0, 0) for m in (16, 32) for b in (0, 2)]
         + [("imdb", m, b, g) for m in (16, 32) for b in (0, 2)
            for g in (4, 8)])
-    area = {r["strategy"]: r["area_bits"] for r in rows if r["n_mt"] == 32
-            and r["n_b"] == 2}
+    area = {r["strategy"]: r["area_bits"] for r in rows
+            if (r["n_mt"], r["n_b"]) in ((32, 2), (34, 0))}
     assert area == {"siwc": 34 * 537, "imdb": 32 * 108 + 2 * 553}
 
 

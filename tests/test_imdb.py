@@ -156,8 +156,12 @@ def test_try_absorb_and_read_path():
     assert t.process_read(addr(5)) is None  # main table serves no reads
 
 
-def test_full_bb_demotes_lfu_with_prior():
-    t = make_imdb(n_mt=8, n_groups=8, threshold=3, disturb_limit=8, n_b=1)
+@pytest.mark.parametrize("prior", [True, False])
+def test_full_bb_demotes_lfu_with_prior(prior):
+    """A demoted entry is a fresh main-table entry: its sub-counters start
+    from the written data's zero counts with prior knowledge, else at 0."""
+    t = make_imdb(n_mt=8, n_groups=8, threshold=3, disturb_limit=8, n_b=1,
+                  prior_knowledge=prior)
     rng = Random(0)
     t.process_write(addr(3), ONES, flips16(), rng)
     t.process_write(addr(3), ONES, flips16(), rng)  # addr 3 now in bb
@@ -168,7 +172,8 @@ def test_full_bb_demotes_lfu_with_prior():
     assert t.lookup(addr(5)) is t.bb[0]
     where = t.lookup(addr(3))
     assert where in t.mt
-    assert where.zfc == count_zeros(ZEROS)
+    assert where.zfc == (count_zeros(ZEROS) if prior else [0] * 8)
+    assert where.key == (64 << 8 | 1 if prior else 1)  # one rewrite so far
 
 
 def test_victim_key_ordering_exact():
