@@ -24,10 +24,11 @@ attempt; backpressure retries reuse it.
 
 The strategy is one `Mitigation` per bank (see `baselines`), built from the
 `MITIGATIONS` table. The engine calls only its hooks, and each write hook
-returns one `Outcome`: the engine owns the queues, skips the queue for an
-absorbed write, merges the outcome's rewrites, queues its writeback and
-occupies the bank for its latency. Rewrites and writebacks go straight to
-the media.
+returns one `Outcome`, the tables' part: the engine owns the queues and the
+media, skips the queue and the media for an absorbed write, merges the
+outcome's rewrites, queues its writeback, writes every other serviced write
+to the media and occupies the bank for both latencies. Rewrites and
+writebacks skip the tables; VnC's hook writes and verifies by itself.
 
 `Engine.run` makes one pass over the banks per event. At time `now` it
 admits the records due, until one is refused, and then one pass services
@@ -181,11 +182,12 @@ class _Bank:
 
 
 class Vnc(Mitigation):
-    """Verify-and-correct: every host write runs through `vnc_wrap_write`."""
+    """Verify-and-correct: every host write runs through `vnc_wrap_write`,
+    which writes the line itself, so the hook absorbs it."""
 
     def write(self, media: CellArray, cmd: Command, rng: Random) -> Outcome:
         out, _ = vnc_wrap_write(media, cmd.addr, cmd.data, self.cfg)
-        return _new_tuple(Outcome, (False, None, (), out.latency_ns))
+        return _new_tuple(Outcome, (True, None, (), out.latency_ns))
 
 
 MITIGATIONS: dict[str, type[Mitigation]] = {
@@ -353,21 +355,22 @@ class Engine:
             self.stats.pre_write_reads += 1
             cmd.old_data = media.read_line(cmd.addr)
             latency = self._read_ns
-        elif kind is HOST_WRITE:
-            _, writeback, rewrites, latency = bank.mitigation.write(
-                media, cmd, self.rng)
-            if writeback is not None or rewrites:
-                self._take(cmd.addr, writeback, rewrites, now)
         else:
-            # Maintenance goes straight to the media. For a rewrite the
-            # device first fetches the line's intended contents, and it
-            # rewrites all bits.
-            latency = 0
-            if kind is REWRITE:
+            # The one media write, unless the host write's hook absorbed
+            # it. For a rewrite the device first fetches the line's intended
+            # contents, and it rewrites all bits.
+            absorbed, latency = False, 0
+            if kind is HOST_WRITE:
+                absorbed, writeback, rewrites, latency = (
+                    bank.mitigation.write(media, cmd, self.rng))
+                if writeback is not None or rewrites:
+                    self._take(cmd.addr, writeback, rewrites, now)
+            elif kind is REWRITE:
                 cmd.data = media.intended_line(cmd.addr)
                 latency = self._read_ns
-            latency += media.apply_write(cmd.addr, cmd.data,
-                                         cmd.mode).latency_ns
+            if not absorbed:
+                latency += media.apply_write(cmd.addr, cmd.data,
+                                             cmd.mode).latency_ns
         if latency < 1:  # `run` relies on a serviced bank being busy
             raise ConsistencyError(
                 f"{kind.value} seq {cmd.seq} occupies its bank for "

@@ -234,14 +234,7 @@ class Imdb(Mitigation):
         return ABSORBED if self.try_absorb(addr, data) else PASSED
 
     def write(self, media: CellArray, cmd, rng: Random) -> Outcome:
-        """The tables see the write; it reaches the media unless absorbed,
-        and the bank is occupied by the tables, then by the media."""
-        res = self.process_write(cmd.addr, cmd.old_data, cmd.data, rng)
-        if res.absorbed:
-            return res
-        media_ns = media.apply_write(cmd.addr, cmd.data, cmd.mode).latency_ns
-        return _new_tuple(Outcome, (False, res.writeback, res.rewrites,
-                                    res.latency_ns + media_ns))
+        return self.process_write(cmd.addr, cmd.old_data, cmd.data, rng)
 
     # -- write / read paths --------------------------------------------------
 

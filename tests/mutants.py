@@ -108,6 +108,14 @@ MUTANTS = [
             "test_service_enqueueing_into_another_bank_raises",
             "tests/test_controller.py::"
             "test_service_enqueueing_into_another_rank_raises")),
+    Mutant("service-writes-absorbed", "src/disturbsim/controller.py",
+           "            if not absorbed:\n"
+           "                latency += media.apply_write(",
+           "            if absorbed:\n"
+           "                latency += media.apply_write(",
+           ("tests/test_golden.py::test_compare_report_matches_golden",
+            "tests/test_controller.py::"
+            "test_engine_writes_a_host_write_unless_its_hook_absorbs_it")),
     Mutant("host-write-owes-one-service", "src/disturbsim/controller.py",
            "self._admitted += 1 if prepared else 2", "self._admitted += 1",
            ("tests/test_golden.py::test_compare_report_matches_golden",)),

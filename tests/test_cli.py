@@ -72,7 +72,7 @@ def test_gen_then_run(cfg_path, trace_path, tmp_path):
     rc = dispatch(["run", "--config", cfg_path, "--trace", trace_path,
                    "--format", "json", "-o", report])
     assert rc == 0
-    rows = json.loads(open(report).read())["rows"]
+    rows = json.loads(Path(report).read_text())["rows"]
     assert rows[0]["strategy"] == "none"
     assert rows[0]["wde_raw"] == 1024
 
@@ -82,7 +82,7 @@ def test_run_is_byte_identical(cfg_path, trace_path, tmp_path):
     for out in (out1, out2):
         assert dispatch(["run", "--config", cfg_path, "--trace", trace_path,
                          "-o", out]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -11,7 +11,7 @@ from disturbsim.controller import (MITIGATIONS, Command, CommandKind, Engine,
                                    TraceAbort, run_to_completion)
 from disturbsim.core import (LINE_MASK, STRATEGIES, ConsistencyError,
                              Geometry, LineAddress, compose_address)
-from disturbsim.media import WriteMode
+from disturbsim.media import CellArray, WriteMode
 from disturbsim.metrics import emit_report
 from disturbsim.traces import TraceRecord, gen_hammer, gen_synthetic
 from helpers import TINY, addr_bytes, make_cfg
@@ -388,11 +388,11 @@ TWO_RANKS = Geometry(ranks=2, banks_per_rank=1, rows_per_bank=8,
 
 
 class ZeroLatency(Mitigation):
-    """Breaks I1: a serviced host write leaves its bank idle."""
+    """Breaks I1: a serviced host write is absorbed in 0 ns and leaves its
+    bank idle. (A passed write would take the media's latency.)"""
 
     def write(self, media, cmd, rng):
-        media.apply_write(cmd.addr, cmd.data, cmd.mode)
-        return Outcome(False, None, (), 0)
+        return Outcome(True, None, (), 0)
 
 
 class OtherBank(Mitigation):
@@ -404,11 +404,10 @@ class OtherBank(Mitigation):
     where = "bank"
 
     def write(self, media, cmd, rng):
-        latency = media.apply_write(cmd.addr, cmd.data, cmd.mode).latency_ns
         target = cmd.addr._replace(**{self.where: 1})
         if self.what == "rewrite":
-            return Outcome(False, None, (target,), latency)
-        return Outcome(False, (target, ONES), (), latency)
+            return Outcome(False, None, (target,), 0)
+        return Outcome(False, (target, ONES), (), 0)
 
 
 class OtherBankAtAdmission(Mitigation):
@@ -419,12 +418,40 @@ class OtherBankAtAdmission(Mitigation):
         return Outcome(True, (addr._replace(bank=1), data), (), 0)
 
 
+class TablesOnly(Mitigation):
+    """A write hook that reports only its tables' part, `absorbed` and
+    3 ns of occupancy, and leaves the media to the engine."""
+
+    absorbed = False
+
+    def write(self, media, cmd, rng):
+        return Outcome(self.absorbed, None, (), 3)
+
+
 def bank0_write_engine(mitigation, g=TWO_BANKS) -> Engine:
     """A 2-bank engine with `mitigation` on bank 0 and one write to it."""
     trace = [TraceRecord(0, "W", addr_bytes(2, g=g), ONES)]
     eng = Engine(make_cfg(geometry=g), trace)
     eng.banks[0].mitigation = mitigation(eng.cfg, eng.stats)
     return eng
+
+
+@pytest.mark.parametrize("absorbed", [False, True])
+def test_engine_writes_a_host_write_unless_its_hook_absorbs_it(absorbed):
+    """The engine, not the hook, makes a host write's one media write, and
+    only for a write the hook did not absorb; the bank is busy for the
+    hook's latency, plus the media's when the engine writes."""
+    eng = bank0_write_engine(TablesOnly)
+    eng.banks[0].mitigation.absorbed = absorbed
+    addr = LineAddress(0, 0, 2, 0)
+    media_ns = CellArray(eng.cfg).apply_write(addr, ONES,
+                                              WriteMode.DIFFERENTIAL).latency_ns
+    eng.run()
+    assert eng.media.writes == (0 if absorbed else 1)
+    assert eng.media.intended_line(addr) == (ZEROS if absorbed else ONES)
+    # the pre-write read, then the write: the hook's 3 ns and the media's
+    assert eng.banks[0].busy_until == (
+        eng.cfg.read_ns + 3 + (0 if absorbed else media_ns))
 
 
 def test_service_without_bank_occupancy_raises():
