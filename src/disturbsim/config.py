@@ -16,12 +16,15 @@ whose annotation picks the value parser: `[geometry]` and `[energy]` take
 every field of their dataclass, `_SECTIONS` groups the other fields into
 sections, and a `[siwc]` key drops the `siwc_` prefix.
 
-Unknown sections or keys are rejected. Overrides of the form
-`section.key=value` apply after the file is parsed.
+Unknown sections or keys are rejected, and so is a repeated section or a
+repeated key, or a byte that is not UTF-8 outside a comment; each error
+names its line. Overrides of the form `section.key=value` apply after the
+file is parsed, the last one winning.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -80,24 +83,39 @@ def _schema() -> dict[str, dict[str, tuple]]:
 
 _SCHEMA = _schema()
 
+# `load_config` decodes with `surrogateescape`: a byte that is not UTF-8
+# arrives as a lone surrogate, U+DC80-U+DCFF
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
 
 def parse_config_text(text: str, overrides: list[str] | None = None) -> SimConfig:
     values: dict[str, dict[str, object]] = {}
     section = None
+    seen: dict[str | tuple, int] = {}  # section or (section, key) -> line
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0]
+        if bad := _NOT_UTF8.search(line):
+            raise ConfigError(f"line {line_no}, column {bad.start() + 1}: "
+                              f"byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8")
+        line = line.strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             if section not in _SCHEMA:
                 raise ConfigError(f"line {line_no}: unknown section [{section}]")
+            if (first := seen.setdefault(section, line_no)) != line_no:
+                raise ConfigError(f"line {line_no}: section [{section}] "
+                                  f"repeats line {first}")
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected `key = value`")
         if section is None:
             raise ConfigError(f"line {line_no}: key outside any section")
         key, value = (part.strip() for part in line.split("=", 1))
+        if (first := seen.setdefault((section, key), line_no)) != line_no:
+            raise ConfigError(f"line {line_no}: key {key!r} in [{section}] "
+                              f"repeats line {first}")
         _store(values, section, key, value, f"line {line_no}")
     for ov in overrides or []:
         if "=" not in ov:
@@ -137,5 +155,5 @@ def _build(values: dict[str, dict[str, object]]) -> SimConfig:
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> SimConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return parse_config_text(fh.read(), overrides)

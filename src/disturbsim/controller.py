@@ -13,12 +13,13 @@ A bank keeps its queued commands per kind, so a decision looks only at queue
 heads: a FIFO of rewrites, a FIFO of host reads, a seq-ordered heap of
 prepared host writes and writebacks, and a seq-ordered heap of unprepared
 host writes whose pre-write read may run. A per-line index maps each line to
-its queued writes in seq order. A pre-write read must observe every older
-write to its line, so it may run once its write is the line's oldest queued
-write: at enqueue, or when the write ahead of it leaves. A fresh rewrite
-merges into the line's oldest queued write. `read_q` holds every queued host
-read and every write still awaiting its pre-write read, `write_q` every
-queued write; both are for counts.
+its queued writes in seq order; `read_q` and `write_q` count. The engine
+owns them: `_enqueue` files a command by kind, and `_service` pops it from
+the head of its queue in one branch per phase (a host read; a pre-write
+read, which prepares its write; a write). A pre-write read must observe
+every older write to its line, so it may run once its write is the line's
+oldest queued write: at enqueue, or when the write ahead of it leaves. A
+fresh rewrite merges into the line's oldest queued write.
 Each trace record's address is decoded once, at its first admission
 attempt; backpressure retries reuse it.
 
@@ -98,11 +99,10 @@ class Command:
 
 
 class _Bank:
-    """One bank's queued commands, indexed per kind and per line, and its
-    mitigation. Commands enter through `enqueue`, in seq order, and leave
-    through `remove` once `Engine.next_command` has picked them. An
-    unprepared host write is picked first for its pre-write read, which
-    `remove` turns into preparing it, and then again as a write."""
+    """One bank's queued commands, indexed per kind and per line, its timing
+    and its mitigation. A record: `Engine._enqueue` is the only code that
+    adds to its containers and `Engine._service` the only code that takes
+    from them."""
 
     __slots__ = ("read_q", "write_q", "rewrites", "host_reads", "ready_pres",
                  "ready_writes", "lines", "busy_until", "draining",
@@ -119,66 +119,6 @@ class _Bank:
         self.lines: dict[LineAddress, list[Command]] = {}  # queued writes
         self.busy_until = 0
         self.draining = False
-
-    def enqueue(self, cmd: Command) -> None:
-        kind = cmd.kind
-        if kind is HOST_READ:
-            self.read_q[cmd] = None
-            self.host_reads.append(cmd)
-            return
-        self.write_q[cmd] = None
-        line = self.lines.setdefault(cmd.addr, [])
-        if line and line[-1].seq > cmd.seq:
-            raise ConsistencyError(
-                f"write seq {cmd.seq} enqueued after seq {line[-1].seq}")
-        line.append(cmd)
-        if kind is REWRITE:
-            self.rewrites.append(cmd)
-        elif cmd.prepared:
-            heappush(self.ready_writes, (cmd.seq, cmd))
-        else:
-            # A pre-write read must observe every older write to its line,
-            # or the write would count flips against stale contents.
-            self.read_q[cmd] = None
-            if line[0] is cmd:
-                heappush(self.ready_pres, (cmd.seq, cmd))
-
-    def remove(self, cmd: Command) -> None:
-        """Take a picked command off the queues. Picking an unprepared write
-        runs its pre-write read and prepares it; removing a line's oldest
-        write may release the pre-write read of the next one."""
-        kind = cmd.kind
-        if kind is HOST_READ:
-            head = self.host_reads.popleft()
-        elif not cmd.prepared:
-            head = heappop(self.ready_pres)[1]
-        elif kind is REWRITE:
-            head = self.rewrites.popleft()
-        else:
-            head = heappop(self.ready_writes)[1]
-        if head is not cmd:
-            raise ConsistencyError(
-                f"{kind.value} seq {cmd.seq} is not at the head of its queue")
-        if kind is HOST_READ:
-            del self.read_q[cmd]
-            return
-        if not cmd.prepared:
-            del self.read_q[cmd]
-            cmd.prepared = True
-            heappush(self.ready_writes, (cmd.seq, cmd))
-            return
-        del self.write_q[cmd]
-        line = self.lines[cmd.addr]
-        if line[0] is not cmd:
-            line.remove(cmd)
-            return
-        del line[0]
-        if not line:
-            del self.lines[cmd.addr]
-            return
-        head = line[0]
-        if not head.prepared:
-            heappush(self.ready_pres, (head.seq, head))
 
 
 class Vnc(Mitigation):
@@ -276,14 +216,32 @@ class Engine:
 
     def _enqueue(self, bank: _Bank, kind: CommandKind, addr: LineAddress,
                  data: int | None, mode: WriteMode, now: int) -> None:
-        """The one way into a bank queue: number a new command and count
-        the services it owes. A host write is queued unprepared and serviced
-        twice, first for its pre-write read."""
-        prepared = kind is not HOST_WRITE
-        self._seq += 1
-        bank.enqueue(Command(kind, addr, data, mode, prepared, None, now,
-                             self._seq))
-        self._admitted += 1 if prepared else 2
+        """The one way into a bank queue: number a new command, index it by
+        kind and line, and count the services it owes. A host write is
+        queued unprepared and serviced twice, first for its pre-write
+        read."""
+        self._seq = seq = self._seq + 1
+        cmd = Command(kind, addr, data, mode, kind is not HOST_WRITE, None,
+                      now, seq)
+        self._admitted += 1
+        if kind is HOST_READ:
+            bank.read_q[cmd] = None
+            bank.host_reads.append(cmd)
+            return
+        bank.write_q[cmd] = None
+        line = bank.lines.setdefault(addr, [])
+        line.append(cmd)
+        if kind is REWRITE:
+            bank.rewrites.append(cmd)
+        elif kind is WRITEBACK:
+            heappush(bank.ready_writes, (seq, cmd))
+        else:
+            # A pre-write read must observe every older write to its line,
+            # or the write would count flips against stale contents.
+            self._admitted += 1  # the pre-write read
+            bank.read_q[cmd] = None
+            if line[0] is cmd:
+                heappush(bank.ready_pres, (seq, cmd))
 
     def _take(self, addr: LineAddress, writeback: tuple | None,
               rewrites: list | tuple, now: int) -> None:
@@ -341,21 +299,40 @@ class Engine:
     # -- service ---------------------------------------------------------------
 
     def _service(self, bank: _Bank, cmd: Command, now: int) -> None:
-        prepared = cmd.prepared  # picked unprepared: its pre-write read
-        bank.remove(cmd)
         self._serviced += 1
-
         kind, media = cmd.kind, self.media
         if kind is HOST_READ:
+            if bank.host_reads.popleft() is not cmd:
+                raise _not_at_head(cmd)
+            del bank.read_q[cmd]
             data = media.read_line(cmd.addr)
             if data != media.intended_line(cmd.addr):
                 self.stats.wde_exposed += 1
             latency = self._read_ns
-        elif not prepared:
+        elif not cmd.prepared:
+            if heappop(bank.ready_pres)[1] is not cmd:
+                raise _not_at_head(cmd)
+            del bank.read_q[cmd]
+            cmd.prepared = True
+            heappush(bank.ready_writes, (cmd.seq, cmd))
             self.stats.pre_write_reads += 1
             cmd.old_data = media.read_line(cmd.addr)
             latency = self._read_ns
         else:
+            if (bank.rewrites.popleft() if kind is REWRITE
+                    else heappop(bank.ready_writes)[1]) is not cmd:
+                raise _not_at_head(cmd)
+            del bank.write_q[cmd]
+            # Leaving as its line's oldest write releases the pre-write
+            # read of the next one. Done before the hook, so that no
+            # rewrite it returns merges into this write.
+            line = bank.lines[cmd.addr]
+            oldest = line[0] is cmd
+            line.remove(cmd)
+            if not line:
+                del bank.lines[cmd.addr]
+            elif oldest and not line[0].prepared:
+                heappush(bank.ready_pres, (line[0].seq, line[0]))
             # The one media write, unless the host write's hook absorbed
             # it. For a rewrite the device first fetches the line's intended
             # contents, and it rewrites all bits.
@@ -459,6 +436,11 @@ class Engine:
     @property
     def conservation(self) -> tuple[int, int, int]:
         return (self._admitted, self._serviced, self.stats.merges)
+
+
+def _not_at_head(cmd: Command) -> ConsistencyError:
+    return ConsistencyError(
+        f"{cmd.kind.value} seq {cmd.seq} is not at the head of its queue")
 
 
 def _require_same_bank(addr: LineAddress, what: str,

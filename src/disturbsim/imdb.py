@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from random import Random
 
 from .baselines import ABSORBED, PASSED, Mitigation, Outcome
@@ -149,16 +149,15 @@ class Imdb(Mitigation):
 
     def install(self, slot: int, addr: LineAddress, zfc: list,
                 rewrite_cntr: int = 0) -> None:
-        """Put an entry into main-table slot `slot`, replacing any entry
-        there. The one path that fills the main table."""
+        """Put an entry into main-table slot `slot`, an occupied one or the
+        lowest free one. The one path that fills the main table."""
         e = self.mt[slot]
         self._claim(addr, e)
         if e.addr is None:
-            if self._free_mt[0] == slot:
-                heappop(self._free_mt)
-            else:
-                self._free_mt.remove(slot)
-                heapify(self._free_mt)
+            lowest = heappop(self._free_mt)
+            if lowest != slot:
+                raise ConsistencyError(
+                    f"slot {slot} is free, but slot {lowest} is the lowest")
         elif e.addr != addr:
             del self._where[e.addr]
         e.addr = addr

@@ -91,6 +91,10 @@ MUTANTS = [
            "if t >= last_time and (data is None) is (op == \"R\"):",
            "if t >= last_time:",
            ("tests/test_traces.py::test_parse_errors_carry_position",)),
+    Mutant("config-takes-repeated-key", "src/disturbsim/config.py",
+           "(first := seen.setdefault((section, key), line_no))",
+           "(first := line_no)",
+           ("tests/test_config.py::test_rejected_config_names_its_lines",)),
     Mutant("rank-term", "src/disturbsim/controller.py",
            "self.banks[addr[0] * self._banks_per_rank + addr[1]]",
            "self.banks[addr[1]]",
@@ -117,13 +121,19 @@ MUTANTS = [
             "tests/test_controller.py::"
             "test_engine_writes_a_host_write_unless_its_hook_absorbs_it")),
     Mutant("host-write-owes-one-service", "src/disturbsim/controller.py",
-           "self._admitted += 1 if prepared else 2", "self._admitted += 1",
+           "            self._admitted += 1  # the pre-write read\n", "",
            ("tests/test_golden.py::test_compare_report_matches_golden",)),
     Mutant("enqueue-time-zero", "src/disturbsim/controller.py",
-           "Command(kind, addr, data, mode, prepared, None, now,",
-           "Command(kind, addr, data, mode, prepared, None, 0,",
+           "None,\n                      now, seq)",
+           "None,\n                      0, seq)",
            ("tests/test_perfbench_hooks.py::"
             "test_traced_run_reports_as_untraced",)),
+    Mutant("write-leaves-without-release", "src/disturbsim/controller.py",
+           "            elif oldest and not line[0].prepared:\n"
+           "                heappush(bank.ready_pres, (line[0].seq, line[0]))\n",
+           "",
+           ("tests/test_controller.py::"
+            "test_indexed_bank_matches_reference_scheduler",)),
     Mutant("loop-no-rescan-after-retry", "src/disturbsim/controller.py",
            "                        due = records[i].time\n"
            "                    continue\n",

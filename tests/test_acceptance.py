@@ -12,10 +12,11 @@ from fractions import Fraction
 from random import Random
 
 from disturbsim.cli import dispatch
-from disturbsim.controller import Command, CommandKind, Engine, run_to_completion
+from disturbsim.controller import CommandKind, Engine, run_to_completion
 from disturbsim.core import (Geometry, LineAddress, SimConfig, compose_address,
                              decompose_address)
 from disturbsim.imdb import Imdb, sram_capacity
+from disturbsim.media import WriteMode
 from disturbsim.metrics import RunStats
 from disturbsim.traces import TraceRecord, gen_hammer, gen_slow_flip, gen_synthetic
 from apple_ref import select_victim_exact
@@ -266,25 +267,25 @@ def test_a8_sram_capacity():
 
 
 def random_bank_state(cfg, rng):
-    """A fresh engine whose bank 0 holds a random queue state, built in seq
-    order as the engine builds it. Returns (engine, bank)."""
+    """A fresh engine whose bank 0 holds a random queue state, built by the
+    engine's own `_enqueue`, `next_command` and `_service`: writes,
+    writebacks and rewrites, after each of which the next command may be
+    serviced (a pre-write read prepares its write), then host reads.
+    Returns (engine, bank)."""
     eng = Engine(cfg, [])
     bank = eng.banks[0]
-    bank.draining = rng.random() < 0.5
-    seq = 0
     for _ in range(rng.randrange(6)):
-        seq += 1
         kind = rng.choice([CommandKind.HOST_WRITE, CommandKind.WRITEBACK,
                            CommandKind.REWRITE])
-        # only a host write waits for a pre-write read, as in the engine
-        prepared = kind is not CommandKind.HOST_WRITE or rng.random() < 0.5
-        bank.enqueue(Command(kind, LineAddress(0, 0, rng.randrange(8), 0),
-                             data=0, prepared=prepared, seq=seq))
+        eng._enqueue(bank, kind, LineAddress(0, 0, rng.randrange(8), 0), 0,
+                     WriteMode.DIFFERENTIAL, 0)
+        if rng.random() < 0.5:
+            eng._service(bank, eng.next_command(bank, 0), 0)
     for _ in range(rng.randrange(3)):
-        seq += 1
-        bank.enqueue(Command(CommandKind.HOST_READ,
-                             LineAddress(0, 0, rng.randrange(8), 0),
-                             prepared=True, seq=seq))
+        eng._enqueue(bank, CommandKind.HOST_READ,
+                     LineAddress(0, 0, rng.randrange(8), 0), None,
+                     WriteMode.DIFFERENTIAL, 0)
+    bank.draining = rng.random() < 0.5
     return eng, bank
 
 

@@ -366,6 +366,22 @@ def test_bad_config_exit_code(tmp_path, trace_path, capsys):
     assert capsys.readouterr().err.startswith("E:2:")
 
 
+@pytest.mark.parametrize("text,message", [
+    (b"[run]\nstrategy = imdb\nseed = 1\nseed = 2\n",
+     "line 4: key 'seed' in [run] repeats line 3"),
+    (b"[run]\nseed = 1\n[media]\ndisturb_limit = 8\n[run]\n",
+     "line 5: section [run] repeats line 1"),
+    (b"[run]\nseed = 1\xff\n", "line 2, column 9: byte 0xff is not UTF-8"),
+])
+def test_malformed_config_names_its_line(tmp_path, trace_path, capsys, text,
+                                         message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(text)
+    rc = dispatch(["run", "--config", str(bad), "--trace", trace_path])
+    assert rc == 2
+    assert capsys.readouterr().err == f"E:2:{message}\n"
+
+
 def test_bad_geometry_exit_code(cfg_path, trace_path, capsys):
     rc = dispatch(["run", "--config", cfg_path, "--trace", trace_path,
                    "--set", "geometry.ranks=0"])

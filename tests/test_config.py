@@ -97,6 +97,32 @@ def test_load_config_file(tmp_path):
     assert cfg.seed == 11
 
 
+def test_overrides_repeat_and_the_last_wins():
+    """Only the file rejects a repeated key: `--set` overrides (and
+    `DISTURBSIM_SEED`, the last of them) replace each other in order."""
+    cfg = parse_config_text("[run]\nseed = 1\n", ["run.seed=2", "run.seed=3"])
+    assert cfg.seed == 3
+
+
+def test_non_utf8_byte_in_a_comment_is_skipped(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"# caf\xe9\n[run]\nseed = 4  # \xff\n")
+    assert load_config(str(path)).seed == 4
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[run]\nseed = 1\n\nseed = 1\n",
+     "line 4: key 'seed' in [run] repeats line 2"),
+    ("[imdb]\nn_mt = 8\n[imdb]\nn_b = 2\n",
+     "line 3: section [imdb] repeats line 1"),
+    ("[run]\nseed = 1\udcff\n", "line 2, column 9: byte 0xff is not UTF-8"),
+])
+def test_rejected_config_names_its_lines(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(text)
+    assert str(exc.value) == message
+
+
 def test_hex_ints_accepted():
     cfg = parse_config_text("[run]\nseed = 0x10\n")
     assert cfg.seed == 16

@@ -21,18 +21,24 @@ ONES = LINE_MASK
 ZEROS = 0
 
 
-def cmd(kind, row, prepared=False, seq=0):
-    return Command(kind, LineAddress(0, 0, row, 0), data=ZEROS,
-                   prepared=prepared, seq=seq)
-
-
 def empty_engine(**kw) -> Engine:
     return Engine(make_cfg(**kw), [])
 
 
-def enqueue(bank, *cmds):
-    for c in cmds:
-        bank.enqueue(c)
+def add(eng, kind, row, prepared=False):
+    """Queue a command for `row` in bank 0 through the engine's own
+    `_enqueue`, and return it. A host write is queued unprepared; with
+    `prepared` its pre-write read is serviced at once, which needs it to be
+    the oldest unprepared write."""
+    bank = eng.banks[0]
+    data = ZEROS if kind in scheduler_ref.WRITE_KINDS else None
+    eng._enqueue(bank, kind, LineAddress(0, 0, row, 0), data,
+                 WriteMode.DIFFERENTIAL, 0)
+    queued = (bank.host_reads[-1] if kind is CommandKind.HOST_READ
+              else next(reversed(bank.write_q)))
+    if prepared and not queued.prepared:
+        eng._service(bank, queued, 0)
+    return queued
 
 
 # -- scheduling unit tests ---------------------------------------------------
@@ -40,49 +46,44 @@ def enqueue(bank, *cmds):
 
 def test_priority_rewrite_first():
     eng = empty_engine()
-    bank = eng.banks[0]
-    enqueue(bank, cmd(CommandKind.HOST_READ, 1, prepared=True, seq=1),
-            cmd(CommandKind.HOST_WRITE, 2, prepared=True, seq=2),
-            cmd(CommandKind.REWRITE, 3, prepared=True, seq=3))
-    assert eng.next_command(bank, 0).kind is CommandKind.REWRITE
+    add(eng, CommandKind.HOST_READ, 1)
+    add(eng, CommandKind.HOST_WRITE, 2, prepared=True)
+    add(eng, CommandKind.REWRITE, 3)
+    assert eng.next_command(eng.banks[0], 0).kind is CommandKind.REWRITE
 
 
 def test_priority_host_read_over_pre_write_read():
     eng = empty_engine()
-    bank = eng.banks[0]
     # the unprepared write stands for its pending pre-write read
-    enqueue(bank, cmd(CommandKind.HOST_WRITE, 2, seq=1),
-            cmd(CommandKind.HOST_READ, 1, prepared=True, seq=2))
-    assert eng.next_command(bank, 0).kind is CommandKind.HOST_READ
+    add(eng, CommandKind.HOST_WRITE, 2)
+    add(eng, CommandKind.HOST_READ, 1)
+    assert eng.next_command(eng.banks[0], 0).kind is CommandKind.HOST_READ
 
 
 def test_priority_pre_write_read_over_writes():
     eng = empty_engine()
-    bank = eng.banks[0]
-    write = cmd(CommandKind.HOST_WRITE, 2, seq=1)
-    ready = cmd(CommandKind.HOST_WRITE, 3, prepared=True, seq=2)
-    enqueue(bank, write, ready)
-    picked = eng.next_command(bank, 0)
+    add(eng, CommandKind.HOST_WRITE, 3, prepared=True)
+    write = add(eng, CommandKind.HOST_WRITE, 2)
+    picked = eng.next_command(eng.banks[0], 0)
     assert picked is write and not picked.prepared  # its pre-write read
 
 
 def test_drain_mode_puts_writes_ahead_of_pre_reads():
     eng = empty_engine(queue_depth=4, drain_low_watermark=2)
     bank = eng.banks[0]
-    writes = [cmd(CommandKind.HOST_WRITE, r, prepared=True, seq=r)
+    writes = [add(eng, CommandKind.HOST_WRITE, r, prepared=True)
               for r in range(4)]
-    pwr_target = cmd(CommandKind.HOST_WRITE, 5, seq=10)
     # five writes, above queue_depth: drain kicks in
-    enqueue(bank, *writes, pwr_target)
+    pwr_target = add(eng, CommandKind.HOST_WRITE, 5)
     picked = eng.next_command(bank, 0)
     assert picked in writes and picked.prepared
     # draining persists until the queue reaches the low watermark
-    bank.remove(picked)
+    eng._service(bank, picked, 0)
     assert len(bank.write_q) == 4
     picked = eng.next_command(bank, 0)
     assert picked in writes and picked.prepared
-    bank.remove(picked)
-    bank.remove(eng.next_command(bank, 0))
+    eng._service(bank, picked, 0)
+    eng._service(bank, eng.next_command(bank, 0), 0)
     assert len(bank.write_q) == 2
     picked = eng.next_command(bank, 0)
     assert picked is pwr_target and not picked.prepared  # its pre-write read
@@ -91,12 +92,11 @@ def test_drain_mode_puts_writes_ahead_of_pre_reads():
 def test_pre_write_read_waits_for_older_same_line_write():
     eng = empty_engine()
     bank = eng.banks[0]
-    older = cmd(CommandKind.HOST_WRITE, 2, prepared=True, seq=1)
-    younger = cmd(CommandKind.HOST_WRITE, 2, seq=2)
-    enqueue(bank, older, younger)
+    older = add(eng, CommandKind.HOST_WRITE, 2, prepared=True)
+    younger = add(eng, CommandKind.HOST_WRITE, 2)
     # serving the pre-read now would capture stale contents
     assert eng.next_command(bank, 0) is older
-    bank.remove(older)
+    eng._service(bank, older, 0)
     picked = eng.next_command(bank, 0)
     assert picked is younger and not picked.prepared  # its pre-write read
 
@@ -106,15 +106,34 @@ def test_unprepared_writes_never_selected():
     write only once that read has prepared it."""
     eng = empty_engine()
     bank = eng.banks[0]
-    write = cmd(CommandKind.HOST_WRITE, 2, seq=1)
-    enqueue(bank, write)
+    write = add(eng, CommandKind.HOST_WRITE, 2)
     assert eng.next_command(bank, 0) is write
-    bank.remove(write)  # the pre-write read: prepares, does not dequeue
+    eng._service(bank, write, 0)  # the pre-write read: prepares, stays queued
     assert write.prepared and not bank.read_q
     assert list(bank.write_q) == [write]
     assert eng.next_command(bank, 0) is write
-    bank.remove(write)
+    eng._service(bank, write, 0)
     assert eng.next_command(bank, 0) is None
+
+
+@pytest.mark.parametrize("kind,prepared", [
+    (CommandKind.HOST_READ, True),    # a host read
+    (CommandKind.HOST_WRITE, False),  # a pre-write read
+    (CommandKind.HOST_WRITE, True),   # a host write's write
+    (CommandKind.WRITEBACK, True),
+    (CommandKind.REWRITE, True),
+])
+def test_service_takes_only_the_head_of_its_queue(kind, prepared):
+    """Each phase of `_service` pops the head of its queue and raises if
+    the serviced command is not that head."""
+    eng = empty_engine()
+    add(eng, kind, 1, prepared)
+    second = add(eng, kind, 2, prepared)
+    assert second.prepared is prepared
+    with pytest.raises(ConsistencyError,
+                       match=f"{kind.value} seq {second.seq} is not at the "
+                             f"head of its queue"):
+        eng._service(eng.banks[0], second, 0)
 
 
 # -- merging -----------------------------------------------------------------
@@ -123,8 +142,7 @@ def test_unprepared_writes_never_selected():
 def test_merge_rewrite_upgrades_queued_write():
     eng = empty_engine()
     bank = eng.banks[0]
-    queued = cmd(CommandKind.HOST_WRITE, 2, seq=1)
-    enqueue(bank, queued)
+    queued = add(eng, CommandKind.HOST_WRITE, 2)
     assert eng.merge_rewrite(LineAddress(0, 0, 2, 0), 0)
     assert queued.mode is WriteMode.FULL
     assert eng.stats.merges == 1
@@ -160,10 +178,10 @@ BANK_OPS = st.lists(st.tuples(
 # the second write's pre-write read is released when the first write leaves
 @example(depth=4, ops=[("write", 1), ("write", 1)] + [("pick", 0)] * 4)
 def test_indexed_bank_matches_reference_scheduler(depth, ops):
-    """Random enqueue/pick/service/merge sequences, with commands made by
-    `Engine._enqueue` as the engine makes them (seq grows with enqueue
-    order, a host write enqueued unprepared), pick and merge exactly as the
-    linear scans do."""
+    """Random enqueue/pick/service/merge sequences, with commands queued by
+    `Engine._enqueue` and picks serviced by `Engine._service` as the engine
+    does (seq grows with enqueue order, a host write enqueued unprepared),
+    pick and merge exactly as the linear scans do."""
     low = depth // 2
     eng = empty_engine(queue_depth=depth, drain_low_watermark=low)
     bank = eng.banks[0]
@@ -201,7 +219,7 @@ def test_indexed_bank_matches_reference_scheduler(depth, ops):
             assert bank.draining == ref.draining
             if picked is not None:
                 ref.remove(picked)
-                bank.remove(picked)
+                eng._service(bank, picked, 0)
         assert list(bank.read_q) == ref.read_q
         assert list(bank.write_q) == ref.write_q
         lines = {}

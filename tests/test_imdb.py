@@ -248,7 +248,7 @@ def test_write_requires_old_data():
 def test_duplicate_entries_rejected():
     t = make_imdb(n_mt=4, n_groups=4, n_b=1)
     t.install(0, addr(9), [0] * 8)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="already held"):
         t.install(1, addr(9), [0] * 8)
     # across tables: an address in the barrier buffer
     t = make_imdb(n_mt=4, n_groups=4, threshold=3, disturb_limit=8, n_b=1)
@@ -256,21 +256,33 @@ def test_duplicate_entries_rejected():
     t.process_write(addr(3), ONES, flips16(), rng)
     t.process_write(addr(3), ONES, flips16(), rng)  # promoted into bb
     assert t.lookup(addr(3)) is t.bb[0]
-    with pytest.raises(ConsistencyError):
-        t.install(1, addr(3), [0] * 8)
+    with pytest.raises(ConsistencyError, match="already held"):
+        t.install(0, addr(3), [0] * 8)  # the lowest free slot
     t.check()
+
+
+def test_install_fills_only_the_lowest_free_slot():
+    """The main table fills its free slots lowest first; an occupied slot
+    may be replaced."""
+    t = make_imdb(n_mt=4, n_groups=4)
+    t.install(0, addr(5), [0] * 8)
+    t.install(0, addr(6), [0] * 8)  # replaces the entry in slot 0
+    assert t.lookup(addr(5)) is None and t.lookup(addr(6)) is t.mt[0]
+    with pytest.raises(ConsistencyError,
+                       match="slot 2 is free, but slot 1 is the lowest"):
+        t.install(2, addr(7), [0] * 8)
 
 
 def test_check_detects_index_drift():
     t = make_imdb(n_mt=4, n_groups=4)
-    t.install(2, addr(5), [0] * 8)
+    t.install(0, addr(5), [0] * 8)
     t.check()
-    t.mt[2].addr = addr(6)  # entry changed behind the index's back
+    t.mt[0].addr = addr(6)  # entry changed behind the index's back
     with pytest.raises(ConsistencyError, match="index disagrees"):
         t.check()
     t = make_imdb(n_mt=4, n_groups=4)
-    t.install(2, addr(5), [0] * 8)
-    t.mt[2].addr = None  # slot freed without returning it to the heap
+    t.install(0, addr(5), [0] * 8)
+    t.mt[0].addr = None  # slot freed without returning it to the heap
     del t._where[addr(5)]
     with pytest.raises(ConsistencyError, match="free-slot heap"):
         t.check()
@@ -288,13 +300,13 @@ def test_check_detects_counters_wider_than_their_fields():
     """AppLE packs an entry's counters into one int key, so `check` fails an
     entry whose counters could not be held in the table's fields."""
     t = make_imdb(n_mt=4, n_groups=4)
-    t.install(1, addr(5), [ZFC_MAX] * 8, CNTR_MAX)
+    t.install(0, addr(5), [ZFC_MAX] * 8, CNTR_MAX)
     t.check()
-    t.install(2, addr(6), [0, ZFC_MAX + 1] + [0] * 6)
+    t.install(1, addr(6), [0, ZFC_MAX + 1] + [0] * 6)
     with pytest.raises(ConsistencyError):
         t.check()
     t = make_imdb(n_mt=4, n_groups=4)
-    t.install(2, addr(6), [0] * 8, CNTR_MAX + 1)
+    t.install(0, addr(6), [0] * 8, CNTR_MAX + 1)
     with pytest.raises(ConsistencyError):
         t.check()
 
@@ -303,14 +315,14 @@ def test_check_detects_a_stale_apple_key():
     """AppLE reads each entry's stored key, so `check` fails a key that
     disagrees with its counters, whichever side changed."""
     t = make_imdb(n_mt=4, n_groups=4)
-    t.install(1, addr(5), [3] + [0] * 7, 2)
+    t.install(0, addr(5), [3] + [0] * 7, 2)
     t.check()
-    t.mt[1].key += 1
-    with pytest.raises(ConsistencyError, match="slot 1 has AppLE key"):
+    t.mt[0].key += 1
+    with pytest.raises(ConsistencyError, match="slot 0 has AppLE key"):
         t.check()
-    t.mt[1].key -= 1
-    t.mt[1].rewrite_cntr = 3  # counter moved behind the key's back
-    with pytest.raises(ConsistencyError, match="slot 1 has AppLE key"):
+    t.mt[0].key -= 1
+    t.mt[0].rewrite_cntr = 3  # counter moved behind the key's back
+    with pytest.raises(ConsistencyError, match="slot 0 has AppLE key"):
         t.check()
 
 
