@@ -14,12 +14,12 @@ heads: a FIFO of rewrites, a FIFO of host reads, a seq-ordered heap of
 prepared host writes and writebacks, and a seq-ordered heap of unprepared
 host writes whose pre-write read may run. A per-line index maps each line to
 its queued writes in seq order; `read_q` and `write_q` count. The engine
-owns them: `_enqueue` files a command by kind, and `_service` pops it from
-the head of its queue in one branch per phase (a host read; a pre-write
-read, which prepares its write; a write). A pre-write read must observe
-every older write to its line, so it may run once its write is the line's
-oldest queued write: at enqueue, or when the write ahead of it leaves. A
-fresh rewrite merges into the line's oldest queued write.
+owns them: `_enqueue` files a command by kind and line, and `_service` pops
+it from the head of its queue in one branch per phase (a host read; a
+pre-write read, which prepares its write; a write). A pre-write read must
+observe every older write to its line, so it may run once its write is the
+line's oldest queued write: at enqueue, or when the write ahead of it
+leaves. A fresh rewrite merges into the line's oldest queued write.
 Each trace record's address is decoded once, at its first admission
 attempt; backpressure retries reuse it.
 
@@ -42,13 +42,36 @@ pass run at `now`. No pass is skipped that could issue, because of three
 invariants:
 
 - I1. Every service occupies its bank for at least 1 ns, so a bank that
-  issued at `now` is busy at `now` (`_service` checks it).
+  issued at `now` is busy at `now` (`_service` checks it; a read takes
+  `read_ns`, which the config requires to be positive).
 - I2. A service enqueues only into the bank it services: rewrites go to
   neighbour rows, in the same rank and bank, and writebacks come from that
   bank's own tables. A service never gives another bank work (`_take`
   checks it, at admission and at service).
 - I3. A refused `submit` has no side effect, so the pass's wake time still
   holds after it.
+
+On a paced trace most records find the controller idle, and `submit`
+services them without the loop. A fourth invariant makes that exact:
+
+- I4. Say a host command is admitted at `now` while no bank holds a queued
+  command (`_admitted == _serviced`), its bank is idle, and the next record
+  is due strictly after the command's last phase starts: `now` for a host
+  read, `now + read_ns` for a host write's write. Then the loop would pick
+  it in the pass at `now`, as the only command of any bank, and no other
+  bank and no admission could act before that phase starts: the other banks
+  hold nothing, and the next record is not yet due. So `submit` picks it
+  once, with `next_command`, and `_service` runs each phase at the time the
+  loop would, with the same hook, `_take`, media calls and I1 check, and
+  leaves `busy_until` where the loop would. A host write's two picks would
+  see the same number of queued writes, one, and `next_command` sets the
+  drain state from that number alone, so one pick sets it as two would.
+  The command is filed by kind, where `next_command` looks, but not by
+  line: no other write to its line is queued, and none merges into it
+  before its write, since its hook runs only after it has left. I1-I3
+  hold as before, and the pass that follows at `now` finds only what the
+  loop's pass after the last phase would: the bank busy, and any rewrites
+  or writeback the write's hook queued.
 """
 
 from __future__ import annotations
@@ -180,7 +203,8 @@ class Engine:
 
     def submit(self, record: TraceRecord, record_no: int, now: int) -> bool:
         """Admit one trace record. Returns False on backpressure; the retry
-        of the same record reuses its decoded address."""
+        of the same record reuses its decoded address. A command that finds
+        the controller idle is serviced before this returns (I4)."""
         # one unpack: reading a NamedTuple's fields by name is slower
         _, op, byte_addr, data = record
         if self._head[0] != record_no:
@@ -198,28 +222,50 @@ class Engine:
             if len(bank.read_q) >= depth:
                 return False
             self.stats.host_reads += 1
-            if bank.mitigation.process_read(addr) is None:
-                self._enqueue(bank, HOST_READ, addr, None, DIFFERENTIAL, now)
-            return True
-
-        if len(bank.write_q) >= depth or len(bank.read_q) >= depth:
-            return False
-
-        self.stats.host_writes += 1
-        absorbed, writeback, rewrites, _ = bank.mitigation.admit_write(
-            addr, data, self.rng)
-        if writeback is not None or rewrites:
-            self._take(addr, writeback, rewrites, now)
-        if not absorbed:
-            self._enqueue(bank, HOST_WRITE, addr, data, DIFFERENTIAL, now)
+            if bank.mitigation.process_read(addr) is not None:
+                return True
+            kind = HOST_READ
+        else:
+            if len(bank.write_q) >= depth or len(bank.read_q) >= depth:
+                return False
+            self.stats.host_writes += 1
+            absorbed, writeback, rewrites, _ = bank.mitigation.admit_write(
+                addr, data, self.rng)
+            if writeback is not None or rewrites:
+                self._take(addr, writeback, rewrites, now)
+            if absorbed:
+                return True
+            kind = HOST_WRITE
+        # I4: a command that finds the controller idle, and whose last phase
+        # starts before the next record is due, is serviced at once.
+        if (self._admitted == self._serviced and bank.busy_until <= now
+                and self._next_due(record_no) > (
+                    now if kind is HOST_READ else now + self._read_ns)):
+            cmd = self._enqueue(bank, kind, addr, data, DIFFERENTIAL, now,
+                                True)
+            if self.next_command(bank, now) is not cmd:
+                raise _not_at_head(cmd)
+            self._service(bank, cmd, now, True)
+        else:
+            self._enqueue(bank, kind, addr, data, DIFFERENTIAL, now)
         return True
 
+    def _next_due(self, record_no: int) -> float:
+        """The time of the trace record after `record_no`; none is due
+        after the last."""
+        try:
+            return self.trace[record_no + 1][0]
+        except IndexError:
+            return float("inf")
+
     def _enqueue(self, bank: _Bank, kind: CommandKind, addr: LineAddress,
-                 data: int | None, mode: WriteMode, now: int) -> None:
-        """The one way into a bank queue: number a new command, index it by
+                 data: int | None, mode: WriteMode, now: int,
+                 at_once: bool = False) -> Command:
+        """The one way into a bank queue: number a new command, file it by
         kind and line, and count the services it owes. A host write is
-        queued unprepared and serviced twice, first for its pre-write
-        read."""
+        queued unprepared and serviced twice, first for its pre-write read.
+        A command to be serviced `at_once` (I4) is filed only by kind, where
+        `next_command` looks."""
         self._seq = seq = self._seq + 1
         cmd = Command(kind, addr, data, mode, kind is not HOST_WRITE, None,
                       now, seq)
@@ -227,21 +273,25 @@ class Engine:
         if kind is HOST_READ:
             bank.read_q[cmd] = None
             bank.host_reads.append(cmd)
-            return
+            return cmd
         bank.write_q[cmd] = None
+        if kind is HOST_WRITE:
+            self._admitted += 1  # the pre-write read
+            bank.read_q[cmd] = None
+            if at_once:  # the bank holds no other command: a heap of one
+                bank.ready_pres.append((seq, cmd))
+                return cmd
         line = bank.lines.setdefault(addr, [])
         line.append(cmd)
         if kind is REWRITE:
             bank.rewrites.append(cmd)
         elif kind is WRITEBACK:
             heappush(bank.ready_writes, (seq, cmd))
-        else:
+        elif line[0] is cmd:
             # A pre-write read must observe every older write to its line,
             # or the write would count flips against stale contents.
-            self._admitted += 1  # the pre-write read
-            bank.read_q[cmd] = None
-            if line[0] is cmd:
-                heappush(bank.ready_pres, (seq, cmd))
+            heappush(bank.ready_pres, (seq, cmd))
+        return cmd
 
     def _take(self, addr: LineAddress, writeback: tuple | None,
               rewrites: list | tuple, now: int) -> None:
@@ -298,7 +348,13 @@ class Engine:
 
     # -- service ---------------------------------------------------------------
 
-    def _service(self, bank: _Bank, cmd: Command, now: int) -> None:
+    def _service(self, bank: _Bank, cmd: Command, now: int,
+                 at_once: bool = False) -> None:
+        """Take `cmd` from the head of its queue and run its next phase: a
+        host read; a pre-write read, which prepares its write; or a write.
+        The bank is busy from `now` for the phase's latency. A host write
+        serviced `at_once` (I4) was never filed by line: its write follows
+        in the same call, as its pre-write read ends."""
         self._serviced += 1
         kind, media = cmd.kind, self.media
         if kind is HOST_READ:
@@ -309,30 +365,36 @@ class Engine:
             if data != media.intended_line(cmd.addr):
                 self.stats.wde_exposed += 1
             latency = self._read_ns
-        elif not cmd.prepared:
-            if heappop(bank.ready_pres)[1] is not cmd:
-                raise _not_at_head(cmd)
-            del bank.read_q[cmd]
-            cmd.prepared = True
-            heappush(bank.ready_writes, (cmd.seq, cmd))
-            self.stats.pre_write_reads += 1
-            cmd.old_data = media.read_line(cmd.addr)
-            latency = self._read_ns
         else:
-            if (bank.rewrites.popleft() if kind is REWRITE
-                    else heappop(bank.ready_writes)[1]) is not cmd:
-                raise _not_at_head(cmd)
-            del bank.write_q[cmd]
-            # Leaving as its line's oldest write releases the pre-write
-            # read of the next one. Done before the hook, so that no
-            # rewrite it returns merges into this write.
-            line = bank.lines[cmd.addr]
-            oldest = line[0] is cmd
-            line.remove(cmd)
-            if not line:
-                del bank.lines[cmd.addr]
-            elif oldest and not line[0].prepared:
-                heappush(bank.ready_pres, (line[0].seq, line[0]))
+            if cmd.prepared:
+                if (bank.rewrites.popleft() if kind is REWRITE
+                        else heappop(bank.ready_writes)[1]) is not cmd:
+                    raise _not_at_head(cmd)
+                del bank.write_q[cmd]
+                # Leaving as its line's oldest write releases the pre-write
+                # read of the next one. Done before the hook, so that no
+                # rewrite it returns merges into this write.
+                line = bank.lines[cmd.addr]
+                oldest = line[0] is cmd
+                line.remove(cmd)
+                if not line:
+                    del bank.lines[cmd.addr]
+                elif oldest and not line[0].prepared:
+                    heappush(bank.ready_pres, (line[0].seq, line[0]))
+            else:
+                if heappop(bank.ready_pres)[1] is not cmd:
+                    raise _not_at_head(cmd)
+                del bank.read_q[cmd]
+                cmd.prepared = True
+                self.stats.pre_write_reads += 1
+                cmd.old_data = media.read_line(cmd.addr)
+                if not at_once:
+                    heappush(bank.ready_writes, (cmd.seq, cmd))
+                    bank.busy_until = now + self._read_ns  # > now (I1)
+                    return
+                del bank.write_q[cmd]
+                self._serviced += 1  # the write, as the read ends
+                now += self._read_ns
             # The one media write, unless the host write's hook absorbed
             # it. For a rewrite the device first fetches the line's intended
             # contents, and it rewrites all bits.

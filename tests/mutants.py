@@ -129,11 +129,39 @@ MUTANTS = [
            ("tests/test_perfbench_hooks.py::"
             "test_traced_run_reports_as_untraced",)),
     Mutant("write-leaves-without-release", "src/disturbsim/controller.py",
-           "            elif oldest and not line[0].prepared:\n"
-           "                heappush(bank.ready_pres, (line[0].seq, line[0]))\n",
+           "                elif oldest and not line[0].prepared:\n"
+           "                    heappush(bank.ready_pres, (line[0].seq, "
+           "line[0]))\n",
            "",
            ("tests/test_controller.py::"
             "test_indexed_bank_matches_reference_scheduler",)),
+    Mutant("idle-when-next-record-due-as-last-phase-starts",
+           "src/disturbsim/controller.py",
+           "self._next_due(record_no) > (",
+           "self._next_due(record_no) >= (",
+           ("tests/test_controller.py::"
+            "test_idle_path_matches_the_queue_path",)),
+    Mutant("idle-looks-only-at-its-bank", "src/disturbsim/controller.py",
+           "if (self._admitted == self._serviced and bank.busy_until <= now",
+           "if (not (bank.read_q or bank.write_q) and bank.busy_until <= now",
+           ("tests/test_controller.py::"
+            "test_idle_path_matches_the_queue_path",)),
+    Mutant("idle-pick-misses-the-write", "src/disturbsim/controller.py",
+           "            if self.next_command(bank, now) is not cmd:\n"
+           "                raise _not_at_head(cmd)\n",
+           "            filed = bank.write_q.pop(cmd, 0) is None\n"
+           "            if self.next_command(bank, now) is not cmd:\n"
+           "                raise _not_at_head(cmd)\n"
+           "            if filed:\n"
+           "                bank.write_q[cmd] = None\n",
+           ("tests/test_controller.py::"
+            "test_idle_path_matches_the_queue_path",)),
+    Mutant("idle-skips-the-pick", "src/disturbsim/controller.py",
+           "            if self.next_command(bank, now) is not cmd:\n"
+           "                raise _not_at_head(cmd)\n",
+           "",
+           ("tests/test_perfbench_hooks.py::"
+            "test_traced_idle_path_picks_each_command_once",)),
     Mutant("loop-no-rescan-after-retry", "src/disturbsim/controller.py",
            "                        due = records[i].time\n"
            "                    continue\n",

@@ -576,3 +576,207 @@ def test_one_pass_loop_matches_two_pass_reference(ranks, banks, depth,
                      else TraceRecord(now, "R", addr))
     assert (traced_run(Engine, cfg, trace)
             == traced_run(TwoPassEngine, cfg, trace))
+
+
+# -- the idle path (I4) ------------------------------------------------------
+
+
+class QueuedEngine(Engine):
+    """The engine with the idle path turned off: the next record is always
+    already due, so `submit` queues every command for `run`'s passes."""
+
+    def _next_due(self, record_no):
+        return float("-inf")
+
+
+class MediaLog:
+    """Forwards every attribute of a `CellArray` and logs each method call,
+    with its arguments, in order."""
+
+    def __init__(self, media):
+        self.media, self.calls = media, []
+
+    def __getattr__(self, name):
+        attr = getattr(self.media, name)
+        if not callable(attr):
+            return attr
+
+        def logged(*args):
+            self.calls.append((name, args))
+            return attr(*args)
+        return logged
+
+
+def paced_trace(records, g):
+    """Trace records from (gap, write, (rank, bank, row, col), data)."""
+    trace, now = [], 0
+    for gap, write, (rank, bank, row, col), data in records:
+        now += gap
+        addr = compose_address(
+            LineAddress(rank % g.ranks, bank % g.banks_per_rank, row, col), g)
+        trace.append(TraceRecord(now, "W", addr, data) if write
+                     else TraceRecord(now, "R", addr))
+    return trace
+
+
+def idle_cfg(ranks, banks, depth, low, strategy, hit_cycles, seed):
+    g = Geometry(ranks=ranks, banks_per_rank=banks, rows_per_bank=8,
+                 cols_per_row=2)
+    return make_cfg(geometry=g, strategy=strategy, queue_depth=depth,
+                    drain_low_watermark=low, hit_cycles=hit_cycles,
+                    siwc_entries=4, seed=seed)
+
+
+def media_run(engine_cls, cfg, trace):
+    """Run one engine; return its report, final random state, conservation
+    counts and every call into its media."""
+    eng = engine_cls(cfg, trace)
+    eng.media = log = MediaLog(eng.media)
+    report = emit_report(eng.run(), "json")
+    return report, eng.rng.getstate(), eng.conservation, log.calls
+
+
+def idle_log(cfg, trace):
+    """Run `trace`; return the engine and a log of its `_service` calls,
+    ("service", at_once), and `_take` calls, ("take", at_once, writeback?,
+    rewrites?), where `at_once` is None for a `_take` at admission."""
+    eng = Engine(cfg, trace)
+    service, take = eng._service, eng._take
+    log, serving = [], [None]
+
+    def logged_service(bank, cmd, now, at_once=False):
+        log.append(("service", at_once))
+        serving.append(at_once)
+        service(bank, cmd, now, at_once)
+        serving.pop()
+
+    def logged_take(addr, writeback, rewrites, now):
+        log.append(("take", serving[-1], writeback is not None,
+                    bool(rewrites)))
+        take(addr, writeback, rewrites, now)
+
+    eng._service, eng._take = logged_service, logged_take
+    eng.run()
+    return eng, log
+
+
+def row_write(gap, row, data, bank=0):
+    return (gap, True, (0, bank, row, 0), data)
+
+
+# Each example's name says what it reaches; `test_idle_examples_reach_...`
+# checks that they still do. A host command's services take 100-350 ns, so
+# after a 2,000 ns gap a record usually finds the controller idle.
+IDLE_EXAMPLES = {
+    # The read is due exactly as the write's write would start (`read_ns` is
+    # 100): it must be admitted first, and be picked ahead of that write.
+    "read-due-as-the-write-starts": dict(
+        ranks=1, banks=1, depth=2, low=None, strategy="none", hit_cycles=0,
+        seed=0, records=[row_write(0, 2, ONES), (100, False, (0, 0, 3, 0),
+                                                 ZEROS)]),
+    # Alternating data on one row: its counters reach the threshold, and the
+    # hook of a write serviced at once returns rewrites.
+    "idle-write-returns-rewrites": dict(
+        ranks=1, banks=1, depth=2, low=None, strategy="imdb", hit_cycles=2,
+        seed=0, records=[row_write(2_000, 2, (ONES, ZEROS)[i % 2])
+                         for i in range(8)]),
+    # A four-entry cache on eight rows: an admitted write that evicts an
+    # entry returns its writeback, which takes the queue path like every
+    # command that is not a host command.
+    "siwc-admission-writeback": dict(
+        ranks=1, banks=1, depth=2, low=None, strategy="siwc", hit_cycles=0,
+        seed=1, records=[row_write(2_000, r % 8, ONES >> r) for r in
+                         range(24)]),
+    # Hammered neighbours diverge, and VnC's hook corrects them itself.
+    "vnc": dict(
+        ranks=1, banks=1, depth=2, low=None, strategy="vnc", hit_cycles=0,
+        seed=0, records=[row_write(2_000, 2, (ONES, ZEROS)[i % 2])
+                         for i in range(20)]),
+    "last-record": dict(
+        ranks=1, banks=1, depth=1, low=None, strategy="none", hit_cycles=0,
+        seed=0, records=[row_write(0, 2, ONES)]),
+    # Three writes fill the queue and set the drain state, which a low
+    # watermark of 0 keeps once the bank empties. The idle write's pick
+    # keeps it only if it counts that write; then two writes arrive
+    # together, and the state decides whether the first one's write runs
+    # before the second one's pre-write read.
+    "drain-state-outlives-the-queue": dict(
+        ranks=1, banks=1, depth=3, low=0, strategy="none", hit_cycles=0,
+        seed=0, records=[row_write(0, 0, ONES), row_write(0, 2, ONES),
+                         row_write(0, 4, ONES), row_write(2_000, 6, ONES),
+                         row_write(2_000, 1, ONES), row_write(0, 3, ONES)]),
+    # Bank 0 still holds a queued write when a record for idle bank 1
+    # arrives: the controller is not idle, so that record is queued too.
+    "other-bank-busy": dict(
+        ranks=1, banks=2, depth=4, low=None, strategy="none", hit_cycles=0,
+        seed=0, records=[row_write(0, 2, ONES), row_write(0, 3, ONES),
+                         row_write(10, 2, ONES, bank=1),
+                         (2_000, False, (0, 0, 5, 0), ZEROS)]),
+}
+
+
+@settings(deadline=None)
+@given(ranks=st.integers(1, 2), banks=st.integers(1, 2),
+       depth=st.integers(1, 4), low=st.sampled_from([None, 0]),
+       strategy=st.sampled_from(STRATEGIES),
+       hit_cycles=st.sampled_from([0, 2]), seed=st.integers(0, 3),
+       records=st.lists(st.tuples(
+           st.integers(0, 2_000),  # gap to the previous record, ns
+           st.booleans(),          # a write?
+           st.tuples(st.integers(0, 1), st.integers(0, 1),
+                     st.integers(0, 7), st.integers(0, 1)),
+           st.sampled_from([ZEROS, ONES, ONES >> 256, ONES // 3])),
+           max_size=40))
+@example(**IDLE_EXAMPLES["read-due-as-the-write-starts"])
+@example(**IDLE_EXAMPLES["idle-write-returns-rewrites"])
+@example(**IDLE_EXAMPLES["siwc-admission-writeback"])
+@example(**IDLE_EXAMPLES["vnc"])
+@example(**IDLE_EXAMPLES["last-record"])
+@example(**IDLE_EXAMPLES["drain-state-outlives-the-queue"])
+@example(**IDLE_EXAMPLES["other-bank-busy"])
+def test_idle_path_matches_the_queue_path(ranks, banks, depth, low, strategy,
+                                          hit_cycles, seed, records):
+    """A command serviced at once when it finds the controller idle (I4)
+    ends the run exactly as the queue path would: the same report, random
+    state and conservation counts, and the same media calls in the same
+    order with the same arguments."""
+    cfg = idle_cfg(ranks, banks, depth, low, strategy, hit_cycles, seed)
+    trace = paced_trace(records, cfg.geometry)
+    assert (media_run(Engine, cfg, trace)
+            == media_run(QueuedEngine, cfg, trace))
+
+
+def test_idle_examples_reach_what_they_name():
+    runs = {}
+    for name, kw in IDLE_EXAMPLES.items():
+        kw = dict(kw)
+        cfg = idle_cfg(*(kw.pop(k) for k in ("ranks", "banks", "depth", "low",
+                                             "strategy", "hit_cycles",
+                                             "seed")))
+        trace = paced_trace(kw.pop("records"), cfg.geometry)
+        eng, log = idle_log(cfg, trace)
+        runs[name] = (trace, eng, log, log.count(("service", True)))
+
+    trace, eng, log, at_once = runs["read-due-as-the-write-starts"]
+    assert trace[1].time == trace[0].time + eng.cfg.read_ns
+    assert at_once == 0  # the read is admitted while the write is queued
+
+    trace, eng, log, at_once = runs["idle-write-returns-rewrites"]
+    assert ("take", True, False, True) in log
+
+    trace, eng, log, at_once = runs["siwc-admission-writeback"]
+    assert ("take", None, True, False) in log
+    assert at_once > 0
+
+    trace, eng, log, at_once = runs["vnc"]
+    assert at_once == len(trace)
+    assert eng.stats.media_writes > eng.stats.host_writes  # corrections
+
+    trace, eng, log, at_once = runs["last-record"]
+    assert len(trace) == 1 and at_once == 1
+
+    trace, eng, log, at_once = runs["drain-state-outlives-the-queue"]
+    assert at_once == 1  # the write at 2,000 ns
+
+    trace, eng, log, at_once = runs["other-bank-busy"]
+    assert at_once == 1  # only the last record

@@ -8,8 +8,12 @@ over two banks. `golden/coins.json` is the report of `golden/coins.cfg` on
 and AppLE groups of three slots. `golden/ranks.json` is the report of
 `golden/ranks.cfg` on `golden/ranks.trace` (`gen --kind hotspot --config
 golden/ranks.cfg --seed 1 -n 300 --gap-ns 10`): two ranks of two banks,
-so every writeback must return to its own rank. Refactors of the
-controller or of a strategy must reproduce all three byte for byte; a
+so every writeback must return to its own rank. `golden/paced.json` is
+the report of `golden/paced.cfg` (the compare config) on
+`golden/paced.trace` (`gen --kind hotspot --config golden/paced.cfg --seed 2
+-n 300 --gap-ns 1000`): records 1,000 ns apart, so most of them find the
+controller idle and are serviced at once (I4 in `controller`). Refactors of
+the controller or of a strategy must reproduce all four byte for byte; a
 change that alters results on purpose regenerates them and says why.
 """
 
@@ -26,7 +30,7 @@ import pytest
 
 from disturbsim.cli import dispatch
 from disturbsim.config import load_config
-from disturbsim.controller import MITIGATIONS, run_to_completion
+from disturbsim.controller import MITIGATIONS, Engine, run_to_completion
 from disturbsim.core import STRATEGIES, decompose_address
 from disturbsim.media import CellArray
 from disturbsim.traces import read_trace_file
@@ -94,7 +98,37 @@ def test_two_rank_report_matches_golden(tmp_path):
     assert banks == {(r, b) for r in range(2) for b in range(2)}  # all four
 
 
-@pytest.mark.parametrize("name", ["compare", "coins", "ranks"])
+# The records of the paced golden that each strategy services at once: all
+# of `none`'s; the others' tables absorb writes, and their rewrites,
+# writebacks and VnC's corrections keep the controller busy for some records.
+PACED_AT_ONCE = {"none": 300, "vnc": 297, "siwc": 65, "imdb": 223}
+
+
+def test_paced_report_matches_golden(tmp_path):
+    """Pins the idle path, alongside VnC's corrections, SIWC's writebacks
+    and IMDB's rewrites."""
+    rows = {r["strategy"]: r
+            for r in json.loads(compare_report(tmp_path, "paced"))["rows"]}
+    assert rows["vnc"]["media_writes"] > rows["vnc"]["host_writes"]
+    assert rows["siwc"]["writebacks"] > 0
+    assert rows["imdb"]["rewrites"] > 0 and rows["imdb"]["writebacks"] > 0
+
+    base = load_config(str(GOLDEN / "paced.cfg"))
+    trace = read_trace_file(str(GOLDEN / "paced.trace"))
+    for strategy, expected in PACED_AT_ONCE.items():
+        eng = Engine(dataclasses.replace(base, strategy=strategy), trace)
+        service, at_once = eng._service, []
+
+        def counted(bank, cmd, now, once=False, _service=service):
+            at_once.append(once)
+            _service(bank, cmd, now, once)
+
+        eng._service = counted
+        eng.run()
+        assert sum(at_once) == expected, strategy
+
+
+@pytest.mark.parametrize("name", ["compare", "coins", "ranks", "paced"])
 @pytest.mark.parametrize("strategy", ["siwc", "imdb"])
 def test_no_fraction_or_randrange_per_event(monkeypatch, strategy, name):
     """No per-event path compares a Fraction or calls `randrange`: the
@@ -113,7 +147,7 @@ def test_no_fraction_or_randrange_per_event(monkeypatch, strategy, name):
     assert stats.evictions > 0
 
 
-@pytest.mark.parametrize("name", ["compare", "coins", "ranks"])
+@pytest.mark.parametrize("name", ["compare", "coins", "ranks", "paced"])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_each_media_operation_is_counted_once(monkeypatch, strategy, name):
     """The report's media counts are the sums over the media calls

@@ -143,3 +143,28 @@ def test_traced_bufferless_imdb(layers):
     assert tracer.engine.cfg.n_b == 0
     assert tracer.counts() == COINS_IMDB_COUNTS
     assert calls_of(tracer) == COINS_IMDB_CALLS
+
+
+# `none` on the paced golden: records 1,000 ns apart, so every one finds the
+# controller idle and is serviced at once (I4 in `controller`), picked once.
+# So every enqueue-to-pick wait is 0: on the queue path, a host write's
+# second pick, for its write, would wait `read_ns`.
+PACED_NONE_COUNTS = dict(retries=0, queue_depth_max=2, wait_p50=0,
+                         wait_p99=0, flips=1342, lines=36, vnc_extra_reads=0,
+                         siwc_absorbed=0, conservation=(497, 497, 0))
+PACED_NONE_CALLS = {**_COMMON_CALLS, "core.decompose_address": 300,
+                    "controller.submit": 300, "controller.next_command": 300,
+                    "media.apply_write": 197, "media.read_line": 300,
+                    "media.intended_line": 103}
+
+
+def test_traced_idle_path_picks_each_command_once(layers):
+    """A command serviced at once still goes through one pick, so the
+    tracer sees a wait and a queue depth for each: with no pick, `counts()`
+    would have no wait to take percentiles of."""
+    tracer = traced_run(layers, "paced", "none")
+    stats = tracer.engine.stats
+    commands = stats.host_reads + stats.host_writes  # `none` absorbs nothing
+    assert calls_of(tracer)["controller.next_command"] == commands
+    assert tracer.counts() == PACED_NONE_COUNTS
+    assert calls_of(tracer) == PACED_NONE_CALLS
