@@ -10,18 +10,18 @@ occupancy falls to the low watermark. The run is fully deterministic for a
 given (config, trace, seed).
 
 A bank keeps its queued commands per kind, so a decision looks only at queue
-heads: a FIFO of rewrites, a FIFO of host reads, a seq-ordered heap of
-prepared host writes and writebacks, and a seq-ordered heap of unprepared
-host writes whose pre-write read may run. A per-line index maps each line to
-its queued writes in seq order; `read_q` and `write_q` count. The engine
-owns them: `_enqueue` files a command by kind and line, and `_service` pops
-it from the head of its queue in one branch per phase (a host read; a
-pre-write read, which prepares its write; a write). A pre-write read must
-observe every older write to its line, so it may run once its write is the
-line's oldest queued write: at enqueue, or when the write ahead of it
-leaves. A fresh rewrite merges into the line's oldest queued write.
-Each trace record's address is decoded once, at its first admission
-attempt; backpressure retries reuse it.
+heads: FIFOs of rewrites and of host reads, and seq-ordered heaps of prepared
+host writes and writebacks and of unprepared host writes whose pre-write read
+may run. A per-line index maps each line to its queued writes in seq order;
+`read_q` and `write_q` count. The engine owns them: `_enqueue` files a
+command by kind and line, and `_service` pops it from the head of its queue
+in one branch per phase (a host read; a pre-write read, which prepares its
+write; a write). A pre-write read must observe every older write to its line,
+so it may run once its write is the line's oldest queued write: at enqueue,
+or when the write ahead of it leaves. A rewrite is FULL and any other write
+DIFFERENTIAL, until a fresh rewrite merges into it as its line's oldest
+queued write. Each record's address is decoded once, at its first admission
+attempt; retries reuse it.
 
 The strategy is one `Mitigation` per bank (see `baselines`), built from the
 `MITIGATIONS` table. The engine calls only its hooks, and each write hook
@@ -31,19 +31,19 @@ outcome's rewrites, queues its writeback, writes every other serviced write
 to the media and occupies the bank for both latencies. Rewrites and
 writebacks skip the tables; VnC's hook writes and verifies by itself.
 
-`Engine.run` makes one pass over the banks per event. At time `now` it
-admits the records due, until one is refused, and then one pass services
-each idle bank with queued commands and takes the wake time: the earliest of
-the next record's time and the `busy_until` of every bank that still has
-queued commands, a bank that just issued counting with its new one. The loop
-then jumps to the wake time, unless the pass issued and a refused record is
-due: that record is retried at once, and only if it is admitted does another
-pass run at `now`. No pass is skipped that could issue, because of three
-invariants:
+`Engine.run` makes one pass over the banks per event. At time `now` it admits
+the records due, until one is refused, and then one pass services each idle
+bank with queued commands and takes the wake time: the earliest of the next
+record's time, `due` (infinite after the last record), and the `busy_until`
+of every bank that still has queued commands, a bank that just issued
+counting with its new one. The loop then jumps to the wake time, unless the
+pass issued and a refused record is due: that record is retried at once, and
+only if it is admitted does another pass run at `now`. No pass is skipped
+that could issue, because of three invariants:
 
 - I1. Every service occupies its bank for at least 1 ns, so a bank that
-  issued at `now` is busy at `now` (`_service` checks it; a read takes
-  `read_ns`, which the config requires to be positive).
+  issued at `now` is busy at `now` (`_service` checks a write's latency;
+  a read takes `read_ns`, which the config requires to be positive).
 - I2. A service enqueues only into the bank it services: rewrites go to
   neighbour rows, in the same rank and bank, and writebacks come from that
   bank's own tables. A service never gives another bank work (`_take`
@@ -57,21 +57,20 @@ services them without the loop. A fourth invariant makes that exact:
 - I4. Say a host command is admitted at `now` while no bank holds a queued
   command (`_admitted == _serviced`), its bank is idle, and the next record
   is due strictly after the command's last phase starts: `now` for a host
-  read, `now + read_ns` for a host write's write. Then the loop would pick
-  it in the pass at `now`, as the only command of any bank, and no other
-  bank and no admission could act before that phase starts: the other banks
-  hold nothing, and the next record is not yet due. So `submit` picks it
-  once, with `next_command`, and `_service` runs each phase at the time the
-  loop would, with the same hook, `_take`, media calls and I1 check, and
-  leaves `busy_until` where the loop would. A host write's two picks would
-  see the same number of queued writes, one, and `next_command` sets the
-  drain state from that number alone, so one pick sets it as two would.
-  The command is filed by kind, where `next_command` looks, but not by
-  line: no other write to its line is queued, and none merges into it
-  before its write, since its hook runs only after it has left. I1-I3
-  hold as before, and the pass that follows at `now` finds only what the
-  loop's pass after the last phase would: the bank busy, and any rewrites
-  or writeback the write's hook queued.
+  read, `now + read_ns` for a host write's write. Then the loop would pick it
+  in the pass at `now`, as the only command of any bank, and nothing else
+  could act before that phase starts: the other banks hold nothing, and the
+  next record is not yet due. So `submit` picks it once, with `next_command`,
+  and `_service` runs each phase at the time the loop would, with the same
+  hook, `_take`, media calls and I1 check, and leaves `busy_until` where the
+  loop would. A host write's two picks would see the same number of queued
+  writes, one, and `next_command` sets the drain state from that number
+  alone, so one pick sets it as two would. The command is filed by kind,
+  where `next_command` looks, but not by line: no other write to its line is
+  queued, and none merges into it before its write, since its hook runs only
+  after it has left. I1-I3 hold as before, and the pass that follows at `now`
+  finds only what the loop's pass after the last phase would: the bank busy,
+  and any rewrites or writeback the write's hook queued.
 """
 
 from __future__ import annotations
@@ -238,37 +237,34 @@ class Engine:
             kind = HOST_WRITE
         # I4: a command that finds the controller idle, and whose last phase
         # starts before the next record is due, is serviced at once.
-        if (self._admitted == self._serviced and bank.busy_until <= now
-                and self._next_due(record_no) > (
-                    now if kind is HOST_READ else now + self._read_ns)):
-            cmd = self._enqueue(bank, kind, addr, data, DIFFERENTIAL, now,
-                                True)
+        at_once = (self._admitted == self._serviced and bank.busy_until <= now
+                   and self._next_due(record_no) > (
+                       now if kind is HOST_READ else now + self._read_ns))
+        cmd = self._enqueue(bank, kind, addr, data, now, at_once)
+        if at_once:
             if self.next_command(bank, now) is not cmd:
                 raise _not_at_head(cmd)
             self._service(bank, cmd, now, True)
-        else:
-            self._enqueue(bank, kind, addr, data, DIFFERENTIAL, now)
         return True
 
     def _next_due(self, record_no: int) -> float:
-        """The time of the trace record after `record_no`; none is due
-        after the last."""
+        """The next record's time; infinite after the last record."""
         try:
             return self.trace[record_no + 1][0]
         except IndexError:
             return float("inf")
 
     def _enqueue(self, bank: _Bank, kind: CommandKind, addr: LineAddress,
-                 data: int | None, mode: WriteMode, now: int,
-                 at_once: bool = False) -> Command:
+                 data: int | None, now: int, at_once: bool = False) -> Command:
         """The one way into a bank queue: number a new command, file it by
-        kind and line, and count the services it owes. A host write is
-        queued unprepared and serviced twice, first for its pre-write read.
-        A command to be serviced `at_once` (I4) is filed only by kind, where
-        `next_command` looks."""
+        kind and line, and count the services it owes. A rewrite is FULL and
+        any other write DIFFERENTIAL. A host write is queued unprepared and
+        serviced twice, first for its pre-write read. A command to be
+        serviced `at_once` (I4) is filed only by kind, where it is picked."""
         self._seq = seq = self._seq + 1
-        cmd = Command(kind, addr, data, mode, kind is not HOST_WRITE, None,
-                      now, seq)
+        cmd = Command(kind, addr, data,
+                      FULL if kind is REWRITE else DIFFERENTIAL,
+                      kind is not HOST_WRITE, None, now, seq)
         self._admitted += 1
         if kind is HOST_READ:
             bank.read_q[cmd] = None
@@ -295,11 +291,10 @@ class Engine:
 
     def _take(self, addr: LineAddress, writeback: tuple | None,
               rewrites: list | tuple, now: int) -> None:
-        """Queue what a write hook's `Outcome` returned for the host write
-        to `addr`: merge each rewrite and queue the writeback, both in
-        `addr`'s bank (I2). They bypass admission backpressure. Rewrites and
-        writebacks are maintenance traffic and skip the counting tables, so
-        they can never trigger more of themselves. Most outcomes return
+        """Queue what a write hook's `Outcome` returned for the host write to
+        `addr`: merge each rewrite and queue the writeback, in `addr`'s bank
+        (I2) and past backpressure. This maintenance traffic skips the counting
+        tables, so it never triggers more of itself. Most outcomes return
         neither, and the callers then skip the call."""
         for target in rewrites:
             _require_same_bank(addr, "rewrite", target)
@@ -307,8 +302,7 @@ class Engine:
         if writeback is not None:
             target, data = writeback
             _require_same_bank(addr, "writeback", target)
-            self._enqueue(self._bank(target), WRITEBACK, target, data,
-                          DIFFERENTIAL, now)
+            self._enqueue(self._bank(target), WRITEBACK, target, data, now)
             self.stats.writebacks += 1
 
     # -- rewrite merging -------------------------------------------------------
@@ -324,7 +318,7 @@ class Engine:
                 line[0].mode = FULL  # latest data retained
             self.stats.merges += 1
             return True
-        self._enqueue(bank, REWRITE, addr, None, FULL, now)
+        self._enqueue(bank, REWRITE, addr, None, now)
         return False
 
     # -- scheduling ------------------------------------------------------------
@@ -352,9 +346,10 @@ class Engine:
                  at_once: bool = False) -> None:
         """Take `cmd` from the head of its queue and run its next phase: a
         host read; a pre-write read, which prepares its write; or a write.
-        The bank is busy from `now` for the phase's latency. A host write
-        serviced `at_once` (I4) was never filed by line: its write follows
-        in the same call, as its pre-write read ends."""
+        The bank is busy from `now` for the phase's latency: each read
+        returns as it sets `read_ns`, and a write checks its own (I1). A
+        host write serviced `at_once` (I4) was never filed by line: its
+        write follows in the same call, as its pre-write read ends."""
         self._serviced += 1
         kind, media = cmd.kind, self.media
         if kind is HOST_READ:
@@ -364,57 +359,56 @@ class Engine:
             data = media.read_line(cmd.addr)
             if data != media.intended_line(cmd.addr):
                 self.stats.wde_exposed += 1
-            latency = self._read_ns
+            bank.busy_until = now + self._read_ns  # > now (I1)
+            return
+        if cmd.prepared:
+            if (bank.rewrites.popleft() if kind is REWRITE
+                    else heappop(bank.ready_writes)[1]) is not cmd:
+                raise _not_at_head(cmd)
+            del bank.write_q[cmd]
+            # Leaving as its line's oldest write releases the pre-write read
+            # of the next one. Done before the hook, so that no rewrite it
+            # returns merges into this write.
+            line = bank.lines[cmd.addr]
+            oldest = line[0] is cmd
+            line.remove(cmd)
+            if not line:
+                del bank.lines[cmd.addr]
+            elif oldest and not line[0].prepared:
+                heappush(bank.ready_pres, (line[0].seq, line[0]))
         else:
-            if cmd.prepared:
-                if (bank.rewrites.popleft() if kind is REWRITE
-                        else heappop(bank.ready_writes)[1]) is not cmd:
-                    raise _not_at_head(cmd)
-                del bank.write_q[cmd]
-                # Leaving as its line's oldest write releases the pre-write
-                # read of the next one. Done before the hook, so that no
-                # rewrite it returns merges into this write.
-                line = bank.lines[cmd.addr]
-                oldest = line[0] is cmd
-                line.remove(cmd)
-                if not line:
-                    del bank.lines[cmd.addr]
-                elif oldest and not line[0].prepared:
-                    heappush(bank.ready_pres, (line[0].seq, line[0]))
-            else:
-                if heappop(bank.ready_pres)[1] is not cmd:
-                    raise _not_at_head(cmd)
-                del bank.read_q[cmd]
-                cmd.prepared = True
-                self.stats.pre_write_reads += 1
-                cmd.old_data = media.read_line(cmd.addr)
-                if not at_once:
-                    heappush(bank.ready_writes, (cmd.seq, cmd))
-                    bank.busy_until = now + self._read_ns  # > now (I1)
-                    return
-                del bank.write_q[cmd]
-                self._serviced += 1  # the write, as the read ends
-                now += self._read_ns
-            # The one media write, unless the host write's hook absorbed
-            # it. For a rewrite the device first fetches the line's intended
-            # contents, and it rewrites all bits.
-            absorbed, latency = False, 0
-            if kind is HOST_WRITE:
-                absorbed, writeback, rewrites, latency = (
-                    bank.mitigation.write(media, cmd, self.rng))
-                if writeback is not None or rewrites:
-                    self._take(cmd.addr, writeback, rewrites, now)
-            elif kind is REWRITE:
-                cmd.data = media.intended_line(cmd.addr)
-                latency = self._read_ns
-            if not absorbed:
-                latency += media.apply_write(cmd.addr, cmd.data,
-                                             cmd.mode).latency_ns
+            if heappop(bank.ready_pres)[1] is not cmd:
+                raise _not_at_head(cmd)
+            del bank.read_q[cmd]
+            cmd.prepared = True
+            self.stats.pre_write_reads += 1
+            cmd.old_data = media.read_line(cmd.addr)
+            if not at_once:
+                heappush(bank.ready_writes, (cmd.seq, cmd))
+                bank.busy_until = now + self._read_ns  # > now (I1)
+                return
+            del bank.write_q[cmd]
+            self._serviced += 1  # the write, as the read ends
+            now += self._read_ns
+        # The one media write, unless the host write's hook absorbed it. For
+        # a rewrite the device first fetches the line's intended contents,
+        # and it rewrites all bits.
+        absorbed, latency = False, 0
+        if kind is HOST_WRITE:
+            absorbed, writeback, rewrites, latency = (
+                bank.mitigation.write(media, cmd, self.rng))
+            if writeback is not None or rewrites:
+                self._take(cmd.addr, writeback, rewrites, now)
+        elif kind is REWRITE:
+            cmd.data = media.intended_line(cmd.addr)
+            latency = self._read_ns
+        if not absorbed:
+            latency += media.apply_write(cmd.addr, cmd.data,
+                                         cmd.mode).latency_ns
         if latency < 1:  # `run` relies on a serviced bank being busy
             raise ConsistencyError(
                 f"{kind.value} seq {cmd.seq} occupies its bank for "
                 f"{latency} ns")
-
         bank.busy_until = now + latency
 
     # -- main loop ---------------------------------------------------------------
@@ -425,22 +419,19 @@ class Engine:
         banks = self.banks
         submit, next_command, service = (self.submit, self.next_command,
                                          self._service)
-        never = float("inf")  # no wake time: the run is over or stalled
-        i = 0
-        now = 0
-        due = records[0].time if n else 0  # the time of records[i], if i < n
+        never = float("inf")  # no record left, or no wake time
+        i = now = 0
+        due = records[0].time if n else never  # the time of records[i]
         while True:
-            while i < n and due <= now:
-                if submit(records[i], i, now):
-                    i += 1
-                    if i < n:
-                        due = records[i].time
-                else:
+            while due <= now:
+                if not submit(records[i], i, now):
                     break
+                i += 1
+                due = records[i].time if i < n else never
             # One pass: service every idle bank, and find the wake time, the
             # next record's or the earliest busy bank's with queued commands.
             issued = False
-            wake = due if i < n and due > now else never
+            wake = due if due > now else never
             for bank in banks:
                 if not (bank.read_q or bank.write_q):
                     continue
@@ -454,13 +445,12 @@ class Engine:
                         continue
                 if bank.busy_until < wake:
                     wake = bank.busy_until
-            if issued and i < n and due <= now:
+            if issued and due <= now:
                 # The pass may have freed the queue a record waits on. Only
                 # an admission can give an idle bank work at `now`.
                 if submit(records[i], i, now):
                     i += 1
-                    if i < n:
-                        due = records[i].time
+                    due = records[i].time if i < n else never
                     continue
             if wake is never:
                 break

@@ -260,8 +260,9 @@ class SimConfig:
             raise ValueError("siwc coin probabilities must be in [0, 1]")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.drain_watermark >= self.queue_depth:
-            raise ValueError("drain_low_watermark must be below queue_depth")
+        if not 0 <= self.drain_watermark < self.queue_depth:
+            # below 0 the drain state, once set, would never clear
+            raise ValueError("drain_low_watermark must be in [0, queue_depth)")
         for name in ("read_ns", "set_ns", "reset_ns"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -67,9 +67,9 @@ def _set_bits(mask: int) -> list[int]:
 class _Line:
     """One materialized line: its address, its cells, its intended data,
     the bit-planes of the pulse counts of its cells storing 0, lowest plane
-    first, and its victims: None, or the list of the lines of all its
-    in-range neighbour rows, kept from a pulsing write that found them all
-    materialized."""
+    first, and its victims: None, or, under the `zeros` fill, the list of
+    the lines of all its in-range neighbour rows, kept from its first
+    pulsing write."""
 
     __slots__ = ("addr", "phys", "intended", "planes", "victims")
 
@@ -102,12 +102,12 @@ class CellArray:
     The array counts the media operations it performs: `reads`, `writes`,
     their `set_pulses` and `reset_pulses`, and the `flips` they caused.
 
-    A line keeps its victims once they are complete: a pulsing write looks
-    the neighbours up until every in-range neighbour is materialized, then
-    keeps the list of their lines for every later write. A list without a
-    neighbour that is not materialized yet would miss the neighbour's
-    pulses once it is written, so such a list is not kept. Lines are never
-    removed or replaced, so the kept lines stay the array's own.
+    A line keeps its victims only under the `zeros` fill: its first pulsing
+    write materializes every in-range neighbour, and later writes reuse the
+    list of their lines. Lines are never removed or replaced, so the kept
+    lines stay the array's own. Under `ones` a neighbour can be materialized
+    after the line's first pulsing write, so every pulsing write looks its
+    neighbours up.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -181,16 +181,14 @@ class CellArray:
             victims = line.victims
             if victims is None:
                 victims = []
-                complete = True
                 for nb in addr.neighbor_rows(self.geometry):
                     victim = lines.get(nb)
                     if victim is None:  # in range: a neighbor of a valid line
                         if self._lazy_victims:  # stores no 0 to count on
-                            complete = False
                             continue
                         victim = lines[nb] = _Line(nb, self._fill, self._planes)
                     victims.append(victim)
-                if complete:
+                if not self._lazy_victims:  # every neighbour materialized
                     line.victims = victims
             for victim in victims:
                 pulse = reset_mask & ~victim.phys  # counted on 0 cells only

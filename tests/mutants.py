@@ -46,7 +46,8 @@ MUTANTS = [
            "carry &= plane", "carry &= ~plane",
            ("tests/test_media.py::test_media_matches_naive_ledger",)),
     Mutant("incomplete-victims-kept", "src/disturbsim/media.py",
-           "                if complete:\n"
+           "                if not self._lazy_victims:  # every neighbour "
+           "materialized\n"
            "                    line.victims = victims\n",
            "                line.victims = victims\n",
            ("tests/test_media.py::test_late_written_neighbor_is_pulsed",)),
@@ -91,6 +92,10 @@ MUTANTS = [
            "if t >= last_time and (data is None) is (op == \"R\"):",
            "if t >= last_time:",
            ("tests/test_traces.py::test_parse_errors_carry_position",)),
+    Mutant("watermark-may-be-negative", "src/disturbsim/core.py",
+           "if not 0 <= self.drain_watermark < self.queue_depth:",
+           "if not self.drain_watermark < self.queue_depth:",
+           ("tests/test_cli.py::test_drain_watermark_out_of_range_exit_code",)),
     Mutant("config-takes-repeated-key", "src/disturbsim/config.py",
            "(first := seen.setdefault((section, key), line_no))",
            "(first := line_no)",
@@ -113,10 +118,10 @@ MUTANTS = [
             "tests/test_controller.py::"
             "test_service_enqueueing_into_another_rank_raises")),
     Mutant("service-writes-absorbed", "src/disturbsim/controller.py",
-           "            if not absorbed:\n"
-           "                latency += media.apply_write(",
-           "            if absorbed:\n"
-           "                latency += media.apply_write(",
+           "        if not absorbed:\n"
+           "            latency += media.apply_write(",
+           "        if absorbed:\n"
+           "            latency += media.apply_write(",
            ("tests/test_golden.py::test_compare_report_matches_golden",
             "tests/test_controller.py::"
             "test_engine_writes_a_host_write_unless_its_hook_absorbs_it")),
@@ -124,13 +129,13 @@ MUTANTS = [
            "            self._admitted += 1  # the pre-write read\n", "",
            ("tests/test_golden.py::test_compare_report_matches_golden",)),
     Mutant("enqueue-time-zero", "src/disturbsim/controller.py",
-           "None,\n                      now, seq)",
-           "None,\n                      0, seq)",
+           "HOST_WRITE, None, now, seq)",
+           "HOST_WRITE, None, 0, seq)",
            ("tests/test_perfbench_hooks.py::"
             "test_traced_run_reports_as_untraced",)),
     Mutant("write-leaves-without-release", "src/disturbsim/controller.py",
-           "                elif oldest and not line[0].prepared:\n"
-           "                    heappush(bank.ready_pres, (line[0].seq, "
+           "            elif oldest and not line[0].prepared:\n"
+           "                heappush(bank.ready_pres, (line[0].seq, "
            "line[0]))\n",
            "",
            ("tests/test_controller.py::"
@@ -142,8 +147,8 @@ MUTANTS = [
            ("tests/test_controller.py::"
             "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-looks-only-at-its-bank", "src/disturbsim/controller.py",
-           "if (self._admitted == self._serviced and bank.busy_until <= now",
-           "if (not (bank.read_q or bank.write_q) and bank.busy_until <= now",
+           "at_once = (self._admitted == self._serviced and",
+           "at_once = (not (bank.read_q or bank.write_q) and",
            ("tests/test_controller.py::"
             "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-pick-misses-the-write", "src/disturbsim/controller.py",
@@ -163,11 +168,18 @@ MUTANTS = [
            ("tests/test_perfbench_hooks.py::"
             "test_traced_idle_path_picks_each_command_once",)),
     Mutant("loop-no-rescan-after-retry", "src/disturbsim/controller.py",
-           "                        due = records[i].time\n"
+           "                    due = records[i].time if i < n else never\n"
            "                    continue\n",
-           "                        due = records[i].time\n",
+           "                    due = records[i].time if i < n else never\n",
            ("tests/test_controller.py::"
             "test_one_pass_loop_matches_two_pass_reference",)),
+    Mutant("retry-only-after-its-time", "src/disturbsim/controller.py",
+           "if issued and due <= now:", "if issued and due < now:",
+           ("tests/test_controller.py::"
+            "test_one_pass_loop_matches_two_pass_reference",)),
+    Mutant("rewrite-enqueued-differential", "src/disturbsim/controller.py",
+           "FULL if kind is REWRITE else DIFFERENTIAL", "DIFFERENTIAL",
+           ("tests/test_golden.py::test_compare_report_matches_golden",)),
     Mutant("loop-issuer-out-of-wake", "src/disturbsim/controller.py",
            "                    issued = True\n"
            "                    if not (bank.read_q or bank.write_q):\n"

@@ -16,7 +16,6 @@ from disturbsim.controller import CommandKind, Engine, run_to_completion
 from disturbsim.core import (Geometry, LineAddress, SimConfig, compose_address,
                              decompose_address)
 from disturbsim.imdb import Imdb, sram_capacity
-from disturbsim.media import WriteMode
 from disturbsim.metrics import RunStats
 from disturbsim.traces import TraceRecord, gen_hammer, gen_slow_flip, gen_synthetic
 from apple_ref import select_victim_exact
@@ -277,14 +276,12 @@ def random_bank_state(cfg, rng):
     for _ in range(rng.randrange(6)):
         kind = rng.choice([CommandKind.HOST_WRITE, CommandKind.WRITEBACK,
                            CommandKind.REWRITE])
-        eng._enqueue(bank, kind, LineAddress(0, 0, rng.randrange(8), 0), 0,
-                     WriteMode.DIFFERENTIAL, 0)
+        eng._enqueue(bank, kind, LineAddress(0, 0, rng.randrange(8), 0), 0, 0)
         if rng.random() < 0.5:
             eng._service(bank, eng.next_command(bank, 0), 0)
     for _ in range(rng.randrange(3)):
         eng._enqueue(bank, CommandKind.HOST_READ,
-                     LineAddress(0, 0, rng.randrange(8), 0), None,
-                     WriteMode.DIFFERENTIAL, 0)
+                     LineAddress(0, 0, rng.randrange(8), 0), None, 0)
     bank.draining = rng.random() < 0.5
     return eng, bank
 

@@ -389,6 +389,20 @@ def test_bad_geometry_exit_code(cfg_path, trace_path, capsys):
     assert capsys.readouterr().err == "E:2:ranks must be >= 1\n"
 
 
+@pytest.mark.parametrize("value", ["-1", "4"])
+def test_drain_watermark_out_of_range_exit_code(cfg_path, trace_path, capsys,
+                                                value):
+    """The drain state clears once a bank's queued writes fall to the low
+    watermark; below 0 that never happens, so a draining bank would keep
+    putting writes ahead of pre-write reads for the rest of the run."""
+    rc = dispatch(["run", "--config", cfg_path, "--trace", trace_path,
+                   "--set", "run.queue_depth=4",
+                   "--set", f"run.drain_low_watermark={value}"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "E:2:drain_low_watermark must be in [0, queue_depth)\n")
+
+
 @pytest.mark.parametrize("args", [
     ["--set", "siwc.entries=-3"],
     ["--set", "imdb.n_mt=-8"],

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import scheduler_ref
 from disturbsim.baselines import Mitigation, Outcome
+from disturbsim.config import parse_config_text
 from disturbsim.controller import (MITIGATIONS, Command, CommandKind, Engine,
                                    TraceAbort, run_to_completion)
 from disturbsim.core import (LINE_MASK, STRATEGIES, ConsistencyError,
@@ -14,7 +16,7 @@ from disturbsim.core import (LINE_MASK, STRATEGIES, ConsistencyError,
 from disturbsim.media import CellArray, WriteMode
 from disturbsim.metrics import emit_report
 from disturbsim.traces import TraceRecord, gen_hammer, gen_synthetic
-from helpers import TINY, addr_bytes, make_cfg
+from helpers import TINY, addr_bytes, bench_workloads, make_cfg, stale_lines
 from loop_ref import TwoPassEngine
 
 ONES = LINE_MASK
@@ -32,8 +34,7 @@ def add(eng, kind, row, prepared=False):
     the oldest unprepared write."""
     bank = eng.banks[0]
     data = ZEROS if kind in scheduler_ref.WRITE_KINDS else None
-    eng._enqueue(bank, kind, LineAddress(0, 0, row, 0), data,
-                 WriteMode.DIFFERENTIAL, 0)
+    eng._enqueue(bank, kind, LineAddress(0, 0, row, 0), data, 0)
     queued = (bank.host_reads[-1] if kind is CommandKind.HOST_READ
               else next(reversed(bank.write_q)))
     if prepared and not queued.prepared:
@@ -188,7 +189,7 @@ def test_indexed_bank_matches_reference_scheduler(depth, ops):
     ref = scheduler_ref.RefBank()
 
     def add(kind, addr, data=None):
-        eng._enqueue(bank, kind, addr, data, WriteMode.DIFFERENTIAL, 0)
+        eng._enqueue(bank, kind, addr, data, 0)
         ref.enqueue(bank.host_reads[-1] if kind is CommandKind.HOST_READ
                     else next(reversed(bank.write_q)))
 
@@ -397,6 +398,25 @@ def test_siwc_writebacks_reach_media():
     assert stats.media_writes > 0
 
 
+@pytest.mark.parametrize("seed,siwc_stale,written",
+                         [(1, 2, 1_357), (7, 1, 1_411)])
+def test_lost_writes_on_hotspot_backlog(seed, siwc_stale, written):
+    """ROADMAP item 11 (no lost writes), pinned until its fix: a written
+    line is stale when the data it holds after the run differs from the
+    trace's last write to it. Under backlog `siwc` loses writes, and every
+    other strategy loses none. When item 11 is mended, `siwc`'s count here
+    becomes 0."""
+    workload = bench_workloads()["hotspot-backlog"]
+    cfg = parse_config_text(workload.config.format(seed=seed))
+    trace = workload.make_trace(Random(seed), cfg.geometry)
+    for strategy in STRATEGIES:
+        eng = Engine(replace(cfg, strategy=strategy), trace)
+        eng.run()
+        stale, lines = stale_lines(eng)
+        assert lines == written
+        assert len(stale) == (siwc_stale if strategy == "siwc" else 0)
+
+
 # -- the main loop -------------------------------------------------------------
 
 TWO_BANKS = Geometry(ranks=1, banks_per_rank=2, rows_per_bank=8,
@@ -521,10 +541,9 @@ def test_unserviceable_command_stalls_the_engine():
         eng.run()
 
 
-def traced_run(engine_cls, cfg, trace):
+def traced_run(eng):
     """Run one engine; return its report, final random state, conservation
     counts and every `submit` and `next_command` call as (name, now)."""
-    eng = engine_cls(cfg, trace)
     calls = []
     for name in ("submit", "next_command"):
         def traced(*args, _name=name, _fn=getattr(eng, name)):
@@ -556,13 +575,22 @@ RECORDS = st.lists(st.tuples(
 @example(ranks=1, banks=1, depth=1, strategy="none", hit_cycles=0, seed=0,
          records=[(0, False, (0, 0, 0, 0), ZEROS)] * 4
          + [(0, True, (0, 0, 0, 0), ZEROS)] * 2)
+# An empty trace: nothing is due, and the first pass ends the run.
+@example(ranks=1, banks=1, depth=1, strategy="none", hit_cycles=0, seed=0,
+         records=[])
+# The last record is refused, and then admitted by the retry that follows
+# the service of the read ahead of it.
+@example(ranks=1, banks=1, depth=1, strategy="none", hit_cycles=0, seed=0,
+         records=[(0, False, (0, 0, 0, 0), ZEROS)] * 2)
 def test_one_pass_loop_matches_two_pass_reference(ranks, banks, depth,
                                                   strategy, hit_cycles, seed,
                                                   records):
     """Gaps of 0-300 ns against 100-250 ns services: records share times and
     back up, so retries, rescans and waits on busy banks all occur. The
     one-pass loop makes the same calls at the same times as the loop it
-    replaced, and ends in the same state."""
+    replaced, and ends in the same state. Without tables (`none`, `vnc`)
+    no written line is left stale: each holds the trace's last write to
+    it."""
     g = Geometry(ranks=ranks, banks_per_rank=banks, rows_per_bank=8,
                  cols_per_row=2)
     cfg = make_cfg(geometry=g, strategy=strategy, queue_depth=depth,
@@ -574,8 +602,10 @@ def test_one_pass_loop_matches_two_pass_reference(ranks, banks, depth,
             LineAddress(rank % ranks, bank % banks, row, col), g)
         trace.append(TraceRecord(now, "W", addr, data) if write
                      else TraceRecord(now, "R", addr))
-    assert (traced_run(Engine, cfg, trace)
-            == traced_run(TwoPassEngine, cfg, trace))
+    eng = Engine(cfg, trace)
+    assert traced_run(eng) == traced_run(TwoPassEngine(cfg, trace))
+    if strategy in ("none", "vnc"):
+        assert stale_lines(eng)[0] == []
 
 
 # -- the idle path (I4) ------------------------------------------------------
