@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (ConsistencyError, LineAddress, SimConfig, _new_tuple,
                    coin_threshold, draw_below)
-from .media import DIFFERENTIAL, FULL, CellArray, WriteOutcome
+from .media import CellArray, WriteOutcome
 
 if TYPE_CHECKING:
     from .metrics import RunStats
@@ -120,7 +120,7 @@ def vnc_wrap_write(media: CellArray, addr: LineAddress, data: int,
     for nb in pre:
         media.read_line(nb)
 
-    write_out = media.apply_write(addr, data, DIFFERENTIAL)
+    write_out = media.apply_write(addr, data)
     total_ns = write_out.latency_ns
 
     checked = list(pre)  # the worklist: it grows while it is walked
@@ -129,7 +129,7 @@ def vnc_wrap_write(media: CellArray, addr: LineAddress, data: int,
         physical = media.read_line(nb)
         intended = media.intended_line(nb)
         if physical != intended:
-            total_ns += media.apply_write(nb, intended, FULL).latency_ns
+            total_ns += media.apply_write(nb, intended, True).latency_ns
             corrected.append(nb)
             if len(corrected) > max_corrections:
                 raise ConsistencyError(

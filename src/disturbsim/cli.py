@@ -89,7 +89,7 @@ def _load_cfg(args) -> SimConfig:
 
 def _write_output(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

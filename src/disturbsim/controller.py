@@ -18,10 +18,10 @@ command by kind and line, and `_service` pops it from the head of its queue
 in one branch per phase (a host read; a pre-write read, which prepares its
 write; a write). A pre-write read must observe every older write to its line,
 so it may run once its write is the line's oldest queued write: at enqueue,
-or when the write ahead of it leaves. A rewrite is FULL and any other write
-DIFFERENTIAL, until a fresh rewrite merges into it as its line's oldest
-queued write. Each record's address is decoded once, at its first admission
-attempt; retries reuse it.
+or when the write ahead of it leaves. A rewrite is full, programming every
+cell, and any other write differential, until a fresh rewrite merges into it
+as its line's oldest queued write. Each record's address is decoded once, at
+its first admission attempt; retries reuse it.
 
 The strategy is one `Mitigation` per bank (see `baselines`), built from the
 `MITIGATIONS` table. The engine calls only its hooks, and each write hook
@@ -75,7 +75,6 @@ services them without the loop. A fourth invariant makes that exact:
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -85,35 +84,26 @@ from .baselines import Mitigation, Outcome, SiwcCache, vnc_wrap_write
 from .core import (ConsistencyError, LineAddress, RangeError, SimConfig,
                    _new_tuple, decompose_address)
 from .imdb import Imdb
-from .media import DIFFERENTIAL, FULL, CellArray, WriteMode
+from .media import CellArray
 from .metrics import RunStats, energy_total
 from .traces import TraceRecord
 
 
-class CommandKind(enum.Enum):
-    HOST_READ = "host-read"
-    HOST_WRITE = "host-write"
-    REWRITE = "rewrite"
-    WRITEBACK = "writeback"
-
-
-# The members as module constants for the hot paths: on Python 3.11 reading
-# `CommandKind.HOST_READ` goes through EnumType and costs about 120-160 ns,
-# against 10-25 ns for a module constant, and a host write reads about 19.
-HOST_READ = CommandKind.HOST_READ
-HOST_WRITE = CommandKind.HOST_WRITE
-REWRITE = CommandKind.REWRITE
-WRITEBACK = CommandKind.WRITEBACK
+# The command kinds, compared by identity.
+HOST_READ = "host-read"
+HOST_WRITE = "host-write"
+REWRITE = "rewrite"
+WRITEBACK = "writeback"
 
 
 @dataclass(eq=False, slots=True)
 class Command:
     # The engine builds commands positionally, in this field order: with
     # keywords a command costs about twice as much to build.
-    kind: CommandKind
+    kind: str
     addr: LineAddress
     data: int | None = None
-    mode: WriteMode = WriteMode.DIFFERENTIAL
+    full: bool = False
     prepared: bool = False
     old_data: int | None = None
     enqueue_time: int = 0
@@ -254,16 +244,15 @@ class Engine:
         except IndexError:
             return float("inf")
 
-    def _enqueue(self, bank: _Bank, kind: CommandKind, addr: LineAddress,
+    def _enqueue(self, bank: _Bank, kind: str, addr: LineAddress,
                  data: int | None, now: int, at_once: bool = False) -> Command:
         """The one way into a bank queue: number a new command, file it by
-        kind and line, and count the services it owes. A rewrite is FULL and
-        any other write DIFFERENTIAL. A host write is queued unprepared and
+        kind and line, and count the services it owes. A rewrite is full and
+        any other write differential. A host write is queued unprepared and
         serviced twice, first for its pre-write read. A command to be
         serviced `at_once` (I4) is filed only by kind, where it is picked."""
         self._seq = seq = self._seq + 1
-        cmd = Command(kind, addr, data,
-                      FULL if kind is REWRITE else DIFFERENTIAL,
+        cmd = Command(kind, addr, data, kind is REWRITE,
                       kind is not HOST_WRITE, None, now, seq)
         self._admitted += 1
         if kind is HOST_READ:
@@ -314,8 +303,7 @@ class Engine:
         bank = self._bank(addr)
         line = bank.lines.get(addr)
         if line:
-            if line[0].kind is not REWRITE:
-                line[0].mode = FULL  # latest data retained
+            line[0].full = True  # latest data retained
             self.stats.merges += 1
             return True
         self._enqueue(bank, REWRITE, addr, None, now)
@@ -404,10 +392,10 @@ class Engine:
             latency = self._read_ns
         if not absorbed:
             latency += media.apply_write(cmd.addr, cmd.data,
-                                         cmd.mode).latency_ns
+                                         cmd.full).latency_ns
         if latency < 1:  # `run` relies on a serviced bank being busy
             raise ConsistencyError(
-                f"{kind.value} seq {cmd.seq} occupies its bank for "
+                f"{kind} seq {cmd.seq} occupies its bank for "
                 f"{latency} ns")
         bank.busy_until = now + latency
 
@@ -492,7 +480,7 @@ class Engine:
 
 def _not_at_head(cmd: Command) -> ConsistencyError:
     return ConsistencyError(
-        f"{cmd.kind.value} seq {cmd.seq} is not at the head of its queue")
+        f"{cmd.kind} seq {cmd.seq} is not at the head of its queue")
 
 
 def _require_same_bank(addr: LineAddress, what: str,

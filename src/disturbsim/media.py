@@ -5,7 +5,8 @@ SET/crystalline. A RESET pulse on a cell heats the same-column cells on the
 two adjacent wordlines; an idle cell storing 0 that accumulates
 `disturb_limit` pulses flips to 1 (a write-disturbance event). SET pulses
 carry roughly half the heat and are modeled as non-aggressing. Programming a
-cell resets its own accumulation.
+cell resets its own accumulation. A write programs only the cells whose bit
+changes, or, if it is full, every cell.
 
 Pulse counts are kept only for cells storing 0; a cell storing 1 counts
 nothing. This is exact: a cell storing 1 gets back to 0 only by being
@@ -28,22 +29,9 @@ the planes thus acts on all 512 cells at once:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from .core import LINE_BITS, LINE_MASK, LineAddress, SimConfig
-
-
-class WriteMode(enum.Enum):
-    DIFFERENTIAL = "differential"  # programs only differing bits
-    FULL = "full"                  # programs all 512 bits
-
-
-# The members as module constants for the hot paths: on Python 3.11 reading
-# `WriteMode.FULL` goes through EnumType and costs about 120-160 ns, against
-# 10-25 ns for a module constant.
-DIFFERENTIAL = WriteMode.DIFFERENTIAL
-FULL = WriteMode.FULL
 
 
 @dataclass(slots=True)
@@ -142,7 +130,10 @@ class CellArray:
         return line.intended
 
     def apply_write(self, addr: LineAddress, data: int,
-                    mode: WriteMode) -> WriteOutcome:
+                    full: bool = False) -> WriteOutcome:
+        """Write `data` to the line at `addr`. A `full` write programs every
+        cell, which is what a differential write does to a line holding the
+        complement of `data`."""
         lines = self._lines
         line = lines.get(addr)
         if line is None:
@@ -151,16 +142,10 @@ class CellArray:
             raise ValueError(f"line data {data:#x} is not a 512-bit value")
         if line is None:
             line = lines[addr] = _Line(addr, self._fill, self._planes)
-        old = line.phys
-
-        if mode is DIFFERENTIAL:
-            programmed = old ^ data
-            reset_mask = old & ~data  # written to 0
-            set_mask = ~old & data    # written to 1
-        else:
-            programmed = LINE_MASK
-            reset_mask = ~data & LINE_MASK
-            set_mask = data
+        old = ~data & LINE_MASK if full else line.phys
+        programmed = old ^ data
+        reset_mask = old & ~data  # written to 0
+        set_mask = ~old & data    # written to 1
 
         reset_pulses = reset_mask.bit_count()
         set_pulses = set_mask.bit_count()

@@ -161,10 +161,11 @@ def _open_text(path: str, mode: str):
                              errors="surrogateescape")
         return open(path, encoding="utf-8", errors="surrogateescape")
     if not str(path).endswith(".gz"):
-        return open(path, mode)
+        return open(path, mode, encoding="utf-8")
     # mtime=0 keeps the clock out of the header: the same records give the
     # same bytes
-    return io.TextIOWrapper(gzip.GzipFile(path, "wb", mtime=0))
+    return io.TextIOWrapper(gzip.GzipFile(path, "wb", mtime=0),
+                            encoding="utf-8")
 
 
 def write_trace_file(records, path: str) -> None:

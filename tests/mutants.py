@@ -51,6 +51,11 @@ MUTANTS = [
            "                    line.victims = victims\n",
            "                line.victims = victims\n",
            ("tests/test_media.py::test_late_written_neighbor_is_pulsed",)),
+    Mutant("full-write-as-differential", "src/disturbsim/media.py",
+           "old = ~data & LINE_MASK if full else line.phys",
+           "old = line.phys",
+           ("tests/test_media.py::test_media_matches_naive_ledger",
+            "tests/test_golden.py::test_compare_report_matches_golden")),
     Mutant("read-counted-twice", "src/disturbsim/media.py",
            "self.reads += 1", "self.reads += 2",
            ("tests/test_golden.py::test_compare_report_matches_golden",)),
@@ -178,7 +183,8 @@ MUTANTS = [
            ("tests/test_controller.py::"
             "test_one_pass_loop_matches_two_pass_reference",)),
     Mutant("rewrite-enqueued-differential", "src/disturbsim/controller.py",
-           "FULL if kind is REWRITE else DIFFERENTIAL", "DIFFERENTIAL",
+           "Command(kind, addr, data, kind is REWRITE,",
+           "Command(kind, addr, data, False,",
            ("tests/test_golden.py::test_compare_report_matches_golden",)),
     Mutant("loop-issuer-out-of-wake", "src/disturbsim/controller.py",
            "                    issued = True\n"

@@ -12,9 +12,9 @@ watermark, and a pre-write read held back while an older write to its line
 is queued.
 """
 
-from disturbsim.controller import CommandKind
+from disturbsim.controller import HOST_READ, HOST_WRITE, REWRITE, WRITEBACK
 
-WRITE_KINDS = (CommandKind.HOST_WRITE, CommandKind.WRITEBACK)
+WRITE_KINDS = (HOST_WRITE, WRITEBACK)
 
 
 class RefBank:
@@ -24,9 +24,9 @@ class RefBank:
         self.draining = False
 
     def enqueue(self, cmd):
-        if cmd.kind is not CommandKind.HOST_READ:
+        if cmd.kind is not HOST_READ:
             self.write_q.append(cmd)
-        if cmd.kind is CommandKind.HOST_READ or not cmd.prepared:
+        if cmd.kind is HOST_READ or not cmd.prepared:
             self.read_q.append(cmd)
 
     def remove(self, cmd):
@@ -51,11 +51,11 @@ def next_command(bank, queue_depth, drain_watermark):
         bank.draining = False
 
     rewrite = next((c for c in bank.write_q
-                    if c.kind is CommandKind.REWRITE), None)
+                    if c.kind is REWRITE), None)
     if rewrite is not None:
         return rewrite
     host_read = next((c for c in bank.read_q
-                      if c.kind is CommandKind.HOST_READ), None)
+                      if c.kind is HOST_READ), None)
     if host_read is not None:
         return host_read
     ready_write = next((c for c in bank.write_q if c.prepared), None)

@@ -12,7 +12,8 @@ from fractions import Fraction
 from random import Random
 
 from disturbsim.cli import dispatch
-from disturbsim.controller import CommandKind, Engine, run_to_completion
+from disturbsim.controller import (HOST_READ, HOST_WRITE, REWRITE, WRITEBACK,
+                                   Engine, run_to_completion)
 from disturbsim.core import (Geometry, LineAddress, SimConfig, compose_address,
                              decompose_address)
 from disturbsim.imdb import Imdb, sram_capacity
@@ -274,14 +275,13 @@ def random_bank_state(cfg, rng):
     eng = Engine(cfg, [])
     bank = eng.banks[0]
     for _ in range(rng.randrange(6)):
-        kind = rng.choice([CommandKind.HOST_WRITE, CommandKind.WRITEBACK,
-                           CommandKind.REWRITE])
+        kind = rng.choice([HOST_WRITE, WRITEBACK, REWRITE])
         eng._enqueue(bank, kind, LineAddress(0, 0, rng.randrange(8), 0), 0, 0)
         if rng.random() < 0.5:
             eng._service(bank, eng.next_command(bank, 0), 0)
     for _ in range(rng.randrange(3)):
-        eng._enqueue(bank, CommandKind.HOST_READ,
-                     LineAddress(0, 0, rng.randrange(8), 0), None, 0)
+        eng._enqueue(bank, HOST_READ, LineAddress(0, 0, rng.randrange(8), 0),
+                     None, 0)
     bank.draining = rng.random() < 0.5
     return eng, bank
 
@@ -312,14 +312,13 @@ def test_a9_determinism_and_priority(tmp_path):
         for _ in range(10_000):
             eng, bank = random_bank_state(bank_cfg, rng)
             picked = eng.next_command(bank, 0)
-            has_rewrite = any(c.kind is CommandKind.REWRITE
-                              for c in bank.write_q)
+            has_rewrite = any(c.kind is REWRITE for c in bank.write_q)
             if picked is not None:
                 if not picked.prepared:
                     # an unprepared pick is its write's pre-write read,
                     # which runs only once no older write to the line waits
-                    assert picked.kind is CommandKind.HOST_WRITE
+                    assert picked.kind is HOST_WRITE
                     assert bank.lines[picked.addr][0] is picked
                 if has_rewrite:
                     # rewrites outrank everything, pre-write reads included
-                    assert picked.kind is CommandKind.REWRITE
+                    assert picked.kind is REWRITE

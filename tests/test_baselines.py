@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from disturbsim.baselines import SiwcCache, vnc_wrap_write
 from disturbsim.core import LINE_MASK, ConsistencyError, LineAddress
-from disturbsim.media import CellArray, WriteMode
+from disturbsim.media import CellArray
 from disturbsim.metrics import RunStats
 from helpers import TINY, line_of, make_cfg
 
@@ -19,8 +19,8 @@ A = LineAddress(0, 0, 3, 0)
 
 def hammer(media, target, rounds):
     for _ in range(rounds):
-        media.apply_write(target, ONES, WriteMode.DIFFERENTIAL)
-        media.apply_write(target, ZEROS, WriteMode.DIFFERENTIAL)
+        media.apply_write(target, ONES)
+        media.apply_write(target, ZEROS)
 
 
 def test_vnc_detects_and_corrects_disturbance():
@@ -28,7 +28,7 @@ def test_vnc_detects_and_corrects_disturbance():
                    threshold=1)
     media = CellArray(cfg)
     hammer(media, A, 2)  # neighbors at 2 of 3 pulses
-    media.apply_write(A, ONES, WriteMode.DIFFERENTIAL)
+    media.apply_write(A, ONES)
     out, strat = vnc_wrap_write(media, A, ZEROS, cfg)
     # the write itself pushes neighbors over the limit; VnC repairs them
     assert len(out.wde_events) == 2 * 512
@@ -54,7 +54,7 @@ def test_vnc_cascading_corrections_converge():
     b = LineAddress(0, 0, 6, 0)
     hammer(media, A, 2)
     hammer(media, b, 2)  # rows 5 and 7 now sit at 2 of 3 pulses
-    media.apply_write(A, ONES, WriteMode.DIFFERENTIAL)
+    media.apply_write(A, ONES)
     flips = media.flips
     out, strat = vnc_wrap_write(media, A, ZEROS, cfg)
     # correcting row 4 pulses row 5 over the limit; VnC chases that too

@@ -1,6 +1,9 @@
+import gzip
 import json
 import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from disturbsim.media import CellArray
 from disturbsim.traces import TraceParseError, TraceRecord, write_trace_file
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CFG = """
 [geometry]
@@ -626,3 +630,26 @@ def test_readme_example_runs(tmp_path, monkeypatch):
         if command[1] == "sweep":
             command[command.index("--jobs") + 1] = "2"
         assert dispatch(command[1:]) == 0, command
+
+
+def test_written_files_name_their_encoding(cfg_path, tmp_path):
+    """Every file the CLI writes names its encoding: with a missing one
+    turned into an error, `gen` to a plain and a gzipped trace and `run` to
+    a report exit 0 and print nothing to stderr."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH"))
+                           if p)
+    plain, packed = tmp_path / "t.trace", tmp_path / "t.trace.gz"
+    report = tmp_path / "out.json"
+    gen = ["gen", "--kind", "hammer", "--config", cfg_path, "--target",
+           "0x80", "--rounds", "4", "-o"]
+    for args in (gen + [str(plain)], gen + [str(packed)],
+                 ["run", "--config", cfg_path, "--trace", str(plain),
+                  "--format", "json", "-o", str(report)]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "disturbsim.cli", *args],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), args
+    assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+    assert json.loads(report.read_text(encoding="utf-8"))["rows"]

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 import scheduler_ref
 from disturbsim.baselines import Mitigation, Outcome
 from disturbsim.config import parse_config_text
-from disturbsim.controller import (MITIGATIONS, Command, CommandKind, Engine,
-                                   TraceAbort, run_to_completion)
+from disturbsim.controller import (HOST_READ, HOST_WRITE, MITIGATIONS, REWRITE,
+                                   WRITEBACK, Command, Engine, TraceAbort,
+                                   run_to_completion)
 from disturbsim.core import (LINE_MASK, STRATEGIES, ConsistencyError,
                              Geometry, LineAddress, compose_address)
-from disturbsim.media import CellArray, WriteMode
+from disturbsim.media import CellArray
 from disturbsim.metrics import emit_report
 from disturbsim.traces import TraceRecord, gen_hammer, gen_synthetic
 from helpers import TINY, addr_bytes, bench_workloads, make_cfg, stale_lines
@@ -35,7 +36,7 @@ def add(eng, kind, row, prepared=False):
     bank = eng.banks[0]
     data = ZEROS if kind in scheduler_ref.WRITE_KINDS else None
     eng._enqueue(bank, kind, LineAddress(0, 0, row, 0), data, 0)
-    queued = (bank.host_reads[-1] if kind is CommandKind.HOST_READ
+    queued = (bank.host_reads[-1] if kind is HOST_READ
               else next(reversed(bank.write_q)))
     if prepared and not queued.prepared:
         eng._service(bank, queued, 0)
@@ -47,24 +48,24 @@ def add(eng, kind, row, prepared=False):
 
 def test_priority_rewrite_first():
     eng = empty_engine()
-    add(eng, CommandKind.HOST_READ, 1)
-    add(eng, CommandKind.HOST_WRITE, 2, prepared=True)
-    add(eng, CommandKind.REWRITE, 3)
-    assert eng.next_command(eng.banks[0], 0).kind is CommandKind.REWRITE
+    add(eng, HOST_READ, 1)
+    add(eng, HOST_WRITE, 2, prepared=True)
+    add(eng, REWRITE, 3)
+    assert eng.next_command(eng.banks[0], 0).kind is REWRITE
 
 
 def test_priority_host_read_over_pre_write_read():
     eng = empty_engine()
     # the unprepared write stands for its pending pre-write read
-    add(eng, CommandKind.HOST_WRITE, 2)
-    add(eng, CommandKind.HOST_READ, 1)
-    assert eng.next_command(eng.banks[0], 0).kind is CommandKind.HOST_READ
+    add(eng, HOST_WRITE, 2)
+    add(eng, HOST_READ, 1)
+    assert eng.next_command(eng.banks[0], 0).kind is HOST_READ
 
 
 def test_priority_pre_write_read_over_writes():
     eng = empty_engine()
-    add(eng, CommandKind.HOST_WRITE, 3, prepared=True)
-    write = add(eng, CommandKind.HOST_WRITE, 2)
+    add(eng, HOST_WRITE, 3, prepared=True)
+    write = add(eng, HOST_WRITE, 2)
     picked = eng.next_command(eng.banks[0], 0)
     assert picked is write and not picked.prepared  # its pre-write read
 
@@ -72,10 +73,9 @@ def test_priority_pre_write_read_over_writes():
 def test_drain_mode_puts_writes_ahead_of_pre_reads():
     eng = empty_engine(queue_depth=4, drain_low_watermark=2)
     bank = eng.banks[0]
-    writes = [add(eng, CommandKind.HOST_WRITE, r, prepared=True)
-              for r in range(4)]
+    writes = [add(eng, HOST_WRITE, r, prepared=True) for r in range(4)]
     # five writes, above queue_depth: drain kicks in
-    pwr_target = add(eng, CommandKind.HOST_WRITE, 5)
+    pwr_target = add(eng, HOST_WRITE, 5)
     picked = eng.next_command(bank, 0)
     assert picked in writes and picked.prepared
     # draining persists until the queue reaches the low watermark
@@ -93,8 +93,8 @@ def test_drain_mode_puts_writes_ahead_of_pre_reads():
 def test_pre_write_read_waits_for_older_same_line_write():
     eng = empty_engine()
     bank = eng.banks[0]
-    older = add(eng, CommandKind.HOST_WRITE, 2, prepared=True)
-    younger = add(eng, CommandKind.HOST_WRITE, 2)
+    older = add(eng, HOST_WRITE, 2, prepared=True)
+    younger = add(eng, HOST_WRITE, 2)
     # serving the pre-read now would capture stale contents
     assert eng.next_command(bank, 0) is older
     eng._service(bank, older, 0)
@@ -107,7 +107,7 @@ def test_unprepared_writes_never_selected():
     write only once that read has prepared it."""
     eng = empty_engine()
     bank = eng.banks[0]
-    write = add(eng, CommandKind.HOST_WRITE, 2)
+    write = add(eng, HOST_WRITE, 2)
     assert eng.next_command(bank, 0) is write
     eng._service(bank, write, 0)  # the pre-write read: prepares, stays queued
     assert write.prepared and not bank.read_q
@@ -117,12 +117,16 @@ def test_unprepared_writes_never_selected():
     assert eng.next_command(bank, 0) is None
 
 
+# the ids keep the case names these tests had when the kinds were an Enum
 @pytest.mark.parametrize("kind,prepared", [
-    (CommandKind.HOST_READ, True),    # a host read
-    (CommandKind.HOST_WRITE, False),  # a pre-write read
-    (CommandKind.HOST_WRITE, True),   # a host write's write
-    (CommandKind.WRITEBACK, True),
-    (CommandKind.REWRITE, True),
+    pytest.param(HOST_READ, True,  # a host read
+                 id="CommandKind.HOST_READ-True"),
+    pytest.param(HOST_WRITE, False,  # a pre-write read
+                 id="CommandKind.HOST_WRITE-False"),
+    pytest.param(HOST_WRITE, True,  # a host write's write
+                 id="CommandKind.HOST_WRITE-True"),
+    pytest.param(WRITEBACK, True, id="CommandKind.WRITEBACK-True"),
+    pytest.param(REWRITE, True, id="CommandKind.REWRITE-True"),
 ])
 def test_service_takes_only_the_head_of_its_queue(kind, prepared):
     """Each phase of `_service` pops the head of its queue and raises if
@@ -132,7 +136,7 @@ def test_service_takes_only_the_head_of_its_queue(kind, prepared):
     second = add(eng, kind, 2, prepared)
     assert second.prepared is prepared
     with pytest.raises(ConsistencyError,
-                       match=f"{kind.value} seq {second.seq} is not at the "
+                       match=f"{kind} seq {second.seq} is not at the "
                              f"head of its queue"):
         eng._service(eng.banks[0], second, 0)
 
@@ -143,9 +147,9 @@ def test_service_takes_only_the_head_of_its_queue(kind, prepared):
 def test_merge_rewrite_upgrades_queued_write():
     eng = empty_engine()
     bank = eng.banks[0]
-    queued = add(eng, CommandKind.HOST_WRITE, 2)
+    queued = add(eng, HOST_WRITE, 2)
     assert eng.merge_rewrite(LineAddress(0, 0, 2, 0), 0)
-    assert queued.mode is WriteMode.FULL
+    assert queued.full
     assert eng.stats.merges == 1
     assert len(bank.write_q) == 1  # nothing new enqueued
 
@@ -156,7 +160,7 @@ def test_merge_rewrite_enqueues_when_no_match():
     assert not eng.merge_rewrite(LineAddress(0, 0, 2, 0), 0)
     assert len(bank.write_q) == 1
     (rw,) = bank.write_q
-    assert rw.kind is CommandKind.REWRITE and rw.prepared
+    assert rw.kind is REWRITE and rw.prepared
 
 
 def test_duplicate_rewrites_coalesce():
@@ -190,26 +194,26 @@ def test_indexed_bank_matches_reference_scheduler(depth, ops):
 
     def add(kind, addr, data=None):
         eng._enqueue(bank, kind, addr, data, 0)
-        ref.enqueue(bank.host_reads[-1] if kind is CommandKind.HOST_READ
+        ref.enqueue(bank.host_reads[-1] if kind is HOST_READ
                     else next(reversed(bank.write_q)))
 
     for op, row in ops:
         addr = LineAddress(0, 0, row, 0)
         if op == "read":
-            add(CommandKind.HOST_READ, addr)
+            add(HOST_READ, addr)
         elif op == "write":
-            add(CommandKind.HOST_WRITE, addr, ZEROS)
+            add(HOST_WRITE, addr, ZEROS)
         elif op == "writeback":
-            add(CommandKind.WRITEBACK, addr, ZEROS)
+            add(WRITEBACK, addr, ZEROS)
         elif op == "rewrite":
             target = scheduler_ref.merge_target(ref, addr)
-            modes = {c: c.mode for c in ref.write_q}
+            modes = {c: c.full for c in ref.write_q}
             merged = eng.merge_rewrite(addr, 0)
             assert merged == (target is not None)
-            upgraded = [c for c in ref.write_q if c.mode is not modes[c]]
+            upgraded = [c for c in ref.write_q if c.full is not modes[c]]
             if merged and target.kind in scheduler_ref.WRITE_KINDS:
                 assert all(c is target for c in upgraded)
-                assert target.mode is WriteMode.FULL
+                assert target.full
             else:
                 assert upgraded == []
             if not merged:
@@ -356,7 +360,7 @@ def test_finalize_checks_conservation():
         eng.run()
 
     eng = Engine(make_cfg(strategy="imdb"), trace)
-    stale = Command(CommandKind.HOST_WRITE, LineAddress(0, 0, 7, 0))
+    stale = Command(HOST_WRITE, LineAddress(0, 0, 7, 0))
     eng.banks[0].lines[stale.addr] = [stale]  # a write the queues never held
     with pytest.raises(ConsistencyError, match="indexes queued writes"):
         eng.run()
@@ -415,6 +419,25 @@ def test_lost_writes_on_hotspot_backlog(seed, siwc_stale, written):
         stale, lines = stale_lines(eng)
         assert lines == written
         assert len(stale) == (siwc_stale if strategy == "siwc" else 0)
+
+
+def test_imdb_loses_a_write_its_barrier_entry_absorbs_at_admission():
+    """ROADMAP item 11, pinned until step 2 mends it: four writes to one
+    line, all due at 0. The fourth is absorbed at admission into the
+    line's barrier entry while the third is still queued, and the third's
+    later service stores its older data over it, so `imdb` leaves the line
+    stale. The other strategies lose nothing. When step 2 is done, `imdb`
+    leaves no stale line here either."""
+    g = Geometry(ranks=1, banks_per_rank=1, rows_per_bank=8, cols_per_row=2)
+    addr = LineAddress(0, 0, 1, 1)
+    trace = [TraceRecord(0, "W", compose_address(addr, g), data)
+             for data in (ONES, ZEROS, ZEROS, ONES)]
+    cfg = make_cfg(geometry=g, queue_depth=2, n_b=2, hit_cycles=0, seed=0)
+    for strategy in STRATEGIES:
+        eng = Engine(replace(cfg, strategy=strategy), trace)
+        eng.run()
+        assert stale_lines(eng) == (
+            ([addr] if strategy == "imdb" else []), 1)
 
 
 # -- the main loop -------------------------------------------------------------
@@ -482,8 +505,7 @@ def test_engine_writes_a_host_write_unless_its_hook_absorbs_it(absorbed):
     eng = bank0_write_engine(TablesOnly)
     eng.banks[0].mitigation.absorbed = absorbed
     addr = LineAddress(0, 0, 2, 0)
-    media_ns = CellArray(eng.cfg).apply_write(addr, ONES,
-                                              WriteMode.DIFFERENTIAL).latency_ns
+    media_ns = CellArray(eng.cfg).apply_write(addr, ONES).latency_ns
     eng.run()
     assert eng.media.writes == (0 if absorbed else 1)
     assert eng.media.intended_line(addr) == (ZEROS if absorbed else ONES)

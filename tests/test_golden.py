@@ -159,8 +159,8 @@ def test_each_media_operation_is_counted_once(monkeypatch, strategy, name):
     seen = dict(reads=0, writes=0, set_pulses=0, reset_pulses=0, flips=0)
     apply_write, read_line = CellArray.apply_write, CellArray.read_line
 
-    def counted_write(self, addr, data, mode):
-        out = apply_write(self, addr, data, mode)
+    def counted_write(self, addr, data, full=False):
+        out = apply_write(self, addr, data, full)
         seen["writes"] += 1
         seen["set_pulses"] += out.set_pulses
         seen["reset_pulses"] += out.reset_pulses

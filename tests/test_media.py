@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from disturbsim.config import parse_config_text
 from disturbsim.core import LINE_MASK, Geometry, LineAddress, RangeError
-from disturbsim.media import CellArray, WriteMode
+from disturbsim.media import CellArray
 from helpers import TINY, bench_workloads, make_cfg, random_line
 from oracle import NaiveLedger
 
@@ -23,15 +23,15 @@ def ledger_counts(ledger, addr):
 
 def test_differential_write_pulses():
     media = CellArray(make_cfg(initial_fill="ones"))
-    out = media.apply_write(A, 0, WriteMode.DIFFERENTIAL)
+    out = media.apply_write(A, 0)
     assert (out.reset_pulses, out.set_pulses) == (512, 0)
-    out = media.apply_write(A, 0, WriteMode.DIFFERENTIAL)
+    out = media.apply_write(A, 0)
     assert (out.reset_pulses, out.set_pulses) == (0, 0)  # nothing differs
 
 
 def test_full_write_pulses_regardless_of_contents():
     media = CellArray(make_cfg(initial_fill="zeros"))
-    out = media.apply_write(A, 0xff, WriteMode.FULL)
+    out = media.apply_write(A, 0xff, full=True)
     assert out.reset_pulses == 512 - 8
     assert out.set_pulses == 8
 
@@ -40,7 +40,7 @@ def test_apply_write_rejects_out_of_range_line():
     media = CellArray(make_cfg())
     for bad in (-1, 1 << 512):
         with pytest.raises(ValueError, match="512-bit"):
-            media.apply_write(A, bad, WriteMode.FULL)
+            media.apply_write(A, bad, full=True)
     assert media.read_line(A) == 0  # nothing was written
 
 
@@ -59,9 +59,9 @@ def assert_rejected(media, bad):
         with pytest.raises(RangeError):
             media.intended_line(bad)
         with pytest.raises(RangeError):
-            media.apply_write(bad, 0, WriteMode.FULL)
+            media.apply_write(bad, 0, full=True)
         with pytest.raises(RangeError):
-            media.apply_write(bad, LINE_MASK, WriteMode.DIFFERENTIAL)
+            media.apply_write(bad, LINE_MASK)
 
 
 @pytest.mark.parametrize("bad", OUT_OF_RANGE)
@@ -76,7 +76,7 @@ def test_out_of_range_address_raises_on_every_call(bad):
             for row in range(GRID.rows_per_bank):
                 for col in range(GRID.cols_per_row):
                     line = LineAddress(rank, bank, row, col)
-                    media.apply_write(line, 0, WriteMode.FULL)
+                    media.apply_write(line, 0, full=True)
                     media.read_line(line)
                     media.intended_line(line)
     assert_rejected(media, bad)
@@ -86,7 +86,7 @@ def test_out_of_range_address_raises_on_every_call(bad):
 def test_set_pulses_do_not_disturb():
     media = CellArray(make_cfg(initial_fill="zeros", disturb_limit=2))
     for _ in range(5):
-        media.apply_write(A, LINE_MASK, WriteMode.FULL)
+        media.apply_write(A, LINE_MASK, full=True)
     assert not any(media.accum_of(UP))
 
 
@@ -95,8 +95,8 @@ def test_flip_at_limit_then_accumulation_resets():
     media = CellArray(cfg)
     events = []
     for i in range(3):
-        media.apply_write(A, LINE_MASK, WriteMode.DIFFERENTIAL)
-        out = media.apply_write(A, 0, WriteMode.DIFFERENTIAL)
+        media.apply_write(A, LINE_MASK)
+        out = media.apply_write(A, 0)
         events.extend(out.wde_events)
         if i < 2:
             assert not out.wde_events
@@ -110,32 +110,32 @@ def test_flip_at_limit_then_accumulation_resets():
 
 def test_programming_a_cell_clears_its_accumulation():
     media = CellArray(make_cfg(initial_fill="zeros", disturb_limit=4))
-    media.apply_write(A, LINE_MASK, WriteMode.DIFFERENTIAL)
-    media.apply_write(A, 0, WriteMode.DIFFERENTIAL)
+    media.apply_write(A, LINE_MASK)
+    media.apply_write(A, 0)
     assert media.accum_of(UP)[0] == 1
     # a full rewrite of the neighbor restores it and clears the ledger
-    media.apply_write(UP, 0, WriteMode.FULL)
+    media.apply_write(UP, 0, full=True)
     assert media.accum_of(UP)[0] == 0
 
 
 def test_edge_row_has_one_neighbor():
     media = CellArray(make_cfg(initial_fill="zeros", disturb_limit=1))
     top = LineAddress(0, 0, 0, 0)
-    out = media.apply_write(top, 0, WriteMode.FULL)
+    out = media.apply_write(top, 0, full=True)
     assert {nb for nb, _ in out.wde_events} == {LineAddress(0, 0, 1, 0)}
     assert len(out.wde_events) == 512
 
 
 def test_occupied_cells_do_not_flip():
     media = CellArray(make_cfg(initial_fill="ones", disturb_limit=1))
-    out = media.apply_write(A, 0, WriteMode.DIFFERENTIAL)
+    out = media.apply_write(A, 0)
     assert out.wde_events == []  # neighbors store 1
 
 
 def test_intended_shadow_and_scrub():
     media = CellArray(make_cfg(initial_fill="zeros", disturb_limit=1))
-    media.apply_write(A, LINE_MASK, WriteMode.DIFFERENTIAL)
-    media.apply_write(A, 0, WriteMode.DIFFERENTIAL)
+    media.apply_write(A, LINE_MASK)
+    media.apply_write(A, 0)
     div = media.scrub_divergence()
     assert [addr for addr, _ in div] == [UP, DOWN]
     assert all(bits == 512 for _, bits in div)
@@ -146,13 +146,10 @@ def test_intended_shadow_and_scrub():
 def test_write_latency_classes():
     cfg = make_cfg(initial_fill="zeros", set_ns=150, reset_ns=100)
     media = CellArray(cfg)
-    assert media.apply_write(A, LINE_MASK,
-                             WriteMode.DIFFERENTIAL).latency_ns == 150
-    assert media.apply_write(A, 0,
-                             WriteMode.DIFFERENTIAL).latency_ns == 100
+    assert media.apply_write(A, LINE_MASK).latency_ns == 150
+    assert media.apply_write(A, 0).latency_ns == 100
     # a no-op differential write still occupies a RESET-class slot
-    assert media.apply_write(A, 0,
-                             WriteMode.DIFFERENTIAL).latency_ns == 100
+    assert media.apply_write(A, 0).latency_ns == 100
 
 
 @settings(max_examples=30, deadline=None)
@@ -172,8 +169,7 @@ def test_media_matches_naive_ledger(seed, fill_ones):
         addr = LineAddress(0, 0, rng.randrange(8), 0)
         data = random_line(rng)
         full = rng.random() < 0.3
-        mode = WriteMode.FULL if full else WriteMode.DIFFERENTIAL
-        out = media.apply_write(addr, data, mode)
+        out = media.apply_write(addr, data, full)
         ledger.write(addr, data, full=full)
         events.extend(out.wde_events)
     assert sorted(events) == sorted(ledger.wde_events)
@@ -205,8 +201,7 @@ def test_victim_cache_matches_naive_ledger():
     events = []
     for addr, datas in writes:
         for data in datas:
-            events.extend(media.apply_write(addr, data,
-                                            WriteMode.DIFFERENTIAL).wde_events)
+            events.extend(media.apply_write(addr, data).wde_events)
             ledger.write(addr, data)
     assert events and sorted(events) == sorted(ledger.wde_events)
     assert {nb for nb, _ in events} == {LineAddress(0, 0, r, 0)
@@ -237,8 +232,7 @@ def test_late_written_neighbor_is_pulsed():
     events = []
 
     def write(addr, data):
-        events.extend(media.apply_write(addr, data,
-                                        WriteMode.DIFFERENTIAL).wde_events)
+        events.extend(media.apply_write(addr, data).wde_events)
         ledger.write(addr, data)
 
     write(DOWN, random_line(rng))
