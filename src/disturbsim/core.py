@@ -157,7 +157,10 @@ def draw_below(getrandbits, n: int, bits: int) -> int:
 
 
 def decompose_address(byte_addr: int, g: Geometry) -> LineAddress:
-    """Map a module byte address onto (rank, bank, row, col)."""
+    """Map a module byte address onto (rank, bank, row, col): an address
+    in the geometry, or RangeError for a byte address outside the module.
+    This is where a trace's address is checked; the media trusts what it
+    returns."""
     if byte_addr < 0:
         raise RangeError(f"byte_addr {byte_addr} is negative")
     if byte_addr >= g.capacity_bytes:

@@ -82,10 +82,9 @@ class CellArray:
     intended-data shadow records what each line should hold so that
     exposure of disturbance errors is measurable.
 
-    An address is validated against the geometry when a call first touches
-    its line: a line is materialized only after its address passed the
-    check, so a call that finds the line materialized skips it, and an
-    out-of-range address raises RangeError on every call.
+    Every address given to the array lies in the geometry, as
+    `decompose_address` and `neighbor_rows` make it; the array trusts it
+    and does not test it again.
 
     The array counts the media operations it performs: `reads`, `writes`,
     their `set_pulses` and `reset_pulses`, and the `flips` they caused.
@@ -115,31 +114,24 @@ class CellArray:
         self.set_pulses = self.reset_pulses = 0
 
     def read_line(self, addr: LineAddress) -> int:
+        """The cells of the line at `addr`, which lies in the geometry."""
         self.reads += 1
         line = self._lines.get(addr)
-        if line is None:
-            addr.check(self.geometry)
-            return self._fill
-        return line.phys
+        return self._fill if line is None else line.phys
 
     def intended_line(self, addr: LineAddress) -> int:
         line = self._lines.get(addr)
-        if line is None:
-            addr.check(self.geometry)
-            return self._fill
-        return line.intended
+        return self._fill if line is None else line.intended
 
     def apply_write(self, addr: LineAddress, data: int,
                     full: bool = False) -> WriteOutcome:
-        """Write `data` to the line at `addr`. A `full` write programs every
-        cell, which is what a differential write does to a line holding the
-        complement of `data`."""
-        lines = self._lines
-        line = lines.get(addr)
-        if line is None:
-            addr.check(self.geometry)
+        """Write `data` to the line at `addr`, which lies in the geometry.
+        A `full` write programs every cell, which is what a differential
+        write does to a line holding the complement of `data`."""
         if not 0 <= data <= LINE_MASK:
             raise ValueError(f"line data {data:#x} is not a 512-bit value")
+        lines = self._lines
+        line = lines.get(addr)
         if line is None:
             line = lines[addr] = _Line(addr, self._fill, self._planes)
         old = ~data & LINE_MASK if full else line.phys

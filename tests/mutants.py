@@ -8,7 +8,11 @@ temporary directory, applies one mutant there, runs its tests with
 edited. A named test that cannot run in the copy would fail there for that
 reason alone, so the runner first runs every named test once in an
 unmutated copy and requires them all to pass. Hypothesis runs with a fixed
-seed, so a kill does not depend on the examples a run happens to draw.
+seed, so a kill does not depend on the examples a run happens to draw, and
+under the `mutants` profile of `tests/conftest.py`, which does not shrink:
+a failing example already kills the mutant, and shrinking it can take
+minutes. The profile changes how soon a kill is found, not what counts as
+one.
 
     python3 tests/mutants.py
 
@@ -59,6 +63,15 @@ MUTANTS = [
     Mutant("read-counted-twice", "src/disturbsim/media.py",
            "self.reads += 1", "self.reads += 2",
            ("tests/test_golden.py::test_compare_report_matches_golden",)),
+    Mutant("neighbor-row-past-the-edge", "src/disturbsim/core.py",
+           "if row < g.rows_per_bank - 1:", "if row < g.rows_per_bank:",
+           ("tests/test_core.py::test_neighbor_rows_skip_edges",
+            "tests/test_controller.py::"
+            "test_idle_path_matches_the_queue_path")),
+    Mutant("decode-past-capacity", "src/disturbsim/core.py",
+           "if byte_addr >= g.capacity_bytes:",
+           "if byte_addr > g.capacity_bytes:",
+           ("tests/test_core.py::test_address_out_of_range",)),
     Mutant("coin-floor", "src/disturbsim/core.py",
            "return -(-p.numerator * _RANDOM_SCALE // p.denominator)",
            "return (p.numerator * _RANDOM_SCALE // p.denominator)",
@@ -252,7 +265,7 @@ def pytest_in_copy(tests: tuple[str, ...],
             target.write_text(apply(target.read_text(), mutant))
         env = dict(os.environ, PYTHONPATH="src")
         cmd = [sys.executable, "-m", "pytest", "-x", "-q",
-               "--hypothesis-seed=0", *tests]
+               "--hypothesis-seed=0", "--hypothesis-profile=mutants", *tests]
         try:
             proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True,
                                   text=True, timeout=TIMEOUT_S)
@@ -276,7 +289,7 @@ def run(mutant: Mutant) -> tuple[bool, str]:
 
 
 def main() -> int:
-    start = time.perf_counter()
+    begin = start = time.perf_counter()
     named = tuple(sorted({t for mutant in MUTANTS for t in mutant.tests}))
     code, tail = pytest_in_copy(named)
     print(f"baseline: {len(named)} named tests in an unmutated copy "
@@ -291,6 +304,8 @@ def main() -> int:
         survivors += not killed
         print(f"{'killed' if killed else 'SURVIVED'} {mutant.name} "
               f"({how}, {time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed in "
+          f"{time.perf_counter() - begin:.1f} s", flush=True)
     return 1 if survivors else 0
 
 

@@ -791,11 +791,17 @@ def test_idle_path_matches_the_queue_path(ranks, banks, depth, low, strategy,
     """A command serviced at once when it finds the controller idle (I4)
     ends the run exactly as the queue path would: the same report, random
     state and conservation counts, and the same media calls in the same
-    order with the same arguments."""
+    order with the same arguments. Every address given to the media lies in
+    the geometry, edge-row neighbours and VnC's reads among them, as the
+    media trusts it."""
     cfg = idle_cfg(ranks, banks, depth, low, strategy, hit_cycles, seed)
     trace = paced_trace(records, cfg.geometry)
-    assert (media_run(Engine, cfg, trace)
-            == media_run(QueuedEngine, cfg, trace))
+    run = media_run(Engine, cfg, trace)
+    assert run == media_run(QueuedEngine, cfg, trace)
+    for _, args in run[-1]:  # the media calls
+        for arg in args:
+            if isinstance(arg, LineAddress):
+                arg.check(cfg.geometry)
 
 
 def test_idle_examples_reach_what_they_name():
