@@ -5,13 +5,20 @@ Times are non-decreasing, `#` starts a comment, write records carry a full
 512-bit payload. A `.gz` suffix is handled transparently by the file
 helpers. The text format is chosen over binary for diff-ability.
 
-`parse_trace` reads a well-formed, comment-free record with one regex
-match (`_RECORD`), then checks that the op agrees with whether data is
-present and that the time does not decrease. Any other line (a comment, a
-blank line, a malformed field, a decreasing time) goes to the field-by-field
-checks in `_parse_line`, which skip it or raise the error, so every
-`TraceParseError` about a record and its position come from those checks;
-an unreadable `.gz` file raises one at the line where its data ended.
+`parse_trace` splits each line with one `str.split`, which splits on the
+same whitespace as `_FIELD`, and takes a canonical record directly: a read
+of 3 fields or a write of 4, an `isascii()` and `isdigit()` time, an
+`isascii()` and `isalnum()` address that `int(a, 16)` converts, `0x` plus
+128 characters of data that `bytes.fromhex` converts (it refuses anything
+but hex digits), and a time that does not decrease. The ASCII tests keep
+out what `int()` would also take: non-ASCII digits, signs and
+underscores. No `#` test is needed: a `#` lands in some field, which then
+fails its check. Any other line (a comment, a blank line, a malformed
+field, a decreasing time, a conversion's `ValueError`) goes to the
+field-by-field checks in `_parse_line`, which skip it or raise the error,
+so every `TraceParseError` about a record and its position come from
+those checks; an unreadable `.gz` file raises one at the line where its
+data ended.
 Files are decoded as UTF-8 with `surrogateescape`, so a byte that is not
 UTF-8 never stops the decoder mid-file: it reaches `_parse_line` as a lone
 surrogate, which is no digit, op or hex character, and fails there with its
@@ -38,14 +45,6 @@ _HEX_CHARS = LINE_BITS // 4  # 128
 _DECIMAL = re.compile(r"[0-9]+")
 _HEX = re.compile(r"(?:0[xX])?([0-9a-fA-F]+)")
 _FIELD = re.compile(r"\S+")  # whitespace as `str.split` splits on it
-# A whole record in the form `TraceRecord.format` writes, with any spaces
-# or tabs between the fields and any whitespace after the last one.
-_RECORD = re.compile(
-    r"[ \t]*([0-9]+)"                                       # time
-    r"[ \t]+([RW])"                                         # op
-    r"[ \t]+(?:0[xX])?([0-9a-fA-F]+)"                       # address
-    rf"(?:[ \t]+(?:0[xX])?([0-9a-fA-F]{{{_HEX_CHARS}}}))?"  # data
-    r"\s*")
 
 
 class TraceParseError(ValueError):
@@ -118,33 +117,44 @@ def _parse_line(raw: str, line_no: int, last_time: int) -> TraceRecord | None:
 
 
 def parse_trace(source) -> list[TraceRecord]:
-    """Strictly parse a trace from a text stream or an iterable of lines."""
+    """Strictly parse a trace from a text stream or an iterable of lines,
+    one line at a time: a canonical record is split and converted here,
+    any other line is left to `_parse_line`."""
     records = []
     append = records.append
-    match = _RECORD.fullmatch
+    fromhex = bytes.fromhex
     last_time = 0
     line_no = 0
     try:
         for line_no, raw in enumerate(source, start=1):
-            m = match(raw)
-            if m is not None:
-                time, op, addr, data = m.groups()
-                try:
-                    t = int(time)
-                except ValueError:  # too many digits: _parse_line says where
-                    t = -1
-                # a write carries data and a read does not
-                if t >= last_time and (data is None) is (op == "R"):
-                    last_time = t
-                    append(_new_tuple(TraceRecord, (
-                        t, op, int(addr, 16),
-                        None if data is None else int(data, 16))))
-                    continue
+            parts = raw.split()
+            try:
+                if len(parts) == 3:
+                    time, op, a = parts
+                    data = None
+                    fast = op == "R"
+                else:  # a count other than 4 fails to unpack
+                    time, op, a, d = parts
+                    fast = (op == "W" and len(d) == _HEX_CHARS + 2
+                            and d[:2] in ("0x", "0X"))
+                    if fast:  # fromhex refuses any non-hex character
+                        data = int.from_bytes(fromhex(d[2:]), "big")
+                if (fast and time.isascii() and time.isdigit()
+                        and a.isascii() and a.isalnum()):
+                    t = int(time)  # too many digits: ValueError
+                    addr = int(a, 16)
+                    if t >= last_time:
+                        last_time = t
+                        append(_new_tuple(TraceRecord, (t, op, addr, data)))
+                        continue
+            except ValueError:  # _parse_line says what is wrong and where
+                pass
             record = _parse_line(raw, line_no, last_time)
             if record is not None:
                 last_time = record.time
                 append(record)
-    except (EOFError, zlib.error) as exc:  # a truncated or corrupt .gz
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        # a truncated, corrupt or not gzipped .gz file
         raise TraceParseError(line_no + 1, 1,
                               f"unreadable compressed data: {exc}") from exc
     return records

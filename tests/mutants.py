@@ -103,13 +103,18 @@ MUTANTS = [
            "            del self._where[e.addr]\n", "            pass\n",
            ("tests/test_imdb.py::test_check_holds_after_every_operation",)),
     Mutant("parser-accepts-decreasing-time", "src/disturbsim/traces.py",
-           "if t >= last_time and (data is None) is (op == \"R\"):",
-           "if (data is None) is (op == \"R\"):",
+           "if t >= last_time:", "if True:",
            ("tests/test_traces.py::test_parse_errors_carry_position",)),
     Mutant("parser-accepts-op-data-mismatch", "src/disturbsim/traces.py",
-           "if t >= last_time and (data is None) is (op == \"R\"):",
-           "if t >= last_time:",
+           'fast = op == "R"', "fast = True",
            ("tests/test_traces.py::test_parse_errors_carry_position",)),
+    Mutant("parser-accepts-non-ascii-address", "src/disturbsim/traces.py",
+           "and a.isascii() and a.isalnum()", "and a.isalnum()",
+           ("tests/test_traces.py::test_parse_errors_carry_position",
+            "tests/test_traces.py::test_parse_matches_reference")),
+    Mutant("parser-data-via-int", "src/disturbsim/traces.py",
+           'int.from_bytes(fromhex(d[2:]), "big")', "int(d, 16)",
+           ("tests/test_traces.py::test_parse_matches_reference",)),
     Mutant("watermark-may-be-negative", "src/disturbsim/core.py",
            "if not 0 <= self.drain_watermark < self.queue_depth:",
            "if not self.drain_watermark < self.queue_depth:",

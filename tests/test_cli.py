@@ -553,6 +553,30 @@ def test_truncated_gz_trace_exit_code(cfg_path, tmp_path, capsys):
     assert err.startswith("E:2:line 1, column 1: unreadable compressed data")
 
 
+def test_plain_text_named_gz_trace_exit_code(cfg_path, tmp_path, capsys):
+    plain = tmp_path / "plain.trace.gz"
+    plain.write_text("0 R 0x0\n")
+    rc = dispatch(["run", "--config", cfg_path, "--trace", str(plain)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("E:2:line 1, column 1: unreadable compressed data: "
+                          "Not a gzipped file")
+
+
+def test_corrupt_crc_gz_trace_exit_code(cfg_path, tmp_path, capsys):
+    path = tmp_path / "crc.trace.gz"
+    assert dispatch(["gen", "--kind", "hammer", "--rounds", "50",
+                     "-o", str(path)]) == 0
+    data = bytearray(path.read_bytes())
+    data[-8] ^= 0xFF  # the gzip trailer: CRC-32, then the length
+    path.write_bytes(bytes(data))
+    rc = dispatch(["run", "--config", cfg_path, "--trace", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("E:2:line ")
+    assert ", column 1: unreadable compressed data: CRC check failed" in err
+
+
 def test_non_utf8_trace_exit_code(cfg_path, tmp_path, capsys):
     bad = tmp_path / "bin.trace"
     bad.write_bytes(b"0 R 0x0\n10 R 0x40\n\xff\xfe junk\n")

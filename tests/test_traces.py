@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import trace_ref
+from disturbsim import traces
 from disturbsim.core import LINE_BYTES, LINE_MASK, Geometry, decompose_address
 from disturbsim.traces import (TraceParseError, TraceRecord, emit_trace,
                                gen_hammer, gen_slow_flip, gen_synthetic,
@@ -86,6 +87,7 @@ def test_gzip_output_is_reproducible(tmp_path, monkeypatch):
     ("0 R 0x4_0\n", 1, 5),              # address
     ("0 W 0x0 " + "f_" * 63 + "ff\n", 1, 9),  # 128 chars, 65 digits
     ("0 W 0x0 0x" + "\u0663" * 128 + "\n", 1, 9),  # Arabic-Indic digits
+    ("0 R 0x\u0663\n", 1, 5),            # int("0x\u0663", 16) == 3
 ])
 def test_parse_errors_carry_position(text, line_no, column):
     with pytest.raises(TraceParseError) as exc:
@@ -196,7 +198,7 @@ def test_record_pickles_is_immutable_and_formats():
     assert read.data is None
     assert read.format() == "9 R 0x40"
     assert write.format() == "7 W 0x80 0x8" + "0" * 126 + "5"
-    # the one-match path builds the same type as the constructor
+    # the split-and-convert path builds the same type as the constructor
     assert all(type(r) is TraceRecord for r in parse_text(
         emit_trace([write, read])))
 
@@ -214,6 +216,25 @@ def test_overlong_time_carries_position(line, column):
     assert (exc.value.line_no, exc.value.column) == (2, column)
 
 
+def test_canonical_lines_take_the_split_path(monkeypatch):
+    """Every line `TraceRecord.format` writes, from each generator and in
+    each golden trace, is parsed without the field-by-field checks."""
+    def refuse(raw, line_no, last_time):
+        raise AssertionError(f"line {line_no} left the split path: {raw!r}")
+
+    monkeypatch.setattr(traces, "_parse_line", refuse)
+    texts = [emit_trace(gen_synthetic(kind, 300, Random(1)))
+             for kind in ("uniform", "hotspot")]
+    texts.append(emit_trace(gen_slow_flip(
+        4, 2, 6, Random(1),
+        Geometry(ranks=1, banks_per_rank=1, rows_per_bank=9, cols_per_row=4))))
+    texts.append(emit_trace(gen_hammer(0x80, 20)))
+    texts += [path.read_text() for path in sorted(GOLDEN.glob("*.trace"))]
+    for text in texts:
+        recs = parse_text(text)
+        assert emit_trace(recs) == text
+
+
 # -- equivalence with the reference parser -------------------------------
 
 SEPARATORS = st.sampled_from([" ", " ", " ", "\t", "  ", " \t", "\x0b",
@@ -226,15 +247,27 @@ ENDINGS = st.sampled_from(["\n", "\n", "\r\n"])
 FAULTS = st.sampled_from([""] * 12 + [
     "decreasing", "signed", "underscore", "arabic", "too-long",
     "leading-zeros", "bad-op", "signed-addr", "bad-addr", "bare-prefix",
-    "short-data", "long-data", "read-data", "write-no-data", "trailing"])
+    "short-data", "long-data", "read-data", "write-no-data", "trailing",
+    "unicode-addr", "unicode-data", "underscore-data"])
+# Digits that int() takes and the format does not.
+UNICODE_DIGITS = st.sampled_from(["\u0663", "\uff13", "\u0967"])
 
 
 @st.composite
-def hex_field(draw, value, width=None):
+def hex_field(draw, value, width=None, prefixes=("0x", "0X", "")):
     digits = f"{value:0{width}x}" if width else f"{value:x}"
     if draw(st.booleans()):
         digits = digits.upper()
-    return draw(st.sampled_from(["0x", "0X", ""])) + digits
+    return draw(st.sampled_from(prefixes)) + digits
+
+
+@st.composite
+def replace_digit(draw, field, new):
+    """`field` with one of its digits, after any `0x` prefix, replaced by
+    `new`: the field keeps its prefix and its length."""
+    i = draw(st.integers(2 if field[:2] in ("0x", "0X") else 0,
+                         len(field) - 1))
+    return field[:i] + new + field[i + 1:]
 
 
 @st.composite
@@ -264,12 +297,19 @@ def record_line(draw, time):
         addr = draw(st.sampled_from(["zz", "0x4_0", "0xg"]))
     elif fault == "bare-prefix":
         addr = draw(st.sampled_from(["0x", "0X"]))
+    elif fault == "unicode-addr":
+        addr = draw(replace_digit(addr, draw(UNICODE_DIGITS)))
     fields = [time_field, op, addr]
     with_data = (op == "W") != (fault in ("read-data", "write-no-data"))
     if with_data:
         width = {"short-data": 127, "long-data": 129}.get(fault, 128)
         value = draw(st.integers(0, (1 << 4 * width) - 1))
-        fields.append(draw(hex_field(value, width)))
+        if fault in ("unicode-data", "underscore-data"):
+            data = draw(hex_field(value, width, ("0x", "0X")))
+            new = draw(UNICODE_DIGITS) if fault == "unicode-data" else "_"
+            fields.append(draw(replace_digit(data, new)))
+        else:
+            fields.append(draw(hex_field(value, width)))
     if fault == "trailing":
         fields.append(draw(st.sampled_from(["junk", "0", "\u0663"])))
     line = draw(LEADING) + fields[0]
@@ -303,11 +343,15 @@ def trace_text(draw):
 @example("0 R 0x0 extra")  # a trailing field with no newline after it
 @example("0 W 0x0 0x" + "f" * 128 + "\t0")
 @example("0\x1cR\x0b0x40\u3000\r\n5 W 0X80 " + "A" * 128)
+@example("0 W 0x0 " + "f" * 130)  # unprefixed data 130 characters long
+@example("0 R 0x0x40\n")  # a doubled prefix, which int(a, 16) refuses too
+# a `#` glued to the data, after its 128th digit and in its place
+@example("0 W 0x0 0x" + "f" * 128 + "#c\n5 W 0x0 0x" + "f" * 127 + "#\n")
 def test_parse_matches_reference(text):
-    """The one-match parser returns the reference's records, or raises its
-    error at the same line and column with the same message. An over-long
-    time, which the reference reports without a position, is reported at
-    the time field of the line the reference stopped at."""
+    """The split-and-convert parser returns the reference's records, or
+    raises its error at the same line and column with the same message. An
+    over-long time, which the reference reports without a position, is
+    reported at the time field of the line the reference stopped at."""
     seen = []
 
     def lines():
