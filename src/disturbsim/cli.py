@@ -12,6 +12,7 @@ import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from random import Random
 
 from .config import ConfigError, load_config, parse_config_text
@@ -144,11 +145,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _run_one(cfg_trace):
-    cfg, trace = cfg_trace
-    return run_to_completion(cfg, trace)
-
-
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs {args.jobs} must be at least 1")
@@ -191,7 +187,8 @@ def _cmd_sweep(args) -> int:
     workers = min(args.jobs, len(configs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, [(c, trace) for c in configs]))
+            results = list(pool.map(run_to_completion, configs,
+                                    repeat(trace)))
     else:
         results = [run_to_completion(c, trace) for c in configs]
     banks = cfg.geometry.num_banks

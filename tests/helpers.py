@@ -8,6 +8,7 @@ from random import Random
 from disturbsim.baselines import SiwcCache
 from disturbsim.core import Geometry, SimConfig, decompose_address
 from disturbsim.imdb import BarrierEntry, Imdb
+from disturbsim.metrics import emit_report
 
 TINY = Geometry(ranks=1, banks_per_rank=1, rows_per_bank=8, cols_per_row=1)
 
@@ -69,6 +70,67 @@ def stale_lines(eng) -> tuple[list, int]:
         if held != data:
             stale.append(addr)
     return sorted(stale), len(last)
+
+
+class Recorder:
+    """Runs one engine over a trace and records, in call order, the calls
+    that cross its seams. It is the only code in the suite that restates
+    the engine's private signatures.
+
+    - `calls`: each `submit` and `next_command` as (name, now);
+    - `media`: each call into the media as (name, args);
+    - `services`: each `_service` as ("service", at_once), and each `_take`
+      as ("take", at_once, writeback?, rewrites?), where `at_once` is that
+      of the service whose hook returned the outcome, None at admission.
+
+    `result` is the JSON report, the final random state and the
+    conservation counts."""
+
+    def __init__(self, engine_cls, cfg, trace):
+        self.engine = eng = engine_cls(cfg, trace)
+        self.calls, self.media, self.services = [], [], []
+        submit, next_command = eng.submit, eng.next_command
+        service, take = eng._service, eng._take
+        serving = [None]
+
+        def logged_submit(record, record_no, now):
+            self.calls.append(("submit", now))
+            return submit(record, record_no, now)
+
+        def logged_next_command(bank, now):
+            self.calls.append(("next_command", now))
+            return next_command(bank, now)
+
+        def logged_service(bank, cmd, now, at_once=False):
+            self.services.append(("service", at_once))
+            serving.append(at_once)
+            service(bank, cmd, now, at_once)
+            serving.pop()
+
+        def logged_take(addr, writeback, rewrites, now):
+            self.services.append(("take", serving[-1], writeback is not None,
+                                  bool(rewrites)))
+            take(addr, writeback, rewrites, now)
+
+        def logged_media(name, method):
+            def logged(*args):
+                self.media.append((name, args))
+                return method(*args)
+            return logged
+
+        eng.submit, eng.next_command = logged_submit, logged_next_command
+        eng._service, eng._take = logged_service, logged_take
+        for name in dir(eng.media):
+            method = getattr(eng.media, name)
+            if not name.startswith("_") and callable(method):
+                setattr(eng.media, name, logged_media(name, method))
+        report = emit_report(eng.run(), "json")
+        self.result = (report, eng.rng.getstate(), eng.conservation)
+
+    @property
+    def at_once(self) -> int:
+        """The number of services made at once (I4 in `controller`)."""
+        return self.services.count(("service", True))
 
 
 def bench_workloads() -> dict:

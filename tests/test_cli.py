@@ -169,8 +169,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("jobs, workers", [("2", [2]), ("3", [3]),

@@ -15,9 +15,9 @@ from disturbsim.controller import (HOST_READ, HOST_WRITE, MITIGATIONS, REWRITE,
 from disturbsim.core import (LINE_MASK, STRATEGIES, ConsistencyError,
                              Geometry, LineAddress, compose_address)
 from disturbsim.media import CellArray
-from disturbsim.metrics import emit_report
 from disturbsim.traces import TraceRecord, gen_hammer, gen_synthetic
-from helpers import TINY, addr_bytes, bench_workloads, make_cfg, stale_lines
+from helpers import (TINY, Recorder, addr_bytes, bench_workloads, make_cfg,
+                     stale_lines)
 from loop_ref import TwoPassEngine
 
 ONES = LINE_MASK
@@ -563,60 +563,37 @@ def test_unserviceable_command_stalls_the_engine():
         eng.run()
 
 
-def traced_run(eng):
-    """Run one engine; return its report, final random state, conservation
-    counts and every `submit` and `next_command` call as (name, now)."""
-    calls = []
-    for name in ("submit", "next_command"):
-        def traced(*args, _name=name, _fn=getattr(eng, name)):
-            calls.append((_name, args[-1]))
-            return _fn(*args)
-        setattr(eng, name, traced)
-    report = emit_report(eng.run(), "json")
-    return report, eng.rng.getstate(), eng.conservation, calls
+# -- the engine against its references ----------------------------------------
 
 
-RECORDS = st.lists(st.tuples(
-    st.integers(0, 300),                  # gap to the previous record, ns
-    st.booleans(),                        # a write?
-    st.tuples(st.integers(0, 1), st.integers(0, 1),
-              st.integers(0, 7), st.integers(0, 1)),  # rank, bank, row, col
-    # the data: a half-ones line, and ONES // 3, alternating bits
-    st.sampled_from([ZEROS, ONES, ONES >> 256, ONES // 3])),
-    max_size=60)
+class QueuedEngine(Engine):
+    """The engine with the idle path (I4) turned off: the next record is
+    always already due, so `submit` queues every command for `run`'s
+    passes."""
+
+    def _next_due(self, record_no):
+        return float("-inf")
 
 
-@settings(deadline=None)
-@given(ranks=st.integers(1, 2), banks=st.integers(1, 2),
-       depth=st.integers(1, 4), strategy=st.sampled_from(STRATEGIES),
-       hit_cycles=st.sampled_from([0, 2]), seed=st.integers(0, 3),
-       records=RECORDS)
-# One queue slot and records all due at 0: each record is refused, then
-# admitted by the retry that follows a service, and the writes stay queued
-# after their pre-write reads.
-@example(ranks=1, banks=1, depth=1, strategy="none", hit_cycles=0, seed=0,
-         records=[(0, False, (0, 0, 0, 0), ZEROS)] * 4
-         + [(0, True, (0, 0, 0, 0), ZEROS)] * 2)
-# An empty trace: nothing is due, and the first pass ends the run.
-@example(ranks=1, banks=1, depth=1, strategy="none", hit_cycles=0, seed=0,
-         records=[])
-# The last record is refused, and then admitted by the retry that follows
-# the service of the read ahead of it.
-@example(ranks=1, banks=1, depth=1, strategy="none", hit_cycles=0, seed=0,
-         records=[(0, False, (0, 0, 0, 0), ZEROS)] * 2)
-def test_one_pass_loop_matches_two_pass_reference(ranks, banks, depth,
-                                                  strategy, hit_cycles, seed,
-                                                  records):
-    """Gaps of 0-300 ns against 100-250 ns services: records share times and
-    back up, so retries, rescans and waits on busy banks all occur. The
-    one-pass loop makes the same calls at the same times as the loop it
-    replaced, and ends in the same state. Without tables (`none`, `vnc`)
-    no written line is left stale: each holds the trace's last write to
-    it."""
+def paced_records(max_gap, max_size):
+    return st.lists(st.tuples(
+        st.integers(0, max_gap),  # gap to the previous record, ns
+        st.booleans(),            # a write?
+        st.tuples(st.integers(0, 1), st.integers(0, 1),   # rank, bank,
+                  st.integers(0, 7), st.integers(0, 1)),  # row, col
+        # the data: a half-ones line, and ONES // 3, alternating bits
+        st.sampled_from([ZEROS, ONES, ONES >> 256, ONES // 3])),
+        max_size=max_size)
+
+
+def run_inputs(ranks, banks, depth, low, strategy, hit_cycles, seed, fill,
+               records):
+    """The config and trace of one example of the property below."""
     g = Geometry(ranks=ranks, banks_per_rank=banks, rows_per_bank=8,
                  cols_per_row=2)
     cfg = make_cfg(geometry=g, strategy=strategy, queue_depth=depth,
-                   hit_cycles=hit_cycles, siwc_entries=4, seed=seed)
+                   drain_low_watermark=low, hit_cycles=hit_cycles,
+                   siwc_entries=4, seed=seed, initial_fill=fill)
     trace, now = [], 0
     for gap, write, (rank, bank, row, col), data in records:
         now += gap
@@ -624,146 +601,76 @@ def test_one_pass_loop_matches_two_pass_reference(ranks, banks, depth,
             LineAddress(rank % ranks, bank % banks, row, col), g)
         trace.append(TraceRecord(now, "W", addr, data) if write
                      else TraceRecord(now, "R", addr))
-    eng = Engine(cfg, trace)
-    assert traced_run(eng) == traced_run(TwoPassEngine(cfg, trace))
-    if strategy in ("none", "vnc"):
-        assert stale_lines(eng)[0] == []
+    return cfg, trace
 
 
-# -- the idle path (I4) ------------------------------------------------------
-
-
-class QueuedEngine(Engine):
-    """The engine with the idle path turned off: the next record is always
-    already due, so `submit` queues every command for `run`'s passes."""
-
-    def _next_due(self, record_no):
-        return float("-inf")
-
-
-class MediaLog:
-    """Forwards every attribute of a `CellArray` and logs each method call,
-    with its arguments, in order."""
-
-    def __init__(self, media):
-        self.media, self.calls = media, []
-
-    def __getattr__(self, name):
-        attr = getattr(self.media, name)
-        if not callable(attr):
-            return attr
-
-        def logged(*args):
-            self.calls.append((name, args))
-            return attr(*args)
-        return logged
-
-
-def paced_trace(records, g):
-    """Trace records from (gap, write, (rank, bank, row, col), data)."""
-    trace, now = [], 0
-    for gap, write, (rank, bank, row, col), data in records:
-        now += gap
-        addr = compose_address(
-            LineAddress(rank % g.ranks, bank % g.banks_per_rank, row, col), g)
-        trace.append(TraceRecord(now, "W", addr, data) if write
-                     else TraceRecord(now, "R", addr))
-    return trace
-
-
-def idle_cfg(ranks, banks, depth, low, strategy, hit_cycles, seed):
-    g = Geometry(ranks=ranks, banks_per_rank=banks, rows_per_bank=8,
-                 cols_per_row=2)
-    return make_cfg(geometry=g, strategy=strategy, queue_depth=depth,
-                    drain_low_watermark=low, hit_cycles=hit_cycles,
-                    siwc_entries=4, seed=seed)
-
-
-def media_run(engine_cls, cfg, trace):
-    """Run one engine; return its report, final random state, conservation
-    counts and every call into its media."""
-    eng = engine_cls(cfg, trace)
-    eng.media = log = MediaLog(eng.media)
-    report = emit_report(eng.run(), "json")
-    return report, eng.rng.getstate(), eng.conservation, log.calls
-
-
-def idle_log(cfg, trace):
-    """Run `trace`; return the engine and a log of its `_service` calls,
-    ("service", at_once), and `_take` calls, ("take", at_once, writeback?,
-    rewrites?), where `at_once` is None for a `_take` at admission."""
-    eng = Engine(cfg, trace)
-    service, take = eng._service, eng._take
-    log, serving = [], [None]
-
-    def logged_service(bank, cmd, now, at_once=False):
-        log.append(("service", at_once))
-        serving.append(at_once)
-        service(bank, cmd, now, at_once)
-        serving.pop()
-
-    def logged_take(addr, writeback, rewrites, now):
-        log.append(("take", serving[-1], writeback is not None,
-                    bool(rewrites)))
-        take(addr, writeback, rewrites, now)
-
-    eng._service, eng._take = logged_service, logged_take
-    eng.run()
-    return eng, log
+def case(records, **kw):
+    """A named example: one bank, one queue slot, `none`, table hits of 0
+    cycles, seed 0 and the zeros fill, unless `kw` says otherwise."""
+    return {**dict(ranks=1, banks=1, depth=1, low=None, strategy="none",
+                   hit_cycles=0, seed=0, fill="zeros"), **kw,
+            "records": records}
 
 
 def row_write(gap, row, data, bank=0):
     return (gap, True, (0, bank, row, 0), data)
 
 
-# Each example's name says what it reaches; `test_idle_examples_reach_...`
-# checks that they still do. A host command's services take 100-350 ns, so
-# after a 2,000 ns gap a record usually finds the controller idle.
-IDLE_EXAMPLES = {
+def row_read(gap, row):
+    return (gap, False, (0, 0, row, 0), ZEROS)
+
+
+# Each example's name says what it reaches; `test_examples_reach_what_they_
+# name` checks that they still do. A host command's services take 100-350
+# ns, so after a 2,000 ns gap a record usually finds the controller idle.
+EXAMPLES = {
+    # Records all due at 0: each record is refused, then admitted by the
+    # retry that follows a service, and the writes stay queued after their
+    # pre-write reads.
+    "refused-then-retried": case([row_read(0, 0)] * 4
+                                 + [row_write(0, 0, ZEROS)] * 2),
+    # Nothing is due, and the first pass ends the run.
+    "empty-trace": case([]),
+    # The last record is refused, and then admitted by the retry that
+    # follows the service of the read ahead of it.
+    "last-record-retried": case([row_read(0, 0)] * 2),
     # The read is due exactly as the write's write would start (`read_ns` is
     # 100): it must be admitted first, and be picked ahead of that write.
-    "read-due-as-the-write-starts": dict(
-        ranks=1, banks=1, depth=2, low=None, strategy="none", hit_cycles=0,
-        seed=0, records=[row_write(0, 2, ONES), (100, False, (0, 0, 3, 0),
-                                                 ZEROS)]),
+    "read-due-as-the-write-starts": case(
+        [row_write(0, 2, ONES), row_read(100, 3)], depth=2),
     # Alternating data on one row: its counters reach the threshold, and the
     # hook of a write serviced at once returns rewrites.
-    "idle-write-returns-rewrites": dict(
-        ranks=1, banks=1, depth=2, low=None, strategy="imdb", hit_cycles=2,
-        seed=0, records=[row_write(2_000, 2, (ONES, ZEROS)[i % 2])
-                         for i in range(8)]),
+    "idle-write-returns-rewrites": case(
+        [row_write(2_000, 2, (ONES, ZEROS)[i % 2]) for i in range(8)],
+        depth=2, strategy="imdb", hit_cycles=2),
     # A four-entry cache on eight rows: an admitted write that evicts an
     # entry returns its writeback, which takes the queue path like every
     # command that is not a host command.
-    "siwc-admission-writeback": dict(
-        ranks=1, banks=1, depth=2, low=None, strategy="siwc", hit_cycles=0,
-        seed=1, records=[row_write(2_000, r % 8, ONES >> r) for r in
-                         range(24)]),
+    "siwc-admission-writeback": case(
+        [row_write(2_000, r % 8, ONES >> r) for r in range(24)],
+        depth=2, strategy="siwc", seed=1),
     # Hammered neighbours diverge, and VnC's hook corrects them itself.
-    "vnc": dict(
-        ranks=1, banks=1, depth=2, low=None, strategy="vnc", hit_cycles=0,
-        seed=0, records=[row_write(2_000, 2, (ONES, ZEROS)[i % 2])
-                         for i in range(20)]),
-    "last-record": dict(
-        ranks=1, banks=1, depth=1, low=None, strategy="none", hit_cycles=0,
-        seed=0, records=[row_write(0, 2, ONES)]),
+    "vnc": case([row_write(2_000, 2, (ONES, ZEROS)[i % 2])
+                 for i in range(20)], depth=2, strategy="vnc"),
+    # VnC reads the neighbours of a write to the last row: only the row
+    # above it lies in the bank.
+    "vnc-last-row": case([row_write(0, 7, ONES)], strategy="vnc"),
+    "last-record": case([row_write(0, 2, ONES)]),
     # Three writes fill the queue and set the drain state, which a low
     # watermark of 0 keeps once the bank empties. The idle write's pick
     # keeps it only if it counts that write; then two writes arrive
     # together, and the state decides whether the first one's write runs
     # before the second one's pre-write read.
-    "drain-state-outlives-the-queue": dict(
-        ranks=1, banks=1, depth=3, low=0, strategy="none", hit_cycles=0,
-        seed=0, records=[row_write(0, 0, ONES), row_write(0, 2, ONES),
-                         row_write(0, 4, ONES), row_write(2_000, 6, ONES),
-                         row_write(2_000, 1, ONES), row_write(0, 3, ONES)]),
+    "drain-state-outlives-the-queue": case(
+        [row_write(0, 0, ONES), row_write(0, 2, ONES), row_write(0, 4, ONES),
+         row_write(2_000, 6, ONES), row_write(2_000, 1, ONES),
+         row_write(0, 3, ONES)], depth=3, low=0),
     # Bank 0 still holds a queued write when a record for idle bank 1
     # arrives: the controller is not idle, so that record is queued too.
-    "other-bank-busy": dict(
-        ranks=1, banks=2, depth=4, low=None, strategy="none", hit_cycles=0,
-        seed=0, records=[row_write(0, 2, ONES), row_write(0, 3, ONES),
-                         row_write(10, 2, ONES, bank=1),
-                         (2_000, False, (0, 0, 5, 0), ZEROS)]),
+    "other-bank-busy": case(
+        [row_write(0, 2, ONES), row_write(0, 3, ONES),
+         row_write(10, 2, ONES, bank=1), row_read(2_000, 5)],
+        banks=2, depth=4),
 }
 
 
@@ -772,69 +679,92 @@ IDLE_EXAMPLES = {
        depth=st.integers(1, 4), low=st.sampled_from([None, 0]),
        strategy=st.sampled_from(STRATEGIES),
        hit_cycles=st.sampled_from([0, 2]), seed=st.integers(0, 3),
-       records=st.lists(st.tuples(
-           st.integers(0, 2_000),  # gap to the previous record, ns
-           st.booleans(),          # a write?
-           st.tuples(st.integers(0, 1), st.integers(0, 1),
-                     st.integers(0, 7), st.integers(0, 1)),
-           st.sampled_from([ZEROS, ONES, ONES >> 256, ONES // 3])),
-           max_size=40))
-@example(**IDLE_EXAMPLES["read-due-as-the-write-starts"])
-@example(**IDLE_EXAMPLES["idle-write-returns-rewrites"])
-@example(**IDLE_EXAMPLES["siwc-admission-writeback"])
-@example(**IDLE_EXAMPLES["vnc"])
-@example(**IDLE_EXAMPLES["last-record"])
-@example(**IDLE_EXAMPLES["drain-state-outlives-the-queue"])
-@example(**IDLE_EXAMPLES["other-bank-busy"])
-def test_idle_path_matches_the_queue_path(ranks, banks, depth, low, strategy,
-                                          hit_cycles, seed, records):
-    """A command serviced at once when it finds the controller idle (I4)
-    ends the run exactly as the queue path would: the same report, random
-    state and conservation counts, and the same media calls in the same
-    order with the same arguments. Every address given to the media lies in
-    the geometry, edge-row neighbours and VnC's reads among them, as the
-    media trusts it."""
-    cfg = idle_cfg(ranks, banks, depth, low, strategy, hit_cycles, seed)
-    trace = paced_trace(records, cfg.geometry)
-    run = media_run(Engine, cfg, trace)
-    assert run == media_run(QueuedEngine, cfg, trace)
-    for _, args in run[-1]:  # the media calls
+       fill=st.sampled_from(["zeros", "ones"]),
+       # Gaps of up to 300 ns against 100-350 ns services: records share
+       # times and back up, so retries, rescans and waits on busy banks all
+       # occur. After gaps of up to 2,000 ns most records find the
+       # controller idle.
+       records=paced_records(300, 60) | paced_records(2_000, 40))
+@example(**EXAMPLES["refused-then-retried"])
+@example(**EXAMPLES["empty-trace"])
+@example(**EXAMPLES["last-record-retried"])
+@example(**EXAMPLES["read-due-as-the-write-starts"])
+@example(**EXAMPLES["idle-write-returns-rewrites"])
+@example(**EXAMPLES["siwc-admission-writeback"])
+@example(**EXAMPLES["vnc"])
+@example(**EXAMPLES["vnc-last-row"])
+@example(**EXAMPLES["last-record"])
+@example(**EXAMPLES["drain-state-outlives-the-queue"])
+@example(**EXAMPLES["other-bank-busy"])
+def test_engine_matches_its_references(ranks, banks, depth, low, strategy,
+                                       hit_cycles, seed, fill, records):
+    """The engine ends each run as both of its references do: with the same
+    report, random state and conservation counts, and the same media calls
+    in the same order with the same arguments.
+
+    - `loop_ref.TwoPassEngine`, the main loop that the one-pass loop
+      replaced, also makes the same `submit` and `next_command` calls at the
+      same times, and the same services.
+    - `QueuedEngine` has no idle path: a command serviced at once because it
+      found the controller idle (I4) ends the run as the queue path would.
+
+    Every address given to the media lies in the geometry, edge-row
+    neighbours and VnC's reads among them, as the media trusts it. Without
+    tables (`none`, `vnc`) no written line is left stale: each holds the
+    trace's last write to it."""
+    cfg, trace = run_inputs(ranks, banks, depth, low, strategy, hit_cycles,
+                            seed, fill, records)
+    run = Recorder(Engine, cfg, trace)
+    loop = Recorder(TwoPassEngine, cfg, trace)
+    queued = Recorder(QueuedEngine, cfg, trace)
+    assert (run.result, run.calls, run.media, run.services) == (
+        loop.result, loop.calls, loop.media, loop.services)
+    assert (run.result, run.media) == (queued.result, queued.media)
+    for _, args in run.media:
         for arg in args:
             if isinstance(arg, LineAddress):
                 arg.check(cfg.geometry)
+    if strategy in ("none", "vnc"):
+        assert stale_lines(run.engine)[0] == []
 
 
-def test_idle_examples_reach_what_they_name():
-    runs = {}
-    for name, kw in IDLE_EXAMPLES.items():
-        kw = dict(kw)
-        cfg = idle_cfg(*(kw.pop(k) for k in ("ranks", "banks", "depth", "low",
-                                             "strategy", "hit_cycles",
-                                             "seed")))
-        trace = paced_trace(kw.pop("records"), cfg.geometry)
-        eng, log = idle_log(cfg, trace)
-        runs[name] = (trace, eng, log, log.count(("service", True)))
+def test_examples_reach_what_they_name():
+    runs = {name: Recorder(Engine, *run_inputs(**kw))
+            for name, kw in EXAMPLES.items()}
 
-    trace, eng, log, at_once = runs["read-due-as-the-write-starts"]
-    assert trace[1].time == trace[0].time + eng.cfg.read_ns
-    assert at_once == 0  # the read is admitted while the write is queued
+    def refusals(name):
+        run = runs[name]
+        submits = sum(call == "submit" for call, _ in run.calls)
+        return submits - len(run.engine.trace)
 
-    trace, eng, log, at_once = runs["idle-write-returns-rewrites"]
-    assert ("take", True, False, True) in log
+    assert refusals("refused-then-retried") >= 5  # each but the first
+    assert runs["empty-trace"].calls == []
+    assert refusals("last-record-retried") == 1
 
-    trace, eng, log, at_once = runs["siwc-admission-writeback"]
-    assert ("take", None, True, False) in log
-    assert at_once > 0
+    run = runs["read-due-as-the-write-starts"]
+    trace = run.engine.trace
+    assert trace[1].time == trace[0].time + run.engine.cfg.read_ns
+    assert run.at_once == 0  # the read is admitted while the write is queued
 
-    trace, eng, log, at_once = runs["vnc"]
-    assert at_once == len(trace)
-    assert eng.stats.media_writes > eng.stats.host_writes  # corrections
+    run = runs["idle-write-returns-rewrites"]
+    assert ("take", True, False, True) in run.services
 
-    trace, eng, log, at_once = runs["last-record"]
-    assert len(trace) == 1 and at_once == 1
+    run = runs["siwc-admission-writeback"]
+    assert ("take", None, True, False) in run.services
+    assert run.at_once > 0
 
-    trace, eng, log, at_once = runs["drain-state-outlives-the-queue"]
-    assert at_once == 1  # the write at 2,000 ns
+    run = runs["vnc"]
+    assert run.at_once == len(run.engine.trace)
+    stats = run.engine.stats
+    assert stats.media_writes > stats.host_writes  # corrections
 
-    trace, eng, log, at_once = runs["other-bank-busy"]
-    assert at_once == 1  # only the last record
+    run = runs["vnc-last-row"]
+    rows = {args[0].row for call, args in run.media if call == "read_line"}
+    assert rows == {6, 7}  # the written row, and its one neighbour
+
+    run = runs["last-record"]
+    assert len(run.engine.trace) == 1 and run.at_once == 1
+
+    # the write at 2,000 ns
+    assert runs["drain-state-outlives-the-queue"].at_once == 1
+    assert runs["other-bank-busy"].at_once == 1  # only the last record

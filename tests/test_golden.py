@@ -34,6 +34,7 @@ from disturbsim.controller import MITIGATIONS, Engine, run_to_completion
 from disturbsim.core import STRATEGIES, decompose_address
 from disturbsim.media import CellArray
 from disturbsim.traces import read_trace_file
+from helpers import Recorder
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -116,16 +117,8 @@ def test_paced_report_matches_golden(tmp_path):
     base = load_config(str(GOLDEN / "paced.cfg"))
     trace = read_trace_file(str(GOLDEN / "paced.trace"))
     for strategy, expected in PACED_AT_ONCE.items():
-        eng = Engine(dataclasses.replace(base, strategy=strategy), trace)
-        service, at_once = eng._service, []
-
-        def counted(bank, cmd, now, once=False, _service=service):
-            at_once.append(once)
-            _service(bank, cmd, now, once)
-
-        eng._service = counted
-        eng.run()
-        assert sum(at_once) == expected, strategy
+        cfg = dataclasses.replace(base, strategy=strategy)
+        assert Recorder(Engine, cfg, trace).at_once == expected, strategy
 
 
 @pytest.mark.parametrize("name", ["compare", "coins", "ranks", "paced"])
