@@ -67,7 +67,7 @@ MUTANTS = [
            "if row < g.rows_per_bank - 1:", "if row < g.rows_per_bank:",
            ("tests/test_core.py::test_neighbor_rows_skip_edges",
             "tests/test_controller.py::"
-            "test_engine_matches_its_references")),
+            "test_idle_path_matches_the_queue_path")),
     Mutant("decode-past-capacity", "src/disturbsim/core.py",
            "if byte_addr >= g.capacity_bytes:",
            "if byte_addr > g.capacity_bytes:",
@@ -168,7 +168,7 @@ MUTANTS = [
            "self._next_due(record_no) > (",
            "self._next_due(record_no) >= (",
            ("tests/test_controller.py::"
-            "test_engine_matches_its_references",)),
+            "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-path-off", "src/disturbsim/controller.py",
            "at_once = (self._admitted == self._serviced",
            "at_once = (False and self._admitted == self._serviced",
@@ -177,7 +177,7 @@ MUTANTS = [
            "at_once = (self._admitted == self._serviced and",
            "at_once = (not (bank.read_q or bank.write_q) and",
            ("tests/test_controller.py::"
-            "test_engine_matches_its_references",)),
+            "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-pick-misses-the-write", "src/disturbsim/controller.py",
            "            if self.next_command(bank, now) is not cmd:\n"
            "                raise _not_at_head(cmd)\n",
@@ -187,7 +187,7 @@ MUTANTS = [
            "            if filed:\n"
            "                bank.write_q[cmd] = None\n",
            ("tests/test_controller.py::"
-            "test_engine_matches_its_references",)),
+            "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-skips-the-pick", "src/disturbsim/controller.py",
            "            if self.next_command(bank, now) is not cmd:\n"
            "                raise _not_at_head(cmd)\n",
@@ -199,11 +199,11 @@ MUTANTS = [
            "                    continue\n",
            "                    due = records[i].time if i < n else never\n",
            ("tests/test_controller.py::"
-            "test_engine_matches_its_references",)),
+            "test_one_pass_loop_matches_two_pass_reference",)),
     Mutant("retry-only-after-its-time", "src/disturbsim/controller.py",
            "if issued and due <= now:", "if issued and due < now:",
            ("tests/test_controller.py::"
-            "test_engine_matches_its_references",)),
+            "test_one_pass_loop_matches_two_pass_reference",)),
     Mutant("rewrite-enqueued-differential", "src/disturbsim/controller.py",
            "Command(kind, addr, data, kind is REWRITE,",
            "Command(kind, addr, data, False,",
@@ -215,13 +215,13 @@ MUTANTS = [
            "                    issued = True\n"
            "                    continue\n",
            ("tests/test_controller.py::"
-            "test_engine_matches_its_references",)),
+            "test_one_pass_loop_matches_two_pass_reference",)),
     Mutant("loop-wake-before-service", "src/disturbsim/controller.py",
            "                if bank.busy_until <= now:\n",
            "                wake = min(wake, bank.busy_until)\n"
            "                if bank.busy_until <= now:\n",
            ("tests/test_controller.py::"
-            "test_engine_matches_its_references",)),
+            "test_one_pass_loop_matches_two_pass_reference",)),
     Mutant("vnc-skips-correction-neighbours", "src/disturbsim/baselines.py",
            "            checked.extend(nb.neighbor_rows(cfg.geometry))\n", "",
            ("tests/test_baselines.py::"

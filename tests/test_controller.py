@@ -621,8 +621,9 @@ def row_read(gap, row):
 
 
 # Each example's name says what it reaches; `test_examples_reach_what_they_
-# name` checks that they still do. A host command's services take 100-350
-# ns, so after a 2,000 ns gap a record usually finds the controller idle.
+# name` checks that they still do, and both properties below run them all.
+# A host command's services take 100-350 ns, so after a 2,000 ns gap a
+# record usually finds the controller idle.
 EXAMPLES = {
     # Records all due at 0: each record is refused, then admitted by the
     # retry that follows a service, and the writes stay queued after their
@@ -674,58 +675,64 @@ EXAMPLES = {
 }
 
 
-@settings(deadline=None)
-@given(ranks=st.integers(1, 2), banks=st.integers(1, 2),
-       depth=st.integers(1, 4), low=st.sampled_from([None, 0]),
-       strategy=st.sampled_from(STRATEGIES),
-       hit_cycles=st.sampled_from([0, 2]), seed=st.integers(0, 3),
-       fill=st.sampled_from(["zeros", "ones"]),
-       # Gaps of up to 300 ns against 100-350 ns services: records share
-       # times and back up, so retries, rescans and waits on busy banks all
-       # occur. After gaps of up to 2,000 ns most records find the
-       # controller idle.
-       records=paced_records(300, 60) | paced_records(2_000, 40))
-@example(**EXAMPLES["refused-then-retried"])
-@example(**EXAMPLES["empty-trace"])
-@example(**EXAMPLES["last-record-retried"])
-@example(**EXAMPLES["read-due-as-the-write-starts"])
-@example(**EXAMPLES["idle-write-returns-rewrites"])
-@example(**EXAMPLES["siwc-admission-writeback"])
-@example(**EXAMPLES["vnc"])
-@example(**EXAMPLES["vnc-last-row"])
-@example(**EXAMPLES["last-record"])
-@example(**EXAMPLES["drain-state-outlives-the-queue"])
-@example(**EXAMPLES["other-bank-busy"])
-def test_engine_matches_its_references(ranks, banks, depth, low, strategy,
-                                       hit_cycles, seed, fill, records):
-    """The engine ends each run as both of its references do: with the same
-    report, random state and conservation counts, and the same media calls
-    in the same order with the same arguments.
+def engine_property(test):
+    """Runs `test` on each named example, then on drawn inputs."""
+    for kw in EXAMPLES.values():
+        test = example(**kw)(test)
+    return settings(deadline=None)(given(
+        ranks=st.integers(1, 2), banks=st.integers(1, 2),
+        depth=st.integers(1, 4), low=st.sampled_from([None, 0]),
+        strategy=st.sampled_from(STRATEGIES),
+        hit_cycles=st.sampled_from([0, 2]), seed=st.integers(0, 3),
+        fill=st.sampled_from(["zeros", "ones"]),
+        # Gaps of up to 300 ns against 100-350 ns services: records share
+        # times and back up, so retries, rescans and waits on busy banks all
+        # occur. After gaps of up to 2,000 ns most records find the
+        # controller idle.
+        records=paced_records(300, 60) | paced_records(2_000, 40))(test))
 
-    - `loop_ref.TwoPassEngine`, the main loop that the one-pass loop
-      replaced, also makes the same `submit` and `next_command` calls at the
-      same times, and the same services.
-    - `QueuedEngine` has no idle path: a command serviced at once because it
-      found the controller idle (I4) ends the run as the queue path would.
 
-    Every address given to the media lies in the geometry, edge-row
-    neighbours and VnC's reads among them, as the media trusts it. Without
-    tables (`none`, `vnc`) no written line is left stale: each holds the
-    trace's last write to it."""
-    cfg, trace = run_inputs(ranks, banks, depth, low, strategy, hit_cycles,
-                            seed, fill, records)
-    run = Recorder(Engine, cfg, trace)
-    loop = Recorder(TwoPassEngine, cfg, trace)
-    queued = Recorder(QueuedEngine, cfg, trace)
-    assert (run.result, run.calls, run.media, run.services) == (
-        loop.result, loop.calls, loop.media, loop.services)
-    assert (run.result, run.media) == (queued.result, queued.media)
+def check_media(run):
+    """Every address that `run` gave the media lies in the geometry,
+    edge-row neighbours and VnC's reads among them, as the media trusts it.
+    Without tables (`none`, `vnc`) no written line is left stale: each holds
+    the trace's last write to it. The stale check reads the media through
+    the recorder, so it comes after every comparison of `run.media`."""
+    cfg = run.engine.cfg
     for _, args in run.media:
         for arg in args:
             if isinstance(arg, LineAddress):
                 arg.check(cfg.geometry)
-    if strategy in ("none", "vnc"):
+    if cfg.strategy in ("none", "vnc"):
         assert stale_lines(run.engine)[0] == []
+
+
+@engine_property
+def test_one_pass_loop_matches_two_pass_reference(**inputs):
+    """`loop_ref.TwoPassEngine`, the main loop that the one-pass loop
+    replaced, makes the same `submit` and `next_command` calls at the same
+    times, the same services and the same media calls, and ends the run in
+    the same state: the same report, random state and conservation
+    counts."""
+    cfg, trace = run_inputs(**inputs)
+    run = Recorder(Engine, cfg, trace)
+    loop = Recorder(TwoPassEngine, cfg, trace)
+    assert (run.result, run.calls, run.media, run.services) == (
+        loop.result, loop.calls, loop.media, loop.services)
+    check_media(run)
+
+
+@engine_property
+def test_idle_path_matches_the_queue_path(**inputs):
+    """A command serviced at once because it found the controller idle (I4)
+    ends the run as the queue path (`QueuedEngine`) would: the same report,
+    random state and conservation counts, and the same media calls in the
+    same order with the same arguments."""
+    cfg, trace = run_inputs(**inputs)
+    run = Recorder(Engine, cfg, trace)
+    queued = Recorder(QueuedEngine, cfg, trace)
+    assert (run.result, run.media) == (queued.result, queued.media)
+    check_media(run)
 
 
 def test_examples_reach_what_they_name():
