@@ -60,17 +60,26 @@ services them without the loop. A fourth invariant makes that exact:
   read, `now + read_ns` for a host write's write. Then the loop would pick it
   in the pass at `now`, as the only command of any bank, and nothing else
   could act before that phase starts: the other banks hold nothing, and the
-  next record is not yet due. So `submit` picks it once, with `next_command`,
-  and `_service` runs each phase at the time the loop would, with the same
-  hook, `_take`, media calls and I1 check, and leaves `busy_until` where the
-  loop would. A host write's two picks would see the same number of queued
-  writes, one, and `next_command` sets the drain state from that number
-  alone, so one pick sets it as two would. The command is filed by kind,
-  where `next_command` looks, but not by line: no other write to its line is
-  queued, and none merges into it before its write, since its hook runs only
-  after it has left. I1-I3 hold as before, and the pass that follows at `now`
-  finds only what the loop's pass after the last phase would: the bank busy,
-  and any rewrites or writeback the write's hook queued.
+  next record is not yet due. So `submit` runs each phase at the time the
+  loop would, with the same hook, `_take`, media calls and I1 check, and
+  leaves `busy_until` where the loop would. I1-I3 hold as before, and the
+  pass that follows at `now` finds only what the loop's pass after the last
+  phase would: the bank busy, and any rewrites or writeback a write's hook
+  queued.
+
+  A host read is served at admission: it gets no `Command`, is filed
+  nowhere and takes no pick. `submit` counts it admitted and serviced, sets
+  the drain state as its pick would (no write is queued, and 0 is at most
+  the low watermark, so the pick would end a drain) and runs its one phase,
+  `_read`, which the queue path's service of a host read runs too.
+
+  A host write is filed by kind, where `next_command` looks, picked once
+  and serviced by `_service`, both phases in one call: its hook takes the
+  `Command`. Its two picks would see the same number of queued writes, one,
+  and `next_command` sets the drain state from that number alone, so one
+  pick sets it as two would. It is not filed by line: no other write to its
+  line is queued, and none merges into it before its write, since its hook
+  runs only after it has left.
 """
 
 from __future__ import annotations
@@ -193,7 +202,8 @@ class Engine:
     def submit(self, record: TraceRecord, record_no: int, now: int) -> bool:
         """Admit one trace record. Returns False on backpressure; the retry
         of the same record reuses its decoded address. A command that finds
-        the controller idle is serviced before this returns (I4)."""
+        the controller idle is serviced before this returns (I4); a host
+        read then never enters a queue."""
         # one unpack: reading a NamedTuple's fields by name is slower
         _, op, byte_addr, data = record
         if self._head[0] != record_no:
@@ -230,6 +240,12 @@ class Engine:
         at_once = (self._admitted == self._serviced and bank.busy_until <= now
                    and self._next_due(record_no) > (
                        now if kind is HOST_READ else now + self._read_ns))
+        if at_once and kind is HOST_READ:  # served at admission, unfiled
+            self._admitted += 1
+            self._serviced += 1
+            bank.draining = False  # as a pick would: no write is queued
+            self._read(bank, addr, now)
+            return True
         cmd = self._enqueue(bank, kind, addr, data, now, at_once)
         if at_once:
             if self.next_command(bank, now) is not cmd:
@@ -249,7 +265,7 @@ class Engine:
         """The one way into a bank queue: number a new command, file it by
         kind and line, and count the services it owes. A rewrite is full and
         any other write differential. A host write is queued unprepared and
-        serviced twice, first for its pre-write read. A command to be
+        serviced twice, first for its pre-write read. A host write to be
         serviced `at_once` (I4) is filed only by kind, where it is picked."""
         self._seq = seq = self._seq + 1
         cmd = Command(kind, addr, data, kind is REWRITE,
@@ -330,6 +346,15 @@ class Engine:
 
     # -- service ---------------------------------------------------------------
 
+    def _read(self, bank: _Bank, addr: LineAddress, now: int) -> None:
+        """A host read's one phase, queued or served at admission (I4): read
+        the line, count it exposed if it differs from its intended data, and
+        occupy the bank for `read_ns`."""
+        media = self.media
+        if media.read_line(addr) != media.intended_line(addr):
+            self.stats.wde_exposed += 1
+        bank.busy_until = now + self._read_ns  # > now (I1)
+
     def _service(self, bank: _Bank, cmd: Command, now: int,
                  at_once: bool = False) -> None:
         """Take `cmd` from the head of its queue and run its next phase: a
@@ -344,10 +369,7 @@ class Engine:
             if bank.host_reads.popleft() is not cmd:
                 raise _not_at_head(cmd)
             del bank.read_q[cmd]
-            data = media.read_line(cmd.addr)
-            if data != media.intended_line(cmd.addr):
-                self.stats.wde_exposed += 1
-            bank.busy_until = now + self._read_ns  # > now (I1)
+            self._read(bank, cmd.addr, now)
             return
         if cmd.prepared:
             if (bank.rewrites.popleft() if kind is REWRITE

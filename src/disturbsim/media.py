@@ -16,8 +16,9 @@ a cell took while it stored 1.
 A line is one 512-bit int; bit k is cell k. Each line's pulse counts are
 bit-sliced (Biham, "A fast new DES implementation in software", FSE 1997):
 `L.bit_length()` bit-planes, each a 512-bit int, where bit k of plane j is
-bit j of cell k's count, for L = `disturb_limit`. One bitwise operation on
-the planes thus acts on all 512 cells at once:
+bit j of cell k's count, for L = `disturb_limit`. A line gets its planes at
+its first pulse; until then it has none, and every count is 0. One bitwise
+operation on the planes thus acts on all 512 cells at once:
 
 - a RESET pulse is a ripple-carry add of the pulse mask into the planes:
   the pulsed cells whose same-column cell in the victim stores 0;
@@ -57,15 +58,16 @@ class _Line:
     the bit-planes of the pulse counts of its cells storing 0, lowest plane
     first, and its victims: None, or, under the `zeros` fill, the list of
     the lines of all its in-range neighbour rows, kept from its first
-    pulsing write."""
+    pulsing write. `planes` is empty, every count 0, until the line takes
+    its first pulse; most lines never do."""
 
     __slots__ = ("addr", "phys", "intended", "planes", "victims")
 
-    def __init__(self, addr: LineAddress, fill: int, planes: int):
+    def __init__(self, addr: LineAddress, fill: int):
         self.addr = addr
         self.phys = fill
         self.intended = fill
-        self.planes = [0] * planes
+        self.planes = ()
         self.victims = None
 
 
@@ -133,7 +135,7 @@ class CellArray:
         lines = self._lines
         line = lines.get(addr)
         if line is None:
-            line = lines[addr] = _Line(addr, self._fill, self._planes)
+            line = lines[addr] = _Line(addr, self._fill)
         old = ~data & LINE_MASK if full else line.phys
         programmed = old ^ data
         reset_mask = old & ~data  # written to 0
@@ -150,7 +152,7 @@ class CellArray:
                            self.set_ns if set_mask else self.reset_ns)
 
         line.phys = line.intended = data
-        if programmed:
+        if programmed and line.planes:
             _clear(line.planes, programmed)
 
         if reset_mask:
@@ -163,7 +165,7 @@ class CellArray:
                     if victim is None:  # in range: a neighbor of a valid line
                         if self._lazy_victims:  # stores no 0 to count on
                             continue
-                        victim = lines[nb] = _Line(nb, self._fill, self._planes)
+                        victim = lines[nb] = _Line(nb, self._fill)
                     victims.append(victim)
                 if not self._lazy_victims:  # every neighbour materialized
                     line.victims = victims
@@ -172,6 +174,8 @@ class CellArray:
                 if not pulse:
                     continue
                 planes = victim.planes
+                if not planes:  # its first pulse
+                    planes = victim.planes = [0] * self._planes
                 carry = pulse
                 for j, plane in enumerate(planes):
                     if not carry:

@@ -79,9 +79,11 @@ class Recorder:
 
     - `calls`: each `submit` and `next_command` as (name, now);
     - `media`: each call into the media as (name, args);
-    - `services`: each `_service` as ("service", at_once), and each `_take`
-      as ("take", at_once, writeback?, rewrites?), where `at_once` is that
-      of the service whose hook returned the outcome, None at admission.
+    - `services`: each `_service` as ("service", at_once), each host read
+      served at admission, a `_read` made outside any `_service`, as
+      ("service", True), and each `_take` as ("take", at_once, writeback?,
+      rewrites?), where `at_once` is that of the service whose hook
+      returned the outcome, None at admission.
 
     `result` is the JSON report, the final random state and the
     conservation counts."""
@@ -90,7 +92,7 @@ class Recorder:
         self.engine = eng = engine_cls(cfg, trace)
         self.calls, self.media, self.services = [], [], []
         submit, next_command = eng.submit, eng.next_command
-        service, take = eng._service, eng._take
+        service, take, read = eng._service, eng._take, eng._read
         serving = [None]
 
         def logged_submit(record, record_no, now):
@@ -107,6 +109,11 @@ class Recorder:
             service(bank, cmd, now, at_once)
             serving.pop()
 
+        def logged_read(bank, addr, now):
+            if len(serving) == 1:  # not within a `_service`: at admission
+                self.services.append(("service", True))
+            read(bank, addr, now)
+
         def logged_take(addr, writeback, rewrites, now):
             self.services.append(("take", serving[-1], writeback is not None,
                                   bool(rewrites)))
@@ -120,6 +127,7 @@ class Recorder:
 
         eng.submit, eng.next_command = logged_submit, logged_next_command
         eng._service, eng._take = logged_service, logged_take
+        eng._read = logged_read
         for name in dir(eng.media):
             method = getattr(eng.media, name)
             if not name.startswith("_") and callable(method):

@@ -60,6 +60,15 @@ MUTANTS = [
            "old = line.phys",
            ("tests/test_media.py::test_media_matches_naive_ledger",
             "tests/test_golden.py::test_compare_report_matches_golden")),
+    Mutant("planes-never-allocated", "src/disturbsim/media.py",
+           "                if not planes:  # its first pulse\n"
+           "                    planes = victim.planes = [0] * self._planes\n",
+           "",
+           ("tests/test_media.py::test_media_matches_naive_ledger",)),
+    Mutant("clear-skips-held-planes", "src/disturbsim/media.py",
+           "if programmed and line.planes:",
+           "if programmed and not line.planes:",
+           ("tests/test_media.py::test_media_matches_naive_ledger",)),
     Mutant("read-counted-twice", "src/disturbsim/media.py",
            "self.reads += 1", "self.reads += 2",
            ("tests/test_golden.py::test_compare_report_matches_golden",)),
@@ -176,6 +185,12 @@ MUTANTS = [
     Mutant("idle-looks-only-at-its-bank", "src/disturbsim/controller.py",
            "at_once = (self._admitted == self._serviced and",
            "at_once = (not (bank.read_q or bank.write_q) and",
+           ("tests/test_controller.py::"
+            "test_idle_path_matches_the_queue_path",)),
+    Mutant("idle-read-keeps-drain-state", "src/disturbsim/controller.py",
+           "            bank.draining = False  # as a pick would: no write is "
+           "queued\n",
+           "",
            ("tests/test_controller.py::"
             "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-pick-misses-the-write", "src/disturbsim/controller.py",

@@ -666,6 +666,14 @@ EXAMPLES = {
         [row_write(0, 0, ONES), row_write(0, 2, ONES), row_write(0, 4, ONES),
          row_write(2_000, 6, ONES), row_write(2_000, 1, ONES),
          row_write(0, 3, ONES)], depth=3, low=0),
+    # The same drain state, then a read that finds the controller idle: it
+    # is served at admission, without a pick, and must end the drain as its
+    # pick would. The two writes that follow together then run each
+    # pre-write read before the first one's write.
+    "idle-read-ends-the-drain": case(
+        [row_write(0, 0, ONES), row_write(0, 2, ONES), row_write(0, 4, ONES),
+         row_read(2_000, 6), row_write(2_000, 1, ONES),
+         row_write(0, 3, ONES)], depth=3, low=0),
     # Bank 0 still holds a queued write when a record for idle bank 1
     # arrives: the controller is not idle, so that record is queued too.
     "other-bank-busy": case(
@@ -775,3 +783,7 @@ def test_examples_reach_what_they_name():
     # the write at 2,000 ns
     assert runs["drain-state-outlives-the-queue"].at_once == 1
     assert runs["other-bank-busy"].at_once == 1  # only the last record
+
+    run = runs["idle-read-ends-the-drain"]
+    assert run.at_once == 1  # the read at 2,000 ns, which takes no pick
+    assert ("next_command", 2_000) not in run.calls

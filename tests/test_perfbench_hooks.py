@@ -7,14 +7,16 @@ a result's shape, must fail here rather than only under
 import dataclasses
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
-from disturbsim.config import load_config
+from disturbsim.config import load_config, parse_config_text
 from disturbsim.controller import Engine
 from disturbsim.core import STRATEGIES
 from disturbsim.metrics import emit_report
 from disturbsim.traces import read_trace_file
+from helpers import bench_workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -146,25 +148,45 @@ def test_traced_bufferless_imdb(layers):
 
 
 # `none` on the paced golden: records 1,000 ns apart, so every one finds the
-# controller idle and is serviced at once (I4 in `controller`), picked once.
-# So every enqueue-to-pick wait is 0: on the queue path, a host write's
-# second pick, for its write, would wait `read_ns`.
+# controller idle and is serviced at once (I4 in `controller`). Each of the
+# 197 host writes is picked once; the 103 host reads are served at admission
+# and never picked. So every enqueue-to-pick wait is 0: on the queue path, a
+# host write's second pick, for its write, would wait `read_ns`.
 PACED_NONE_COUNTS = dict(retries=0, queue_depth_max=2, wait_p50=0,
                          wait_p99=0, flips=1342, lines=36, vnc_extra_reads=0,
                          siwc_absorbed=0, conservation=(497, 497, 0))
 PACED_NONE_CALLS = {**_COMMON_CALLS, "core.decompose_address": 300,
-                    "controller.submit": 300, "controller.next_command": 300,
+                    "controller.submit": 300, "controller.next_command": 197,
                     "media.apply_write": 197, "media.read_line": 300,
                     "media.intended_line": 103}
 
 
 def test_traced_idle_path_picks_each_command_once(layers):
-    """A command serviced at once still goes through one pick, so the
-    tracer sees a wait and a queue depth for each: with no pick, `counts()`
-    would have no wait to take percentiles of."""
+    """Of the commands serviced at once, every host write is picked once,
+    and a host read, served at admission without a `Command`, is picked
+    never. The tracer sees a wait and a queue depth for each write."""
     tracer = traced_run(layers, "paced", "none")
     stats = tracer.engine.stats
-    commands = stats.host_reads + stats.host_writes  # `none` absorbs nothing
-    assert calls_of(tracer)["controller.next_command"] == commands
+    # `none` absorbs nothing, and every record here is serviced at once
+    assert calls_of(tracer)["controller.next_command"] == stats.host_writes
     assert tracer.counts() == PACED_NONE_COUNTS
     assert calls_of(tracer) == PACED_NONE_CALLS
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("workload", sorted(bench_workloads()))
+def test_traced_benchmark_workload_makes_a_pick(layers, workload, strategy):
+    """`Trace.counts()` takes percentiles of the picks' waits and raises
+    IndexError on a run that makes no pick, as a run served wholly at
+    admission would. So `perfbench/run.py --trace 1` needs a pick on every
+    workload, under every strategy: checked here on the first 1,000
+    records of each, at seed 1."""
+    w = bench_workloads()[workload]
+    cfg = dataclasses.replace(parse_config_text(w.config.format(seed=1)),
+                              strategy=strategy)
+    trace = w.make_trace(Random(1), cfg.geometry)[:1_000]
+    tracer = layers.Trace()
+    with tracer.installed():
+        Engine(cfg, trace).run()
+    assert tracer.summary()["controller.next_command"][0] > 0
+    assert tracer.counts()["conservation"] == tracer.engine.conservation
