@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .core import EnergyParams
@@ -60,7 +61,9 @@ class RunStats:
 
 def energy_total(stats: RunStats, params: EnergyParams) -> dict:
     """Linear per-event energy breakdown. Inputs are configuration values
-    (source=config), not extracted device numbers."""
+    (source=config), not extracted device numbers. Finite coefficients can
+    still overflow once multiplied or summed, which is an input error: a
+    report carries no infinite energy."""
     breakdown = {
         "pcm_read_pj": (stats.media_reads + stats.pre_write_reads)
         * params.pcm_read_pj,
@@ -71,6 +74,10 @@ def energy_total(stats: RunStats, params: EnergyParams) -> dict:
         "bb_access_pj": stats.bb_accesses * params.bb_access_pj,
     }
     breakdown["total_pj"] = sum(breakdown.values())
+    for name, value in breakdown.items():
+        if not math.isfinite(value):
+            raise ValueError(f"energy_{name} is {value}: an [energy] "
+                             "coefficient is too large")
     breakdown["source"] = "config"
     return breakdown
 

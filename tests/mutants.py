@@ -127,7 +127,12 @@ MUTANTS = [
     Mutant("watermark-may-be-negative", "src/disturbsim/core.py",
            "if not 0 <= self.drain_watermark < self.queue_depth:",
            "if not self.drain_watermark < self.queue_depth:",
-           ("tests/test_cli.py::test_drain_watermark_out_of_range_exit_code",)),
+           ("tests/test_cli.py::test_failure_contract",)),
+    Mutant("energy-overflow-unchecked", "src/disturbsim/metrics.py",
+           "if not math.isfinite(value):", "if False:",
+           ("tests/test_cli.py::test_failure_contract",
+            "tests/test_config.py::"
+            "test_every_value_meets_the_failure_contract")),
     Mutant("config-takes-repeated-key", "src/disturbsim/config.py",
            "(first := seen.setdefault((section, key), line_no))",
            "(first := line_no)",

@@ -2,6 +2,7 @@ import gzip
 import json
 import os
 import pickle
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from disturbsim.cli import dispatch
 from disturbsim.controller import Engine, TraceAbort
 from disturbsim.core import LINE_MASK
 from disturbsim.media import CellArray
-from disturbsim.traces import TraceParseError, TraceRecord, write_trace_file
+from disturbsim.traces import TraceParseError
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -199,13 +200,6 @@ def test_sweep_jobs_below_one_is_usage_error(cfg_path, trace_path,
     assert RecordingPool.workers == []
 
 
-def test_sweep_requires_none_baseline(cfg_path, trace_path, capsys):
-    rc = dispatch(["sweep", "--config", cfg_path, "--trace", trace_path,
-                   "--strategies", "imdb"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("E:2:missing baseline")
-
-
 def test_sweep_runs_tableless_strategies_once(cfg_path, trace_path):
     rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
                      "--strategies", "none,vnc,siwc,imdb",
@@ -309,26 +303,6 @@ def test_sweep_runs_each_distinct_design_once(cfg_path, trace_path,
     assert area == {"siwc": 34 * 537, "imdb": 32 * 108 + 2 * 553}
 
 
-def test_sweep_repeated_param_axis_is_usage_error(cfg_path, trace_path,
-                                                  capsys):
-    rc = dispatch(["sweep", "--config", cfg_path, "--trace", trace_path,
-                   "--param", "n_b=0", "--param", "n_b=2"])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("E:1:--param n_b given twice")
-
-
-def test_sweep_invalid_point_exits_2_for_every_strategy(cfg_path, trace_path,
-                                                        capsys):
-    """Every strategy builds every point's config, so n_groups = 3, which
-    does not divide n_mt = 16, is an input error even for strategies that
-    do not read it."""
-    rc = dispatch(["sweep", "--config", cfg_path, "--trace", trace_path,
-                   "--strategies", "none,vnc", "--param", "n_groups=3"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith(
-        "E:2:sweep point {'n_groups': 3}: n_groups must divide n_mt")
-
-
 def test_sweep_param_values_parse_like_config_ints(cfg_path, trace_path):
     """`--param` takes the integer forms a config file takes."""
     rows = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
@@ -336,12 +310,142 @@ def test_sweep_param_values_parse_like_config_ints(cfg_path, trace_path):
     assert [r["n_mt"] for r in rows if r["strategy"] == "imdb"] == [16, 8]
 
 
-@pytest.mark.parametrize("spec", ["n_mt=abc", "n_b=1,x", "n_groups=", "n_mt"])
-def test_bad_sweep_param_is_usage_error(cfg_path, trace_path, capsys, spec):
-    rc = dispatch(["sweep", "--config", cfg_path, "--trace", trace_path,
-                   "--param", spec])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith(f"E:1:bad --param {spec!r}")
+# The CLI's failure contract, one row per case: an id, the argv, the files
+# the case writes first (name under {tmp}: bytes), the exit code, and the
+# stderr, whole if it ends in a newline and a prefix otherwise. The harness
+# fills in {cfg} (CFG), {trace} (a hammer trace), {tmp} and {golden}.
+RUN = "run --config {cfg} --trace {trace}"
+SWEEP = "sweep --config {cfg} --trace {trace}"
+RANKS = "--config {golden}/ranks.cfg --trace {golden}/ranks.trace"
+OVERFLOW = ("E:2:energy_pcm_read_pj is inf: an [energy] coefficient is too "
+            "large\n")
+
+FAILURES = [
+    ("run-without-trace", "run", {}, 1, "E:1:"),  # --trace is required
+    ("unknown-subcommand", "frobnicate", {}, 1, "E:1:"),
+    ("compare-empty-strategies",
+     "compare --config {cfg} --trace {trace} --strategies ' , '", {}, 1,
+     "E:1:--strategies"),
+    ("sweep-empty-strategies", SWEEP + " --strategies ' , '", {}, 1,
+     "E:1:--strategies"),
+    ("sweep-repeated-param", SWEEP + " --param n_b=0 --param n_b=2", {}, 1,
+     "E:1:--param n_b given twice"),
+    *((f"bad-param-{spec}", f"{SWEEP} --param {spec}", {}, 1,
+       f"E:1:bad --param {spec!r}")
+      for spec in ("n_mt=abc", "n_b=1,x", "n_groups=", "n_mt")),
+    ("config-bad-strategy", "run --config {tmp}/bad.cfg --trace {trace}",
+     {"bad.cfg": b"[run]\nstrategy = warp\n"}, 2, "E:2:"),
+    ("config-repeated-key", "run --config {tmp}/bad.cfg --trace {trace}",
+     {"bad.cfg": b"[run]\nstrategy = imdb\nseed = 1\nseed = 2\n"}, 2,
+     "E:2:line 4: key 'seed' in [run] repeats line 3\n"),
+    ("config-repeated-section", "run --config {tmp}/bad.cfg --trace {trace}",
+     {"bad.cfg": b"[run]\nseed = 1\n[media]\ndisturb_limit = 8\n[run]\n"}, 2,
+     "E:2:line 5: section [run] repeats line 1\n"),
+    ("config-not-utf8", "run --config {tmp}/bad.cfg --trace {trace}",
+     {"bad.cfg": b"[run]\nseed = 1\xff\n"}, 2,
+     "E:2:line 2, column 9: byte 0xff is not UTF-8\n"),
+    ("bad-geometry", RUN + " --set geometry.ranks=0", {}, 2,
+     "E:2:ranks must be >= 1\n"),
+    # The drain state clears once a bank's queued writes fall to the low
+    # watermark; below 0 that never happens, so a draining bank would keep
+    # putting writes ahead of pre-write reads for the rest of the run.
+    *((f"drain-watermark-{value}", f"{RUN} --set run.queue_depth=4 "
+       f"--set run.drain_low_watermark={value}", {}, 2,
+       "E:2:drain_low_watermark must be in [0, queue_depth)\n")
+      for value in ("-1", "4")),
+    # A negative table size or hit latency is an input error: it would
+    # give a negative area, a negative table or a run faster than `none`.
+    *((f"negative-{arg[2:].replace(' ', '-')}",
+       f"{SWEEP} --strategies none,siwc,imdb {arg}", {}, 2, "E:2:")
+      for arg in ("--set siwc.entries=-3", "--set imdb.n_mt=-8",
+                  "--set imdb.n_b=-1", "--set imdb.hit_cycles=-5",
+                  "--param n_mt=-8", "--param n_b=-1")),
+    # A non-finite energy input would make every energy figure NaN or
+    # infinite, which JSON cannot carry; so would finite inputs whose
+    # products overflow, in either format and from sweep workers alike.
+    *((f"energy-{value}", f"run {RANKS} --set energy.pcm_read_pj={value} "
+       "--format json -o {tmp}/ranks.json", {}, 2, "E:2:")
+      for value in ("nan", "inf", "-inf")),
+    ("energy-overflow-json", f"run {RANKS} --set energy.pcm_read_pj=1e308 "
+     "--format json -o {tmp}/ranks.json", {}, 2, OVERFLOW),
+    ("energy-overflow-csv", f"run {RANKS} --set energy.pcm_read_pj=1e308 "
+     "-o {tmp}/ranks.csv", {}, 2, OVERFLOW),
+    ("energy-overflow-sweep-jobs-2", f"sweep {RANKS} --set "
+     "energy.pcm_read_pj=1e308 --jobs 2 -o {tmp}/sweep.csv", {}, 2, OVERFLOW),
+    # at disturb_limit 1 each correction re-flips the line it came from
+    ("vnc-without-termination-bound", RUN + " --set run.strategy=vnc --set "
+     "media.disturb_limit=1 --set imdb.threshold=0", {}, 2,
+     "E:2:strategy vnc needs disturb_limit >= 3"),
+    ("sweep-without-baseline", SWEEP + " --strategies imdb", {}, 2,
+     "E:2:missing baseline"),
+    # Every strategy builds every point's config, so n_groups = 3, which
+    # does not divide n_mt = 16, is an input error even for strategies that
+    # do not read it.
+    ("sweep-invalid-point",
+     SWEEP + " --strategies none,vnc --param n_groups=3", {}, 2,
+     "E:2:sweep point {'n_groups': 3}: n_groups must divide n_mt"),
+    ("missing-trace", "run --config {cfg} --trace /nonexistent", {}, 2,
+     "E:2:"),
+    ("trace-bad-op", "run --config {cfg} --trace {tmp}/bad.trace",
+     {"bad.trace": b"0 Q 0x0\n"}, 2, "E:2:"),
+    ("trace-overlong-time", "run --config {cfg} --trace {tmp}/long.trace",
+     {"long.trace": b"0 R 0x0\n" + b"1" * 5000 + b" R 0x0\n"}, 2,
+     "E:2:line 2, column 1: time has"),
+    ("trace-plain-text-named-gz",
+     "run --config {cfg} --trace {tmp}/plain.trace.gz",
+     {"plain.trace.gz": b"0 R 0x0\n"}, 2,
+     "E:2:line 1, column 1: unreadable compressed data: Not a gzipped file"),
+    ("trace-not-utf8", "run --config {cfg} --trace {tmp}/bin.trace",
+     {"bin.trace": b"0 R 0x0\n10 R 0x40\n\xff\xfe junk\n"}, 2,
+     "E:2:line 3, column 1: "),
+    # one-deep queues: the writes ahead of the bad record are retried first
+    ("bad-address-behind-backpressure", "run --config {cfg} --trace "
+     "{tmp}/late-bad.trace --set run.queue_depth=1",
+     {"late-bad.trace": "".join(f"0 W {a:#x} {LINE_MASK:#x}\n"
+                                for a in (0, 64, 128, 192, 1 << 40)).encode()},
+     2, "E:2:record 4:"),
+    *((f"sweep-bad-address-jobs-{jobs}", "sweep --config {golden}/compare.cfg "
+       "--trace {tmp}/bad.trace --jobs " + jobs,
+       {"bad.trace": b"0 R 0x0\n10 R 0xffffffffff\n"}, 2,
+       "E:2:record 1: byte_addr 0xffffffffff exceeds module capacity 0x1000\n")
+      for jobs in ("1", "2")),
+    # A negative gap would write decreasing times and a negative target a
+    # negative address, which `run` rejects, and a negative count an empty
+    # trace: `gen` refuses all three and writes nothing.
+    *((f"gen-{name}",
+       "gen --config {cfg} --kind " + args + " -o {tmp}/neg.trace", {}, 2,
+       "E:2:") for name, args in [
+        ("hammer-gap", "hammer --rounds 4 --gap-ns -10"),
+        ("hammer-target", "hammer --rounds 4 --target -64"),
+        ("slow-flip-gap", "slow-flip --victims 4 --rounds 2 --gap-ns -1"),
+        ("uniform-gap", "uniform -n 20 --gap-ns -10"),
+        ("uniform-records", "uniform -n -5"),
+        ("hotspot-records", "hotspot -n -1"),
+        ("slow-flip-victims", "slow-flip --victims -2"),
+        ("slow-flip-interleave", "slow-flip --interleave -1"),
+        ("slow-flip-rounds", "slow-flip --rounds -3")]),
+]
+
+
+@pytest.mark.parametrize("argv, files, code, stderr",
+                         [row[1:] for row in FAILURES],
+                         ids=[row[0] for row in FAILURES])
+def test_failure_contract(cfg_path, trace_path, tmp_path, capsys, argv, files,
+                          code, stderr):
+    """Each row exits with its code, prints its stderr as one `E:<code>:`
+    line and leaves the `-o` target it names, if any, unwritten."""
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    places = {"cfg": cfg_path, "trace": trace_path, "tmp": tmp_path,
+              "golden": GOLDEN}
+    args = [arg.format(**places) for arg in shlex.split(argv)]
+    assert dispatch(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"E:{code}:") and err.find("\n") == len(err) - 1
+    assert (err == stderr if stderr.endswith("\n")
+            else err.startswith(stderr))
+    if "-o" in args:
+        assert not Path(args[args.index("-o") + 1]).exists()
 
 
 def test_broken_hook_precondition_exit_code(cfg_path, trace_path, capsys,
@@ -354,142 +458,6 @@ def test_broken_hook_precondition_exit_code(cfg_path, trace_path, capsys,
     assert rc == 3
     assert capsys.readouterr().err == (
         "E:3:write reached the tables without prepared old data\n")
-
-
-def test_usage_error_exit_code(capsys):
-    assert dispatch(["run"]) == 1  # --trace is required
-    assert capsys.readouterr().err.startswith("E:1:")
-    assert dispatch(["frobnicate"]) == 1
-
-
-def test_bad_config_exit_code(tmp_path, trace_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("[run]\nstrategy = warp\n")
-    rc = dispatch(["run", "--config", str(bad), "--trace", trace_path])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("E:2:")
-
-
-@pytest.mark.parametrize("text,message", [
-    (b"[run]\nstrategy = imdb\nseed = 1\nseed = 2\n",
-     "line 4: key 'seed' in [run] repeats line 3"),
-    (b"[run]\nseed = 1\n[media]\ndisturb_limit = 8\n[run]\n",
-     "line 5: section [run] repeats line 1"),
-    (b"[run]\nseed = 1\xff\n", "line 2, column 9: byte 0xff is not UTF-8"),
-])
-def test_malformed_config_names_its_line(tmp_path, trace_path, capsys, text,
-                                         message):
-    bad = tmp_path / "bad.cfg"
-    bad.write_bytes(text)
-    rc = dispatch(["run", "--config", str(bad), "--trace", trace_path])
-    assert rc == 2
-    assert capsys.readouterr().err == f"E:2:{message}\n"
-
-
-def test_bad_geometry_exit_code(cfg_path, trace_path, capsys):
-    rc = dispatch(["run", "--config", cfg_path, "--trace", trace_path,
-                   "--set", "geometry.ranks=0"])
-    assert rc == 2
-    assert capsys.readouterr().err == "E:2:ranks must be >= 1\n"
-
-
-@pytest.mark.parametrize("value", ["-1", "4"])
-def test_drain_watermark_out_of_range_exit_code(cfg_path, trace_path, capsys,
-                                                value):
-    """The drain state clears once a bank's queued writes fall to the low
-    watermark; below 0 that never happens, so a draining bank would keep
-    putting writes ahead of pre-write reads for the rest of the run."""
-    rc = dispatch(["run", "--config", cfg_path, "--trace", trace_path,
-                   "--set", "run.queue_depth=4",
-                   "--set", f"run.drain_low_watermark={value}"])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "E:2:drain_low_watermark must be in [0, queue_depth)\n")
-
-
-@pytest.mark.parametrize("args", [
-    ["--set", "siwc.entries=-3"],
-    ["--set", "imdb.n_mt=-8"],
-    ["--set", "imdb.n_b=-1"],
-    ["--set", "imdb.hit_cycles=-5"],
-    ["--param", "n_mt=-8"],
-    ["--param", "n_b=-1"],
-])
-def test_negative_table_sizes_and_cycles_exit_code(cfg_path, trace_path,
-                                                   capsys, args):
-    """A negative table size or hit latency is an input error: it would
-    give a negative area, a negative table or a run faster than `none`."""
-    rc = dispatch(["sweep", "--config", cfg_path, "--trace", trace_path,
-                   "--strategies", "none,siwc,imdb", *args])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("E:2:")
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_energy_exit_code(tmp_path, capsys, value):
-    """A non-finite energy input would make every energy figure NaN or
-    infinite, which JSON cannot carry."""
-    out = tmp_path / "ranks.json"
-    rc = dispatch(["run", "--config", str(GOLDEN / "ranks.cfg"),
-                   "--trace", str(GOLDEN / "ranks.trace"),
-                   "--set", f"energy.pcm_read_pj={value}",
-                   "--format", "json", "-o", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("E:2:")
-    assert not out.exists()
-
-
-def test_missing_trace_exit_code(cfg_path, capsys):
-    rc = dispatch(["run", "--config", cfg_path, "--trace", "/nonexistent"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("E:2:")
-
-
-def test_vnc_without_termination_bound_exit_code(cfg_path, trace_path, capsys):
-    # at disturb_limit 1 each correction re-flips the line it came from
-    rc = dispatch(["run", "--config", cfg_path, "--trace", trace_path,
-                   "--set", "run.strategy=vnc", "--set", "media.disturb_limit=1",
-                   "--set", "imdb.threshold=0"])
-    assert rc == 2
-    assert "disturb_limit >= 3" in capsys.readouterr().err
-
-
-def test_bad_trace_exit_code(cfg_path, tmp_path, capsys):
-    bad = tmp_path / "bad.trace"
-    bad.write_text("0 Q 0x0\n")
-    rc = dispatch(["run", "--config", cfg_path, "--trace", str(bad)])
-    assert rc == 2
-
-
-def test_overlong_time_exit_code(cfg_path, tmp_path, capsys):
-    bad = tmp_path / "long.trace"
-    bad.write_text("0 R 0x0\n" + "1" * 5000 + " R 0x0\n")
-    rc = dispatch(["run", "--config", cfg_path, "--trace", str(bad)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("E:2:line 2, column 1: time has")
-
-
-@pytest.mark.parametrize("args", [
-    ["--kind", "hammer", "--rounds", "4", "--gap-ns", "-10"],
-    ["--kind", "hammer", "--rounds", "4", "--target", "-64"],
-    ["--kind", "slow-flip", "--victims", "4", "--rounds", "2", "--gap-ns", "-1"],
-    ["--kind", "uniform", "-n", "20", "--gap-ns", "-10"],
-    ["--kind", "uniform", "-n", "-5"],
-    ["--kind", "hotspot", "-n", "-1"],
-    ["--kind", "slow-flip", "--victims", "-2"],
-    ["--kind", "slow-flip", "--interleave", "-1"],
-    ["--kind", "slow-flip", "--rounds", "-3"],
-])
-def test_gen_negative_gap_or_target_exit_code(cfg_path, tmp_path, capsys,
-                                              args):
-    """A negative gap would write decreasing times and a negative target a
-    negative address, which `run` rejects, and a negative count an empty
-    trace: `gen` refuses all three and writes nothing."""
-    out = tmp_path / "neg.trace"
-    rc = dispatch(["gen", "--config", cfg_path, *args, "-o", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("E:2:")
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -505,18 +473,6 @@ def test_gen_zero_count_writes_trace(cfg_path, tmp_path, args):
     assert out.exists()
 
 
-def test_bad_address_behind_backpressure_exit_code(cfg_path, tmp_path, capsys):
-    # one-deep queues: the writes ahead of the bad record are retried first
-    records = [TraceRecord(0, "W", 64 * r, LINE_MASK) for r in range(4)]
-    records.append(TraceRecord(0, "W", 1 << 40, LINE_MASK))
-    path = str(tmp_path / "late-bad.trace")
-    write_trace_file(records, path)
-    rc = dispatch(["run", "--config", cfg_path, "--trace", path,
-                   "--set", "run.queue_depth=1"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("E:2:record 4:")
-
-
 @pytest.mark.parametrize("error", [
     TraceAbort(1, "byte_addr 0xffffffffff exceeds module capacity 0x1000"),
     TraceParseError(3, 5, "unknown op 'Q'"),
@@ -529,18 +485,6 @@ def test_trace_errors_survive_pickling(error):
     assert vars(copy) == vars(error)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_sweep_bad_address_exit_code(tmp_path, capsys, jobs):
-    bad = tmp_path / "bad.trace"
-    bad.write_text("0 R 0x0\n10 R 0xffffffffff\n")
-    rc = dispatch(["sweep", "--config", str(GOLDEN / "compare.cfg"),
-                   "--trace", str(bad), "--jobs", jobs])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "E:2:record 1: byte_addr 0xffffffffff exceeds module capacity "
-        "0x1000\n")
-
-
 def test_truncated_gz_trace_exit_code(cfg_path, tmp_path, capsys):
     whole = tmp_path / "h.trace.gz"
     assert dispatch(["gen", "--kind", "hammer", "--rounds", "50",
@@ -551,16 +495,6 @@ def test_truncated_gz_trace_exit_code(cfg_path, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("E:2:line 1, column 1: unreadable compressed data")
-
-
-def test_plain_text_named_gz_trace_exit_code(cfg_path, tmp_path, capsys):
-    plain = tmp_path / "plain.trace.gz"
-    plain.write_text("0 R 0x0\n")
-    rc = dispatch(["run", "--config", cfg_path, "--trace", str(plain)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("E:2:line 1, column 1: unreadable compressed data: "
-                          "Not a gzipped file")
 
 
 def test_corrupt_crc_gz_trace_exit_code(cfg_path, tmp_path, capsys):
@@ -577,14 +511,6 @@ def test_corrupt_crc_gz_trace_exit_code(cfg_path, tmp_path, capsys):
     assert ", column 1: unreadable compressed data: CRC check failed" in err
 
 
-def test_non_utf8_trace_exit_code(cfg_path, tmp_path, capsys):
-    bad = tmp_path / "bin.trace"
-    bad.write_bytes(b"0 R 0x0\n10 R 0x40\n\xff\xfe junk\n")
-    rc = dispatch(["run", "--config", cfg_path, "--trace", str(bad)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("E:2:line 3, column 1: ")
-
-
 def test_compare_and_sweep_drop_blank_strategies(cfg_path, trace_path):
     compare = run_rows(["compare", "--config", cfg_path, "--trace",
                         trace_path, "--strategies", "none,, imdb,",
@@ -593,15 +519,6 @@ def test_compare_and_sweep_drop_blank_strategies(cfg_path, trace_path):
     sweep = run_rows(["sweep", "--config", cfg_path, "--trace", trace_path,
                       "--strategies", "none,, imdb,", "--format", "json"])
     assert [r["strategy"] for r in sweep] == ["none", "imdb"]
-
-
-@pytest.mark.parametrize("command", ["compare", "sweep"])
-def test_empty_strategy_list_is_usage_error(cfg_path, trace_path, capsys,
-                                            command):
-    rc = dispatch([command, "--config", cfg_path, "--trace", trace_path,
-                   "--strategies", " , "])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("E:1:--strategies")
 
 
 def test_conservation_failure_exit_code(cfg_path, trace_path, monkeypatch,

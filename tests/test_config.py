@@ -1,10 +1,16 @@
+import json
 from dataclasses import fields
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from disturbsim.config import ConfigError, load_config, parse_config_text
-from disturbsim.core import EnergyParams, Geometry, SimConfig
+from disturbsim.cli import dispatch
+from disturbsim.config import (_SCHEMA, ConfigError, load_config,
+                               parse_config_text)
+from disturbsim.core import (FILL_PATTERNS, MT_POLICIES, STRATEGIES,
+                             EnergyParams, Geometry, SimConfig)
+from disturbsim.traces import gen_synthetic, write_trace_file
 
 SAMPLE = """
 # experiment: small module
@@ -198,3 +204,78 @@ def test_bool_accepts_on():
     cfg = parse_config_text("[imdb]\nprior_knowledge = off\n",
                             ["imdb.prior_knowledge=on"])
     assert cfg.prior_knowledge is True
+
+
+# One valid value for each key of the config file: a small module run by
+# `imdb` with every energy event counted at least twice on `small_trace`.
+VALID = {
+    "geometry": {"ranks": "1", "banks_per_rank": "2", "rows_per_bank": "16",
+                 "cols_per_row": "2"},
+    "timing": {"read_ns": "100", "set_ns": "150", "reset_ns": "100",
+               "controller_clock_hz": "800000000"},
+    "media": {"disturb_limit": "8", "initial_fill": "zeros"},
+    "imdb": {"threshold": "3", "insert_prob": "1/2", "n_mt": "4", "n_b": "2",
+             "n_groups": "2", "prior_knowledge": "on", "mt_policy": "flip",
+             "hit_cycles": "2"},
+    "siwc": {"entries": "4", "q_insert": "1/2", "q_evict": "1/2"},
+    "run": {"strategy": "imdb", "seed": "1", "queue_depth": "8",
+            "drain_low_watermark": "4"},
+    "energy": {name: "1" for name in _SCHEMA["energy"]},
+}
+
+# Values of every kind a key may meet: malformed, out of range, non-finite,
+# overflowing, of another key's type, too long for `int` (5,000 digits),
+# with an underscore or a non-ASCII digit; the valid integers stay at most
+# 1,024, so that no table grows large.
+VALUES = ["", "-1", "+4", "0x10", "a/b", "1/0", "2.5", "1e308", "1.7e308",
+          "nan", "inf", "abc", "on", "off", *STRATEGIES, *FILL_PATTERNS,
+          *MT_POLICIES, "9" * 5000, "1_000", "\u0663", "0", "1", "2",
+          "3", "8", "64", "1024"]
+
+
+@pytest.fixture(scope="module")
+def small_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("trace") / "hotspot.trace"
+    g = Geometry(**{k: int(v) for k, v in VALID["geometry"].items()})
+    write_trace_file(gen_synthetic("hotspot", 40, Random(1), g), str(path))
+    return str(path)
+
+
+def _refuse(constant):
+    raise ValueError(f"report carries {constant}")
+
+
+@pytest.mark.parametrize("section,key", [(sec, key) for sec in _SCHEMA
+                                         for key in _SCHEMA[sec]])
+def test_every_value_meets_the_failure_contract(section, key, small_trace,
+                                                tmp_path, capsys):
+    """Whatever value a key takes, `run` exits 0 with a report that is JSON,
+    or 2 with one `E:2:` line, which names the value's line when the key's
+    own parser refuses it."""
+    parse = _SCHEMA[section][key][1]
+    lines = []
+    for sec, keys in VALID.items():
+        lines.append(f"[{sec}]")
+        for name, text in keys.items():
+            if (sec, name) == (section, key):
+                line_no = len(lines) + 1
+            lines.append(f"{name} = {text}")
+    path = tmp_path / "sim.cfg"
+    ran = []
+    for value in VALUES:
+        lines[line_no - 1] = f"{key} = {value}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = dispatch(["run", "--config", str(path), "--trace", small_trace,
+                       "--format", "json"])
+        out, err = capsys.readouterr()
+        if rc == 0:
+            json.loads(out, parse_constant=_refuse)
+            ran.append(value)
+            continue
+        assert rc == 2, value
+        assert err.startswith("E:2:") and err.find("\n") == len(err) - 1
+        try:
+            parse(value)
+        except (ValueError, ZeroDivisionError):
+            assert err.startswith(f"E:2:line {line_no}: "), (value, err)
+    assert ran  # some value runs: the config and trace themselves are valid

@@ -37,6 +37,15 @@ def test_energy_total_is_linear_in_events():
     assert e["source"] == "config"
 
 
+@pytest.mark.parametrize("reads,term", [(2, "pcm_read_pj"), (1, "total_pj")])
+def test_energy_total_names_the_term_that_overflows(reads, term):
+    """Two reads at 1e308 overflow their own term; one read and one SET
+    bit at 1e308 each are finite terms whose sum overflows."""
+    params = EnergyParams(pcm_read_pj=1e308, pcm_set_pj_per_bit=1e308)
+    with pytest.raises(ValueError, match=rf"^energy_{term} is inf: "):
+        energy_total(RunStats(media_reads=reads, set_pulses=1), params)
+
+
 def test_tradeoff_requires_baseline():
     with pytest.raises(ValueError, match="missing baseline"):
         tradeoff_report([(desc("imdb"), stats())])
