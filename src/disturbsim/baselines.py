@@ -37,7 +37,7 @@ class Outcome(NamedTuple):
 
     absorbed: bool  # the strategy took the write: not queued, not written
     writeback: tuple | None  # (LineAddress, line) to queue for the media
-    rewrites: list | tuple  # LineAddress targets of Full-mode rewrites
+    rewrites: list | tuple  # distinct targets of Full-mode rewrites
     latency_ns: int  # bank occupancy
 
 

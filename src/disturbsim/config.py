@@ -19,7 +19,10 @@ sections, and a `[siwc]` key drops the `siwc_` prefix.
 Unknown sections or keys are rejected, and so is a repeated section or a
 repeated key, or a byte that is not UTF-8 outside a comment; each error
 names its line. Overrides of the form `section.key=value` apply after the
-file is parsed, the last one winning.
+file is parsed, the last one winning. A value that the dataclasses refuse
+is named by its line or override too, when it alone, against the
+defaults, is refused with the same message; a refusal that only a
+combination of values earns names no position.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 def parse_config_text(text: str, overrides: list[str] | None = None) -> SimConfig:
     values: dict[str, dict[str, object]] = {}
+    where: dict[tuple[str, str], str] = {}  # (section, field) -> position
     section = None
     seen: dict[str | tuple, int] = {}  # section or (section, key) -> line
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -116,7 +120,7 @@ def parse_config_text(text: str, overrides: list[str] | None = None) -> SimConfi
         if (first := seen.setdefault((section, key), line_no)) != line_no:
             raise ConfigError(f"line {line_no}: key {key!r} in [{section}] "
                               f"repeats line {first}")
-        _store(values, section, key, value, f"line {line_no}")
+        _store(values, where, section, key, value, f"line {line_no}")
     for ov in overrides or []:
         if "=" not in ov:
             raise ConfigError(f"override {ov!r}: expected section.key=value")
@@ -126,32 +130,50 @@ def parse_config_text(text: str, overrides: list[str] | None = None) -> SimConfi
         sec, key = path.strip().split(".", 1)
         if sec not in _SCHEMA:
             raise ConfigError(f"override {ov!r}: unknown section {sec!r}")
-        _store(values, sec, key.strip(), value.strip(), f"override {ov!r}")
-    return _build(values)
+        _store(values, where, sec, key.strip(), value.strip(),
+               f"override {ov!r}")
+    return _build(values, where)
 
 
-def _store(values, section, key, value, where):
+def _store(values, where, section, key, value, position):
     keys = _SCHEMA[section]
     if key not in keys:
-        raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]")
+        raise ConfigError(
+            f"{position}: unknown key {key!r} in section [{section}]")
     name, parse = keys[key]
     try:
         values.setdefault(section, {})[name] = parse(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{where}: bad value for {section}.{key}: {exc}") from exc
+        raise ConfigError(
+            f"{position}: bad value for {section}.{key}: {exc}") from exc
+    where.pop((section, name), None)  # an override stores after the file
+    where[section, name] = position
 
 
-def _build(values: dict[str, dict[str, object]]) -> SimConfig:
-    kwargs = {}
+def _build(values: dict[str, dict[str, object]],
+           where: dict[tuple[str, str], str]) -> SimConfig:
     try:
-        for sec, cls in _NESTED.items():
-            if sec in values:
-                kwargs[sec] = cls(**values.pop(sec))
-        for section_values in values.values():
-            kwargs.update(section_values)
-        return SimConfig(**kwargs)
+        return _config(values)
     except ValueError as exc:
+        # The first stored value, in file order, that is refused on its
+        # own against the defaults, and with this message, is the fault.
+        for (section, name), position in where.items():
+            try:
+                _config({section: {name: values[section][name]}})
+            except ValueError as alone:
+                if str(alone) == str(exc):
+                    raise ConfigError(f"{position}: {exc}") from exc
         raise ConfigError(str(exc)) from exc
+
+
+def _config(values: dict[str, dict[str, object]]) -> SimConfig:
+    kwargs = {}
+    for section, section_values in values.items():
+        if section in _NESTED:
+            kwargs[section] = _NESTED[section](**section_values)
+        else:
+            kwargs.update(section_values)
+    return SimConfig(**kwargs)
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> SimConfig:

@@ -46,8 +46,8 @@ that could issue, because of three invariants:
   a read takes `read_ns`, which the config requires to be positive).
 - I2. A service enqueues only into the bank it services: rewrites go to
   neighbour rows, in the same rank and bank, and writebacks come from that
-  bank's own tables. A service never gives another bank work (`_take`
-  checks it, at admission and at service).
+  bank's own tables. A service never gives another bank work
+  (`_require_same_bank` checks every outcome, queued or served at once).
 - I3. A refused `submit` has no side effect, so the pass's wake time still
   holds after it.
 
@@ -80,6 +80,31 @@ services them without the loop. A fourth invariant makes that exact:
   pick sets it as two would. It is not filed by line: no other write to its
   line is queued, and none merges into it before its write, since its hook
   runs only after it has left.
+
+A hook's rewrites and writeback are served at once too, when they find the
+controller idle apart from themselves:
+
+- I5. Say a hook hands the controller an outcome's rewrites and writeback
+  while no bank holds any other command: the `write` hook of a host write
+  serviced under I4, once that write has left (`_service` hands the outcome
+  back to `submit`, as the maintenance starts after the write's own media
+  write), or an `admit_write` hook that absorbed its write while
+  `_admitted == _serviced`. Queued, these items would be picked one by one,
+  the rewrites first in their FIFO order and then the writeback, each when
+  the bank is next idle, at `max(now, busy_until)`. Until the next record
+  is due, those picks see only these items: the other banks hold nothing,
+  and nothing else is admitted. So while the next record is due strictly
+  after an item's pick, `_serve_maintenance` serves it then, with the media
+  calls, counts and I1 check of `_service`, and sets the drain state as the
+  pick would: the pick would count the items not yet served, and
+  `next_command` sets the state from that count alone. A hook's rewrites
+  name distinct lines (the neighbours of one line), so none would have
+  merged into another, and no other write is queued to merge into. The
+  first item whose pick the next record's admission would precede goes to
+  `_take` with every item after it, at the hook's own time, as it would
+  have gone at that time; the picks that follow see what they would have.
+  I1-I3 hold for the items served, and `busy_until` ends where the last
+  pick's service would leave it.
 """
 
 from __future__ import annotations
@@ -231,7 +256,11 @@ class Engine:
             absorbed, writeback, rewrites, _ = bank.mitigation.admit_write(
                 addr, data, self.rng)
             if writeback is not None or rewrites:
-                self._take(addr, writeback, rewrites, now)
+                if self._admitted == self._serviced and absorbed:  # I5
+                    self._serve_maintenance(bank, addr, record_no, writeback,
+                                            rewrites, now)
+                else:
+                    self._take(addr, writeback, rewrites, now)
             if absorbed:
                 return True
             kind = HOST_WRITE
@@ -250,7 +279,9 @@ class Engine:
         if at_once:
             if self.next_command(bank, now) is not cmd:
                 raise _not_at_head(cmd)
-            self._service(bank, cmd, now, True)
+            handed = self._service(bank, cmd, now, True)
+            if handed:  # I5, once the write has left
+                self._serve_maintenance(bank, addr, record_no, *handed)
         return True
 
     def _next_due(self, record_no: int) -> float:
@@ -301,14 +332,52 @@ class Engine:
         (I2) and past backpressure. This maintenance traffic skips the counting
         tables, so it never triggers more of itself. Most outcomes return
         neither, and the callers then skip the call."""
+        _require_same_bank(addr, writeback, rewrites)
         for target in rewrites:
-            _require_same_bank(addr, "rewrite", target)
             self.merge_rewrite(target, now)
         if writeback is not None:
             target, data = writeback
-            _require_same_bank(addr, "writeback", target)
             self._enqueue(self._bank(target), WRITEBACK, target, data, now)
             self.stats.writebacks += 1
+
+    def _serve_maintenance(self, bank: _Bank, addr: LineAddress,
+                           record_no: int, writeback: tuple | None,
+                           rewrites: list | tuple, now: int) -> None:
+        """Serve what a hook's `Outcome` returned for the write to `addr`,
+        handed over while the controller holds nothing else (I5): the
+        rewrites in order, then the writeback, each as the loop's pick would
+        serve it, when `bank` is next idle, with the drain state that pick
+        would set. The first that the next record's admission would precede
+        goes to `_take` at the hook's `now`, with every item after it."""
+        _require_same_bank(addr, writeback, rewrites)
+        due = self._next_due(record_no)
+        media, depth, low = self.media, self._depth, self._low_watermark
+        items = [(target, None) for target in rewrites]  # None: intended data
+        if writeback is not None:
+            items.append(writeback)
+        for i, (target, data) in enumerate(items):
+            start = bank.busy_until if bank.busy_until > now else now
+            if due <= start:
+                self._take(addr, writeback, rewrites[i:], now)
+                return
+            writes = len(items) - i  # what the pick would find queued
+            if writes >= depth:
+                bank.draining = True
+            if bank.draining and writes <= low:
+                bank.draining = False
+            self._admitted += 1
+            self._serviced += 1
+            if data is None:  # a rewrite: full, of the intended contents
+                latency = self._read_ns + media.apply_write(
+                    target, media.intended_line(target), True).latency_ns
+            else:
+                self.stats.writebacks += 1
+                latency = media.apply_write(target, data, False).latency_ns
+            if latency < 1:  # `run` relies on a serviced bank being busy
+                raise ConsistencyError(
+                    f"{REWRITE if data is None else WRITEBACK} to {target} "
+                    f"served at once occupies its bank for {latency} ns")
+            bank.busy_until = start + latency
 
     # -- rewrite merging -------------------------------------------------------
 
@@ -356,13 +425,15 @@ class Engine:
         bank.busy_until = now + self._read_ns  # > now (I1)
 
     def _service(self, bank: _Bank, cmd: Command, now: int,
-                 at_once: bool = False) -> None:
+                 at_once: bool = False) -> tuple | None:
         """Take `cmd` from the head of its queue and run its next phase: a
         host read; a pre-write read, which prepares its write; or a write.
         The bank is busy from `now` for the phase's latency: each read
         returns as it sets `read_ns`, and a write checks its own (I1). A
         host write serviced `at_once` (I4) was never filed by line: its
-        write follows in the same call, as its pre-write read ends."""
+        write follows in the same call, as its pre-write read ends, and
+        what its hook returns, if anything, is handed back to be served
+        once the write has left (I5): (writeback, rewrites, hook time)."""
         self._serviced += 1
         kind, media = cmd.kind, self.media
         if kind is HOST_READ:
@@ -403,12 +474,15 @@ class Engine:
         # The one media write, unless the host write's hook absorbed it. For
         # a rewrite the device first fetches the line's intended contents,
         # and it rewrites all bits.
-        absorbed, latency = False, 0
+        absorbed, latency, handed = False, 0, None
         if kind is HOST_WRITE:
             absorbed, writeback, rewrites, latency = (
                 bank.mitigation.write(media, cmd, self.rng))
             if writeback is not None or rewrites:
-                self._take(cmd.addr, writeback, rewrites, now)
+                if at_once:
+                    handed = writeback, rewrites, now
+                else:
+                    self._take(cmd.addr, writeback, rewrites, now)
         elif kind is REWRITE:
             cmd.data = media.intended_line(cmd.addr)
             latency = self._read_ns
@@ -420,6 +494,7 @@ class Engine:
                 f"{kind} seq {cmd.seq} occupies its bank for "
                 f"{latency} ns")
         bank.busy_until = now + latency
+        return handed
 
     # -- main loop ---------------------------------------------------------------
 
@@ -505,14 +580,18 @@ def _not_at_head(cmd: Command) -> ConsistencyError:
         f"{cmd.kind} seq {cmd.seq} is not at the head of its queue")
 
 
-def _require_same_bank(addr: LineAddress, what: str,
-                       target: LineAddress) -> None:
+def _require_same_bank(addr: LineAddress, writeback: tuple | None,
+                       rewrites: list | tuple) -> None:
     """`Engine.run` relies on a hook's rewrites and writeback going only
-    into the bank of the line it wrote (I2)."""
-    if target[0] != addr[0] or target[1] != addr[1]:
-        raise ConsistencyError(
-            f"a write to rank {addr[0]} bank {addr[1]} returned a {what} "
-            f"to rank {target[0]} bank {target[1]}")
+    into the bank of the line it wrote (I2), queued or served at once."""
+    targets = rewrites if writeback is None else [*rewrites, writeback[0]]
+    for target in targets:
+        if target[0] != addr[0] or target[1] != addr[1]:
+            # an equal rewrite would have failed first
+            what = "rewrite" if target in rewrites else "writeback"
+            raise ConsistencyError(
+                f"a write to rank {addr[0]} bank {addr[1]} returned a {what} "
+                f"to rank {target[0]} bank {target[1]}")
 
 
 def run_to_completion(cfg: SimConfig, trace: list[TraceRecord]) -> RunStats:

@@ -81,9 +81,11 @@ class Recorder:
     - `media`: each call into the media as (name, args);
     - `services`: each `_service` as ("service", at_once), each host read
       served at admission, a `_read` made outside any `_service`, as
-      ("service", True), and each `_take` as ("take", at_once, writeback?,
-      rewrites?), where `at_once` is that of the service whose hook
-      returned the outcome, None at admission.
+      ("service", True), each rewrite or writeback that
+      `_serve_maintenance` serves at once as ("service", True), and each
+      `_take` as ("take", at_once, writeback?, rewrites?), where `at_once`
+      is that of the service whose hook returned the outcome, None at
+      admission.
 
     `result` is the JSON report, the final random state and the
     conservation counts."""
@@ -93,7 +95,9 @@ class Recorder:
         self.calls, self.media, self.services = [], [], []
         submit, next_command = eng.submit, eng.next_command
         service, take, read = eng._service, eng._take, eng._read
+        maintain = eng._serve_maintenance
         serving = [None]
+        handed = [False]  # whether the last `_service` handed an outcome
 
         def logged_submit(record, record_no, now):
             self.calls.append(("submit", now))
@@ -106,8 +110,22 @@ class Recorder:
         def logged_service(bank, cmd, now, at_once=False):
             self.services.append(("service", at_once))
             serving.append(at_once)
-            service(bank, cmd, now, at_once)
+            outcome = service(bank, cmd, now, at_once)
             serving.pop()
+            handed[0] = outcome is not None
+            return outcome
+
+        def logged_maintenance(bank, addr, record_no, writeback, rewrites,
+                               now):
+            # each item served counts one service; they precede any `_take`
+            # of the items left
+            mark, serviced = len(self.services), eng._serviced
+            serving.append(True if handed[0] else None)
+            handed[0] = False
+            maintain(bank, addr, record_no, writeback, rewrites, now)
+            serving.pop()
+            self.services[mark:mark] = (
+                [("service", True)] * (eng._serviced - serviced))
 
         def logged_read(bank, addr, now):
             if len(serving) == 1:  # not within a `_service`: at admission
@@ -127,7 +145,7 @@ class Recorder:
 
         eng.submit, eng.next_command = logged_submit, logged_next_command
         eng._service, eng._take = logged_service, logged_take
-        eng._read = logged_read
+        eng._read, eng._serve_maintenance = logged_read, logged_maintenance
         for name in dir(eng.media):
             method = getattr(eng.media, name)
             if not name.startswith("_") and callable(method):

@@ -137,6 +137,11 @@ MUTANTS = [
            "(first := seen.setdefault((section, key), line_no))",
            "(first := line_no)",
            ("tests/test_config.py::test_rejected_config_names_its_lines",)),
+    Mutant("config-refusal-unpositioned", "src/disturbsim/config.py",
+           'raise ConfigError(f"{position}: {exc}") from exc',
+           "raise ConfigError(str(exc)) from exc",
+           ("tests/test_config.py::"
+            "test_every_value_meets_the_failure_contract",)),
     Mutant("rank-term", "src/disturbsim/controller.py",
            "self.banks[addr[0] * self._banks_per_rank + addr[1]]",
            "self.banks[addr[1]]",
@@ -147,7 +152,9 @@ MUTANTS = [
            ("tests/test_controller.py::"
             "test_service_enqueueing_into_another_rank_raises",)),
     Mutant("take-skips-writeback-check", "src/disturbsim/controller.py",
-           '            _require_same_bank(addr, "writeback", target)\n', "",
+           "targets = rewrites if writeback is None else [*rewrites, "
+           "writeback[0]]",
+           "targets = rewrites",
            ("tests/test_controller.py::"
             "test_admission_writeback_into_another_bank_raises",
             "tests/test_controller.py::"
@@ -214,6 +221,23 @@ MUTANTS = [
            "",
            ("tests/test_perfbench_hooks.py::"
             "test_traced_idle_path_picks_each_command_once",)),
+    Mutant("idle-maintenance-ignores-due", "src/disturbsim/controller.py",
+           "            if due <= start:\n", "            if False:\n",
+           ("tests/test_controller.py::"
+            "test_idle_path_matches_the_queue_path",)),
+    Mutant("idle-maintenance-starts-at-now", "src/disturbsim/controller.py",
+           "start = bank.busy_until if bank.busy_until > now else now",
+           "start = now",
+           ("tests/test_controller.py::"
+            "test_idle_path_matches_the_queue_path",)),
+    Mutant("idle-maintenance-skips-drain", "src/disturbsim/controller.py",
+           "            if writes >= depth:\n"
+           "                bank.draining = True\n"
+           "            if bank.draining and writes <= low:\n"
+           "                bank.draining = False\n",
+           "",
+           ("tests/test_controller.py::"
+            "test_idle_path_matches_the_queue_path",)),
     Mutant("loop-no-rescan-after-retry", "src/disturbsim/controller.py",
            "                    due = records[i].time if i < n else never\n"
            "                    continue\n",

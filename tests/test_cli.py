@@ -345,14 +345,17 @@ FAILURES = [
      {"bad.cfg": b"[run]\nseed = 1\xff\n"}, 2,
      "E:2:line 2, column 9: byte 0xff is not UTF-8\n"),
     ("bad-geometry", RUN + " --set geometry.ranks=0", {}, 2,
-     "E:2:ranks must be >= 1\n"),
+     "E:2:override 'geometry.ranks=0': ranks must be >= 1\n"),
     # The drain state clears once a bank's queued writes fall to the low
     # watermark; below 0 that never happens, so a draining bank would keep
-    # putting writes ahead of pre-write reads for the rest of the run.
+    # putting writes ahead of pre-write reads for the rest of the run. A
+    # watermark of -1 is refused on its own, and 4 only with a queue depth
+    # of 4, so only -1 names its override.
     *((f"drain-watermark-{value}", f"{RUN} --set run.queue_depth=4 "
        f"--set run.drain_low_watermark={value}", {}, 2,
-       "E:2:drain_low_watermark must be in [0, queue_depth)\n")
-      for value in ("-1", "4")),
+       f"E:2:{position}drain_low_watermark must be in [0, queue_depth)\n")
+      for value, position in (
+          ("-1", "override 'run.drain_low_watermark=-1': "), ("4", ""))),
     # A negative table size or hit latency is an input error: it would
     # give a negative area, a negative table or a run faster than `none`.
     *((f"negative-{arg[2:].replace(' ', '-')}",

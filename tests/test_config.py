@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 from fractions import Fraction
 from random import Random
@@ -250,8 +251,10 @@ def _refuse(constant):
 def test_every_value_meets_the_failure_contract(section, key, small_trace,
                                                 tmp_path, capsys):
     """Whatever value a key takes, `run` exits 0 with a report that is JSON,
-    or 2 with one `E:2:` line, which names the value's line when the key's
-    own parser refuses it."""
+    or 2 with one `E:2:` line. The line names the value's line when the
+    key's own parser refuses the value, and a line when the config refuses
+    the value on its own, against the defaults: its own, or that of
+    another value refused on its own with the same message."""
     parse = _SCHEMA[section][key][1]
     lines = []
     for sec, keys in VALID.items():
@@ -278,4 +281,10 @@ def test_every_value_meets_the_failure_contract(section, key, small_trace,
             parse(value)
         except (ValueError, ZeroDivisionError):
             assert err.startswith(f"E:2:line {line_no}: "), (value, err)
+            continue
+        try:
+            parse_config_text(f"[{section}]\n{key} = {value}\n")
+        except ConfigError:
+            # refused on its own: this line or another refused value's
+            assert re.match(r"E:2:line \d+: ", err), (value, err)
     assert ran  # some value runs: the config and trace themselves are valid

@@ -521,6 +521,32 @@ def test_service_without_bank_occupancy_raises():
         eng.run()
 
 
+class WritebackToRow3(Mitigation):
+    """A serviced host write returns a writeback of ONES to row 3 of its
+    own bank."""
+
+    def write(self, media, cmd, rng):
+        return Outcome(False, (cmd.addr._replace(row=3), ONES), (), 0)
+
+
+def test_maintenance_served_at_once_without_bank_occupancy_raises():
+    """I1 holds for maintenance served at once (I5) too: a writeback whose
+    media write took 0 ns would leave the bank idle."""
+    eng = bank0_write_engine(WritebackToRow3)
+    apply_write = eng.media.apply_write
+
+    def instant_on_row_3(addr, data, full=False):
+        out = apply_write(addr, data, full)
+        return replace(out, latency_ns=0) if addr.row == 3 else out
+
+    eng.media.apply_write = instant_on_row_3
+    with pytest.raises(ConsistencyError,
+                       match=r"writeback to LineAddress\(rank=0, bank=0, "
+                             r"row=3, col=0\) served at once occupies its "
+                             r"bank for 0 ns"):
+        eng.run()
+
+
 @pytest.mark.parametrize("what", ["rewrite", "writeback"])
 def test_service_enqueueing_into_another_bank_raises(what):
     eng = bank0_write_engine(OtherBank)
@@ -640,15 +666,38 @@ EXAMPLES = {
     "read-due-as-the-write-starts": case(
         [row_write(0, 2, ONES), row_read(100, 3)], depth=2),
     # Alternating data on one row: its counters reach the threshold, and the
-    # hook of a write serviced at once returns rewrites.
+    # hook of a write serviced at once returns rewrites, which are served at
+    # once too (I5).
     "idle-write-returns-rewrites": case(
         [row_write(2_000, 2, (ONES, ZEROS)[i % 2]) for i in range(8)],
         depth=2, strategy="imdb", hit_cycles=2),
+    # The second write's hook returns the rewrites of rows 1 and 3 at 4,100
+    # ns. Row 1's runs from 4,103 to 4,303 ns, and two writes are due at
+    # 4,200, before row 3's can start: it goes to `_take`, and its pick
+    # finds three queued writes, enough to set the drain state. The drain
+    # then puts the first write's write ahead of the second one's pre-write
+    # read.
+    "rewrite-falls-back-between-two": case(
+        [row_write(2_000, 2, ONES), row_write(2_000, 2, ZEROS),
+         row_write(200, 6, ONES), row_write(0, 0, ONES)],
+        depth=3, low=0, strategy="imdb", hit_cycles=2),
     # A four-entry cache on eight rows: an admitted write that evicts an
-    # entry returns its writeback, which takes the queue path like every
-    # command that is not a host command.
+    # entry returns its writeback, which an idle controller serves at once
+    # (I5).
     "siwc-admission-writeback": case(
         [row_write(2_000, r % 8, ONES >> r) for r in range(24)],
+        depth=2, strategy="siwc", seed=1),
+    # The last write evicts at 30,150 ns, while the write before it keeps
+    # the bank busy until 30,200: its writeback starts then, not at once.
+    "siwc-writeback-waits-for-the-bank": case(
+        [row_write(2_000, r % 8, ONES >> r) for r in range(15)]
+        + [row_write(150, 7, ONES >> 15)],
+        depth=2, strategy="siwc", seed=1),
+    # The same, and a read due at 30,160 ns, before the writeback could
+    # start: the writeback goes to `_take`, and the read is picked first.
+    "siwc-writeback-falls-back": case(
+        [row_write(2_000, r % 8, ONES >> r) for r in range(15)]
+        + [row_write(150, 7, ONES >> 15), row_read(10, 0)],
         depth=2, strategy="siwc", seed=1),
     # Hammered neighbours diverge, and VnC's hook corrects them itself.
     "vnc": case([row_write(2_000, 2, (ONES, ZEROS)[i % 2])
@@ -674,6 +723,17 @@ EXAMPLES = {
         [row_write(0, 0, ONES), row_write(0, 2, ONES), row_write(0, 4, ONES),
          row_read(2_000, 6), row_write(2_000, 1, ONES),
          row_write(0, 3, ONES)], depth=3, low=0),
+    # Served at once, maintenance sets the drain state as its picks would:
+    # row 3's trigger returns two rewrites and a writeback, so the first
+    # pick would find three queued writes, which sets the state at depth 3,
+    # and a low watermark of 0 keeps it once the bank empties. The last two
+    # writes arrive together, and the state decides whether the first one's
+    # write runs before the second one's pre-write read.
+    "idle-maintenance-sets-the-drain": case(
+        [row_write(2_000, row, (ONES, ZEROS)[i % 2])
+         for row in (2, 5, 3) for i in range(8)]
+        + [row_write(2_000, 6, ONES), row_write(0, 0, ONES)],
+        depth=3, low=0, strategy="imdb", hit_cycles=2),
     # Bank 0 still holds a queued write when a record for idle bank 1
     # arrives: the controller is not idle, so that record is queued too.
     "other-bank-busy": case(
@@ -761,12 +821,30 @@ def test_examples_reach_what_they_name():
     assert trace[1].time == trace[0].time + run.engine.cfg.read_ns
     assert run.at_once == 0  # the read is admitted while the write is queued
 
-    run = runs["idle-write-returns-rewrites"]
-    assert ("take", True, False, True) in run.services
+    # maintenance, all served at once (I5): it is queued only by `_take`
+    for name in ("idle-write-returns-rewrites", "siwc-admission-writeback",
+                 "siwc-writeback-waits-for-the-bank",
+                 "idle-maintenance-sets-the-drain"):
+        run = runs[name]
+        stats = run.engine.stats
+        assert stats.rewrites + stats.writebacks > 0, name
+        assert all(service[0] == "service" for service in run.services)
 
-    run = runs["siwc-admission-writeback"]
+    # the two writes, row 1's rewrite, and then row 3's goes to `_take`
+    assert runs["rewrite-falls-back-between-two"].services[:4] == [
+        ("service", True), ("service", True), ("service", True),
+        ("take", True, False, True)]
+
+    # the writeback is the last service, and the bank was busy when the
+    # last record arrived
+    run = runs["siwc-writeback-waits-for-the-bank"]
+    trace = run.engine.trace
+    before = Recorder(Engine, run.engine.cfg, trace[:-1])
+    assert before.engine.stats.completion_time_ns > trace[-1].time
+    assert run.services[-1] == ("service", True)
+
+    run = runs["siwc-writeback-falls-back"]
     assert ("take", None, True, False) in run.services
-    assert run.at_once > 0
 
     run = runs["vnc"]
     assert run.at_once == len(run.engine.trace)

@@ -99,10 +99,11 @@ def test_two_rank_report_matches_golden(tmp_path):
     assert banks == {(r, b) for r in range(2) for b in range(2)}  # all four
 
 
-# The records of the paced golden that each strategy services at once: all
-# of `none`'s; the others' tables absorb writes, and their rewrites,
-# writebacks and VnC's corrections keep the controller busy for some records.
-PACED_AT_ONCE = {"none": 300, "vnc": 297, "siwc": 65, "imdb": 223}
+# The services that each strategy makes at once on the paced golden (I4 and
+# I5 in `controller`): one per record for `none`; the other tables absorb
+# writes, and VnC's corrections keep the controller busy for some records,
+# while every rewrite and writeback of `siwc` and `imdb` is served at once.
+PACED_AT_ONCE = {"none": 300, "vnc": 297, "siwc": 78, "imdb": 491}
 
 
 def test_paced_report_matches_golden(tmp_path):
