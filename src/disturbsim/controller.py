@@ -52,20 +52,25 @@ that could issue, because of three invariants:
   holds after it.
 
 On a paced trace most records find the controller idle, and `submit`
-services them without the loop. A fourth invariant makes that exact:
+serves them without the loop. A fourth invariant makes that exact:
 
-- I4. Say a host command is admitted at `now` while no bank holds a queued
-  command (`_admitted == _serviced`), its bank is idle, and the next record
-  is due strictly after the command's last phase starts: `now` for a host
-  read, `now + read_ns` for a host write's write. Then the loop would pick it
-  in the pass at `now`, as the only command of any bank, and nothing else
-  could act before that phase starts: the other banks hold nothing, and the
-  next record is not yet due. So `submit` runs each phase at the time the
-  loop would, with the same hook, `_take`, media calls and I1 check, and
-  leaves `busy_until` where the loop would. I1-I3 hold as before, and the
-  pass that follows at `now` finds only what the loop's pass after the last
-  phase would: the bank busy, and any rewrites or writeback a write's hook
-  queued.
+- I4. While no bank holds a queued command (`_admitted == _serviced`),
+  `submit` hands over work in this order: a host read, or a host write's
+  pre-write read and write, and then the rewrites, in order, and the
+  writeback that the write's hook returns; an `admit_write` hook that
+  absorbs its write hands over its rewrites and writeback alone. Queued,
+  each piece would be picked when its bank is next idle, at `start =
+  max(now, busy_until)`, a host write's write as its pre-write read ends.
+  Until the next record is due, those picks see only this work: the other
+  banks hold nothing, and nothing else is admitted. So while the next record
+  is due strictly after a pick's last phase starts, `submit` makes that
+  pick at once, at `start`, with the hook, media calls, counts and I1 check
+  of `_service`, and the drain state that `next_command` would set from the
+  number of queued writes alone; `busy_until` ends where that service
+  would leave it. The first pick that the next record's admission would
+  precede is not made: its work and all that follows it are queued, at the
+  time they were handed over, and the loop picks them as it would have.
+  I1-I3 hold for every pick made at once.
 
   A host read is served at admission: it gets no `Command`, is filed
   nowhere and takes no pick. `submit` counts it admitted and serviced, sets
@@ -76,35 +81,15 @@ services them without the loop. A fourth invariant makes that exact:
   A host write is filed by kind, where `next_command` looks, picked once
   and serviced by `_service`, both phases in one call: its hook takes the
   `Command`. Its two picks would see the same number of queued writes, one,
-  and `next_command` sets the drain state from that number alone, so one
-  pick sets it as two would. It is not filed by line: no other write to its
-  line is queued, and none merges into it before its write, since its hook
-  runs only after it has left.
+  so one pick sets the drain state as two would. It is not filed by line:
+  no other write to its line is queued, and none merges into it before its
+  write, since its hook runs only after it has left.
 
-A hook's rewrites and writeback are served at once too, when they find the
-controller idle apart from themselves:
-
-- I5. Say a hook hands the controller an outcome's rewrites and writeback
-  while no bank holds any other command: the `write` hook of a host write
-  serviced under I4, once that write has left (`_service` hands the outcome
-  back to `submit`, as the maintenance starts after the write's own media
-  write), or an `admit_write` hook that absorbed its write while
-  `_admitted == _serviced`. Queued, these items would be picked one by one,
-  the rewrites first in their FIFO order and then the writeback, each when
-  the bank is next idle, at `max(now, busy_until)`. Until the next record
-  is due, those picks see only these items: the other banks hold nothing,
-  and nothing else is admitted. So while the next record is due strictly
-  after an item's pick, `_serve_maintenance` serves it then, with the media
-  calls, counts and I1 check of `_service`, and sets the drain state as the
-  pick would: the pick would count the items not yet served, and
-  `next_command` sets the state from that count alone. A hook's rewrites
-  name distinct lines (the neighbours of one line), so none would have
-  merged into another, and no other write is queued to merge into. The
-  first item whose pick the next record's admission would precede goes to
-  `_take` with every item after it, at the hook's own time, as it would
-  have gone at that time; the picks that follow see what they would have.
-  I1-I3 hold for the items served, and `busy_until` ends where the last
-  pick's service would leave it.
+  Rewrites and a writeback are served by `_serve_maintenance`, which sets
+  the drain state from the items not yet served, as each pick would count
+  them. A hook's rewrites name distinct lines (the neighbours of one line),
+  so none would have merged into another, and no other write is queued to
+  merge into.
 """
 
 from __future__ import annotations
@@ -226,9 +211,10 @@ class Engine:
 
     def submit(self, record: TraceRecord, record_no: int, now: int) -> bool:
         """Admit one trace record. Returns False on backpressure; the retry
-        of the same record reuses its decoded address. A command that finds
-        the controller idle is serviced before this returns (I4); a host
-        read then never enters a queue."""
+        of the same record reuses its decoded address. Work handed to an
+        idle controller is serviced before this returns when the loop would
+        service it before the next record is due (I4); a host read then
+        never enters a queue."""
         # one unpack: reading a NamedTuple's fields by name is slower
         _, op, byte_addr, data = record
         if self._head[0] != record_no:
@@ -256,32 +242,31 @@ class Engine:
             absorbed, writeback, rewrites, _ = bank.mitigation.admit_write(
                 addr, data, self.rng)
             if writeback is not None or rewrites:
-                if self._admitted == self._serviced and absorbed:  # I5
-                    self._serve_maintenance(bank, addr, record_no, writeback,
-                                            rewrites, now)
+                if absorbed and self._admitted == self._serviced:  # I4
+                    self._serve_maintenance(bank, addr, writeback, rewrites,
+                                            now, self._next_due(record_no))
                 else:
                     self._take(addr, writeback, rewrites, now)
             if absorbed:
                 return True
             kind = HOST_WRITE
-        # I4: a command that finds the controller idle, and whose last phase
-        # starts before the next record is due, is serviced at once.
-        at_once = (self._admitted == self._serviced and bank.busy_until <= now
-                   and self._next_due(record_no) > (
-                       now if kind is HOST_READ else now + self._read_ns))
-        if at_once and kind is HOST_READ:  # served at admission, unfiled
-            self._admitted += 1
-            self._serviced += 1
-            bank.draining = False  # as a pick would: no write is queued
-            self._read(bank, addr, now)
-            return True
-        cmd = self._enqueue(bank, kind, addr, data, now, at_once)
-        if at_once:
-            if self.next_command(bank, now) is not cmd:
-                raise _not_at_head(cmd)
-            handed = self._service(bank, cmd, now, True)
-            if handed:  # I5, once the write has left
-                self._serve_maintenance(bank, addr, record_no, *handed)
+        if self._admitted == self._serviced:  # I4: each pick at `start`
+            start = bank.busy_until if bank.busy_until > now else now
+            due = self._next_due(record_no)
+            if due > (start if kind is HOST_READ else start + self._read_ns):
+                if kind is HOST_READ:  # served at admission, unfiled
+                    self._admitted += 1
+                    self._serviced += 1
+                    # as a pick would: no write is queued
+                    bank.draining = False
+                    self._read(bank, addr, start)
+                    return True
+                cmd = self._enqueue(bank, kind, addr, data, now, True)
+                if self.next_command(bank, start) is not cmd:
+                    raise _not_at_head(cmd)
+                self._service(bank, cmd, start, due)
+                return True
+        self._enqueue(bank, kind, addr, data, now)
         return True
 
     def _next_due(self, record_no: int) -> float:
@@ -341,16 +326,15 @@ class Engine:
             self.stats.writebacks += 1
 
     def _serve_maintenance(self, bank: _Bank, addr: LineAddress,
-                           record_no: int, writeback: tuple | None,
-                           rewrites: list | tuple, now: int) -> None:
-        """Serve what a hook's `Outcome` returned for the write to `addr`,
-        handed over while the controller holds nothing else (I5): the
-        rewrites in order, then the writeback, each as the loop's pick would
-        serve it, when `bank` is next idle, with the drain state that pick
-        would set. The first that the next record's admission would precede
-        goes to `_take` at the hook's `now`, with every item after it."""
+                           writeback: tuple | None, rewrites: list | tuple,
+                           now: int, due: float) -> None:
+        """Serve what a hook's `Outcome` returned at `now` for the write to
+        `addr`, handed over while the controller holds nothing else (I4):
+        the rewrites in order, then the writeback, each as the loop's pick
+        would serve it, when `bank` is next idle, with the drain state that
+        pick would set. The first whose pick the next record, due at `due`,
+        would precede goes to `_take` at `now`, with every item after it."""
         _require_same_bank(addr, writeback, rewrites)
-        due = self._next_due(record_no)
         media, depth, low = self.media, self._depth, self._low_watermark
         items = [(target, None) for target in rewrites]  # None: intended data
         if writeback is not None:
@@ -425,15 +409,15 @@ class Engine:
         bank.busy_until = now + self._read_ns  # > now (I1)
 
     def _service(self, bank: _Bank, cmd: Command, now: int,
-                 at_once: bool = False) -> tuple | None:
+                 due: float | None = None) -> None:
         """Take `cmd` from the head of its queue and run its next phase: a
         host read; a pre-write read, which prepares its write; or a write.
         The bank is busy from `now` for the phase's latency: each read
         returns as it sets `read_ns`, and a write checks its own (I1). A
-        host write serviced `at_once` (I4) was never filed by line: its
-        write follows in the same call, as its pre-write read ends, and
-        what its hook returns, if anything, is handed back to be served
-        once the write has left (I5): (writeback, rewrites, hook time)."""
+        host write serviced at once (I4), with the next record `due`, was
+        never filed by line: its write follows in the same call, as its
+        pre-write read ends, and what its hook returns, if anything, is
+        served at once too, once the write has left."""
         self._serviced += 1
         kind, media = cmd.kind, self.media
         if kind is HOST_READ:
@@ -464,7 +448,7 @@ class Engine:
             cmd.prepared = True
             self.stats.pre_write_reads += 1
             cmd.old_data = media.read_line(cmd.addr)
-            if not at_once:
+            if due is None:
                 heappush(bank.ready_writes, (cmd.seq, cmd))
                 bank.busy_until = now + self._read_ns  # > now (I1)
                 return
@@ -474,15 +458,10 @@ class Engine:
         # The one media write, unless the host write's hook absorbed it. For
         # a rewrite the device first fetches the line's intended contents,
         # and it rewrites all bits.
-        absorbed, latency, handed = False, 0, None
+        absorbed, latency = False, 0
         if kind is HOST_WRITE:
             absorbed, writeback, rewrites, latency = (
                 bank.mitigation.write(media, cmd, self.rng))
-            if writeback is not None or rewrites:
-                if at_once:
-                    handed = writeback, rewrites, now
-                else:
-                    self._take(cmd.addr, writeback, rewrites, now)
         elif kind is REWRITE:
             cmd.data = media.intended_line(cmd.addr)
             latency = self._read_ns
@@ -494,7 +473,12 @@ class Engine:
                 f"{kind} seq {cmd.seq} occupies its bank for "
                 f"{latency} ns")
         bank.busy_until = now + latency
-        return handed
+        if kind is HOST_WRITE and (writeback is not None or rewrites):
+            if due is None:
+                self._take(cmd.addr, writeback, rewrites, now)
+            else:
+                self._serve_maintenance(bank, cmd.addr, writeback, rewrites,
+                                        now, due)
 
     # -- main loop ---------------------------------------------------------------
 

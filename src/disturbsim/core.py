@@ -245,8 +245,10 @@ class SimConfig:
         if self.strategy == "vnc" and self.disturb_limit < 3:
             raise ValueError("strategy vnc needs disturb_limit >= 3: below it "
                              "verify-and-correct may never converge")
-        if not 0 <= 2 * self.threshold < self.disturb_limit:
-            raise ValueError("need 0 <= 2*threshold < disturb_limit "
+        if self.threshold < 0:
+            raise ValueError("threshold must be >= 0")
+        if not 2 * self.threshold < self.disturb_limit:
+            raise ValueError("need 2*threshold < disturb_limit "
                              "(rewrite must fire before two aggressors reach the limit)")
         for name in ("n_mt", "n_b", "hit_cycles"):
             if getattr(self, name) < 0:

@@ -97,7 +97,6 @@ class Recorder:
         service, take, read = eng._service, eng._take, eng._read
         maintain = eng._serve_maintenance
         serving = [None]
-        handed = [False]  # whether the last `_service` handed an outcome
 
         def logged_submit(record, record_no, now):
             self.calls.append(("submit", now))
@@ -107,23 +106,18 @@ class Recorder:
             self.calls.append(("next_command", now))
             return next_command(bank, now)
 
-        def logged_service(bank, cmd, now, at_once=False):
+        def logged_service(bank, cmd, now, due=None):
+            at_once = due is not None
             self.services.append(("service", at_once))
             serving.append(at_once)
-            outcome = service(bank, cmd, now, at_once)
+            service(bank, cmd, now, due)
             serving.pop()
-            handed[0] = outcome is not None
-            return outcome
 
-        def logged_maintenance(bank, addr, record_no, writeback, rewrites,
-                               now):
+        def logged_maintenance(bank, addr, writeback, rewrites, now, due):
             # each item served counts one service; they precede any `_take`
             # of the items left
             mark, serviced = len(self.services), eng._serviced
-            serving.append(True if handed[0] else None)
-            handed[0] = False
-            maintain(bank, addr, record_no, writeback, rewrites, now)
-            serving.pop()
+            maintain(bank, addr, writeback, rewrites, now, due)
             self.services[mark:mark] = (
                 [("service", True)] * (eng._serviced - serviced))
 

@@ -14,10 +14,12 @@ a failing example already kills the mutant, and shrinking it can take
 minutes. The profile changes how soon a kill is found, not what counts as
 one.
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py [NAME ...]
 
-pytest does not collect this file; `tests/test_mutants.py` checks without
-running anything that each mutant still applies to the code.
+With names, only those mutants run, and the baseline runs only their tests;
+an unknown name is refused (exit 2) before anything runs. pytest does not
+collect this file; `tests/test_mutants.py` checks without running anything
+that each mutant still applies to the code and that names select mutants.
 """
 
 from __future__ import annotations
@@ -186,48 +188,59 @@ MUTANTS = [
             "test_indexed_bank_matches_reference_scheduler",)),
     Mutant("idle-when-next-record-due-as-last-phase-starts",
            "src/disturbsim/controller.py",
-           "self._next_due(record_no) > (",
-           "self._next_due(record_no) >= (",
+           "if due > (start if kind is HOST_READ",
+           "if due >= (start if kind is HOST_READ",
            ("tests/test_controller.py::"
             "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-path-off", "src/disturbsim/controller.py",
-           "at_once = (self._admitted == self._serviced",
-           "at_once = (False and self._admitted == self._serviced",
+           "if self._admitted == self._serviced:  # I4: each pick",
+           "if False:  # I4: each pick",
            ("tests/test_golden.py::test_paced_report_matches_golden",)),
     Mutant("idle-looks-only-at-its-bank", "src/disturbsim/controller.py",
-           "at_once = (self._admitted == self._serviced and",
-           "at_once = (not (bank.read_q or bank.write_q) and",
+           "if self._admitted == self._serviced:  # I4: each pick",
+           "if not (bank.read_q or bank.write_q):  # I4: each pick",
            ("tests/test_controller.py::"
             "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-read-keeps-drain-state", "src/disturbsim/controller.py",
-           "            bank.draining = False  # as a pick would: no write is "
-           "queued\n",
+           "                    # as a pick would: no write is queued\n"
+           "                    bank.draining = False\n",
            "",
            ("tests/test_controller.py::"
             "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-pick-misses-the-write", "src/disturbsim/controller.py",
-           "            if self.next_command(bank, now) is not cmd:\n"
-           "                raise _not_at_head(cmd)\n",
-           "            filed = bank.write_q.pop(cmd, 0) is None\n"
-           "            if self.next_command(bank, now) is not cmd:\n"
-           "                raise _not_at_head(cmd)\n"
-           "            if filed:\n"
-           "                bank.write_q[cmd] = None\n",
+           "                if self.next_command(bank, start) is not cmd:\n"
+           "                    raise _not_at_head(cmd)\n",
+           "                filed = bank.write_q.pop(cmd, 0) is None\n"
+           "                if self.next_command(bank, start) is not cmd:\n"
+           "                    raise _not_at_head(cmd)\n"
+           "                if filed:\n"
+           "                    bank.write_q[cmd] = None\n",
            ("tests/test_controller.py::"
             "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-skips-the-pick", "src/disturbsim/controller.py",
-           "            if self.next_command(bank, now) is not cmd:\n"
-           "                raise _not_at_head(cmd)\n",
+           "                if self.next_command(bank, start) is not cmd:\n"
+           "                    raise _not_at_head(cmd)\n",
            "",
            ("tests/test_perfbench_hooks.py::"
             "test_traced_idle_path_picks_each_command_once",)),
+    Mutant("idle-host-starts-at-now", "src/disturbsim/controller.py",
+           "            start = bank.busy_until if bank.busy_until > now "
+           "else now\n"
+           "            due = self._next_due(record_no)\n",
+           "            start = now\n"
+           "            due = self._next_due(record_no)\n",
+           ("tests/test_controller.py::"
+            "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-maintenance-ignores-due", "src/disturbsim/controller.py",
            "            if due <= start:\n", "            if False:\n",
            ("tests/test_controller.py::"
             "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-maintenance-starts-at-now", "src/disturbsim/controller.py",
-           "start = bank.busy_until if bank.busy_until > now else now",
-           "start = now",
+           "            start = bank.busy_until if bank.busy_until > now "
+           "else now\n"
+           "            if due <= start:\n",
+           "            start = now\n"
+           "            if due <= start:\n",
            ("tests/test_controller.py::"
             "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-maintenance-skips-drain", "src/disturbsim/controller.py",
@@ -341,9 +354,26 @@ def run(mutant: Mutant) -> tuple[bool, str]:
     return False, f"pytest exited {code}: {tail}"
 
 
-def main() -> int:
+def select(names: list[str]) -> list[Mutant]:
+    """The mutants named, in kill-list order, or every mutant if no name is
+    given. Raises ValueError naming each unknown name."""
+    if not names:
+        return MUTANTS
+    known = {mutant.name for mutant in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"unknown mutant: {', '.join(unknown)}")
+    return [mutant for mutant in MUTANTS if mutant.name in names]
+
+
+def main(names: list[str]) -> int:
+    try:
+        mutants = select(names)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     begin = start = time.perf_counter()
-    named = tuple(sorted({t for mutant in MUTANTS for t in mutant.tests}))
+    named = tuple(sorted({t for mutant in mutants for t in mutant.tests}))
     code, tail = pytest_in_copy(named)
     print(f"baseline: {len(named)} named tests in an unmutated copy "
           f"({tail}, {time.perf_counter() - start:.1f} s)", flush=True)
@@ -351,16 +381,16 @@ def main() -> int:
         print(f"BASELINE FAILED: pytest exited {code}", flush=True)
         return 1
     survivors = 0
-    for mutant in MUTANTS:
+    for mutant in mutants:
         start = time.perf_counter()
         killed, how = run(mutant)
         survivors += not killed
         print(f"{'killed' if killed else 'SURVIVED'} {mutant.name} "
               f"({how}, {time.perf_counter() - start:.1f} s)", flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed in "
+    print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed in "
           f"{time.perf_counter() - begin:.1f} s", flush=True)
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

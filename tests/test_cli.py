@@ -344,6 +344,11 @@ FAILURES = [
     ("config-not-utf8", "run --config {tmp}/bad.cfg --trace {trace}",
      {"bad.cfg": b"[run]\nseed = 1\xff\n"}, 2,
      "E:2:line 2, column 9: byte 0xff is not UTF-8\n"),
+    # A negative threshold is refused on its own line, not on that of a
+    # disturb_limit that is valid with any threshold up to 3.
+    ("config-negative-threshold", "run --config {tmp}/bad.cfg --trace {trace}",
+     {"bad.cfg": b"[media]\ndisturb_limit = 8\n\n[imdb]\nthreshold = -1\n"},
+     2, "E:2:line 5: threshold must be >= 0\n"),
     ("bad-geometry", RUN + " --set geometry.ranks=0", {}, 2,
      "E:2:override 'geometry.ranks=0': ranks must be >= 1\n"),
     # The drain state clears once a bank's queued writes fall to the low

@@ -530,7 +530,7 @@ class WritebackToRow3(Mitigation):
 
 
 def test_maintenance_served_at_once_without_bank_occupancy_raises():
-    """I1 holds for maintenance served at once (I5) too: a writeback whose
+    """I1 holds for maintenance served at once (I4) too: a writeback whose
     media write took 0 ns would leave the bank idle."""
     eng = bank0_write_engine(WritebackToRow3)
     apply_write = eng.media.apply_write
@@ -667,7 +667,7 @@ EXAMPLES = {
         [row_write(0, 2, ONES), row_read(100, 3)], depth=2),
     # Alternating data on one row: its counters reach the threshold, and the
     # hook of a write serviced at once returns rewrites, which are served at
-    # once too (I5).
+    # once too (I4).
     "idle-write-returns-rewrites": case(
         [row_write(2_000, 2, (ONES, ZEROS)[i % 2]) for i in range(8)],
         depth=2, strategy="imdb", hit_cycles=2),
@@ -683,7 +683,7 @@ EXAMPLES = {
         depth=3, low=0, strategy="imdb", hit_cycles=2),
     # A four-entry cache on eight rows: an admitted write that evicts an
     # entry returns its writeback, which an idle controller serves at once
-    # (I5).
+    # (I4).
     "siwc-admission-writeback": case(
         [row_write(2_000, r % 8, ONES >> r) for r in range(24)],
         depth=2, strategy="siwc", seed=1),
@@ -706,6 +706,17 @@ EXAMPLES = {
     # above it lies in the bank.
     "vnc-last-row": case([row_write(0, 7, ONES)], strategy="vnc"),
     "last-record": case([row_write(0, 2, ONES)]),
+    # The write keeps the bank busy until 250 ns, and nothing is queued when
+    # the next host command arrives at 200: each example's second record is
+    # served at once, at 250, when its bank is next free.
+    "idle-read-waits-for-its-bank": case(
+        [row_write(0, 2, ONES), row_read(200, 4)]),
+    "idle-write-waits-for-its-bank": case(
+        [row_write(0, 2, ONES), row_write(200, 4, ONES)]),
+    # The same write, and a read due at 350 ns, as that write's write would
+    # start: the write is queued, and the read is picked ahead of its write.
+    "idle-write-falls-back-to-the-queue": case(
+        [row_write(0, 2, ONES), row_write(200, 4, ONES), row_read(150, 6)]),
     # Three writes fill the queue and set the drain state, which a low
     # watermark of 0 keeps once the bank empties. The idle write's pick
     # keeps it only if it counts that write; then two writes arrive
@@ -821,7 +832,7 @@ def test_examples_reach_what_they_name():
     assert trace[1].time == trace[0].time + run.engine.cfg.read_ns
     assert run.at_once == 0  # the read is admitted while the write is queued
 
-    # maintenance, all served at once (I5): it is queued only by `_take`
+    # maintenance, all served at once (I4): it is queued only by `_take`
     for name in ("idle-write-returns-rewrites", "siwc-admission-writeback",
                  "siwc-writeback-waits-for-the-bank",
                  "idle-maintenance-sets-the-drain"):
@@ -857,6 +868,26 @@ def test_examples_reach_what_they_name():
 
     run = runs["last-record"]
     assert len(run.engine.trace) == 1 and run.at_once == 1
+
+    # the first write keeps the bank busy past the second record's arrival
+    for name in ("idle-read-waits-for-its-bank",
+                 "idle-write-waits-for-its-bank",
+                 "idle-write-falls-back-to-the-queue"):
+        run = runs[name]
+        first = Recorder(Engine, run.engine.cfg, run.engine.trace[:1])
+        assert first.engine.banks[0].busy_until == 250, name
+        assert run.engine.trace[1].time == 200, name
+    # both served at once by the `submit` at 200: the read without a pick,
+    # the write with one, at 250
+    run = runs["idle-read-waits-for-its-bank"]
+    assert run.at_once == 2 and run.calls[2:] == [("submit", 200)]
+    run = runs["idle-write-waits-for-its-bank"]
+    assert run.at_once == 2
+    assert run.calls[2:] == [("submit", 200), ("next_command", 250)]
+    run = runs["idle-write-falls-back-to-the-queue"]
+    assert run.engine.trace[2].time == 250 + run.engine.cfg.read_ns
+    assert run.at_once == 1  # the first write
+    assert run.services[:2] == [("service", True), ("service", False)]
 
     # the write at 2,000 ns
     assert runs["drain-state-outlives-the-queue"].at_once == 1

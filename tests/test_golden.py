@@ -15,10 +15,16 @@ the report of `golden/paced.cfg` (the compare config) on
 controller idle and are serviced at once (I4 in `controller`). Refactors of
 the controller or of a strategy must reproduce all four byte for byte; a
 change that alters results on purpose regenerates them and says why.
+
+The benchmark's three workloads (`perfbench/workloads.py`) are pinned too,
+at seed 1 and benchmark scale, by one SHA-256 per strategy in
+`BENCH_DIGESTS`; a change that alters them on purpose updates the table and
+says why.
 """
 
 import dataclasses
 import fractions
+import hashlib
 import json
 import os
 import random
@@ -29,12 +35,13 @@ from pathlib import Path
 import pytest
 
 from disturbsim.cli import dispatch
-from disturbsim.config import load_config
+from disturbsim.config import load_config, parse_config_text
 from disturbsim.controller import MITIGATIONS, Engine, run_to_completion
 from disturbsim.core import STRATEGIES, decompose_address
 from disturbsim.media import CellArray
+from disturbsim.metrics import emit_report
 from disturbsim.traces import read_trace_file
-from helpers import Recorder
+from helpers import Recorder, bench_workloads
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -99,11 +106,13 @@ def test_two_rank_report_matches_golden(tmp_path):
     assert banks == {(r, b) for r in range(2) for b in range(2)}  # all four
 
 
-# The services that each strategy makes at once on the paced golden (I4 and
-# I5 in `controller`): one per record for `none`; the other tables absorb
-# writes, and VnC's corrections keep the controller busy for some records,
-# while every rewrite and writeback of `siwc` and `imdb` is served at once.
-PACED_AT_ONCE = {"none": 300, "vnc": 297, "siwc": 78, "imdb": 491}
+# The services that each strategy makes at once on the paced golden (I4 in
+# `controller`): one per record for `none` and `vnc`; the other tables
+# absorb writes, and every rewrite and writeback of `siwc` and `imdb` is
+# served at once. Three of VnC's records arrive while its corrections keep
+# their bank busy; the controller is idle, so each is served at once, when
+# its bank is next free.
+PACED_AT_ONCE = {"none": 300, "vnc": 300, "siwc": 78, "imdb": 491}
 
 
 def test_paced_report_matches_golden(tmp_path):
@@ -120,6 +129,52 @@ def test_paced_report_matches_golden(tmp_path):
     for strategy, expected in PACED_AT_ONCE.items():
         cfg = dataclasses.replace(base, strategy=strategy)
         assert Recorder(Engine, cfg, trace).at_once == expected, strategy
+
+
+# The SHA-256 of `repr((report, rng.getstate(), conservation))` for each
+# strategy on each benchmark workload at seed 1: the JSON report, the final
+# random state and `Engine.conservation`.
+BENCH_DIGESTS = {
+    ("hotspot-backlog", "none"):
+        "07fe4cf3accc6cfb7e953ff024978f350e66a949ccba870dd20e716466dab6bf",
+    ("hotspot-backlog", "vnc"):
+        "c183d030c2b34dae32fab328aa90e89a149085b5923263f2324707597592ce16",
+    ("hotspot-backlog", "siwc"):
+        "fcf85c6d02ee37138c7e8566fdf63057f023100975c956cfbfd6470700a329e5",
+    ("hotspot-backlog", "imdb"):
+        "7cb98fee6e809148aa918b3997a632556ee197c9583fbb4a78461455ad711e82",
+    ("slowflip-paced", "none"):
+        "0c9b01d0e732ad37d0d2979dc0409945caff678580dea7d81fbd34cc8d54571f",
+    ("slowflip-paced", "vnc"):
+        "ac82a8a7e47ae35bf00cfab4cc88e8e213802e83f6162952ddf772ebd4801ae6",
+    ("slowflip-paced", "siwc"):
+        "660d84752d86359d86e12379a3eb4c0cb527c4622af358ada4482f4f91f8b37d",
+    ("slowflip-paced", "imdb"):
+        "bb8726ef4a53b6499c42ca25a795cb39c9bf6acda0e882202401841c204f6c16",
+    ("uniform-paced", "none"):
+        "d5837a4d65610a85af6f9d595f5f48a0108d403066d5a9a95017f7242abbfd6a",
+    ("uniform-paced", "vnc"):
+        "c8f1569e87d521a071a11ec5b58c48b1d09a99043e31d0394f58b385d776396b",
+    ("uniform-paced", "siwc"):
+        "1dce4013fb8d340a479a57ceacee30bb29b30053061761749d658d94bf480e8f",
+    ("uniform-paced", "imdb"):
+        "fd366946d2575df1e3ef32cc7ed98aa9e2925488ccbeab661268f3734eb8cf1e",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(bench_workloads()))
+def test_benchmark_runs_match_their_digests(workload):
+    w = bench_workloads()[workload]
+    cfg = parse_config_text(w.config.format(seed=1))
+    trace = w.make_trace(random.Random(1), cfg.geometry)
+    digests = {}
+    for strategy in STRATEGIES:
+        eng = Engine(dataclasses.replace(cfg, strategy=strategy), trace)
+        report = emit_report(eng.run(), "json")
+        state = (report, eng.rng.getstate(), eng.conservation)
+        digests[strategy] = hashlib.sha256(repr(state).encode()).hexdigest()
+    assert digests == {strategy: BENCH_DIGESTS[workload, strategy]
+                       for strategy in STRATEGIES}
 
 
 @pytest.mark.parametrize("name", ["compare", "coins", "ranks", "paced"])
