@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
@@ -78,14 +77,9 @@ def _build_parser() -> _Parser:
 
 
 def _load_cfg(args) -> SimConfig:
-    overrides = list(args.overrides)
-    env_seed = os.environ.get("DISTURBSIM_SEED")
-    if env_seed is not None:
-        # last, so the variable wins over the file and over --set
-        overrides.append(f"run.seed={env_seed}")
     if args.config:
-        return load_config(args.config, overrides)
-    return parse_config_text("", overrides)
+        return load_config(args.config, args.overrides)
+    return parse_config_text("", args.overrides)
 
 
 def _write_output(text: str, path: str | None) -> None:

@@ -42,12 +42,13 @@ only if it is admitted does another pass run at `now`. No pass is skipped
 that could issue, because of three invariants:
 
 - I1. Every service occupies its bank for at least 1 ns, so a bank that
-  issued at `now` is busy at `now` (`_service` checks a write's latency;
-  a read takes `read_ns`, which the config requires to be positive).
+  issued at `now` is busy at `now` (`_service` checks a host write's
+  latency and `_maintain` a rewrite's or a writeback's; a read takes
+  `read_ns`, which the config requires to be positive).
 - I2. A service enqueues only into the bank it services: rewrites go to
   neighbour rows, in the same rank and bank, and writebacks come from that
-  bank's own tables. A service never gives another bank work
-  (`_require_same_bank` checks every outcome, queued or served at once).
+  bank's own tables. A service never gives another bank work (`_take`
+  checks every outcome before it serves or queues any of it).
 - I3. A refused `submit` has no side effect, so the pass's wake time still
   holds after it.
 
@@ -85,11 +86,13 @@ serves them without the loop. A fourth invariant makes that exact:
   no other write to its line is queued, and none merges into it before its
   write, since its hook runs only after it has left.
 
-  Rewrites and a writeback are served by `_serve_maintenance`, which sets
-  the drain state from the items not yet served, as each pick would count
-  them. A hook's rewrites name distinct lines (the neighbours of one line),
-  so none would have merged into another, and no other write is queued to
-  merge into.
+  Rewrites and a writeback go to `_take`, the one handler of a hook's
+  outcome, queued or not. It serves each item it can at once, with the
+  drain state set from the items not yet served, as each pick would count
+  them, and queues the rest. A hook's rewrites name distinct lines (the
+  neighbours of one line), so none would have merged into another, and no
+  other write is queued to merge into. Served at once or queued, a rewrite
+  or a writeback makes its one media write in `_maintain`.
 """
 
 from __future__ import annotations
@@ -242,11 +245,9 @@ class Engine:
             absorbed, writeback, rewrites, _ = bank.mitigation.admit_write(
                 addr, data, self.rng)
             if writeback is not None or rewrites:
-                if absorbed and self._admitted == self._serviced:  # I4
-                    self._serve_maintenance(bank, addr, writeback, rewrites,
-                                            now, self._next_due(record_no))
-                else:
-                    self._take(addr, writeback, rewrites, now)
+                idle = absorbed and self._admitted == self._serviced  # I4
+                self._take(bank, addr, writeback, rewrites, now,
+                           self._next_due(record_no) if idle else None)
             if absorbed:
                 return True
             kind = HOST_WRITE
@@ -310,58 +311,49 @@ class Engine:
             heappush(bank.ready_pres, (seq, cmd))
         return cmd
 
-    def _take(self, addr: LineAddress, writeback: tuple | None,
-              rewrites: list | tuple, now: int) -> None:
-        """Queue what a write hook's `Outcome` returned for the host write to
-        `addr`: merge each rewrite and queue the writeback, in `addr`'s bank
-        (I2) and past backpressure. This maintenance traffic skips the counting
-        tables, so it never triggers more of itself. Most outcomes return
-        neither, and the callers then skip the call."""
-        _require_same_bank(addr, writeback, rewrites)
-        for target in rewrites:
-            self.merge_rewrite(target, now)
-        if writeback is not None:
-            target, data = writeback
-            self._enqueue(self._bank(target), WRITEBACK, target, data, now)
-            self.stats.writebacks += 1
-
-    def _serve_maintenance(self, bank: _Bank, addr: LineAddress,
-                           writeback: tuple | None, rewrites: list | tuple,
-                           now: int, due: float) -> None:
-        """Serve what a hook's `Outcome` returned at `now` for the write to
-        `addr`, handed over while the controller holds nothing else (I4):
-        the rewrites in order, then the writeback, each as the loop's pick
-        would serve it, when `bank` is next idle, with the drain state that
-        pick would set. The first whose pick the next record, due at `due`,
-        would precede goes to `_take` at `now`, with every item after it."""
-        _require_same_bank(addr, writeback, rewrites)
-        media, depth, low = self.media, self._depth, self._low_watermark
+    def _take(self, bank: _Bank, addr: LineAddress, writeback: tuple | None,
+              rewrites: list | tuple, now: int, due: float | None) -> None:
+        """The one handler of what a write hook's `Outcome` returned at `now`
+        for the host write to `addr`: its rewrites, in order, and then its
+        writeback, all in `bank`, the bank of `addr` (I2). An item is served
+        at once (I4) while the next record, due at `due`, is due after the
+        item's pick would start, at `max(now, busy_until)`, with the drain
+        state that pick would set from the items not yet served. From the
+        first item that cannot start in time, or with `due` None, each
+        rewrite is merged and the writeback queued at `now`, past
+        backpressure. This maintenance traffic skips the counting tables, so
+        it never triggers more of itself. Most outcomes return neither, and
+        the callers then skip the call."""
         items = [(target, None) for target in rewrites]  # None: intended data
         if writeback is not None:
             items.append(writeback)
-        for i, (target, data) in enumerate(items):
-            start = bank.busy_until if bank.busy_until > now else now
-            if due <= start:
-                self._take(addr, writeback, rewrites[i:], now)
-                return
-            writes = len(items) - i  # what the pick would find queued
-            if writes >= depth:
-                bank.draining = True
-            if bank.draining and writes <= low:
-                bank.draining = False
-            self._admitted += 1
-            self._serviced += 1
-            if data is None:  # a rewrite: full, of the intended contents
-                latency = self._read_ns + media.apply_write(
-                    target, media.intended_line(target), True).latency_ns
-            else:
-                self.stats.writebacks += 1
-                latency = media.apply_write(target, data, False).latency_ns
-            if latency < 1:  # `run` relies on a serviced bank being busy
+        for target, data in items:  # `Engine.run` relies on I2
+            if target[0] != addr[0] or target[1] != addr[1]:
                 raise ConsistencyError(
-                    f"{REWRITE if data is None else WRITEBACK} to {target} "
-                    f"served at once occupies its bank for {latency} ns")
-            bank.busy_until = start + latency
+                    f"a write to rank {addr[0]} bank {addr[1]} returned a "
+                    f"{REWRITE if data is None else WRITEBACK} to rank "
+                    f"{target[0]} bank {target[1]}")
+        left = len(items)  # what the next pick would find queued
+        for target, data in items:
+            if due is not None:
+                start = bank.busy_until if bank.busy_until > now else now
+                if due > start:
+                    if left >= self._depth:
+                        bank.draining = True
+                    if bank.draining and left <= self._low_watermark:
+                        bank.draining = False
+                    left -= 1
+                    self._admitted += 1
+                    self._serviced += 1
+                    self._maintain(bank, target, data, data is None, start)
+                    continue
+                due = None  # this item and every one after it are queued
+            if data is None:
+                self.merge_rewrite(target, now)
+            else:
+                self._enqueue(bank, WRITEBACK, target, data, now)
+        if writeback is not None:
+            self.stats.writebacks += 1
 
     # -- rewrite merging -------------------------------------------------------
 
@@ -411,13 +403,14 @@ class Engine:
     def _service(self, bank: _Bank, cmd: Command, now: int,
                  due: float | None = None) -> None:
         """Take `cmd` from the head of its queue and run its next phase: a
-        host read; a pre-write read, which prepares its write; or a write.
-        The bank is busy from `now` for the phase's latency: each read
-        returns as it sets `read_ns`, and a write checks its own (I1). A
-        host write serviced at once (I4), with the next record `due`, was
+        host read; a pre-write read, which prepares its write; a host write;
+        or a rewrite's or writeback's media write, by `_maintain`. The bank
+        is busy from `now` for the phase's latency: each read returns as it
+        sets `read_ns`, and a write checks its own (I1). What a host write's
+        hook returns, if anything, goes to `_take` once the write has left.
+        A host write serviced at once (I4), with the next record `due`, was
         never filed by line: its write follows in the same call, as its
-        pre-write read ends, and what its hook returns, if anything, is
-        served at once too, once the write has left."""
+        pre-write read ends, and `_take` gets `due` too."""
         self._serviced += 1
         kind, media = cmd.kind, self.media
         if kind is HOST_READ:
@@ -441,6 +434,9 @@ class Engine:
                 del bank.lines[cmd.addr]
             elif oldest and not line[0].prepared:
                 heappush(bank.ready_pres, (line[0].seq, line[0]))
+            if kind is not HOST_WRITE:  # a rewrite or a writeback
+                self._maintain(bank, cmd.addr, cmd.data, cmd.full, now)
+                return
         else:
             if heappop(bank.ready_pres)[1] is not cmd:
                 raise _not_at_head(cmd)
@@ -455,16 +451,9 @@ class Engine:
             del bank.write_q[cmd]
             self._serviced += 1  # the write, as the read ends
             now += self._read_ns
-        # The one media write, unless the host write's hook absorbed it. For
-        # a rewrite the device first fetches the line's intended contents,
-        # and it rewrites all bits.
-        absorbed, latency = False, 0
-        if kind is HOST_WRITE:
-            absorbed, writeback, rewrites, latency = (
-                bank.mitigation.write(media, cmd, self.rng))
-        elif kind is REWRITE:
-            cmd.data = media.intended_line(cmd.addr)
-            latency = self._read_ns
+        # The host write's one media write, unless its hook absorbed it.
+        absorbed, writeback, rewrites, latency = (
+            bank.mitigation.write(media, cmd, self.rng))
         if not absorbed:
             latency += media.apply_write(cmd.addr, cmd.data,
                                          cmd.full).latency_ns
@@ -473,12 +462,28 @@ class Engine:
                 f"{kind} seq {cmd.seq} occupies its bank for "
                 f"{latency} ns")
         bank.busy_until = now + latency
-        if kind is HOST_WRITE and (writeback is not None or rewrites):
-            if due is None:
-                self._take(cmd.addr, writeback, rewrites, now)
-            else:
-                self._serve_maintenance(bank, cmd.addr, writeback, rewrites,
-                                        now, due)
+        if writeback is not None or rewrites:
+            self._take(bank, cmd.addr, writeback, rewrites, now, due)
+
+    def _maintain(self, bank: _Bank, addr: LineAddress, data: int | None,
+                  full: bool, now: int) -> None:
+        """The one media write of a rewrite or a writeback, queued or served
+        at once (I4), from `now`. A rewrite (`data` None, always `full`)
+        first fetches the line's intended contents, for `read_ns`; a
+        writeback writes its data, `full` only if a rewrite merged into it.
+        The bank is busy for the whole latency, which must be at least 1 ns
+        (I1)."""
+        media = self.media
+        if data is None:
+            latency = self._read_ns + media.apply_write(
+                addr, media.intended_line(addr), full).latency_ns
+        else:
+            latency = media.apply_write(addr, data, full).latency_ns
+        if latency < 1:  # `run` relies on a serviced bank being busy
+            raise ConsistencyError(
+                f"{REWRITE if data is None else WRITEBACK} to {addr} "
+                f"occupies its bank for {latency} ns")
+        bank.busy_until = now + latency
 
     # -- main loop ---------------------------------------------------------------
 
@@ -562,20 +567,6 @@ class Engine:
 def _not_at_head(cmd: Command) -> ConsistencyError:
     return ConsistencyError(
         f"{cmd.kind} seq {cmd.seq} is not at the head of its queue")
-
-
-def _require_same_bank(addr: LineAddress, writeback: tuple | None,
-                       rewrites: list | tuple) -> None:
-    """`Engine.run` relies on a hook's rewrites and writeback going only
-    into the bank of the line it wrote (I2), queued or served at once."""
-    targets = rewrites if writeback is None else [*rewrites, writeback[0]]
-    for target in targets:
-        if target[0] != addr[0] or target[1] != addr[1]:
-            # an equal rewrite would have failed first
-            what = "rewrite" if target in rewrites else "writeback"
-            raise ConsistencyError(
-                f"a write to rank {addr[0]} bank {addr[1]} returned a {what} "
-                f"to rank {target[0]} bank {target[1]}")
 
 
 def run_to_completion(cfg: SimConfig, trace: list[TraceRecord]) -> RunStats:

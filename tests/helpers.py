@@ -81,11 +81,11 @@ class Recorder:
     - `media`: each call into the media as (name, args);
     - `services`: each `_service` as ("service", at_once), each host read
       served at admission, a `_read` made outside any `_service`, as
-      ("service", True), each rewrite or writeback that
-      `_serve_maintenance` serves at once as ("service", True), and each
-      `_take` as ("take", at_once, writeback?, rewrites?), where `at_once`
-      is that of the service whose hook returned the outcome, None at
-      admission.
+      ("service", True), and each `_take` as one ("service", True) per item
+      it serves at once, then, if it queues any, ("take", at_once,
+      writeback?, rewrites?), where `at_once` is that of the service whose
+      hook returned the outcome, None at admission, and the flags say what
+      it queued.
 
     `result` is the JSON report, the final random state and the
     conservation counts."""
@@ -95,7 +95,6 @@ class Recorder:
         self.calls, self.media, self.services = [], [], []
         submit, next_command = eng.submit, eng.next_command
         service, take, read = eng._service, eng._take, eng._read
-        maintain = eng._serve_maintenance
         serving = [None]
 
         def logged_submit(record, record_no, now):
@@ -113,23 +112,20 @@ class Recorder:
             service(bank, cmd, now, due)
             serving.pop()
 
-        def logged_maintenance(bank, addr, writeback, rewrites, now, due):
-            # each item served counts one service; they precede any `_take`
-            # of the items left
-            mark, serviced = len(self.services), eng._serviced
-            maintain(bank, addr, writeback, rewrites, now, due)
-            self.services[mark:mark] = (
-                [("service", True)] * (eng._serviced - serviced))
-
         def logged_read(bank, addr, now):
             if len(serving) == 1:  # not within a `_service`: at admission
                 self.services.append(("service", True))
             read(bank, addr, now)
 
-        def logged_take(addr, writeback, rewrites, now):
-            self.services.append(("take", serving[-1], writeback is not None,
-                                  bool(rewrites)))
-            take(addr, writeback, rewrites, now)
+        def logged_take(bank, addr, writeback, rewrites, now, due):
+            serviced = eng._serviced
+            take(bank, addr, writeback, rewrites, now, due)
+            served = eng._serviced - serviced  # the first items, in order
+            self.services += [("service", True)] * served
+            if served < len(rewrites) + (writeback is not None):
+                self.services.append(("take", serving[-1],
+                                      writeback is not None,
+                                      served < len(rewrites)))
 
         def logged_media(name, method):
             def logged(*args):
@@ -139,7 +135,7 @@ class Recorder:
 
         eng.submit, eng.next_command = logged_submit, logged_next_command
         eng._service, eng._take = logged_service, logged_take
-        eng._read, eng._serve_maintenance = logged_read, logged_maintenance
+        eng._read = logged_read
         for name in dir(eng.media):
             method = getattr(eng.media, name)
             if not name.startswith("_") and callable(method):

@@ -154,9 +154,9 @@ MUTANTS = [
            ("tests/test_controller.py::"
             "test_service_enqueueing_into_another_rank_raises",)),
     Mutant("take-skips-writeback-check", "src/disturbsim/controller.py",
-           "targets = rewrites if writeback is None else [*rewrites, "
-           "writeback[0]]",
-           "targets = rewrites",
+           "if target[0] != addr[0] or target[1] != addr[1]:",
+           "if data is None and (target[0] != addr[0] or "
+           "target[1] != addr[1]):",
            ("tests/test_controller.py::"
             "test_admission_writeback_into_another_bank_raises",
             "tests/test_controller.py::"
@@ -232,22 +232,21 @@ MUTANTS = [
            ("tests/test_controller.py::"
             "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-maintenance-ignores-due", "src/disturbsim/controller.py",
-           "            if due <= start:\n", "            if False:\n",
+           "                if due > start:\n", "                if True:\n",
            ("tests/test_controller.py::"
             "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-maintenance-starts-at-now", "src/disturbsim/controller.py",
-           "            start = bank.busy_until if bank.busy_until > now "
-           "else now\n"
-           "            if due <= start:\n",
-           "            start = now\n"
-           "            if due <= start:\n",
+           "                start = bank.busy_until if bank.busy_until > now "
+           "else now\n",
+           "                start = now\n",
            ("tests/test_controller.py::"
             "test_idle_path_matches_the_queue_path",)),
     Mutant("idle-maintenance-skips-drain", "src/disturbsim/controller.py",
-           "            if writes >= depth:\n"
-           "                bank.draining = True\n"
-           "            if bank.draining and writes <= low:\n"
-           "                bank.draining = False\n",
+           "                    if left >= self._depth:\n"
+           "                        bank.draining = True\n"
+           "                    if bank.draining and left <= "
+           "self._low_watermark:\n"
+           "                        bank.draining = False\n",
            "",
            ("tests/test_controller.py::"
             "test_idle_path_matches_the_queue_path",)),
@@ -261,6 +260,12 @@ MUTANTS = [
            "if issued and due <= now:", "if issued and due < now:",
            ("tests/test_controller.py::"
             "test_one_pass_loop_matches_two_pass_reference",)),
+    Mutant("merged-writeback-written-differential",
+           "src/disturbsim/controller.py",
+           "media.apply_write(addr, data, full)",
+           "media.apply_write(addr, data, False)",
+           ("tests/test_controller.py::"
+            "test_rewrite_merged_into_a_queued_writeback_is_written_full",)),
     Mutant("rewrite-enqueued-differential", "src/disturbsim/controller.py",
            "Command(kind, addr, data, kind is REWRITE,",
            "Command(kind, addr, data, False,",

@@ -111,23 +111,14 @@ def test_set_overrides(cfg_path, trace_path):
     assert rows[0]["wde_raw"] == 0
 
 
-def test_env_seed_override(cfg_path, trace_path, monkeypatch):
+def test_seed_comes_from_the_config_not_the_environment(cfg_path, trace_path,
+                                                        monkeypatch):
+    """The config file and `--set run.seed=N` are the only ways to set the
+    seed: a `DISTURBSIM_SEED` variable is not read."""
     monkeypatch.setenv("DISTURBSIM_SEED", "77")
     rows = run_rows(["run", "--config", cfg_path, "--trace", trace_path,
                      "--format", "json"])
-    assert rows[0]["seed"] == 77
-
-
-def test_env_seed_parses_like_config_seed(cfg_path, trace_path, monkeypatch,
-                                          capsys):
-    monkeypatch.setenv("DISTURBSIM_SEED", "0x10")
-    rows = run_rows(["run", "--config", cfg_path, "--trace", trace_path,
-                     "--set", "run.seed=5", "--format", "json"])
-    assert rows[0]["seed"] == 16
-    monkeypatch.setenv("DISTURBSIM_SEED", "abc")
-    rc = dispatch(["run", "--config", cfg_path, "--trace", trace_path])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("E:2:")
+    assert rows[0]["seed"] == 1
 
 
 def test_compare_covers_strategies(cfg_path, trace_path):

@@ -105,8 +105,8 @@ def test_load_config_file(tmp_path):
 
 
 def test_overrides_repeat_and_the_last_wins():
-    """Only the file rejects a repeated key: `--set` overrides (and
-    `DISTURBSIM_SEED`, the last of them) replace each other in order."""
+    """Only the file rejects a repeated key: `--set` overrides replace
+    each other in order."""
     cfg = parse_config_text("[run]\nseed = 1\n", ["run.seed=2", "run.seed=3"])
     assert cfg.seed == 3
 

@@ -489,10 +489,19 @@ class TablesOnly(Mitigation):
         return Outcome(self.absorbed, None, (), 3)
 
 
-def bank0_write_engine(mitigation, g=TWO_BANKS) -> Engine:
+class QueuedEngine(Engine):
+    """The engine with the idle path (I4) turned off: the next record is
+    always already due, so `submit` queues every command for `run`'s
+    passes."""
+
+    def _next_due(self, record_no):
+        return float("-inf")
+
+
+def bank0_write_engine(mitigation, g=TWO_BANKS, engine_cls=Engine) -> Engine:
     """A 2-bank engine with `mitigation` on bank 0 and one write to it."""
     trace = [TraceRecord(0, "W", addr_bytes(2, g=g), ONES)]
-    eng = Engine(make_cfg(geometry=g), trace)
+    eng = engine_cls(make_cfg(geometry=g), trace)
     eng.banks[0].mitigation = mitigation(eng.cfg, eng.stats)
     return eng
 
@@ -529,10 +538,13 @@ class WritebackToRow3(Mitigation):
         return Outcome(False, (cmd.addr._replace(row=3), ONES), (), 0)
 
 
-def test_maintenance_served_at_once_without_bank_occupancy_raises():
-    """I1 holds for maintenance served at once (I4) too: a writeback whose
-    media write took 0 ns would leave the bank idle."""
-    eng = bank0_write_engine(WritebackToRow3)
+@pytest.mark.parametrize("engine_cls", [Engine, QueuedEngine],
+                         ids=lambda cls: cls.__name__)
+def test_maintenance_without_bank_occupancy_raises(engine_cls):
+    """I1 holds for maintenance, served at once (I4) or queued, with one
+    message: a writeback whose media write took 0 ns would leave the bank
+    idle."""
+    eng = bank0_write_engine(WritebackToRow3, engine_cls=engine_cls)
     apply_write = eng.media.apply_write
 
     def instant_on_row_3(addr, data, full=False):
@@ -542,9 +554,37 @@ def test_maintenance_served_at_once_without_bank_occupancy_raises():
     eng.media.apply_write = instant_on_row_3
     with pytest.raises(ConsistencyError,
                        match=r"writeback to LineAddress\(rank=0, bank=0, "
-                             r"row=3, col=0\) served at once occupies its "
-                             r"bank for 0 ns"):
+                             r"row=3, col=0\) occupies its bank for 0 ns"):
         eng.run()
+
+
+class WritebackThenRewrite(Mitigation):
+    """The first serviced host write returns a writeback of ONES to row 3
+    of its bank, and the second one a rewrite of row 3."""
+
+    writes = 0
+
+    def write(self, media, cmd, rng):
+        self.writes += 1
+        row_3 = cmd.addr._replace(row=3)
+        if self.writes == 1:
+            return Outcome(False, (row_3, ONES), (), 0)
+        return Outcome(False, None, (row_3,), 0)
+
+
+def test_rewrite_merged_into_a_queued_writeback_is_written_full(monkeypatch):
+    """Both writes are due at 0 ns, so neither is served at once: the
+    first one's writeback is still queued when the second one's rewrite
+    of its line merges into it, and the writeback then programs every
+    cell."""
+    monkeypatch.setitem(MITIGATIONS, "none", WritebackThenRewrite)
+    trace = [TraceRecord(0, "W", addr_bytes(row), ONES) for row in (1, 2)]
+    run = Recorder(Engine, make_cfg(queue_depth=4), trace)
+    assert run.engine.stats.merges == 1
+    row_3 = LineAddress(0, 0, 3, 0)
+    assert [args for name, args in run.media
+            if name == "apply_write" and args[0] == row_3] == [
+        (row_3, ONES, True)]
 
 
 @pytest.mark.parametrize("what", ["rewrite", "writeback"])
@@ -590,15 +630,6 @@ def test_unserviceable_command_stalls_the_engine():
 
 
 # -- the engine against its references ----------------------------------------
-
-
-class QueuedEngine(Engine):
-    """The engine with the idle path (I4) turned off: the next record is
-    always already due, so `submit` queues every command for `run`'s
-    passes."""
-
-    def _next_due(self, record_no):
-        return float("-inf")
 
 
 def paced_records(max_gap, max_size):
@@ -673,7 +704,7 @@ EXAMPLES = {
         depth=2, strategy="imdb", hit_cycles=2),
     # The second write's hook returns the rewrites of rows 1 and 3 at 4,100
     # ns. Row 1's runs from 4,103 to 4,303 ns, and two writes are due at
-    # 4,200, before row 3's can start: it goes to `_take`, and its pick
+    # 4,200, before row 3's can start: `_take` queues it, and its pick
     # finds three queued writes, enough to set the drain state. The drain
     # then puts the first write's write ahead of the second one's pre-write
     # read.
@@ -694,7 +725,7 @@ EXAMPLES = {
         + [row_write(150, 7, ONES >> 15)],
         depth=2, strategy="siwc", seed=1),
     # The same, and a read due at 30,160 ns, before the writeback could
-    # start: the writeback goes to `_take`, and the read is picked first.
+    # start: `_take` queues the writeback, and the read is picked first.
     "siwc-writeback-falls-back": case(
         [row_write(2_000, r % 8, ONES >> r) for r in range(15)]
         + [row_write(150, 7, ONES >> 15), row_read(10, 0)],
@@ -832,7 +863,7 @@ def test_examples_reach_what_they_name():
     assert trace[1].time == trace[0].time + run.engine.cfg.read_ns
     assert run.at_once == 0  # the read is admitted while the write is queued
 
-    # maintenance, all served at once (I4): it is queued only by `_take`
+    # maintenance, all served at once (I4): `_take` queues none of it
     for name in ("idle-write-returns-rewrites", "siwc-admission-writeback",
                  "siwc-writeback-waits-for-the-bank",
                  "idle-maintenance-sets-the-drain"):
@@ -841,7 +872,7 @@ def test_examples_reach_what_they_name():
         assert stats.rewrites + stats.writebacks > 0, name
         assert all(service[0] == "service" for service in run.services)
 
-    # the two writes, row 1's rewrite, and then row 3's goes to `_take`
+    # the two writes, row 1's rewrite, and then `_take` queues row 3's
     assert runs["rewrite-falls-back-between-two"].services[:4] == [
         ("service", True), ("service", True), ("service", True),
         ("take", True, False, True)]

@@ -17,9 +17,9 @@ the controller or of a strategy must reproduce all four byte for byte; a
 change that alters results on purpose regenerates them and says why.
 
 The benchmark's three workloads (`perfbench/workloads.py`) are pinned too,
-at seed 1 and benchmark scale, by one SHA-256 per strategy in
-`BENCH_DIGESTS`; a change that alters them on purpose updates the table and
-says why.
+at seeds 1, 7 and 11 and benchmark scale, by one SHA-256 per strategy and
+seed in `BENCH_DIGESTS`; a change that alters them on purpose updates the
+table and says why.
 """
 
 import dataclasses
@@ -132,49 +132,100 @@ def test_paced_report_matches_golden(tmp_path):
 
 
 # The SHA-256 of `repr((report, rng.getstate(), conservation))` for each
-# strategy on each benchmark workload at seed 1: the JSON report, the final
-# random state and `Engine.conservation`.
+# strategy on each benchmark workload at seeds 1, 7 and 11: the JSON report,
+# the final random state and `Engine.conservation`.
+BENCH_SEEDS = (1, 7, 11)
 BENCH_DIGESTS = {
-    ("hotspot-backlog", "none"):
+    ("hotspot-backlog", 1, "none"):
         "07fe4cf3accc6cfb7e953ff024978f350e66a949ccba870dd20e716466dab6bf",
-    ("hotspot-backlog", "vnc"):
+    ("hotspot-backlog", 1, "vnc"):
         "c183d030c2b34dae32fab328aa90e89a149085b5923263f2324707597592ce16",
-    ("hotspot-backlog", "siwc"):
+    ("hotspot-backlog", 1, "siwc"):
         "fcf85c6d02ee37138c7e8566fdf63057f023100975c956cfbfd6470700a329e5",
-    ("hotspot-backlog", "imdb"):
+    ("hotspot-backlog", 1, "imdb"):
         "7cb98fee6e809148aa918b3997a632556ee197c9583fbb4a78461455ad711e82",
-    ("slowflip-paced", "none"):
+    ("hotspot-backlog", 7, "none"):
+        "483274f0b1b537c652ed450d3d0daa2e3e9b85781483bf44a1fc32114dddc327",
+    ("hotspot-backlog", 7, "vnc"):
+        "e7d560dccf48fdceac0b78bf41c848830058f9d455c0b7487f09b27c61f026ce",
+    ("hotspot-backlog", 7, "siwc"):
+        "8822b2e009c30db08ba609d1bb96fb0e38e2fee78951d927d5c60af2a7c0df6a",
+    ("hotspot-backlog", 7, "imdb"):
+        "51e3f520bf75abfd875b0e6f26fe486d94ba8c2fd2a58c787f67d740ffc284ff",
+    ("hotspot-backlog", 11, "none"):
+        "84ac09e2ea7fd6363ddd561efcb4ee009003ae077364266fe67e8c083e381449",
+    ("hotspot-backlog", 11, "vnc"):
+        "93580c2fc2401a62ca785614748bcb2edc38a5b44519395c03b421ff5b7ac78d",
+    ("hotspot-backlog", 11, "siwc"):
+        "af7d163682505a35769639b61083424a52bd06d3c1fbe1d3580a3497f111bf02",
+    ("hotspot-backlog", 11, "imdb"):
+        "9269e6a86226fc4fe11a9ddf9de2ce118fc99f9f4c53c91fe3b89b48870cdf4d",
+    ("slowflip-paced", 1, "none"):
         "0c9b01d0e732ad37d0d2979dc0409945caff678580dea7d81fbd34cc8d54571f",
-    ("slowflip-paced", "vnc"):
+    ("slowflip-paced", 1, "vnc"):
         "ac82a8a7e47ae35bf00cfab4cc88e8e213802e83f6162952ddf772ebd4801ae6",
-    ("slowflip-paced", "siwc"):
+    ("slowflip-paced", 1, "siwc"):
         "660d84752d86359d86e12379a3eb4c0cb527c4622af358ada4482f4f91f8b37d",
-    ("slowflip-paced", "imdb"):
+    ("slowflip-paced", 1, "imdb"):
         "bb8726ef4a53b6499c42ca25a795cb39c9bf6acda0e882202401841c204f6c16",
-    ("uniform-paced", "none"):
+    ("slowflip-paced", 7, "none"):
+        "57049d78eba3ce436412da7cf96df1b7f57b2479e31b1bb262faf5e621f88710",
+    ("slowflip-paced", 7, "vnc"):
+        "b5e8063de3161f4e1787cb6459b93decfb9ba9581f72d1ec27b5a3931e18f96b",
+    ("slowflip-paced", 7, "siwc"):
+        "cb8c8e6a576654fae0e107f8112631ff848fd665612d2d9c45797ba0f5ae45eb",
+    ("slowflip-paced", 7, "imdb"):
+        "cb4332bc9d2834633144966e0c6d285261a93bb274a5c11df5c96b41831bd5b5",
+    ("slowflip-paced", 11, "none"):
+        "78330050b38c731cf0d8e0faea91299d2f7800b26bb08ae1db9bf4cb7994d2f3",
+    ("slowflip-paced", 11, "vnc"):
+        "508499c85cfd7ceb164e91e7fdf66d6fd1207fa3f5383ecd45d1805491c791fe",
+    ("slowflip-paced", 11, "siwc"):
+        "cff7c35da2ac9029522b1bba6aee7b4028f46d948e3f0dd0827e757c90cfd3da",
+    ("slowflip-paced", 11, "imdb"):
+        "7c2c111152abe2db8029c94d09e581616e1a120b5ddac4211b943e010d02a96c",
+    ("uniform-paced", 1, "none"):
         "d5837a4d65610a85af6f9d595f5f48a0108d403066d5a9a95017f7242abbfd6a",
-    ("uniform-paced", "vnc"):
+    ("uniform-paced", 1, "vnc"):
         "c8f1569e87d521a071a11ec5b58c48b1d09a99043e31d0394f58b385d776396b",
-    ("uniform-paced", "siwc"):
+    ("uniform-paced", 1, "siwc"):
         "1dce4013fb8d340a479a57ceacee30bb29b30053061761749d658d94bf480e8f",
-    ("uniform-paced", "imdb"):
+    ("uniform-paced", 1, "imdb"):
         "fd366946d2575df1e3ef32cc7ed98aa9e2925488ccbeab661268f3734eb8cf1e",
+    ("uniform-paced", 7, "none"):
+        "e3c1c08c959b0f3b9c7784309000dcbfb2dc917f8ee378902fe2f73beea544bb",
+    ("uniform-paced", 7, "vnc"):
+        "6a9a8a47417998275c01fb2b122dc826dd3aa0ede8aea21e81903063ea51e1a1",
+    ("uniform-paced", 7, "siwc"):
+        "560b4b1b095e3da195701e28e48c00f597e3a41f5a7724b8435a933bdf01b4ac",
+    ("uniform-paced", 7, "imdb"):
+        "90560eca3c76b733b6d14a533edd185b68d1cc6bd5f3273a8b066e3f7929906a",
+    ("uniform-paced", 11, "none"):
+        "6446ec296d44dab2a5f707a9411116aecefc7b35042a219d96aec3372bdb81a1",
+    ("uniform-paced", 11, "vnc"):
+        "a06679ec6484b17a19fbb6f5ca3e977fa49b8b3cb439477b55977a9f60bcc744",
+    ("uniform-paced", 11, "siwc"):
+        "33503588f62bbb44459419728159a86878bb8fe113ab1758574d048f4184f1b8",
+    ("uniform-paced", 11, "imdb"):
+        "053130e856e67fc777ed8ac13bbf294b0c94ac33a3c072a1b013fb578dc28c6e",
 }
 
 
 @pytest.mark.parametrize("workload", sorted(bench_workloads()))
 def test_benchmark_runs_match_their_digests(workload):
     w = bench_workloads()[workload]
-    cfg = parse_config_text(w.config.format(seed=1))
-    trace = w.make_trace(random.Random(1), cfg.geometry)
     digests = {}
-    for strategy in STRATEGIES:
-        eng = Engine(dataclasses.replace(cfg, strategy=strategy), trace)
-        report = emit_report(eng.run(), "json")
-        state = (report, eng.rng.getstate(), eng.conservation)
-        digests[strategy] = hashlib.sha256(repr(state).encode()).hexdigest()
-    assert digests == {strategy: BENCH_DIGESTS[workload, strategy]
-                       for strategy in STRATEGIES}
+    for seed in BENCH_SEEDS:
+        cfg = parse_config_text(w.config.format(seed=seed))
+        trace = w.make_trace(random.Random(seed), cfg.geometry)
+        for strategy in STRATEGIES:
+            eng = Engine(dataclasses.replace(cfg, strategy=strategy), trace)
+            report = emit_report(eng.run(), "json")
+            state = (report, eng.rng.getstate(), eng.conservation)
+            digests[workload, seed, strategy] = hashlib.sha256(
+                repr(state).encode()).hexdigest()
+    assert digests == {key: digest for key, digest in BENCH_DIGESTS.items()
+                       if key[0] == workload}
 
 
 @pytest.mark.parametrize("name", ["compare", "coins", "ranks", "paced"])
