@@ -20,8 +20,12 @@ write; a write). A pre-write read must observe every older write to its line,
 so it may run once its write is the line's oldest queued write: at enqueue,
 or when the write ahead of it leaves. A rewrite is full, programming every
 cell, and any other write differential, until a fresh rewrite merges into it
-as its line's oldest queued write. Each record's address is decoded once, at
-its first admission attempt; retries reuse it.
+as its line's oldest queued write. A record's address is decoded ahead of
+its admission, in a window of at most `DECODE_WINDOW` records that starts
+at the first record submitted outside the last window; retries reuse it, and
+a run keeps one window at a time. A window ends before the first address
+outside the module, so that record's first submit decodes it alone, and
+`TraceAbort` names it.
 
 The strategy is one `Mitigation` per bank (see `baselines`), built from the
 `MITIGATIONS` table. The engine calls only its hooks, and each write hook
@@ -100,16 +104,23 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import itemgetter
 from random import Random
 
 from .baselines import Mitigation, Outcome, SiwcCache, vnc_wrap_write
 from .core import (ConsistencyError, LineAddress, RangeError, SimConfig,
-                   _new_tuple, decompose_address)
+                   _new_tuple, decompose_address, decompose_addresses)
 from .imdb import Imdb
 from .media import CellArray
 from .metrics import RunStats, energy_total
 from .traces import TraceRecord
 
+
+# Records whose addresses `submit` decodes in one call: a window bounds the
+# memory that decoding ahead takes, whatever the trace's length.
+DECODE_WINDOW = 1024
+
+_byte_addr = itemgetter(2)  # of a TraceRecord
 
 # The command kinds, compared by identity.
 HOST_READ = "host-read"
@@ -201,8 +212,11 @@ class Engine:
         self._seq = 0
         self._admitted = 0
         self._serviced = 0
-        # the record last submitted: (record_no, address, bank)
-        self._head = (-1, None, None)
+        # (address, bank) of records _first, _first + 1, ..., up to _end;
+        # empty until the first submit, so that building an engine decodes
+        # nothing
+        self._window: list[tuple[LineAddress, _Bank]] = []
+        self._first = self._end = 0
 
     # -- helpers -------------------------------------------------------------
 
@@ -220,13 +234,9 @@ class Engine:
         never enters a queue."""
         # one unpack: reading a NamedTuple's fields by name is slower
         _, op, byte_addr, data = record
-        if self._head[0] != record_no:
-            try:
-                addr = decompose_address(byte_addr, self._geometry)
-            except RangeError as exc:
-                raise TraceAbort(record_no, str(exc)) from exc
-            self._head = (record_no, addr, self._bank(addr))
-        _, addr, bank = self._head
+        if not self._first <= record_no < self._end:
+            self._decode(byte_addr, record_no)
+        addr, bank = self._window[record_no - self._first]
         depth = self._depth
 
         if op == "R":
@@ -269,6 +279,25 @@ class Engine:
                 return True
         self._enqueue(bank, kind, addr, data, now)
         return True
+
+    def _decode(self, byte_addr: int, record_no: int) -> None:
+        """Decode the window of records from `record_no`, whose address is
+        `byte_addr`, on through the trace: at most `DECODE_WINDOW` records,
+        ending before the first address outside the module. Raises
+        TraceAbort if `byte_addr` is outside it."""
+        byte_addrs = [byte_addr]
+        byte_addrs += map(_byte_addr,
+                          self.trace[record_no + 1:record_no + DECODE_WINDOW])
+        addrs, flat_banks = decompose_addresses(byte_addrs, self._geometry)
+        if not addrs:
+            try:  # the message, from the one decoder that gives one
+                decompose_address(byte_addr, self._geometry)
+            except RangeError as exc:
+                raise TraceAbort(record_no, str(exc)) from exc
+        banks = map(self.banks.__getitem__, flat_banks)
+        self._window = list(zip(addrs, banks))
+        self._first = record_no
+        self._end = record_no + len(addrs)
 
     def _next_due(self, record_no: int) -> float:
         """The next record's time; infinite after the last record."""

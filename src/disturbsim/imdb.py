@@ -268,7 +268,7 @@ class Imdb(Mitigation):
         # The trigger requires fresh flips: a rewrite that changes nothing must
         # not re-fire an entry whose counters sit at or above the threshold.
         # Without flips no counter moves either.
-        if old_data & ~new_data == 0:
+        if old_data | new_data == new_data:  # old_data & ~new_data == 0
             return self._hit
         zfc = e.zfc
         for i, f in enumerate(count_one_to_zero(old_data, new_data)):

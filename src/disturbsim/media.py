@@ -84,9 +84,9 @@ class CellArray:
     intended-data shadow records what each line should hold so that
     exposure of disturbance errors is measurable.
 
-    Every address given to the array lies in the geometry, as
-    `decompose_address` and `neighbor_rows` make it; the array trusts it
-    and does not test it again.
+    Every address given to the array lies in the geometry, as the engine's
+    decoder, `decompose_addresses`, and `neighbor_rows` make it; the array
+    trusts it and does not test it again.
 
     The array counts the media operations it performs: `reads`, `writes`,
     their `set_pulses` and `reset_pulses`, and the `flips` they caused.
@@ -136,10 +136,13 @@ class CellArray:
         line = lines.get(addr)
         if line is None:
             line = lines[addr] = _Line(addr, self._fill)
-        old = ~data & LINE_MASK if full else line.phys
+        # Every operand of the masks is non-negative: CPython complements a
+        # negative 512-bit int before a bitwise operation, so `a & ~b` costs
+        # about three times `a & b`.
+        old = data ^ LINE_MASK if full else line.phys
         programmed = old ^ data
-        reset_mask = old & ~data  # written to 0
-        set_mask = ~old & data    # written to 1
+        reset_mask = programmed & old   # written to 0
+        set_mask = programmed & data    # written to 1
 
         reset_pulses = reset_mask.bit_count()
         set_pulses = set_mask.bit_count()
@@ -170,7 +173,8 @@ class CellArray:
                 if not self._lazy_victims:  # every neighbour materialized
                     line.victims = victims
             for victim in victims:
-                pulse = reset_mask & ~victim.phys  # counted on 0 cells only
+                # counted on 0 cells only: reset_mask & ~victim.phys
+                pulse = reset_mask & (victim.phys ^ LINE_MASK)
                 if not pulse:
                     continue
                 planes = victim.planes
@@ -211,7 +215,7 @@ class CellArray:
 
 def _clear(planes: list[int], cells: int) -> None:
     """Zero the pulse counts of `cells`."""
-    keep = ~cells
+    keep = cells ^ LINE_MASK  # ~cells, non-negative: planes are lines
     for j, plane in enumerate(planes):
         if plane:
             planes[j] = plane & keep

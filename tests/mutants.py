@@ -58,7 +58,7 @@ MUTANTS = [
            "                line.victims = victims\n",
            ("tests/test_media.py::test_late_written_neighbor_is_pulsed",)),
     Mutant("full-write-as-differential", "src/disturbsim/media.py",
-           "old = ~data & LINE_MASK if full else line.phys",
+           "old = data ^ LINE_MASK if full else line.phys",
            "old = line.phys",
            ("tests/test_media.py::test_media_matches_naive_ledger",
             "tests/test_golden.py::test_compare_report_matches_golden")),
@@ -83,6 +83,10 @@ MUTANTS = [
            "if byte_addr >= g.capacity_bytes:",
            "if byte_addr > g.capacity_bytes:",
            ("tests/test_core.py::test_address_out_of_range",)),
+    Mutant("decode-bank-ignores-rank", "src/disturbsim/core.py",
+           "[rank * banks + bank for rank, bank, _, _ in fields]",
+           "[bank for rank, bank, _, _ in fields]",
+           ("tests/test_core.py::test_batch_decode_matches_per_address",)),
     Mutant("coin-floor", "src/disturbsim/core.py",
            "return -(-p.numerator * _RANDOM_SCALE // p.denominator)",
            "return (p.numerator * _RANDOM_SCALE // p.denominator)",
@@ -148,6 +152,11 @@ MUTANTS = [
            "self.banks[addr[0] * self._banks_per_rank + addr[1]]",
            "self.banks[addr[1]]",
            ("tests/test_golden.py::test_two_rank_report_matches_golden",)),
+    Mutant("decode-window-skips-a-record", "src/disturbsim/controller.py",
+           "self.trace[record_no + 1:record_no + DECODE_WINDOW]",
+           "self.trace[record_no + 2:record_no + DECODE_WINDOW]",
+           ("tests/test_controller.py::"
+            "test_trace_abort_past_a_decode_window_names_record",)),
     Mutant("writeback-to-another-rank", "src/disturbsim/controller.py",
            "if target[0] != addr[0] or target[1] != addr[1]:",
            "if target[1] != addr[1]:",

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 import scheduler_ref
 from disturbsim.baselines import Mitigation, Outcome
 from disturbsim.config import parse_config_text
-from disturbsim.controller import (HOST_READ, HOST_WRITE, MITIGATIONS, REWRITE,
-                                   WRITEBACK, Command, Engine, TraceAbort,
-                                   run_to_completion)
+from disturbsim.controller import (DECODE_WINDOW, HOST_READ, HOST_WRITE,
+                                   MITIGATIONS, REWRITE, WRITEBACK, Command,
+                                   Engine, TraceAbort, run_to_completion)
 from disturbsim.core import (LINE_MASK, STRATEGIES, ConsistencyError,
-                             Geometry, LineAddress, compose_address)
+                             Geometry, LineAddress, compose_address,
+                             decompose_address)
 from disturbsim.media import CellArray
 from disturbsim.traces import TraceRecord, gen_hammer, gen_synthetic
 from helpers import (TINY, Recorder, addr_bytes, bench_workloads, make_cfg,
@@ -350,6 +351,39 @@ def test_trace_abort_behind_backpressure_names_record():
     assert exc.value.record_no == 4
     assert attempts.count(1) > 1  # backpressured before the bad record
     assert attempts[-1] == 4
+
+
+def test_trace_abort_past_a_decode_window_names_record():
+    """The first window of decoded addresses ends at a record that one-deep
+    queues refuse, and the next record's address is outside the module.
+    Every record of the window is submitted, in order, and reaches the
+    media at the line `decompose_address` gives it; the bad record aborts
+    at its first submit."""
+    n = DECODE_WINDOW
+    trace = ([TraceRecord(0, "W", addr_bytes(r % 8), ONES) for r in range(n)]
+             + [TraceRecord(0, "W", TINY.capacity_bytes + 64, ONES)])
+    eng = Engine(make_cfg(queue_depth=1), trace)
+    attempts, reads = [], []
+    submit, read_line = eng.submit, eng.media.read_line
+
+    def counted(record, record_no, now):
+        attempts.append(record_no)
+        return submit(record, record_no, now)
+
+    def logged_read(addr):  # each host write's pre-write read, in order
+        reads.append(addr)
+        return read_line(addr)
+
+    eng.submit, eng.media.read_line = counted, logged_read
+    with pytest.raises(TraceAbort) as exc:
+        eng.run()
+    assert exc.value.record_no == n
+    assert list(dict.fromkeys(attempts)) == list(range(n + 1))
+    assert attempts.count(n - 1) > 1  # refused at the window's end
+    assert attempts.count(n) == 1
+    assert len(reads) >= n - 1
+    assert reads == [decompose_address(r.byte_addr, TINY)
+                     for r in trace[:len(reads)]]
 
 
 def test_finalize_checks_conservation():

@@ -10,7 +10,8 @@ from disturbsim.baselines import SiwcCache
 from disturbsim.core import (LINE_BYTES, Geometry, LineAddress,
                              RangeError, SimConfig, coin_threshold,
                              compose_address, count_one_to_zero, count_zeros,
-                             decompose_address, draw_below)
+                             decompose_address, decompose_addresses,
+                             draw_below)
 from helpers import TINY, make_cfg
 
 
@@ -77,6 +78,46 @@ def test_address_out_of_range():
         decompose_address(-1, TINY)
     with pytest.raises(RangeError):
         LineAddress(0, 0, 8, 0).check(TINY)
+
+
+@st.composite
+def address_runs(draw):
+    """A geometry, its radices powers of two or not, and a run of byte
+    addresses in it, any byte of any line, with perhaps one address outside
+    it, past either end, at any position, followed by more."""
+    g = Geometry(ranks=draw(st.integers(1, 5)),
+                 banks_per_rank=draw(st.integers(1, 6)),
+                 rows_per_bank=draw(st.integers(2, 40)),
+                 cols_per_row=draw(st.integers(1, 12)))
+    cap = g.capacity_bytes
+    in_range = st.integers(0, cap - 1)
+    run = draw(st.lists(in_range, max_size=30))
+    if draw(st.booleans()):
+        bad = draw(st.one_of(st.integers(cap, 2 * cap), st.integers(-cap, -1)))
+        run.insert(draw(st.integers(0, len(run))), bad)
+        run += draw(st.lists(st.one_of(in_range, st.just(bad)), max_size=5))
+    return g, run
+
+
+@example((TINY, [0, TINY.capacity_bytes - 1, TINY.capacity_bytes, 0]))
+@example((Geometry(ranks=3, banks_per_rank=3, rows_per_bank=5,
+                   cols_per_row=3), [-1]))
+@given(address_runs())
+def test_batch_decode_matches_per_address(case):
+    """`decompose_addresses` decodes each address as `decompose_address`
+    does, with its flat bank number, up to the first one that
+    `decompose_address` refuses."""
+    g, run = case
+    addrs, banks = decompose_addresses(run, g)
+    expected = []
+    for byte_addr in run:
+        try:
+            expected.append(decompose_address(byte_addr, g))
+        except RangeError:
+            break
+    assert [exactly(addr) for addr in addrs] == expected
+    assert banks == [a.rank * g.banks_per_rank + a.bank for a in expected]
+    assert all(0 <= bank < g.num_banks for bank in banks)
 
 
 def test_neighbor_rows_skip_edges():
